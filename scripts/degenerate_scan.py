@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Probe behaviour as the two momenta approach each other.
 
-The analytic band integral has a (k1^2 - k2^2) denominator structure, so
-the closed form refuses to evaluate once the relative gap drops below its
-degeneracy threshold. This script sweeps k2/k1 - 1 over a log grid and
-shows, side by side, where the analytic path raises DegenerateMomenta and
-how the quadrature oracle degrades (value drift and error estimate) as
-the gap closes.
+The closed form is evaluated from an exact Laurent polynomial in
+t = min(k)/max(k), so it keeps its digits as k2 -> k1. For bridge orders
+L >= 1 it still refuses below a relative gap of 1e-9 (DEGENERATE_THRESHOLD),
+as a contract rather than for accuracy. This script sweeps k2/k1 - 1 over a
+log grid and shows, side by side, the analytic value until that gate raises
+DegenerateMomenta, and how the quadrature oracle behaves (value drift and
+error estimate) as the gap closes.
 
 Example:
     python scripts/degenerate_scan.py --orders 1 0 1 0 --k1 2.0

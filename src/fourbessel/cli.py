@@ -176,7 +176,7 @@ def _cmd_eval(args) -> int:
         report = EvaluationReport(
             value=value,
             bridge_L=select_bridge_order(*spec.orders),
-            terms=[],
+            terms=(),
             method="oracle",
             oracle_value=value,
             oracle_error_estimate=error_estimate,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -87,7 +87,7 @@ class EvaluationReport:
 
     value: float
     bridge_L: int
-    terms: list[TermEntry] = field(default_factory=list)
+    terms: tuple[TermEntry, ...] = ()
     method: str = "analytic"  # analytic | paired | oracle
     oracle_value: float | None = None
     oracle_error_estimate: float | None = None

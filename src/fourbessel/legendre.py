@@ -140,6 +140,48 @@ def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], Fraction]:
     return {key: Fraction(sign * val, 2**degree) for key, val in poly.items()}
 
 
+@lru_cache(maxsize=None)
+def _band_basis(degree: int) -> tuple[tuple[int, ...], ...]:
+    """Entry i: ascending u-coefficients of (1+u)^i (1-u)^(degree-i)."""
+    return tuple(
+        tuple(
+            sum(
+                math.comb(i, a) * math.comb(degree - i, k - a) * (-1) ** (k - a)
+                for a in range(max(0, k - degree + i), min(i, k) + 1)
+            )
+            for k in range(degree + 1)
+        )
+        for i in range(degree + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
+    """Integer coefficients in u of 4^degree (1-u)^degree b_degree(x, m).
+
+    Here x = (1+u)/(1-u) and m = twice_m/2. Each x^i becomes
+    (1+u)^i (1-u)^(degree-i) over (1-u)^degree, so the product is a
+    polynomial of degree <= ``degree`` in u; entry k is the u^k coefficient.
+    b_degree has coefficients over 2^degree and total degree ``degree`` in
+    (x, m), so for integer or half-integer m the factor 4^degree clears every
+    denominator; a remainder raises ArithmeticError rather than rounding.
+    """
+    # 4^degree times the coefficient of x^i, summed over the powers of m
+    by_power = [0] * (degree + 1)
+    for (xi, mj), coeff in _bform_coeffs(degree).items():
+        value, remainder = divmod(
+            coeff.numerator * 4**degree * twice_m**mj, coeff.denominator << mj
+        )
+        if remainder:
+            raise ArithmeticError(f"b_{degree} coefficient at x^{xi} m^{mj} is not integral")
+        by_power[xi] += value
+    out = [0] * (degree + 1)
+    for weight, basis in zip(by_power, _band_basis(degree)):
+        for k, value in enumerate(basis):
+            out[k] += weight * value
+    return tuple(out)
+
+
 def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
     """Evaluate the polynomial factor b_degree(x, m) of the associated function."""
     m = float(_order_as_fraction(order))

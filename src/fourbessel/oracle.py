@@ -22,11 +22,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import IntegralSpec, require_momentum, require_order
 from .errors import DomainError, NoConvergence
+
+# numpy is imported inside the functions that use it, so that importing the
+# package for the closed forms alone does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "QuadratureConfig",
@@ -92,6 +96,8 @@ def spherical_bessel_j(n: int, x):
     x >= n+1, and downward (Miller) recurrence renormalized against
     j_0 = sin(x)/x in between. j_n(0) = delta_{n,0} exactly.
     """
+    import numpy as np
+
     n = require_order(n, "n")
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
@@ -128,6 +134,8 @@ def spherical_bessel_j(n: int, x):
 
 
 def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     half_sq = 0.5 * a * a
     total = np.ones_like(a)
     term = np.ones_like(a)
@@ -138,6 +146,8 @@ def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
 
 
 def _bessel_upward(n: int, a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     prev = np.sin(a) / a
     cur = np.sin(a) / (a * a) - np.cos(a) / a
     for m in range(1, n):
@@ -146,6 +156,8 @@ def _bessel_upward(n: int, a: np.ndarray) -> np.ndarray:
 
 
 def _bessel_downward(n: int, a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     top = n + 25
     above = np.zeros_like(a)
     cur = np.full_like(a, 1e-30)
@@ -172,6 +184,8 @@ def _bessel_downward(n: int, a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -184,6 +198,8 @@ def gauss_legendre(integrand, n_nodes: int) -> float:
     The integrand is called once with the node array; if it cannot handle
     array input, it is called per node instead.
     """
+    import numpy as np
+
     n_nodes = require_order(n_nodes, "n_nodes")
     if n_nodes < 1:
         raise DomainError("n_nodes must be >= 1")
@@ -356,6 +372,8 @@ def _windowed_component_tail(
     depth: int,
 ) -> tuple[float, float]:
     """Tail of one oscillatory component: half-period windows, iterated averaging."""
+    import numpy as np
+
     window = math.pi / omega
     available = int((r_max - radius) / window)
     n_windows = min(max(2 * depth + 8, 24), available)
@@ -443,6 +461,8 @@ def _integrate_tail(
 
 
 def _head_panels(factors: list[tuple[int, float]], edges: np.ndarray, n_nodes: int) -> float:
+    import numpy as np
+
     nodes, weights = _gauss_rule(n_nodes)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half_widths = 0.5 * np.diff(edges)
@@ -459,6 +479,8 @@ def _head_integral(
     omega_max: float,
     panels_per_period: int,
 ) -> tuple[float, float]:
+    import numpy as np
+
     n_panels = max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
     edges = np.linspace(0.0, radius, n_panels + 1)
     fine = _head_panels(factors, edges, 12)

@@ -16,6 +16,7 @@ from fourbessel.legendre import (
     HalfIntegerOrder,
     _bform_coeffs,
     assoc_legendre_gt1,
+    bform_band_coeffs,
     legendre_linearization_coeffs,
     legendre_p,
     legendre_poly_part,
@@ -67,6 +68,27 @@ def test_poly_part_degree_gate():
         _bform_coeffs(MAX_DEGREE + 1)
     with pytest.raises(DomainError):
         assoc_legendre_gt1(MAX_DEGREE + 1, Fraction(-1, 2), 2.0)
+
+
+@pytest.mark.parametrize("degree", range(0, MAX_DEGREE + 1))
+def test_band_coeffs_equal_the_scaled_polynomial_part_exactly(degree):
+    # 4^d (1-u)^d b_d(x, m) at x = (1+u)/(1-u), from the independent reference
+    # coefficients, at exact rational u and half-integer and integer orders
+    reference = _reference_poly_coeffs(degree)
+    for twice_m in (-1, -5, -27, 4):
+        coeffs = bform_band_coeffs(degree, twice_m)
+        assert all(isinstance(c, int) for c in coeffs) and len(coeffs) == degree + 1
+        m = Fraction(twice_m, 2)
+        for u in (Fraction(0), Fraction(3, 7), Fraction(-2, 5)):
+            x = (1 + u) / (1 - u)
+            direct = sum(c * x**xi * m**mj for (xi, mj), c in reference.items())
+            expanded = sum(c * u**k for k, c in enumerate(coeffs))
+            assert expanded == 4**degree * (1 - u) ** degree * direct, (twice_m, u)
+
+
+def test_band_coeffs_degree_gate():
+    with pytest.raises(DomainError):
+        bform_band_coeffs(MAX_DEGREE + 1, -1)
 
 
 # --------------------------------------------------------------------------

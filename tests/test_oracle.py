@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -211,3 +213,18 @@ def test_quadrature_config_validation():
 def test_bessel_bounded_by_unity(order, x):
     # |j_n(x)| <= 1 everywhere, with j_0 attaining 1 only at the origin
     assert abs(spherical_bessel_j(order, x)) <= 1.0
+
+
+def test_closed_forms_do_not_load_numpy():
+    # numpy is imported on first oracle use; a process that only evaluates
+    # closed forms never loads it
+    code = (
+        "import sys, fourbessel, fourbessel.cli; "
+        "fourbessel.evaluate(fourbessel.IntegralSpec(2, 1, 3, 0, 1.0, 2.0)); "
+        "loaded = 'numpy' in sys.modules; "
+        "fourbessel.quad_bessel_numeric(fourbessel.IntegralSpec(0, 0, 0, 0, 1.0, 2.0)); "
+        "print(loaded, 'numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

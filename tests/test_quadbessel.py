@@ -1,6 +1,7 @@
 """Analytic pipeline: band/ratio integrals, triple products, four-Bessel values."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,8 +16,14 @@ from fourbessel.errors import (
     NoValidBridge,
     PrefactorZero,
 )
-from fourbessel.oracle import gauss_legendre
+from fourbessel import quadbessel
+from fourbessel.oracle import gauss_legendre, quad_bessel_numeric
 from fourbessel.quadbessel import (
+    _divide_one_minus_u,
+    _exact_sqrt,
+    _horner,
+    _horner_exact,
+    _laurent_kernel,
     evaluate,
     legendre_band_integral,
     legendre_ratio_integral,
@@ -24,7 +31,7 @@ from fourbessel.quadbessel import (
     quad_bessel_paired,
     triple_bessel_weighted,
 )
-from fourbessel.wigner import select_bridge_order
+from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
 
 
 # reference values for the four-Bessel integral, derived once by
@@ -256,6 +263,142 @@ def test_report_structure_and_term_sums():
     assert paired.bridge_L == 0
     assert all(set(term.indices) == {"mu"} for term in paired.terms)
     assert paired.recomputed_sum() == pytest.approx(paired.value, rel=1e-13)
+
+
+# --------------------------------------------------------------------------
+# the compiled Laurent kernel behind evaluate
+# --------------------------------------------------------------------------
+
+
+def _kernel_dict(branch):
+    return {power: coeff for power, coeff, _ in branch}
+
+
+@pytest.mark.parametrize("u", range(1, 9))
+def test_gap_sweep_matches_exact_values(u):
+    # k2 = 1 +- 10^-u: the term-by-term float assembly lost every digit here
+    # (relative error 8.4 at a gap of 1e-3) while raising nothing
+    k1 = 1.0
+    for k2 in (1.0 + 10.0**-u, 1.0 - 10.0**-u):
+        value = evaluate(IntegralSpec(2, 1, 3, 0, k1, k2)).value
+        if k1 < k2:
+            expected = math.pi / (140.0 * k2**3)
+        else:
+            t = k2 / k1
+            expected = math.pi / k1**3 * (0.25 - 3.0 * t**2 / 5.0 + 5.0 * t**4 / 14.0)
+        assert value == pytest.approx(expected, rel=1e-12), (k2, value, expected)
+        spec = IntegralSpec(13, 4, 11, 2, k1, k2)
+        oracle, _ = quad_bessel_numeric(spec)
+        assert evaluate(spec).value == pytest.approx(oracle, rel=1e-7), k2
+    k2 = 1.0 + 10.0**-u
+    value = evaluate(IntegralSpec(13, 0, 13, 0, k1, k2)).value
+    assert value == pytest.approx(math.pi / (108.0 * k1 * k2**2), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", range(7))
+def test_paired_kernel_is_the_paired_closed_form(a):
+    for b in range(7):
+        expected = {
+            mu - 1: Fraction(1, 4) * wigner_3j_zero(a, b, mu).radicand
+            for mu in range(abs(a - b), a + b + 1, 2)
+        }
+        bridge, branches = _laurent_kernel(a, a, b, b)
+        assert bridge == 0
+        for branch in branches:
+            assert _kernel_dict(branch) == expected, (a, b)
+            assert all(isinstance(coeff, Fraction) for _, coeff, _ in branch)
+
+
+def test_kernel_matches_term_by_term_path_on_order_grid():
+    compared = 0
+    for orders in itertools.product(range(5), repeat=4):
+        for k1, k2 in ((1.0, 3.0), (3.0, 1.0)):
+            spec = IntegralSpec(*orders, k1, k2)
+            try:
+                reference = quad_bessel_analytic(spec)
+            except NoValidBridge:
+                with pytest.raises(NoValidBridge):
+                    evaluate(spec)
+                continue
+            report = evaluate(spec)
+            assert report.bridge_L == reference.bridge_L
+            # the reference rounds each term once; where its terms cancel, its
+            # own rounding bound exceeds 1e-12 relative and sets the tolerance
+            rounding = len(reference.terms) * 2.0**-53 * math.fsum(
+                abs(term.value) for term in reference.terms
+            )
+            tolerance = max(1e-12 * abs(reference.value), rounding)
+            assert abs(report.value - reference.value) <= tolerance, (orders, k1, k2)
+            compared += 1
+    assert compared == 538
+
+
+def test_kernel_of_1_0_1_2_is_exact():
+    bridge, (k1_high, k2_high) = _laurent_kernel(1, 0, 1, 2)
+    assert bridge == 1
+    assert _kernel_dict(k2_high) == {-1: Fraction(-1, 12), 1: Fraction(1, 10)}
+    # I = pi / k2^3 * (-2/12 + 1/20) = -7 pi / 480 at k = (1, 2)
+    reference = QUAD_REFERENCES[(1, 0, 1, 2, 1.0, 2.0)]
+    assert -7.0 * math.pi / 480.0 == pytest.approx(reference, rel=1e-15)
+    assert evaluate(IntegralSpec(1, 0, 1, 2, 1.0, 2.0)).value == pytest.approx(
+        -7.0 * math.pi / 480.0, rel=1e-15
+    )
+
+
+def test_evaluate_terms_are_laurent_monomials():
+    report = evaluate(IntegralSpec(1, 0, 1, 2, 1.0, 2.0))
+    assert report.method == "analytic" and report.bridge_L == 1
+    assert [term.indices for term in report.terms] == [{"power": -1}, {"power": 1}]
+    assert report.terms[0].value == pytest.approx(math.pi / 8.0 * (-1.0 / 12.0) * 2.0, rel=1e-15)
+    assert report.recomputed_sum() == pytest.approx(report.value, rel=1e-15)
+    paired = evaluate(IntegralSpec(1, 1, 2, 2, 1.0, 2.0))
+    assert paired.method == "paired"
+    assert [term.indices for term in paired.terms] == [{"power": 0}, {"power": 2}]
+
+
+def test_exact_horner_rescues_cancelling_kernels():
+    # the k1 > k2 branch of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the
+    # float Horner alone is off by ~2e-8 there
+    k1, k2 = 1.1, 1.0
+    _, (k1_high, _) = _laurent_kernel(13, 4, 11, 2)
+    t = k2 / k1
+    exact = _horner_exact(k1_high, Fraction(k2) / Fraction(k1))
+    float_only, _ = _horner(k1_high, t)
+    assert abs(float_only - float(exact)) > 1e-9 * abs(float(exact))
+    value = evaluate(IntegralSpec(13, 4, 11, 2, k1, k2)).value
+    assert value == pytest.approx(math.pi / k1**3 * float(exact), rel=1e-15)
+
+
+def test_kernel_build_refuses_instead_of_rounding():
+    assert _exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    with pytest.raises(ArithmeticError):
+        _exact_sqrt(Fraction(2, 9))
+    with pytest.raises(ArithmeticError):
+        _exact_sqrt(Fraction(4, 3))
+    # (1 - t^2)(1 + 2 t^2) divides; adding t breaks the divisibility
+    assert _divide_one_minus_u([1, 0, 1, 0, -2]) == [1, 0, 2]
+    with pytest.raises(ArithmeticError):
+        _divide_one_minus_u([1, 1, 1, 0, -2])
+
+
+def test_evaluate_keeps_the_legendre_degree_limit():
+    # bridge order 14 needs b_13, past MAX_DEGREE; paired tuples need no b_l
+    with pytest.raises(DomainError):
+        evaluate(IntegralSpec(14, 0, 14, 0, 1.0, 2.0))
+    assert evaluate(IntegralSpec(14, 14, 14, 14, 1.0, 2.0)).value > 0.0
+
+
+def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
+    specs = [IntegralSpec(2, 1, 3, 0, 1.0, 1.5), IntegralSpec(13, 4, 11, 2, 1.1, 1.0)]
+    warm = [evaluate(spec).value for spec in specs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact coupling or Legendre work on the warm path")
+
+    for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
+        monkeypatch.setattr(SignedSqrtRational, method, forbidden)
+    monkeypatch.setattr(quadbessel, "legendre_poly_part", forbidden)
+    assert [evaluate(spec).value for spec in specs] == warm
 
 
 def test_spec_validation():
