@@ -23,10 +23,10 @@ from .core import require_order
 from .errors import DomainError
 from .wigner import gamma_half, wigner_3j_zero
 
-#: Largest supported degree for the two-variable polynomial path. The closed
-#: tables cover degree <= 4; the recurrence extends them, and coefficients are
-#: exact integers scaled by 2^degree, so the ceiling is a guardrail against
-#: float overflow in downstream evaluation rather than an accuracy limit.
+#: Largest supported degree for the two-variable polynomial path. The
+#: coefficients come from an exact integer recurrence scaled by 2^degree, so
+#: the ceiling is a guardrail against float overflow in downstream evaluation
+#: rather than an accuracy limit.
 MAX_DEGREE = 12
 
 OrderLike = Union["HalfIntegerOrder", int, float, Fraction]
@@ -92,37 +92,14 @@ def _order_as_fraction(order: OrderLike) -> Fraction:
     raise DomainError(f"order must be numeric, got {order!r}")
 
 
-# Closed coefficient tables for the two-variable polynomials b_l(x, m),
-# keyed (power of x, power of m) -> integer coefficient.
-_CLOSED_POLY: dict[int, dict[tuple[int, int], int]] = {
-    0: {(0, 0): 1},
-    1: {(1, 0): 1, (0, 1): -1},
-    2: {(2, 0): 3, (1, 1): -3, (0, 2): 1, (0, 0): -1},
-    3: {(3, 0): 15, (2, 1): -15, (1, 2): 6, (1, 0): -9, (0, 3): -1, (0, 1): 4},
-    4: {
-        (4, 0): 105,
-        (3, 1): -105,
-        (2, 2): 45,
-        (2, 0): -90,
-        (1, 3): -10,
-        (1, 1): 55,
-        (0, 4): 1,
-        (0, 2): -10,
-        (0, 0): 9,
-    },
-}
-
-
 @lru_cache(maxsize=None)
 def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], Fraction]:
-    """Coefficients of b_degree(x, m); closed table below 5, recurrence above."""
+    """Coefficients of b_degree(x, m), keyed (power of x, power of m)."""
     degree = require_order(degree, "degree")
     if degree > MAX_DEGREE:
         raise DomainError(
             f"degree {degree} exceeds supported maximum {MAX_DEGREE}"
         )
-    if degree in _CLOSED_POLY:
-        return {key: Fraction(val) for key, val in _CLOSED_POLY[degree].items()}
     # Auxiliary recurrence q_{j+1} = (1-x^2) dq_j/dx + 2(m - (degree-j) x) q_j
     # starting from q_0 = 1; then b_degree = (-1)^degree q_degree / 2^degree.
     poly: dict[tuple[int, int], int] = {(0, 0): 1}

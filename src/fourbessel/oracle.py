@@ -13,6 +13,13 @@ past the last Bessel turning point:
   a convergent sine/cosine-integral series chain when |omega| R is small, and
   half-period windows with iterated averaging otherwise.
 
+Cost model of the tail decomposition: it is compiled once per order tuple,
+exactly, with the momenta kept as symbols (each coefficient a polynomial in
+the 1/k_i with integer numerators over one denominator) and cached. Each call
+then substitutes the exact ratios k_i = p_i/q_i: a few integer products per
+coefficient and one correctly rounded division, the same float as rounding
+the exact rational coefficient.
+
 Everything returns (value, error_estimate); NoConvergence is raised when the
 estimate cannot certify the configured tolerance.
 """
@@ -20,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -195,8 +201,9 @@ def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def gauss_legendre(integrand, n_nodes: int) -> float:
     """Fixed-order Gauss-Legendre rule on [-1, 1]; exact for degree <= 2n-1.
 
-    The integrand is called once with the node array; if it cannot handle
-    array input, it is called per node instead.
+    The integrand is called once with the node array; if that raises
+    TypeError, ValueError or DomainError, or returns the wrong shape, it is
+    called per node instead.
     """
     import numpy as np
 
@@ -208,7 +215,10 @@ def gauss_legendre(integrand, n_nodes: int) -> float:
         values = np.asarray(integrand(nodes), dtype=float)
         if values.shape != nodes.shape:
             raise TypeError("integrand did not vectorize")
-    except Exception:
+    except (TypeError, ValueError, DomainError):
+        # what scalar-only code raises on an array (numpy's conversions, or
+        # this package's argument checks); any other error is a bug in the
+        # integrand and propagates
         values = np.array([float(integrand(t)) for t in nodes])
     return float(weights @ values)
 
@@ -216,11 +226,16 @@ def gauss_legendre(integrand, n_nodes: int) -> float:
 # --------------------------------------------------------------------------
 # exact trigonometric decomposition of Bessel products
 # --------------------------------------------------------------------------
-# A series is dict[label] -> dict[(kind, m)] -> Fraction, meaning
-#   sum over labels of  coeff * r^(-m) * cos/sin(omega r),  kind 0=cos 1=sin,
-# where omega = label . momenta. Labels are integer tuples, canonicalized so
-# the first nonzero entry is positive (sin picks up the sign flip); this keeps
-# frequency bookkeeping exact even when momenta make distinct labels collide.
+# The tail integrand is a sum over labels of coeff * r^(-m) * cos/sin(omega r),
+# kind 0=cos 1=sin, where omega = label . momenta. Labels are integer tuples,
+# canonicalized so the first nonzero entry is positive (sin picks up the sign
+# flip); this keeps frequency bookkeeping exact even when momenta make
+# distinct labels collide.
+#
+# A Rayleigh factor j_n(k r) brings k^(-p) with each r^(-p), so every coeff is
+# a polynomial in the 1/k_i. The compiled form keeps the momenta as symbols: a
+# component holds (exponent vector e, integer n_e) pairs over one integer
+# denominator D and means sum_e n_e / D * prod_i k_i^(-e_i).
 
 
 @lru_cache(maxsize=None)
@@ -255,28 +270,35 @@ def _canonical(label: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return label, 1
 
 
-def _add_part(series: dict, label: tuple[int, ...], kind: int, m: int, coeff: Fraction) -> None:
+def _add_part(
+    series: dict, label: tuple[int, ...], kind: int, m: int, poly: dict, sign: int
+) -> None:
     label, flip = _canonical(label)
-    if kind == 1 and flip < 0:
-        coeff = -coeff
-    parts = series.setdefault(label, {})
-    parts[(kind, m)] = parts.get((kind, m), Fraction(0)) + coeff
+    if kind == 1:
+        sign *= flip
+    total = series.setdefault(label, {}).setdefault((kind, m), {})
+    for exponents, coeff in poly.items():
+        total[exponents] = total.get(exponents, 0) + sign * coeff
 
 
-def _bessel_atom(n: int, slot: int, n_slots: int, k: float) -> dict:
-    """Series for the single factor j_n(k r)."""
+def _bessel_atom(n: int, slot: int, n_slots: int) -> dict:
+    """Series for the single factor j_n(k_slot r), its momentum kept symbolic."""
     sin_part, cos_part = _rayleigh(n)
-    k_exact = Fraction(k)
     label = tuple(1 if i == slot else 0 for i in range(n_slots))
-    parts: dict[tuple[int, int], Fraction] = {}
-    for power, coeff in cos_part:
-        parts[(0, power)] = Fraction(coeff) / k_exact**power
-    for power, coeff in sin_part:
-        parts[(1, power)] = Fraction(coeff) / k_exact**power
+    parts: dict[tuple[int, int], dict] = {}
+    for kind, rayleigh_part in ((0, cos_part), (1, sin_part)):
+        for power, coeff in rayleigh_part:
+            exponents = tuple(power if i == slot else 0 for i in range(n_slots))
+            parts[(kind, power)] = {exponents: coeff}
     return {label: parts}
 
 
 def _series_mul(sa: dict, sb: dict) -> dict:
+    """Product of two series by the product-to-sum identities.
+
+    Every identity halves its product; the halves are left out here and
+    collected into the compiled denominator.
+    """
     out: dict = {}
     for la, pa in sa.items():
         for lb, pb in sb.items():
@@ -285,35 +307,101 @@ def _series_mul(sa: dict, sb: dict) -> dict:
             for (kind_a, ma), ca in pa.items():
                 for (kind_b, mb), cb in pb.items():
                     m = ma + mb
-                    half = ca * cb / 2
+                    product: dict[tuple[int, ...], int] = {}
+                    for ea, na in ca.items():
+                        for eb, nb in cb.items():
+                            exponents = tuple(x + y for x, y in zip(ea, eb))
+                            product[exponents] = product.get(exponents, 0) + na * nb
                     if kind_a == 0 and kind_b == 0:
-                        _add_part(out, label_diff, 0, m, half)
-                        _add_part(out, label_sum, 0, m, half)
+                        _add_part(out, label_diff, 0, m, product, 1)
+                        _add_part(out, label_sum, 0, m, product, 1)
                     elif kind_a == 1 and kind_b == 1:
-                        _add_part(out, label_diff, 0, m, half)
-                        _add_part(out, label_sum, 0, m, -half)
+                        _add_part(out, label_diff, 0, m, product, 1)
+                        _add_part(out, label_sum, 0, m, product, -1)
                     elif kind_a == 1 and kind_b == 0:
-                        _add_part(out, label_sum, 1, m, half)
-                        _add_part(out, label_diff, 1, m, half)
+                        _add_part(out, label_sum, 1, m, product, 1)
+                        _add_part(out, label_diff, 1, m, product, 1)
                     else:
-                        _add_part(out, label_sum, 1, m, half)
-                        _add_part(out, label_diff, 1, m, -half)
+                        _add_part(out, label_sum, 1, m, product, 1)
+                        _add_part(out, label_diff, 1, m, product, -1)
     return out
 
 
-def _decompose_weighted_product(orders_slots: list[tuple[int, int]], momenta: tuple[float, ...]) -> dict:
-    """Exact component form of r^2 * prod j_{n_i}(k_{slot_i} r), pruned of zeros."""
-    n_slots = len(momenta)
-    series = None
+@lru_cache(maxsize=None)
+def _compile_decomposition(orders_slots: tuple[tuple[int, int], ...], n_slots: int):
+    """Component form of r^2 * prod j_{n_i}(k_{slot_i} r), momenta symbolic.
+
+    Returns (D, M, vectors, components). ``vectors`` lists the distinct
+    exponent vectors and M[i] is the largest exponent of k_i among them.
+    ``components`` is a tuple of (label, parts), parts a tuple of
+    ((kind, m), terms) with m counted after the r^2 weight and terms a tuple
+    of (index into vectors, n_e). Components that vanish identically are
+    dropped; the order of the rest is the expansion's insertion order.
+    """
+    series: dict = {}
     for n, slot in orders_slots:
-        atom = _bessel_atom(n, slot, n_slots, momenta[slot])
-        series = atom if series is None else _series_mul(series, atom)
-    shifted: dict = {}
+        atom = _bessel_atom(n, slot, n_slots)
+        series = _series_mul(series, atom) if series else atom
+    index: dict[tuple[int, ...], int] = {}
+    components = []
     for label, parts in series.items():
-        kept = {(kind, m - 2): c for (kind, m), c in parts.items() if c != 0}
+        kept = []
+        for (kind, m), poly in parts.items():
+            terms = tuple(
+                (index.setdefault(exponents, len(index)), coeff)
+                for exponents, coeff in poly.items()
+                if coeff
+            )
+            if terms:
+                kept.append(((kind, m - 2), terms))
         if kept:
-            shifted[label] = kept
-    return shifted
+            components.append((label, tuple(kept)))
+    vectors = tuple(index)
+    top = tuple(max((e[i] for e in vectors), default=0) for i in range(n_slots))
+    return 1 << (len(orders_slots) - 1), top, vectors, tuple(components)
+
+
+def _component_numerators(compiled, momenta) -> tuple[int, dict]:
+    """Exact coefficients of a compiled decomposition as integers over one denominator.
+
+    With k_i = p_i / q_i exactly, sum_e n_e / D prod k_i^(-e_i) is
+    sum_e n_e prod q_i^e_i p_i^(M_i - e_i) over D prod p_i^M_i. Returns that
+    denominator and {label: {(kind, m): numerator}}, zero numerators pruned.
+    ``momenta`` may be floats or Fractions; nothing is rounded.
+    """
+    den, top, vectors, components = compiled
+    ratios = [k.as_integer_ratio() for k in momenta]
+    powers = [
+        [q**e * p ** (most - e) for e in range(most + 1)] for (p, q), most in zip(ratios, top)
+    ]
+    weights = [math.prod(table[e] for table, e in zip(powers, exponents)) for exponents in vectors]
+    out = {}
+    for label, parts in components:
+        kept = {}
+        for key, terms in parts:
+            numerator = sum(coeff * weights[j] for j, coeff in terms)
+            if numerator:
+                kept[key] = numerator
+        if kept:
+            out[label] = kept
+    return den * math.prod(p**most for (p, _), most in zip(ratios, top)), out
+
+
+def _decompose_weighted_product(
+    orders_slots: tuple[tuple[int, int], ...], momenta: tuple[float, ...]
+) -> dict:
+    """{label: {(kind, m): coeff}} of r^2 * prod j_{n_i}(k_{slot_i} r), zeros pruned.
+
+    Each coefficient is its exact value rounded once (int/int true division,
+    the same rounding as float(Fraction)).
+    """
+    den, numerators = _component_numerators(
+        _compile_decomposition(orders_slots, len(momenta)), momenta
+    )
+    return {
+        label: {key: numerator / den for key, numerator in parts.items()}
+        for label, parts in numerators.items()
+    }
 
 
 # --------------------------------------------------------------------------
@@ -430,12 +518,13 @@ def _integrate_tail(
         if omega < 0.0:
             omega = -omega
             flip = -1.0
-        cos_coeffs = {m: float(c) for (kind, m), c in parts.items() if kind == 0}
-        sin_coeffs = {m: flip * float(c) for (kind, m), c in parts.items() if kind == 1}
+        cos_coeffs = {m: c for (kind, m), c in parts.items() if kind == 0}
+        sin_coeffs = {m: flip * c for (kind, m), c in parts.items() if kind == 1}
         if omega == 0.0:
-            # sin(0 * r) vanishes identically; the cosine part is a pure power law
-            divergent = parts.get((0, 1), Fraction(0))
-            if divergent != 0:
+            # sin(0 * r) vanishes identically; the cosine part is a pure power
+            # law. Components are pruned where their exact value is zero, so a
+            # (0, 1) entry is an exactly nonzero r^-1 term.
+            if (0, 1) in parts:
                 raise NoConvergence(
                     "integrand has a non-oscillatory r^-1 component; the "
                     "integral diverges logarithmically"
@@ -520,7 +609,7 @@ def quad_bessel_numeric(
     ]
     head, head_err = _head_integral(factors, radius, 2.0 * (k1 + k2), cfg.panels_per_period)
     components = _decompose_weighted_product(
-        [(spec.lambda1, 0), (spec.lambda2, 1), (spec.lambda3, 0), (spec.lambda4, 1)],
+        ((spec.lambda1, 0), (spec.lambda2, 1), (spec.lambda3, 0), (spec.lambda4, 1)),
         (k1, k2),
     )
     tail, tail_err = _integrate_tail(
@@ -558,7 +647,7 @@ def triple_bessel_numeric(
     radius = _split_radius((l1, l2, L), k_min, r_max)
     factors = [(l1, k1), (l2, k2), (L, K)]
     head, head_err = _head_integral(factors, radius, k1 + k2 + K, cfg.panels_per_period)
-    components = _decompose_weighted_product([(l1, 0), (l2, 1), (L, 2)], (k1, k2, K))
+    components = _decompose_weighted_product(((l1, 0), (l2, 1), (L, 2)), (k1, k2, K))
     tail, tail_err = _integrate_tail(
         components, (k1, k2, K), radius, r_max, 2 * cfg.acceleration_depth
     )

@@ -176,6 +176,12 @@ def triple_bessel_weighted(
     return prefactor * math.fsum(parts)
 
 
+# quad_bessel_analytic refuses a value whose rounding bound exceeds this share
+# of max(|value|, pi / (4 k1 k2 max(k1, k2))): the oracle's default rel_tol and
+# characteristic scale
+_ANALYTIC_ROUNDING_BOUND = 1e-8
+
+
 def quad_bessel_analytic(spec: IntegralSpec) -> EvaluationReport:
     """General bridge-order evaluation of the four-Bessel integral.
 
@@ -183,6 +189,8 @@ def quad_bessel_analytic(spec: IntegralSpec) -> EvaluationReport:
     into the double split sum over (LL, LLp) with inner coupling sums over
     (l, lp), and weights each term by the band integral J(l, lp, L). The
     report carries every term; its value is their compensated sum.
+    DegenerateMomenta is raised when the terms cancel so far that their
+    rounding bound n 2^-53 sum|terms| exceeds 1e-8 of the value.
     """
     L = select_bridge_order(spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4)
     if L >= 1 and spec.is_degenerate():
@@ -245,6 +253,17 @@ def quad_bessel_analytic(spec: IntegralSpec) -> EvaluationReport:
                         )
                     )
     total = math.fsum(entry.value for entry in entries)
+    # n 2^-53 sum|terms| estimates the float assembly's rounding error; near
+    # k1 ~ k2 the terms cancel and it swamps the value
+    rounding = len(entries) * 2.0**-53 * math.fsum(abs(entry.value) for entry in entries)
+    scale = math.pi / (4.0 * k1 * k2 * max(k1, k2))
+    if rounding > _ANALYTIC_ROUNDING_BOUND * max(abs(total), scale):
+        raise DegenerateMomenta(
+            f"momenta k1={k1!r}, k2={k2!r} are too close for the L={L} term-by-term "
+            f"assembly: its rounding bound {rounding:.3e} exceeds "
+            f"{_ANALYTIC_ROUNDING_BOUND:.0e} of the value {total:.6e}; use evaluate "
+            "or the numerical oracle instead"
+        )
     return EvaluationReport(value=total, bridge_L=L, terms=tuple(entries), method="analytic")
 
 

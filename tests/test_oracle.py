@@ -1,10 +1,12 @@
 """Numerical oracle: Bessel evaluation, quadrature rules, tail handling."""
 from __future__ import annotations
 
+import itertools
 import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,15 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourbessel.core import IntegralSpec
-from fourbessel.errors import DomainError, NoConvergence
+from fourbessel.errors import DomainError, NoConvergence, NoValidBridge
 from fourbessel.oracle import (
     QuadratureConfig,
+    _canonical,
+    _compile_decomposition,
+    _component_numerators,
+    _decompose_weighted_product,
+    _rayleigh,
     gauss_legendre,
     quad_bessel_numeric,
     spherical_bessel_j,
     triple_bessel_numeric,
 )
-from fourbessel.quadbessel import evaluate, triple_bessel_weighted
+from fourbessel.quadbessel import _horner_exact, _laurent_kernel, evaluate, triple_bessel_weighted
+from fourbessel.wigner import select_bridge_order
 
 from test_quadbessel import QUAD_REFERENCES, TRIPLE_REFERENCES
 
@@ -100,6 +108,23 @@ def test_gauss_legendre_accepts_scalar_only_integrands():
         return t * t
 
     assert gauss_legendre(scalar_only, 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
+def test_gauss_legendre_propagates_integrand_bugs(error):
+    # an error that is not what scalar-only code raises on an array is a bug
+    # in the integrand; it must surface, not be retried node by node
+    calls = []
+
+    def buggy(t):
+        calls.append(t)
+        if isinstance(t, np.ndarray):
+            raise error("bug in the vectorized branch")
+        return t * t
+
+    with pytest.raises(error):
+        gauss_legendre(buggy, 2)
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
@@ -228,3 +253,149 @@ def test_closed_forms_do_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
+
+
+# --------------------------------------------------------------------------
+# the compiled trigonometric decomposition
+# --------------------------------------------------------------------------
+
+
+def _reference_decomposition(orders_slots, momenta):
+    """The former per-call expansion: Rayleigh atoms multiplied in Fraction."""
+
+    def add(series, label, kind, m, coeff):
+        label, flip = _canonical(label)
+        if kind == 1 and flip < 0:
+            coeff = -coeff
+        parts = series.setdefault(label, {})
+        parts[(kind, m)] = parts.get((kind, m), Fraction(0)) + coeff
+
+    def atom(n, slot):
+        sin_part, cos_part = _rayleigh(n)
+        k = Fraction(momenta[slot])
+        label = tuple(1 if i == slot else 0 for i in range(len(momenta)))
+        parts = {(0, power): Fraction(coeff) / k**power for power, coeff in cos_part}
+        parts.update({(1, power): Fraction(coeff) / k**power for power, coeff in sin_part})
+        return {label: parts}
+
+    def multiply(sa, sb):
+        out = {}
+        for la, pa in sa.items():
+            for lb, pb in sb.items():
+                label_sum = tuple(x + y for x, y in zip(la, lb))
+                label_diff = tuple(x - y for x, y in zip(la, lb))
+                for (kind_a, ma), ca in pa.items():
+                    for (kind_b, mb), cb in pb.items():
+                        m = ma + mb
+                        half = ca * cb / 2
+                        if kind_a == 0 and kind_b == 0:
+                            add(out, label_diff, 0, m, half)
+                            add(out, label_sum, 0, m, half)
+                        elif kind_a == 1 and kind_b == 1:
+                            add(out, label_diff, 0, m, half)
+                            add(out, label_sum, 0, m, -half)
+                        elif kind_a == 1 and kind_b == 0:
+                            add(out, label_sum, 1, m, half)
+                            add(out, label_diff, 1, m, half)
+                        else:
+                            add(out, label_sum, 1, m, half)
+                            add(out, label_diff, 1, m, -half)
+        return out
+
+    series = None
+    for n, slot in orders_slots:
+        factor = atom(n, slot)
+        series = factor if series is None else multiply(series, factor)
+    shifted = {}
+    for label, parts in series.items():
+        kept = {(kind, m - 2): c for (kind, m), c in parts.items() if c != 0}
+        if kept:
+            shifted[label] = kept
+    return shifted
+
+
+def _assert_compiled_equals_reference(orders_slots, momenta):
+    compiled = _compile_decomposition(orders_slots, len(momenta))
+    den, numerators = _component_numerators(compiled, momenta)
+    reference = _reference_decomposition(orders_slots, momenta)
+    # equal as Fractions and in the same order: the tail sums its components
+    # in this order, so the order is part of the oracle's value
+    exact = [
+        (label, [(key, Fraction(n, den)) for key, n in parts.items()])
+        for label, parts in numerators.items()
+    ]
+    assert exact == [(label, list(parts.items())) for label, parts in reference.items()]
+    rounded = _decompose_weighted_product(orders_slots, momenta)
+    assert rounded == {
+        label: {key: float(c) for key, c in parts.items()} for label, parts in reference.items()
+    }
+
+
+@pytest.mark.parametrize("l1", range(5))
+def test_compiled_decomposition_equals_per_call_expansion(l1):
+    for l2, l3, l4 in itertools.product(range(5), repeat=3):
+        orders_slots = ((l1, 0), (l2, 1), (l3, 0), (l4, 1))
+        for momenta in ((2.5, 0.75), (0.3, 1.7), (1.3, 1.3), (1.1, 1.1 * (1 + 1e-9))):
+            _assert_compiled_equals_reference(orders_slots, momenta)
+
+
+def test_compiled_triple_decomposition_equals_per_call_expansion():
+    for l1, l2, bridge in itertools.product(range(5), repeat=3):
+        for momenta in ((1.0, 2.0, 2.5), (1.5, 1.5, 3.0), (0.3, 1.7, 1.2)):
+            _assert_compiled_equals_reference(((l1, 0), (l2, 1), (bridge, 2)), momenta)
+
+
+def test_oracle_compiles_each_order_tuple_once():
+    before = _compile_decomposition.cache_info().misses
+    for k2 in (1.5, 2.5, 3.5):
+        quad_bessel_numeric(IntegralSpec(3, 2, 2, 1, 1.0, k2))
+    assert _compile_decomposition.cache_info().misses - before <= 1
+
+
+def _mellin_finite_part_over_pi(orders, k1, k2):
+    """I / pi from the decomposition's Mellin finite part, in exact arithmetic.
+
+    int_0^inf r^(s-1) {cos, sin}(w r) dr = Gamma(s) {cos, sin}(pi s / 2) w^-s,
+    continued to s = 1 - m. Cosines with even m and sines with odd m give
+    -(-1)^((m-2)/2) and sign(w) (-1)^((m-1)/2) times pi |w|^(m-1) / (2 (m-1)!);
+    the other components leave poles and logarithms that cancel in the sum.
+    """
+    compiled = _compile_decomposition(tuple(zip(orders, (0, 1, 0, 1))), 2)
+    den, numerators = _component_numerators(compiled, (k1, k2))
+    total = Fraction(0)
+    for (n1, n2), parts in numerators.items():
+        omega = n1 * k1 + n2 * k2
+        for (kind, m), numerator in parts.items():
+            if kind == 0 and m % 2 == 0:
+                assert m >= 2, "a non-decaying cosine component"
+                sign = -((-1) ** ((m - 2) // 2))
+            elif kind == 1 and m % 2 == 1:
+                sign = (-1) ** ((m - 1) // 2) * ((omega > 0) - (omega < 0))
+            else:
+                continue
+            total += sign * Fraction(numerator, den) * abs(omega) ** (m - 1) / (
+                2 * math.factorial(m - 1)
+            )
+    return total
+
+
+def test_mellin_finite_part_equals_laurent_kernel_exactly():
+    # two independent exact routes to the closed form: the oracle's
+    # trigonometric decomposition (no Wigner symbols) and the recoupled kernel
+    compared = 0
+    for orders in itertools.product(range(4), repeat=4):
+        try:
+            select_bridge_order(*orders)
+        except NoValidBridge:
+            continue
+        _, (k1_high, k2_high) = _laurent_kernel(*orders)
+        for k1, k2 in (
+            (Fraction(7, 4), Fraction(2, 3)),
+            (Fraction(2, 3), Fraction(7, 4)),
+            (Fraction(5, 3), Fraction(5, 3)),
+        ):
+            branch, k_lo, k_hi = (k2_high, k1, k2) if k1 < k2 else (k1_high, k2, k1)
+            expected = _horner_exact(branch, k_lo / k_hi) / k_hi**3
+            assert _mellin_finite_part_over_pi(orders, k1, k2) == expected, (orders, k1, k2)
+            compared += 1
+    assert compared == 336

@@ -265,6 +265,23 @@ def test_report_structure_and_term_sums():
     assert paired.recomputed_sum() == pytest.approx(paired.value, rel=1e-13)
 
 
+@pytest.mark.parametrize("u", range(1, 9))
+def test_analytic_path_refuses_what_it_cannot_assemble(u):
+    # k2 = 1 +- 10^-u: the term-by-term float assembly cancels here and
+    # returned (2,1,3,0) 8.4 relative off at a gap of 1e-3 without raising.
+    # Every value it still returns must be within 1e-8 of the exact kernel.
+    for orders in ((2, 1, 3, 0), (1, 0, 1, 2), (4, 2, 3, 3)):
+        for k2 in (1.0 + 10.0**-u, 1.0 - 10.0**-u):
+            spec = IntegralSpec(*orders, 1.0, k2)
+            try:
+                value = quad_bessel_analytic(spec).value
+            except DegenerateMomenta:
+                continue
+            exact = evaluate(spec).value
+            scale = math.pi / (4.0 * k2 * max(1.0, k2))
+            assert abs(value - exact) <= 1e-8 * max(abs(exact), scale), (orders, k2)
+
+
 # --------------------------------------------------------------------------
 # the compiled Laurent kernel behind evaluate
 # --------------------------------------------------------------------------
