@@ -5,7 +5,9 @@ pipeline. The integrand r^2 * prod_i j_{n_i}(k_i r) is split at a radius R
 past the last Bessel turning point:
 
 * head [0, R]: fixed Gauss panels sized to the fastest oscillation, with the
-  integrand evaluated directly through ``spherical_bessel_j``;
+  integrand evaluated directly through ``spherical_bessel_j``. A 12-node and
+  an 8-node rule share one row of nodes per panel; their difference is the
+  head's error estimate;
 * tail [R, inf): the product is rewritten exactly (Rayleigh trigonometric
   forms, product-to-sum identities, rational coefficient arithmetic) as a sum
   of components coeff * r^(-m) * {cos,sin}(omega r). Each component tail is
@@ -19,6 +21,13 @@ the 1/k_i with integer numerators over one denominator) and cached. Each call
 then substitutes the exact ratios k_i = p_i/q_i: a few integer products per
 coefficient and one correctly rounded division, the same float as rounding
 the exact rational coefficient.
+
+Cost model of the head: the panels are walked in blocks of _HEAD_BLOCK_PANELS,
+and each block makes one Bessel sweep per distinct momentum. A sweep computes
+sin and cos once and runs one upward recurrence for all the orders that
+momentum carries (j_l1 and j_l3 share k1 r, j_l2 and j_l4 share k2 r), for
+both rules at once. Its values are bit-identical to evaluating every factor
+and every rule on its own.
 
 Everything returns (value, error_estimate); NoConvergence is raised when the
 estimate cannot certify the configured tolerance.
@@ -50,6 +59,8 @@ _EULER_GAMMA = 0.5772156649015328606
 # Largest |omega|*R handled by the sine/cosine-integral series; beyond this the
 # windowed rule always has enough half-periods before max_radius.
 _SERIES_PHASE_LIMIT = 1.5
+# Head panels per block: 512 panels of 20 nodes keep each temporary at 80 kB.
+_HEAD_BLOCK_PANELS = 512
 
 
 @dataclass(frozen=True)
@@ -95,48 +106,119 @@ def _double_factorial_odd(n: int) -> float:
     return float(math.prod(range(1, 2 * n + 2, 2)))
 
 
-def spherical_bessel_j(n: int, x):
-    """j_n(x) for x >= 0; accepts scalars or numpy arrays (returns float/array).
+def spherical_bessel_j(n, x):
+    """j_n(x) for finite x >= 0; accepts scalars or numpy arrays (returns float/array).
 
-    Regimes: Taylor series below x=0.5, upward trigonometric recurrence for
-    x >= n+1, and downward (Miller) recurrence renormalized against
-    j_0 = sin(x)/x in between. j_n(0) = delta_{n,0} exactly.
+    ``n`` may also be a tuple of orders: the result is then a tuple with one
+    float/array per order (a repeated order shares one array). The orders
+    share one pass: sin and cos are computed once over the points that take
+    a closed form or the upward recurrence, and one upward recurrence runs to
+    the largest order, keeping each requested order on its way. Every value
+    is bit-identical to the single-order call, which is the same code with a
+    one-order tuple.
+
+    Regimes per order: j_0 = sin(x)/x; j_1 by its closed form from x = 0.5;
+    for n >= 2 the upward trigonometric recurrence for x >= n+1 and the
+    downward (Miller) recurrence, renormalized against j_0, on [0.5, n+1).
+    Below x = 0.5 every order n >= 1 takes the Taylor series, and
+    j_n(0) = delta_{n,0} exactly. NaN, infinite or negative x raises
+    DomainError.
     """
     import numpy as np
 
-    n = require_order(n, "n")
+    several = isinstance(n, tuple)
+    wanted = tuple(require_order(m, "n") for m in n) if several else (require_order(n, "n"),)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
-        raise DomainError("spherical_bessel_j requires x >= 0")
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
-    out = np.zeros_like(a)
-    positive = a > 0.0
-    if n == 0:
-        out[~positive] = 1.0
-        ap = a[positive]
-        out[positive] = np.sin(ap) / ap
-    elif n == 1:
-        # the closed form cancels catastrophically for small x
-        small = positive & (a < 0.5)
-        if np.any(small):
-            out[small] = _bessel_series(1, a[small])
-        rest = positive & ~small
-        ap = a[rest]
-        out[rest] = np.sin(ap) / (ap * ap) - np.cos(ap) / ap
+    lowest = arr.min() if arr.size else math.inf
+    # min and max propagate NaN, and every comparison with NaN is false
+    if not (0.0 <= lowest and (arr.size == 0 or arr.max() < math.inf)):
+        raise DomainError("spherical_bessel_j requires finite x >= 0")
+    values = _bessel_sweep(sorted(set(wanted)), arr.reshape(-1), lowest)
+    if arr.ndim == 0:
+        results = tuple(float(values[m][0]) for m in wanted)
     else:
+        results = tuple(values[m].reshape(arr.shape) for m in wanted)
+    return results if several else results[0]
+
+
+def _trig_start(n: int) -> float:
+    """Smallest x at which j_n takes its closed form or the upward recurrence."""
+    if n == 0:
+        return 5e-324  # the smallest positive float: j_0 = sin(x)/x for every x > 0
+    return 0.5 if n == 1 else n + 1.0
+
+
+def _bessel_sweep(orders: list[int], a: np.ndarray, lowest: float) -> dict[int, np.ndarray]:
+    """{n: j_n(a)} for distinct ascending orders over a flat array of finite a >= 0.
+
+    ``lowest`` is min(a). An order whose trigonometric start lies above it
+    gets an array of its small-x values first; the sweep then writes the
+    points from the start on.
+    """
+    import numpy as np
+
+    out = {}
+    for n in orders:
+        if lowest >= _trig_start(n):
+            continue
+        out[n] = below = np.zeros_like(a)
+        if n == 0:
+            below[a == 0.0] = 1.0
+            continue
         small = a < 0.5
-        big = a >= n + 1.0
-        mid = ~small & ~big
+        if n == 1:
+            small &= a > 0.0
+        else:
+            mid = ~small & (a < n + 1.0)
+            if np.any(mid):
+                below[mid] = _bessel_downward(n, a[mid])
         if np.any(small):
-            out[small] = _bessel_series(n, a[small])
-        if np.any(big):
-            out[big] = _bessel_upward(n, a[big])
-        if np.any(mid):
-            out[mid] = _bessel_downward(n, a[mid])
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+            below[small] = _bessel_series(n, a[small])
+    if not orders:
+        return out
+    # sin and cos once, over every point some order reads them at; ``where``
+    # indexes the points still in the sweep, None while that is all of them
+    where, t = None, a
+    if lowest < _trig_start(orders[0]):
+        where = np.flatnonzero(a >= _trig_start(orders[0]))
+        t = a[where]
+    sin_t = np.sin(t)
+    prev = sin_t / t
+    upward = orders[1:] if orders[0] == 0 else orders
+    if orders[0] == 0:
+        if where is not None:
+            out[0][where] = prev
+        elif upward:
+            out[0] = prev.copy()  # the recurrence reuses prev's buffer
+        else:
+            out[0] = prev
+    m = 1
+    cur = scratch = None
+    for n in upward:
+        keep = t >= _trig_start(n) if lowest < _trig_start(n) else None
+        if keep is not None and not keep.all():
+            # the points below this order's start are done: drop them
+            where = np.flatnonzero(keep) if where is None else where[keep]
+            t, sin_t, prev = t[keep], sin_t[keep], prev[keep]
+            if cur is not None:
+                cur = cur[keep]
+            scratch = None
+        if cur is None:
+            cur = sin_t / (t * t) - np.cos(t) / t
+        if scratch is None:
+            scratch = np.empty_like(t)
+        while m < n:
+            # (2m+1)/t * j_m - j_{m-1}, with the same rounding, in place
+            np.divide(2 * m + 1, t, out=scratch)
+            scratch *= cur
+            scratch -= prev
+            prev, cur, scratch = cur, scratch, prev
+            m += 1
+        if where is None:
+            out[n] = cur.copy()
+        else:
+            out[n][where] = cur
+    return out
 
 
 def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
@@ -149,16 +231,6 @@ def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
         term = term * (-half_sq) / (k * (2 * n + 2 * k + 1))
         total += term
     return a**n / _double_factorial_odd(n) * total
-
-
-def _bessel_upward(n: int, a: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    prev = np.sin(a) / a
-    cur = np.sin(a) / (a * a) - np.cos(a) / a
-    for m in range(1, n):
-        prev, cur = cur, (2 * m + 1) / a * cur - prev
-    return cur
 
 
 def _bessel_downward(n: int, a: np.ndarray) -> np.ndarray:
@@ -549,31 +621,49 @@ def _integrate_tail(
 # --------------------------------------------------------------------------
 
 
-def _head_panels(factors: list[tuple[int, float]], edges: np.ndarray, n_nodes: int) -> float:
-    import numpy as np
-
-    nodes, weights = _gauss_rule(n_nodes)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half_widths = 0.5 * np.diff(edges)
-    r = centers[:, None] + half_widths[:, None] * nodes[None, :]
-    f = r * r
-    for n, k in factors:
-        f = f * spherical_bessel_j(n, k * r)
-    return float((f @ weights) @ half_widths)
-
-
 def _head_integral(
     factors: list[tuple[int, float]],
     radius: float,
     omega_max: float,
     panels_per_period: int,
 ) -> tuple[float, float]:
+    """Fine Gauss value of the head and its difference from the coarse rule.
+
+    Both rules share one row of nodes per panel, and the panels are walked in
+    blocks of _HEAD_BLOCK_PANELS. Each block makes one spherical_bessel_j
+    call per distinct momentum, for all the orders that momentum carries.
+    """
     import numpy as np
 
     n_panels = max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
     edges = np.linspace(0.0, radius, n_panels + 1)
-    fine = _head_panels(factors, edges, 12)
-    coarse = _head_panels(factors, edges, 8)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half_widths = 0.5 * np.diff(edges)
+    fine_nodes, fine_weights = _gauss_rule(12)
+    coarse_nodes, coarse_weights = _gauss_rule(8)
+    nodes = np.concatenate((fine_nodes, coarse_nodes))
+    n_fine = len(fine_nodes)
+    by_momentum: dict[float, list[int]] = {}
+    for i, (_, k) in enumerate(factors):
+        by_momentum.setdefault(k, []).append(i)
+    fine_rows = np.empty(n_panels)
+    coarse_rows = np.empty(n_panels)
+    bessel = [None] * len(factors)
+    for lo in range(0, n_panels, _HEAD_BLOCK_PANELS):
+        hi = min(lo + _HEAD_BLOCK_PANELS, n_panels)
+        r = centers[lo:hi, None] + half_widths[lo:hi, None] * nodes[None, :]
+        for k, members in by_momentum.items():
+            values = spherical_bessel_j(tuple(factors[i][0] for i in members), k * r)
+            for i, value in zip(members, values):
+                bessel[i] = value
+        f = r * r
+        # in factor order: each product's rounding is part of the value
+        for value in bessel:
+            f *= value
+        np.matmul(f[:, :n_fine], fine_weights, out=fine_rows[lo:hi])
+        np.matmul(f[:, n_fine:], coarse_weights, out=coarse_rows[lo:hi])
+    fine = float(fine_rows @ half_widths)
+    coarse = float(coarse_rows @ half_widths)
     return fine, abs(fine - coarse) + 1e-16 * abs(fine)
 
 

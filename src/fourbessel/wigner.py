@@ -11,34 +11,13 @@ half-integer ones.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .core import require_order
 from .errors import NoValidBridge
-
-
-class _FactorialTable:
-    """Grow-only memo of n!, safe for concurrent readers."""
-
-    def __init__(self) -> None:
-        self._values = [1]
-        self._lock = threading.Lock()
-
-    def __call__(self, n: int) -> int:
-        values = self._values
-        if n < len(values):
-            return values[n]
-        with self._lock:
-            values = self._values
-            while len(values) <= n:
-                values.append(values[-1] * len(values))
-        return self._values[n]
-
-
-_fact = _FactorialTable()
 
 
 @dataclass(frozen=True)
@@ -173,18 +152,18 @@ def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
         return SignedSqrtRational.zero()
     g = big_j // 2
     radicand = Fraction(
-        _fact(big_j - 2 * j1) * _fact(big_j - 2 * j2) * _fact(big_j - 2 * j3),
-        _fact(big_j + 1),
+        factorial(big_j - 2 * j1) * factorial(big_j - 2 * j2) * factorial(big_j - 2 * j3),
+        factorial(big_j + 1),
     )
-    coeff = Fraction(_fact(g), _fact(g - j1) * _fact(g - j2) * _fact(g - j3))
+    coeff = Fraction(factorial(g), factorial(g - j1) * factorial(g - j2) * factorial(g - j3))
     return SignedSqrtRational(-1 if g % 2 else 1, radicand * coeff * coeff)
 
 
 def _triangle_quotient(a: int, b: int, c: int) -> Fraction:
     """Squared triangle coefficient of the Racah formula."""
     return Fraction(
-        _fact(a + b - c) * _fact(a - b + c) * _fact(-a + b + c),
-        _fact(a + b + c + 1),
+        factorial(a + b - c) * factorial(a - b + c) * factorial(-a + b + c),
+        factorial(a + b + c + 1),
     )
 
 
@@ -201,15 +180,15 @@ def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqr
     total = Fraction(0)
     for t in range(t_lo, t_hi + 1):
         denom = (
-            _fact(t - j1 - j2 - j3)
-            * _fact(t - j1 - j5 - j6)
-            * _fact(t - j4 - j2 - j6)
-            * _fact(t - j4 - j5 - j3)
-            * _fact(j1 + j2 + j4 + j5 - t)
-            * _fact(j2 + j3 + j5 + j6 - t)
-            * _fact(j3 + j1 + j6 + j4 - t)
+            factorial(t - j1 - j2 - j3)
+            * factorial(t - j1 - j5 - j6)
+            * factorial(t - j4 - j2 - j6)
+            * factorial(t - j4 - j5 - j3)
+            * factorial(j1 + j2 + j4 + j5 - t)
+            * factorial(j2 + j3 + j5 + j6 - t)
+            * factorial(j3 + j1 + j6 + j4 - t)
         )
-        term = Fraction(_fact(t + 1), denom)
+        term = Fraction(factorial(t + 1), denom)
         total += -term if t % 2 else term
     if total == 0:
         return SignedSqrtRational.zero()
@@ -223,7 +202,7 @@ def gamma_half(n: int) -> Fraction:
     Callers form Gamma ratios from these so every sqrt(pi) cancels.
     """
     n = require_order(n, "n")
-    return Fraction(_fact(2 * n), 4**n * _fact(n))
+    return Fraction(factorial(2 * n), 4**n * factorial(n))
 
 
 def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:

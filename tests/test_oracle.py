@@ -13,14 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbessel import oracle
 from fourbessel.core import IntegralSpec
 from fourbessel.errors import DomainError, NoConvergence, NoValidBridge
 from fourbessel.oracle import (
+    _HEAD_BLOCK_PANELS,
     QuadratureConfig,
+    _bessel_downward,
+    _bessel_series,
     _canonical,
     _compile_decomposition,
     _component_numerators,
     _decompose_weighted_product,
+    _gauss_rule,
     _rayleigh,
     gauss_legendre,
     quad_bessel_numeric,
@@ -60,6 +65,16 @@ def test_bessel_rejects_negative_argument():
         spherical_bessel_j(2, np.array([1.0, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "x",
+    [math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 2.0]), np.array([[0.5], [math.inf]])],
+)
+@pytest.mark.parametrize("orders", [0, 1, 3, (0, 2), (4, 1)])
+def test_bessel_rejects_non_finite_argument(orders, x):
+    with pytest.raises(DomainError):
+        spherical_bessel_j(orders, x)
+
+
 def test_bessel_matches_scipy_across_regimes():
     special = pytest.importorskip("scipy.special")
     x = np.concatenate([
@@ -88,6 +103,70 @@ def test_bessel_scalar_and_array_agree():
             scalar = spherical_bessel_j(order, x)
             array = spherical_bessel_j(order, np.array([x]))[0]
             assert scalar == array
+
+
+def _reference_bessel_j(n, x):
+    """The former single-order evaluation, with a recurrence of its own."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros_like(arr)
+    positive = arr > 0.0
+    if n == 0:
+        out[~positive] = 1.0
+        out[positive] = np.sin(arr[positive]) / arr[positive]
+    elif n == 1:
+        small = positive & (arr < 0.5)
+        out[small] = _bessel_series(1, arr[small])
+        rest = positive & ~small
+        a = arr[rest]
+        out[rest] = np.sin(a) / (a * a) - np.cos(a) / a
+    else:
+        small = arr < 0.5
+        big = arr >= n + 1.0
+        mid = ~small & ~big
+        out[small] = _bessel_series(n, arr[small])
+        a = arr[big]
+        prev = np.sin(a) / a
+        cur = np.sin(a) / (a * a) - np.cos(a) / a
+        for m in range(1, n):
+            prev, cur = cur, (2 * m + 1) / a * cur - prev
+        out[big] = cur
+        if np.any(mid):
+            out[mid] = _bessel_downward(n, arr[mid])
+    return out.reshape(np.shape(x))
+
+
+# every regime boundary: 0, the series range, x = 0.5, the Miller range, x = n+1
+_SWEEP_POINTS = np.array(
+    [0.0, 1e-9, 0.01, 0.3, 0.4999999, 0.5, 0.5000001, 0.9, 1.7, 2.4, 4.6, 7.3, 9.99]
+    + [n + 1.0 for n in range(14)]
+    + [14.5, 23.0, 61.2, 250.0, 999.9, 1e3]
+)
+
+
+@pytest.mark.parametrize("first", range(14))
+def test_bessel_tuple_form_is_bit_identical_to_single_orders(first):
+    x = _SWEEP_POINTS
+    singles = {n: spherical_bessel_j(n, x) for n in range(14)}
+    assert np.array_equal(singles[first], _reference_bessel_j(first, x))
+    (alone,) = spherical_bessel_j((first,), x)
+    assert np.array_equal(alone, singles[first])
+    for second in range(14):
+        pair = spherical_bessel_j((first, second), x)
+        assert np.array_equal(pair[0], singles[first]), second
+        assert np.array_equal(pair[1], singles[second]), second
+        grid = spherical_bessel_j((first, second), x.reshape(-1, 3))
+        assert np.array_equal(grid[1], singles[second].reshape(-1, 3)), second
+        at_points = [spherical_bessel_j((first, second), float(point)) for point in x]
+        assert [v[0] for v in at_points] == singles[first].tolist(), second
+        assert [v[1] for v in at_points] == singles[second].tolist(), second
+
+
+def test_bessel_tuple_form_of_many_orders():
+    x = np.linspace(0.0, 40.0, 321)
+    orders = (13, 0, 7, 2, 7, 1, 4)
+    for n, value in zip(orders, spherical_bessel_j(orders, x)):
+        assert np.array_equal(value, _reference_bessel_j(n, x)), n
+    assert spherical_bessel_j((), x) == ()
 
 
 # --------------------------------------------------------------------------
@@ -399,3 +478,109 @@ def test_mellin_finite_part_equals_laurent_kernel_exactly():
             assert _mellin_finite_part_over_pi(orders, k1, k2) == expected, (orders, k1, k2)
             compared += 1
     assert compared == 336
+
+
+# --------------------------------------------------------------------------
+# the blocked head
+# --------------------------------------------------------------------------
+
+
+def _panel_count(radius, omega_max, panels_per_period):
+    return max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
+
+
+def _reference_head_integral(factors, radius, omega_max, panels_per_period):
+    """The former head: each Gauss rule and each factor on its own, unblocked."""
+    edges = np.linspace(0.0, radius, _panel_count(radius, omega_max, panels_per_period) + 1)
+
+    def panels(n_nodes):
+        nodes, weights = _gauss_rule(n_nodes)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        half_widths = 0.5 * np.diff(edges)
+        r = centers[:, None] + half_widths[:, None] * nodes[None, :]
+        f = r * r
+        for n, k in factors:
+            f = f * _reference_bessel_j(n, k * r)
+        return float((f @ weights) @ half_widths)
+
+    fine = panels(12)
+    coarse = panels(8)
+    return fine, abs(fine - coarse) + 1e-16 * abs(fine)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except NoConvergence as exc:
+        return "NoConvergence", exc.value, exc.error_estimate
+
+
+# (orders, momenta, distinct momenta): the first two span 16 head blocks
+_HEAD_QUAD_SPECS = [
+    ((6, 6, 4, 4), (0.1, 10.0), 2),
+    ((6, 6, 4, 4), (10.0, 0.1), 2),
+    ((3, 5, 2, 4), (0.35, 2.9), 2),
+    ((2, 1, 3, 0), (1.3, 1.3), 1),
+    ((0, 0, 1, 1), (0.1, 0.1), 1),
+]
+_HEAD_TRIPLE_SPECS = [
+    ((2, 3, 4), (0.1, 5.0, 5.05), 3),
+    ((1, 1, 2), (1.5, 1.5, 2.0), 2),
+    ((0, 2, 2), (0.2, 0.3, 0.2), 2),
+]
+
+
+@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_QUAD_SPECS)
+def test_blocked_head_equals_per_factor_reference(orders, momenta, distinct, monkeypatch):
+    spec = IntegralSpec(*orders, *momenta)
+    blocked = _outcome(quad_bessel_numeric, spec)
+    monkeypatch.setattr(oracle, "_head_integral", _reference_head_integral)
+    assert blocked == _outcome(quad_bessel_numeric, spec)
+
+
+@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_TRIPLE_SPECS)
+def test_blocked_triple_head_equals_per_factor_reference(orders, momenta, distinct, monkeypatch):
+    blocked = _outcome(triple_bessel_numeric, *orders, *momenta)
+    monkeypatch.setattr(oracle, "_head_integral", _reference_head_integral)
+    assert blocked == _outcome(triple_bessel_numeric, *orders, *momenta)
+
+
+@pytest.mark.parametrize(
+    "orders, momenta, distinct", [*_HEAD_QUAD_SPECS, *_HEAD_TRIPLE_SPECS]
+)
+def test_head_calls_bessel_once_per_momentum_per_block(orders, momenta, distinct, monkeypatch):
+    calls = []
+    heads = []
+    bessel = oracle.spherical_bessel_j
+    head_integral = oracle._head_integral
+
+    def counting(n, x):
+        calls.append((n, x.size))
+        return bessel(n, x)
+
+    def recording(factors, *panel_args):
+        heads.append(panel_args)
+        return head_integral(factors, *panel_args)
+
+    monkeypatch.setattr(oracle, "spherical_bessel_j", counting)
+    monkeypatch.setattr(oracle, "_head_integral", recording)
+    if len(orders) == 4:
+        _outcome(quad_bessel_numeric, IntegralSpec(*orders, *momenta))
+        by_momentum = {}
+        for n, k in zip(orders, (*momenta, *momenta)):
+            by_momentum.setdefault(k, []).append(n)
+    else:
+        _outcome(triple_bessel_numeric, *orders, *momenta)
+        by_momentum = {}
+        for n, k in zip(orders, momenta):
+            by_momentum.setdefault(k, []).append(n)
+    (panel_args,) = heads
+    n_panels = _panel_count(*panel_args)
+    blocks = math.ceil(n_panels / _HEAD_BLOCK_PANELS)
+    assert len(by_momentum) == distinct
+    assert len(calls) == distinct * blocks
+    # every panel once, at the 12 + 8 nodes of both rules
+    assert sum(size for _, size in calls) == distinct * 20 * n_panels
+    assert {n for n, _ in calls} == {tuple(group) for group in by_momentum.values()}
+    if 0.1 in momenta and distinct > 1:
+        assert n_panels > 4 * _HEAD_BLOCK_PANELS
