@@ -41,6 +41,7 @@ _BATCH_COLUMNS = [
     "L", "method", "value", "oracle_value", "oracle_error",
     "discrepancy", "wall_time_s", "error",
 ]
+_DISCREPANCY_COLUMN = _BATCH_COLUMNS.index("discrepancy")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,37 +239,34 @@ def _grid_specs(order_max: int, momentum_pairs: list[tuple[float, float]]) -> li
     ]
 
 
-def _evaluate_row(spec: IntegralSpec, mode: str, config: QuadratureConfig) -> tuple[dict, bool]:
-    row = dict.fromkeys(_BATCH_COLUMNS)
-    row.update(
-        l1=spec.lambda1, l2=spec.lambda2, l3=spec.lambda3, l4=spec.lambda4,
-        k1=spec.k1, k2=spec.k2,
-    )
+def _evaluate_row(spec: IntegralSpec, mode: str, config: QuadratureConfig) -> tuple[list, bool]:
+    """One batch row, in _BATCH_COLUMNS order, and whether the row failed."""
+    bridge = method = value = oracle_value = oracle_error = discrepancy = error = None
     failed = False
     start = time.perf_counter()
     try:
         if mode in ("analytic", "both"):
             report = evaluate(spec)
-            row["L"] = report.bridge_L
-            row["method"] = report.method
-            row["value"] = report.value
+            bridge, method, value = report.bridge_L, report.method, report.value
         if mode in ("oracle", "both"):
-            value, error_estimate = quad_bessel_numeric(spec, config)
-            row["oracle_value"] = value
-            row["oracle_error"] = error_estimate
+            oracle_value, oracle_error = quad_bessel_numeric(spec, config)
             if mode == "oracle":
-                row["method"] = "oracle"
-                row["value"] = value
+                method, value = "oracle", oracle_value
         if mode == "both":
-            row["discrepancy"] = _relative_discrepancy(row["value"], row["oracle_value"])
+            discrepancy = _relative_discrepancy(value, oracle_value)
     except NoValidBridge as exc:
         # inapplicable rather than failed: the analytic method does not cover
         # parity-mismatched order sets
-        row["error"] = f"NoValidBridge: {exc}"
+        error = f"NoValidBridge: {exc}"
     except FourBesselError as exc:
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
         failed = True
-    row["wall_time_s"] = round(time.perf_counter() - start, 6)
+    wall_time = round(time.perf_counter() - start, 6)
+    row = [
+        spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4, spec.k1, spec.k2,
+        bridge, method, value, oracle_value, oracle_error,
+        discrepancy, wall_time, error,
+    ]
     return row, failed
 
 
@@ -288,25 +286,28 @@ def _cmd_batch(args) -> int:
         print(f"batch: {exc}", file=sys.stderr)
         return 65
     config = _quadrature_config(args)
-    rows = []
+    # rows are written as they are computed; csv.writer writes None as ""
+    writer = None
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(_BATCH_COLUMNS)
     any_failed = False
+    max_discrepancy = None
     for spec in specs:
         row, failed = _evaluate_row(spec, args.mode, config)
-        rows.append(row)
         any_failed = any_failed or failed
-    discrepancies = [row["discrepancy"] for row in rows if row["discrepancy"] is not None]
-    max_discrepancy = max(discrepancies) if discrepancies else None
-    if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=_BATCH_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: ("" if val is None else val) for key, val in row.items()})
+        discrepancy = row[_DISCREPANCY_COLUMN]
+        if discrepancy is not None and (max_discrepancy is None or discrepancy > max_discrepancy):
+            max_discrepancy = discrepancy
+        if writer is None:
+            print(json.dumps(dict(zip(_BATCH_COLUMNS, row))))
+        else:
+            writer.writerow(row)
+    if writer is None:
+        print(json.dumps({"max_discrepancy": max_discrepancy}))
+    else:
         footer = "n/a" if max_discrepancy is None else repr(max_discrepancy)
         print(f"# max_discrepancy={footer}")
-    else:
-        for row in rows:
-            print(json.dumps(row))
-        print(json.dumps({"max_discrepancy": max_discrepancy}))
     if any_failed:
         return 1
     if args.mode == "both" and max_discrepancy is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -83,11 +84,15 @@ class TermEntry:
 
 @dataclass
 class EvaluationReport:
-    """Result of evaluating an IntegralSpec."""
+    """Result of evaluating an IntegralSpec.
+
+    ``terms`` may also be given as a zero-argument callable that returns the
+    tuple; it runs on the first read of ``terms``, and its tuple replaces it.
+    """
 
     value: float
     bridge_L: int
-    terms: tuple[TermEntry, ...] = ()
+    terms: tuple[TermEntry, ...] | Callable[[], tuple[TermEntry, ...]] = ()
     method: str = "analytic"  # analytic | paired | oracle
     oracle_value: float | None = None
     oracle_error_estimate: float | None = None
@@ -114,3 +119,19 @@ class EvaluationReport:
         if self.discrepancy is not None:
             doc["discrepancy"] = self.discrepancy
         return doc
+
+
+def _read_terms(report: EvaluationReport) -> tuple[TermEntry, ...]:
+    terms = report._terms
+    if callable(terms):
+        terms = report._terms = terms()
+    return terms
+
+
+def _write_terms(report: EvaluationReport, terms) -> None:
+    report._terms = terms
+
+
+# Installed after @dataclass has collected the fields: in the class body the
+# property would become the default value of the terms field.
+EvaluationReport.terms = property(_read_terms, _write_terms)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     DEGENERATE_THRESHOLD,
@@ -364,13 +365,24 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
     return quotient[:-2]
 
 
+class _Branch(NamedTuple):
+    """One branch of a Laurent kernel: sum c_p t^p over its nonzero coefficients.
+
+    ``terms`` holds (power, Fraction, float) triples of c_p in ascending
+    power; ``numerators`` holds the same c_p as integers over ``common``.
+    """
+
+    terms: tuple[tuple[int, Fraction, float], ...]
+    numerators: tuple[int, ...]
+    common: int
+
+
 @lru_cache(maxsize=None)
 def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     """Compile one order tuple into I * k_hi^3 / pi as exact Laurent polynomials.
 
-    Returns (L, (k1_high, k2_high)): the bridge order and, for the branches
-    k1 >= k2 and k1 < k2, a tuple of (power, Fraction, float) triples giving
-    the nonzero coefficients of t = k_lo/k_hi in ascending power. Built once,
+    Returns (L, (k1_high, k2_high)): the bridge order and the _Branch of each
+    case k1 >= k2 and k1 < k2, in powers of t = k_lo/k_hi. Built once,
     exactly, from the same recoupling as quad_bessel_analytic: every coupling
     product is a perfect square, and (1 - t^2)^(2L-1) divides the assembled
     numerator with zero remainder. Either failing raises ArithmeticError.
@@ -381,7 +393,7 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     left = _side_factors(l1, l2, L)
     right = _side_factors(l3, l4, L)
     if not left or not right:
-        return L, ((), ())
+        return L, (_Branch((), (), 1), _Branch((), (), 1))
     # The global weight (2L+1) (-1)^half_phase / (3j(l1,l2,L) 3j(l3,l4,L)) has
     # radicand G. Each term's coupling product is sign * sqrt(G R_left R_right),
     # a rational; with R0 = G times the first left radicand R1 it splits
@@ -430,15 +442,17 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
             if value:
                 coeff = Fraction(value, common)
                 triples.append((index - 1, coeff, float(coeff)))
-        branches.append(tuple(triples))
+        branches.append(
+            _Branch(tuple(triples), tuple(value for value in numerator if value), common)
+        )
     return L, tuple(branches)
 
 
-def _horner(branch, t: float) -> tuple[float, float]:
+def _horner(terms, t: float) -> tuple[float, float]:
     """(sum c_p t^p, sum |c_p| t^p) in floating point, Horner over the sparse powers."""
     total = magnitude = 0.0
-    power = branch[-1][0] if branch else 0
-    for p, _, coeff in reversed(branch):
+    power = terms[-1][0] if terms else 0
+    for p, _, coeff in reversed(terms):
         step = t ** (power - p)
         total = total * step + coeff
         magnitude = magnitude * step + abs(coeff)
@@ -447,25 +461,45 @@ def _horner(branch, t: float) -> tuple[float, float]:
     return total * low, magnitude * low
 
 
-def _horner_exact(branch, t: Fraction) -> Fraction:
-    """sum c_p t^p in exact rational arithmetic, Horner over the sparse powers."""
-    total = Fraction(0)
-    power = branch[-1][0] if branch else 0
-    for p, coeff, _ in reversed(branch):
-        total = total * t ** (power - p) + coeff
+def _horner_exact(branch: _Branch, a: int, b: int) -> tuple[int, int]:
+    """(num, den) with num / den = sum c_p t^p exactly at t = a/b, for a, b > 0.
+
+    With n_p the coefficients over the denominator d and p0, pm the lowest and
+    highest powers, sum c_p t^p = a^p0 S / (b^pm d), where the integer
+    S = sum n_p a^(p-p0) b^(pm-p) comes from one Horner over the sparse powers.
+    """
+    if not branch.terms:
+        return 0, 1
+    top = power = branch.terms[-1][0]
+    total, b_power = 0, 1
+    for (p, _, _), numerator in zip(reversed(branch.terms), reversed(branch.numerators)):
+        gap = power - p
+        b_power *= b**gap
+        total = total * a**gap + numerator * b_power
         power = p
-    return total * t**power
+    den = branch.common
+    # the lowest power is -1 when the kernel has a t^-1 term
+    if power < 0:
+        den *= a**-power
+    else:
+        total *= a**power
+    if top < 0:
+        total *= b**-top
+    else:
+        den *= b**top
+    return total, den
 
 
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
     """Value of the integral from the order tuple's cached Laurent kernel.
 
     The first call per order tuple builds the kernel exactly; later calls run
-    a float Horner at t = k_lo/k_hi, or an exact one when the coefficients'
-    cancellation bound says the float result could lose digits. ``method`` is
-    "paired" for (a, a, b, b) orders, whose kernel is the paired closed form,
-    and "analytic" otherwise; ``terms`` are the Laurent monomials, indexed by
-    their power of t. Bridge orders L >= 1 still refuse nearly equal momenta.
+    a float Horner at t = k_lo/k_hi, or an exact integer one when the
+    coefficients' cancellation bound says the float result could lose digits.
+    ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
+    closed form, and "analytic" otherwise; ``terms`` are the Laurent
+    monomials, indexed by their power of t, and are built on their first read.
+    Bridge orders L >= 1 still refuse nearly equal momenta.
     """
     orders = spec.orders
     if spec.is_degenerate():
@@ -482,10 +516,18 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     else:
         k_lo, k_hi, branch = k2, k1, k1_high
     t = k_lo / k_hi
-    total, magnitude = _horner(branch, t)
-    if 2 * len(branch) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
-        total = float(_horner_exact(branch, Fraction(k_lo) / Fraction(k_hi)))
+    monomials = branch.terms
+    total, magnitude = _horner(monomials, t)
+    if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
+        lo_num, lo_den = k_lo.as_integer_ratio()
+        hi_num, hi_den = k_hi.as_integer_ratio()
+        num, den = _horner_exact(branch, lo_num * hi_den, lo_den * hi_num)
+        # int / int is correctly rounded, as float(Fraction(num, den)) is
+        total = num / den
     scale = math.pi / k_hi**3
-    terms = tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in branch)
+
+    def terms():
+        return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in monomials)
+
     method = "paired" if spec.is_order_paired() else "analytic"
     return EvaluationReport(value=scale * total, bridge_L=L, terms=terms, method=method)

@@ -1,16 +1,23 @@
 """Command-line interface: subcommands, schemas, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fourbessel import IntegralSpec, evaluate
+from fourbessel import cli
+from fourbessel.errors import FourBesselError, NoValidBridge
+from fourbessel.oracle import quad_bessel_numeric
 
 
 def run_cli(*args, **kwargs):
@@ -199,6 +206,151 @@ def test_batch_source_flags_are_exclusive(tmp_path):
                    "--k-pairs", "1:2").returncode == 64
     assert run_cli("batch", "--grid", "1").returncode == 64
     assert run_cli("batch", "--grid", "1", "--k-pairs", "nope").returncode == 64
+
+
+def _reference_evaluate_row(spec, mode, config):
+    """The batch row as a dict, computed as batch did before it streamed its rows."""
+    row = dict.fromkeys(cli._BATCH_COLUMNS)
+    row.update(
+        l1=spec.lambda1, l2=spec.lambda2, l3=spec.lambda3, l4=spec.lambda4,
+        k1=spec.k1, k2=spec.k2,
+    )
+    failed = False
+    start = time.perf_counter()
+    try:
+        if mode in ("analytic", "both"):
+            report = evaluate(spec)
+            row["L"] = report.bridge_L
+            row["method"] = report.method
+            row["value"] = report.value
+        if mode in ("oracle", "both"):
+            value, error_estimate = quad_bessel_numeric(spec, config)
+            row["oracle_value"] = value
+            row["oracle_error"] = error_estimate
+            if mode == "oracle":
+                row["method"] = "oracle"
+                row["value"] = value
+        if mode == "both":
+            row["discrepancy"] = cli._relative_discrepancy(row["value"], row["oracle_value"])
+    except NoValidBridge as exc:
+        row["error"] = f"NoValidBridge: {exc}"
+    except FourBesselError as exc:
+        row["error"] = f"{type(exc).__name__}: {exc}"
+        failed = True
+    row["wall_time_s"] = round(time.perf_counter() - start, 6)
+    return row, failed
+
+
+def _reference_batch(argv):
+    """(exit code, stdout) of a batch run that collects its rows, then writes them."""
+    args = cli.build_parser().parse_args(argv)
+    if args.input is not None:
+        specs = cli._load_input_specs(args.input)
+    else:
+        specs = cli._grid_specs(args.grid, args.k_pairs)
+    config = cli._quadrature_config(args)
+    out = io.StringIO()
+    rows = []
+    any_failed = False
+    for spec in specs:
+        row, failed = _reference_evaluate_row(spec, args.mode, config)
+        rows.append(row)
+        any_failed = any_failed or failed
+    discrepancies = [row["discrepancy"] for row in rows if row["discrepancy"] is not None]
+    max_discrepancy = max(discrepancies) if discrepancies else None
+    if args.format == "csv":
+        writer = csv.DictWriter(out, fieldnames=cli._BATCH_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({key: ("" if val is None else val) for key, val in row.items()})
+        footer = "n/a" if max_discrepancy is None else repr(max_discrepancy)
+        print(f"# max_discrepancy={footer}", file=out)
+    else:
+        for row in rows:
+            print(json.dumps(row), file=out)
+        print(json.dumps({"max_discrepancy": max_discrepancy}), file=out)
+    code = 0
+    if any_failed:
+        code = 1
+    elif args.mode == "both" and max_discrepancy is not None:
+        if max_discrepancy > 10.0 * config.rel_tol:
+            code = 1
+    return code, out.getvalue()
+
+
+def _batch_in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _without_wall_time(text):
+    """Batch output with the wall_time_s column removed, otherwise byte for byte."""
+    lines = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("{"):
+            line = re.sub(r'"wall_time_s": [^,}]*, ', "", line)
+        elif not line.startswith("#"):
+            # the twelve columns before wall_time_s never contain a comma
+            fields = line.split(",", 13)
+            line = ",".join(fields[:12] + fields[13:])
+        lines.append(line)
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "--grid", "2", "--k-pairs", "1:1.1,3:1", "--mode", "analytic"],
+        ["batch", "--grid", "2", "--k-pairs", "1:1.1,3:1", "--mode", "analytic",
+         "--format", "json"],
+        ["batch", "--grid", "1", "--k-pairs", "1:2", "--mode", "both"],
+        ["batch", "--input", "{specs}"],
+    ],
+)
+def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
+    path = tmp_path / "specs.csv"
+    path.write_text(
+        "l1,l2,l3,l4,k1,k2\n2,0,0,2,1,1\n0,0,0,1,1,2\n1,0,1,2,1,2\n0,0,0,0,1,2\n",
+        encoding="utf-8",
+    )
+    argv = [str(path) if token == "{specs}" else token for token in argv]
+    code, text = _batch_in_process(argv)
+    expected_code, expected = _reference_batch(argv)
+    assert code == expected_code
+    assert _without_wall_time(text) == _without_wall_time(expected)
+    assert text.count("wall_time_s") == expected.count("wall_time_s")
+    assert text.splitlines()[-1] == expected.splitlines()[-1]
+    if "--input" in argv:
+        assert code == 1 and "DegenerateMomenta" in text
+
+
+def test_batch_at_benchmark_scale_in_process():
+    pairs = [(1.0, 1.1), (0.3, 3.0), (5.0, 0.8)]
+    code, text = _batch_in_process(
+        ["batch", "--grid", "4", "--k-pairs", "1:1.1,0.3:3,5:0.8", "--mode", "analytic"]
+    )
+    assert code == 0
+    assert text.endswith("# max_discrepancy=n/a\n")
+    rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
+    assert len(rows) == 1875
+    expected = [
+        (*orders, k1, k2)
+        for orders in itertools.product(range(5), repeat=4)
+        for k1, k2 in pairs
+    ]
+    declined = 0
+    for row, spec in zip(rows, expected):
+        key = tuple(int(row[name]) for name in ("l1", "l2", "l3", "l4"))
+        assert key + (float(row["k1"]), float(row["k2"])) == spec
+        if row["error"]:
+            assert row["error"].startswith("NoValidBridge: "), row
+            assert row["value"] == ""
+            declined += 1
+        else:
+            assert float(row["value"]) == evaluate(IntegralSpec(*spec)).value, row
+    assert declined == 1068
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourbessel.core import IntegralSpec
+from fourbessel.core import EvaluationReport, IntegralSpec, TermEntry
 from fourbessel.errors import (
     DegenerateMomenta,
     DomainError,
@@ -288,7 +288,25 @@ def test_analytic_path_refuses_what_it_cannot_assemble(u):
 
 
 def _kernel_dict(branch):
-    return {power: coeff for power, coeff, _ in branch}
+    return {power: coeff for power, coeff, _ in branch.terms}
+
+
+def _reference_horner_exact(branch, t: Fraction) -> Fraction:
+    """sum c_p t^p in Fraction arithmetic, as evaluate computed its exact fallback."""
+    total = Fraction(0)
+    power = branch.terms[-1][0] if branch.terms else 0
+    for p, coeff, _ in reversed(branch.terms):
+        total = total * t ** (power - p) + coeff
+        power = p
+    return total * t**power
+
+
+def _eager_terms(orders, k1, k2):
+    """The Laurent monomials of evaluate's report, built at once from the kernel."""
+    _, (k1_high, k2_high) = _laurent_kernel(*orders)
+    k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
+    t, scale = k_lo / k_hi, math.pi / k_hi**3
+    return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in branch.terms)
 
 
 @pytest.mark.parametrize("u", range(1, 9))
@@ -323,7 +341,10 @@ def test_paired_kernel_is_the_paired_closed_form(a):
         assert bridge == 0
         for branch in branches:
             assert _kernel_dict(branch) == expected, (a, b)
-            assert all(isinstance(coeff, Fraction) for _, coeff, _ in branch)
+            assert all(isinstance(coeff, Fraction) for _, coeff, _ in branch.terms)
+            assert [Fraction(n, branch.common) for n in branch.numerators] == [
+                coeff for _, coeff, _ in branch.terms
+            ]
 
 
 def test_kernel_matches_term_by_term_path_on_order_grid():
@@ -379,11 +400,67 @@ def test_exact_horner_rescues_cancelling_kernels():
     k1, k2 = 1.1, 1.0
     _, (k1_high, _) = _laurent_kernel(13, 4, 11, 2)
     t = k2 / k1
-    exact = _horner_exact(k1_high, Fraction(k2) / Fraction(k1))
-    float_only, _ = _horner(k1_high, t)
+    exact = _reference_horner_exact(k1_high, Fraction(k2) / Fraction(k1))
+    float_only, _ = _horner(k1_high.terms, t)
     assert abs(float_only - float(exact)) > 1e-9 * abs(float(exact))
     value = evaluate(IntegralSpec(13, 4, 11, 2, k1, k2)).value
     assert value == pytest.approx(math.pi / k1**3 * float(exact), rel=1e-15)
+
+
+def _integer_horner_cases():
+    for orders in itertools.product(range(4), repeat=4):
+        try:
+            select_bridge_order(*orders)
+        except NoValidBridge:
+            continue
+        for k1, k2 in (
+            (Fraction(7, 4), Fraction(2, 3)),
+            (Fraction(2, 3), Fraction(7, 4)),
+            (Fraction(5, 3), Fraction(5, 3)),
+        ):
+            yield orders, k1, k2
+    for orders in ((13, 4, 11, 2), (13, 0, 13, 0)):
+        for u in range(1, 9):
+            k1 = 1.1
+            k2 = k1 * (1.0 + 10.0**-u)
+            yield orders, k1, k2
+            yield orders, k2, k1
+
+
+def test_integer_horner_equals_fraction_horner():
+    lowest = set()
+    compared = 0
+    for orders, k1, k2 in _integer_horner_cases():
+        _, (k1_high, k2_high) = _laurent_kernel(*orders)
+        k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
+        t = Fraction(k_lo) / Fraction(k_hi)
+        num, den = _horner_exact(branch, t.numerator, t.denominator)
+        reference = _reference_horner_exact(branch, t)
+        assert Fraction(num, den) == reference, (orders, k1, k2)
+        assert num / den == float(reference), (orders, k1, k2)
+        if branch.terms:
+            lowest.add(min(branch.terms[0][0], 0))
+        compared += 1
+    assert compared == 336 + 32
+    assert lowest == {-1, 0}, "branches with lowest power -1 and >= 0 must both be covered"
+
+
+def test_exact_fallback_returns_the_fraction_value():
+    # the gap sweep of (13, 4, 11, 2) and (13, 0, 13, 0) includes cancelling
+    # specs that take the exact fallback; their value is the rounded Fraction
+    fallbacks = 0
+    for orders, k1, k2 in _integer_horner_cases():
+        if isinstance(k1, Fraction):
+            continue
+        _, (k1_high, k2_high) = _laurent_kernel(*orders)
+        k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
+        total, magnitude = _horner(branch.terms, k_lo / k_hi)
+        if 2 * len(branch.terms) * 2.0**-53 * magnitude > 1e-12 * abs(total):
+            exact = _reference_horner_exact(branch, Fraction(k_lo) / Fraction(k_hi))
+            value = evaluate(IntegralSpec(*orders, k1, k2)).value
+            assert value == math.pi / k_hi**3 * float(exact), (orders, k1, k2)
+            fallbacks += 1
+    assert fallbacks == 16
 
 
 def test_kernel_build_refuses_instead_of_rounding():
@@ -415,7 +492,66 @@ def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
     for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
         monkeypatch.setattr(SignedSqrtRational, method, forbidden)
     monkeypatch.setattr(quadbessel, "legendre_poly_part", forbidden)
+    # the exact fallback of (13, 4, 11, 2) at (1.1, 1) runs in plain integers
+    monkeypatch.setattr(quadbessel, "Fraction", forbidden)
     assert [evaluate(spec).value for spec in specs] == warm
+
+
+def test_report_terms_equal_the_eager_terms():
+    compared = 0
+    for orders in itertools.product(range(5), repeat=4):
+        for k1, k2 in ((1.0, 3.0), (3.0, 1.0), (2.0, 2.0)):
+            try:
+                report = evaluate(IntegralSpec(*orders, k1, k2))
+            except (NoValidBridge, DegenerateMomenta):
+                continue
+            eager = _eager_terms(orders, k1, k2)
+            assert [term.indices for term in report.terms] == [term.indices for term in eager]
+            assert [term.value.hex() for term in report.terms] == [
+                term.value.hex() for term in eager
+            ], (orders, k1, k2)
+            compared += 1
+    # k1 = k2 leaves the 25 tuples of bridge order 0
+    assert compared == 538 + 25
+
+
+def test_report_terms_are_built_once():
+    report = evaluate(IntegralSpec(4, 2, 3, 3, 2.0, 5.0))
+    first = report.terms
+    assert first and report.terms is first
+
+
+def test_warm_evaluate_builds_no_terms_unless_read(monkeypatch):
+    specs = [IntegralSpec(2, 1, 3, 0, 1.0, 1.5), IntegralSpec(13, 4, 11, 2, 1.1, 1.0),
+             IntegralSpec(2, 2, 5, 5, 0.3, 0.3)]
+    warm = [evaluate(spec).value for spec in specs]
+    built = []
+    monkeypatch.setattr(quadbessel, "TermEntry", lambda *args: built.append(args))
+    reports = [evaluate(spec) for spec in specs]
+    assert [report.value for report in reports] == warm
+    assert built == []
+    assert len(reports[0].terms) == len(built) > 0
+
+
+def test_report_with_given_terms_round_trips():
+    spec = IntegralSpec(1, 0, 1, 2, 1.0, 2.0)
+    terms = (TermEntry({"power": -1}, -0.125), TermEntry({"power": 1}, 0.0625))
+    report = EvaluationReport(value=-0.0625, bridge_L=1, terms=terms)
+    assert report.terms is terms
+    assert report.as_dict(spec)["terms"] == [
+        {"indices": {"power": -1}, "value": -0.125},
+        {"indices": {"power": 1}, "value": 0.0625},
+    ]
+    assert report == EvaluationReport(-0.0625, 1, terms)
+    assert report != EvaluationReport(-0.0625, 1, terms[:1])
+    assert repr(report) == (
+        "EvaluationReport(value=-0.0625, bridge_L=1, terms=(TermEntry(indices="
+        "{'power': -1}, value=-0.125), TermEntry(indices={'power': 1}, value=0.0625)), "
+        "method='analytic', oracle_value=None, oracle_error_estimate=None, discrepancy=None)"
+    )
+    assert EvaluationReport(0.0, 0).terms == ()
+    lazy = evaluate(spec)
+    assert lazy == EvaluationReport(lazy.value, lazy.bridge_L, tuple(lazy.terms), "analytic")
 
 
 def test_spec_validation():
