@@ -1,10 +1,22 @@
-"""Shared pytest plumbing: acceptance-criterion summary lines.
+"""Shared pytest plumbing: the checkout's package, and acceptance-criterion summary lines.
+
+The checkout's ``src/`` goes first on ``sys.path``, and on ``PYTHONPATH`` for
+the processes the tests start, so ``python -m pytest`` runs against this
+checkout without installing it.
 
 Each acceptance test records a one-line verdict; the lines are replayed in a
 dedicated section of the terminal summary so a full-suite run ends with a
 compact pass/fail table for the nine acceptance criteria.
 """
 from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 _CRITERION_LINES: dict[int, tuple[bool, str]] = {}
 

@@ -106,8 +106,11 @@ def test_bessel_scalar_and_array_agree():
 
 
 def _reference_bessel_j(n, x):
-    """The former single-order evaluation, with a recurrence of its own."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """The former single-order evaluation, with a recurrence of its own.
+
+    It computes in float64, or in np.longdouble when given longdouble x.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=np.result_type(x, float)))
     out = np.zeros_like(arr)
     positive = arr > 0.0
     if n == 0:
@@ -482,7 +485,7 @@ def test_mellin_finite_part_equals_laurent_kernel_exactly():
 
 
 # --------------------------------------------------------------------------
-# the blocked head
+# the head
 # --------------------------------------------------------------------------
 
 
@@ -490,14 +493,26 @@ def _panel_count(radius, omega_max, panels_per_period):
     return max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
 
 
+def _linspace_panels(radius, n_panels):
+    """(centres, half-widths) of the former head's panels, cut from np.linspace edges."""
+    edges = np.linspace(0.0, radius, n_panels + 1)
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+
+
+def _uniform_panels(radius, n_panels):
+    """(centres, half-widths) of the head's panels: c_p = (p + 1/2) h."""
+    width = radius / n_panels
+    return (np.arange(n_panels) + 0.5) * width, np.full(n_panels, 0.5 * width)
+
+
 def _reference_head_integral(factors, radius, omega_max, panels_per_period):
-    """The former head: each Gauss rule and each factor on its own, unblocked."""
-    edges = np.linspace(0.0, radius, _panel_count(radius, omega_max, panels_per_period) + 1)
+    """The former head: np.sin of every node, each Gauss rule and factor on its own."""
+    centers, half_widths = _linspace_panels(
+        radius, _panel_count(radius, omega_max, panels_per_period)
+    )
 
     def panels(n_nodes):
         nodes, weights = _gauss_rule(n_nodes)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        half_widths = 0.5 * np.diff(edges)
         r = centers[:, None] + half_widths[:, None] * nodes[None, :]
         f = r * r
         for n, k in factors:
@@ -507,6 +522,23 @@ def _reference_head_integral(factors, radius, omega_max, panels_per_period):
     fine = panels(12)
     coarse = panels(8)
     return fine, abs(fine - coarse) + 1e-16 * abs(fine)
+
+
+def _longdouble_head(factors, radius, omega_max, panels_per_period, panels):
+    """(fine Gauss sum, its sum of |w f h|) in np.longdouble.
+
+    The panels are the float64 ones ``panels`` cuts, the nodes the float64
+    Gauss nodes; only the arithmetic is extended.
+    """
+    ld = np.longdouble
+    centers, half_widths = panels(radius, _panel_count(radius, omega_max, panels_per_period))
+    nodes, weights = _gauss_rule(12)
+    r = centers.astype(ld)[:, None] + half_widths.astype(ld)[:, None] * nodes.astype(ld)
+    f = r * r
+    for n, k in factors:
+        f = f * _reference_bessel_j(n, ld(k) * r)
+    terms = f * weights.astype(ld) * half_widths.astype(ld)[:, None]
+    return terms.sum(), np.abs(terms).sum()
 
 
 def _outcome(call, *args):
@@ -529,59 +561,156 @@ _HEAD_TRIPLE_SPECS = [
     ((1, 1, 2), (1.5, 1.5, 2.0), 2),
     ((0, 2, 2), (0.2, 0.3, 0.2), 2),
 ]
+_HEAD_SPECS = [*_HEAD_QUAD_SPECS, *_HEAD_TRIPLE_SPECS]
 
 
-@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_QUAD_SPECS)
-def test_blocked_head_equals_per_factor_reference(orders, momenta, distinct, monkeypatch):
-    spec = IntegralSpec(*orders, *momenta)
-    blocked = _outcome(quad_bessel_numeric, spec)
-    monkeypatch.setattr(oracle, "_head_integral", _reference_head_integral)
-    assert blocked == _outcome(quad_bessel_numeric, spec)
+def _oracle_call(orders, momenta):
+    if len(orders) == 4:
+        return quad_bessel_numeric, (IntegralSpec(*orders, *momenta),)
+    return triple_bessel_numeric, (*orders, *momenta)
 
 
-@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_TRIPLE_SPECS)
-def test_blocked_triple_head_equals_per_factor_reference(orders, momenta, distinct, monkeypatch):
-    blocked = _outcome(triple_bessel_numeric, *orders, *momenta)
-    monkeypatch.setattr(oracle, "_head_integral", _reference_head_integral)
-    assert blocked == _outcome(triple_bessel_numeric, *orders, *momenta)
-
-
-@pytest.mark.parametrize(
-    "orders, momenta, distinct", [*_HEAD_QUAD_SPECS, *_HEAD_TRIPLE_SPECS]
-)
-def test_head_calls_bessel_once_per_momentum_per_block(orders, momenta, distinct, monkeypatch):
-    calls = []
+def _head_arguments(orders, momenta, monkeypatch):
+    """(factors, radius, omega_max, panels_per_period) of the spec's one head call."""
     heads = []
-    bessel = oracle.spherical_bessel_j
     head_integral = oracle._head_integral
 
-    def counting(n, x):
-        calls.append((n, x.size))
-        return bessel(n, x)
+    def recording(*args):
+        heads.append(args)
+        return head_integral(*args)
 
-    def recording(factors, *panel_args):
-        heads.append(panel_args)
-        return head_integral(factors, *panel_args)
+    call, args = _oracle_call(orders, momenta)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_head_integral", recording)
+        _outcome(call, *args)
+    (head_args,) = heads
+    return head_args
 
-    monkeypatch.setattr(oracle, "spherical_bessel_j", counting)
-    monkeypatch.setattr(oracle, "_head_integral", recording)
-    if len(orders) == 4:
-        _outcome(quad_bessel_numeric, IntegralSpec(*orders, *momenta))
-        by_momentum = {}
-        for n, k in zip(orders, (*momenta, *momenta)):
-            by_momentum.setdefault(k, []).append(n)
-    else:
-        _outcome(triple_bessel_numeric, *orders, *momenta)
-        by_momentum = {}
-        for n, k in zip(orders, momenta):
-            by_momentum.setdefault(k, []).append(n)
-    (panel_args,) = heads
+
+def _momentum_groups(orders, momenta):
+    """{k: [orders carried by k]} in factor order."""
+    groups = {}
+    for n, k in zip(orders, (*momenta, *momenta) if len(orders) == 4 else momenta):
+        groups.setdefault(k, []).append(n)
+    return groups
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 2.0**-60, reason="np.longdouble is not wider than float64"
+)
+@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_SPECS)
+def test_head_is_accurate_against_extended_precision(orders, momenta, distinct, monkeypatch):
+    factors, *panel_args = _head_arguments(orders, momenta, monkeypatch)
+    head, _ = oracle._head_integral(factors, *panel_args)
+    former, _ = _reference_head_integral(factors, *panel_args)
+    exact, magnitude = _longdouble_head(factors, *panel_args, _uniform_panels)
+    former_exact, _ = _longdouble_head(factors, *panel_args, _linspace_panels)
+    bound = 2.0**-50 * float(magnitude)
+    error = abs(head - float(exact))
+    assert error <= bound
+    # this also spans the two grids' rounding: linspace edges perturb each
+    # half-width by up to n_panels ulps, 8.4e-16 of |w f h| on the 16-block specs
+    assert abs(head - former) <= bound
+    if _panel_count(*panel_args) > 15 * _HEAD_BLOCK_PANELS:
+        # np.sin of the rounded k r loses up to half an ulp of k r ~ 6000
+        # per node; the compensated phase does not
+        assert error < abs(former - float(former_exact))
+
+
+@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_SPECS)
+def test_oracle_values_move_only_at_rounding_level(orders, momenta, distinct, monkeypatch):
+    call, args = _oracle_call(orders, momenta)
+    now = _outcome(call, *args)
+    monkeypatch.setattr(oracle, "_head_integral", _reference_head_integral)
+    former = _outcome(call, *args)
+    assert (now[0] == "NoConvergence") == (former[0] == "NoConvergence")
+    value, former_value = now[-2], former[-2]
+    k = momenta
+    scale = math.pi / (4.0 * (k[0] * k[1] * max(k) if len(k) == 2 else math.prod(k)))
+    assert abs(value - former_value) <= 1e-13 * max(abs(former_value), scale)
+
+
+@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_SPECS)
+def test_head_sweeps_once_per_momentum_per_block(orders, momenta, distinct, monkeypatch):
+    calls = []
+    sweep = oracle._bessel_sweep
+
+    def counting(wanted, a, lowest, trig=None):
+        calls.append((tuple(wanted), a.size, trig is not None))
+        return sweep(wanted, a, lowest, trig)
+
+    factors, *panel_args = _head_arguments(orders, momenta, monkeypatch)
+    monkeypatch.setattr(oracle, "_bessel_sweep", counting)
+    oracle._head_integral(factors, *panel_args)
+    by_momentum = _momentum_groups(orders, momenta)
     n_panels = _panel_count(*panel_args)
     blocks = math.ceil(n_panels / _HEAD_BLOCK_PANELS)
     assert len(by_momentum) == distinct
     assert len(calls) == distinct * blocks
     # every panel once, at the 12 + 8 nodes of both rules
-    assert sum(size for _, size in calls) == distinct * 20 * n_panels
-    assert {n for n, _ in calls} == {tuple(group) for group in by_momentum.values()}
+    assert sum(size for _, size, _ in calls) == distinct * 20 * n_panels
+    assert {n for n, _, _ in calls} == {tuple(sorted(set(g))) for g in by_momentum.values()}
+    assert all(trig for _, _, trig in calls)
     if 0.1 in momenta and distinct > 1:
         assert n_panels > 4 * _HEAD_BLOCK_PANELS
+
+
+@pytest.mark.parametrize("orders, momenta, distinct", _HEAD_SPECS)
+def test_head_takes_sin_and_cos_per_panel_and_per_node_only(
+    orders, momenta, distinct, monkeypatch
+):
+    factors, *panel_args = _head_arguments(orders, momenta, monkeypatch)
+    points = {"sin": 0, "cos": 0}
+
+    def counting(name):
+        function = getattr(np, name)
+
+        def counted(x, *args, **kwargs):
+            points[name] += np.size(x)
+            return function(x, *args, **kwargs)
+
+        return counted
+
+    for name in points:
+        monkeypatch.setattr(np, name, counting(name))
+    oracle._head_integral(factors, *panel_args)
+    expected = distinct * (_panel_count(*panel_args) + 20)
+    assert points == {"sin": expected, "cos": expected}
+
+
+def test_head_rejects_non_finite_arguments():
+    # k1 * r overflows on a head that reaches r ~ 1e12
+    with pytest.raises(DomainError, match="not finite"):
+        quad_bessel_numeric(IntegralSpec(0, 0, 0, 0, 1e300, 1e-10))
+
+
+_PRODUCT_SAMPLE = np.random.default_rng(20261018)
+_PRODUCT_MOMENTA = 10.0 ** _PRODUCT_SAMPLE.uniform(-3.0, 3.0, 400)
+_PRODUCT_CENTERS = np.concatenate(
+    (
+        [0.0, 1e6],
+        10.0 ** _PRODUCT_SAMPLE.uniform(-6.0, 6.0, 198),
+        _PRODUCT_SAMPLE.uniform(0.0, 1e6, 200),
+    )
+)
+
+
+def test_two_product_is_exact():
+    product, error = oracle._two_product(_PRODUCT_MOMENTA, _PRODUCT_CENTERS)
+    for k, c, p, e in zip(_PRODUCT_MOMENTA, _PRODUCT_CENTERS, product, error):
+        assert Fraction(p) + Fraction(e) == Fraction(k) * Fraction(c), (k, c)
+        assert oracle._two_product(float(k), float(c)) == (p, e)
+
+
+def test_compensated_panel_phase_matches_the_exact_product():
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(float(k), _PRODUCT_CENTERS) for k in _PRODUCT_MOMENTA[:40]]
+    # momenta whose splitting alone would overflow, at phases of order 100
+    cases += [(1.5e300, np.array([4e-298, 7e-299])), (3e-300, np.array([2e301, 9e301]))]
+    for k, centers in cases:
+        sin_c, cos_c = oracle._sin_cos_of_product(k, centers)
+        with mpmath.workprec(240):
+            for c, s, co in zip(centers, sin_c, cos_c):
+                phase = mpmath.mpf(k) * mpmath.mpf(float(c))
+                assert abs(s - mpmath.sin(phase)) <= 2.0**-52, (k, c)
+                assert abs(co - mpmath.cos(phase)) <= 2.0**-52, (k, c)
