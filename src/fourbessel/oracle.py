@@ -117,9 +117,9 @@ def spherical_bessel_j(n, x):
 
     ``n`` may also be a tuple of orders: the result is then a tuple with one
     float/array per order (a repeated order shares one array). The orders
-    share one pass: sin and cos are computed once over the points that take
-    a closed form or the upward recurrence, and one upward recurrence runs to
-    the largest order, keeping each requested order on its way. Every value
+    share one pass: sin and cos are computed once over all the points, and
+    one upward recurrence runs to the largest order, keeping each requested
+    order on its way. Every value
     is bit-identical to the single-order call, which is the same code with a
     one-order tuple.
 
@@ -139,7 +139,8 @@ def spherical_bessel_j(n, x):
     # min and max propagate NaN, and every comparison with NaN is false
     if not (0.0 <= lowest and (arr.size == 0 or arr.max() < math.inf)):
         raise DomainError("spherical_bessel_j requires finite x >= 0")
-    values = _bessel_sweep(sorted(set(wanted)), arr.reshape(-1), lowest)
+    flat = arr.reshape(-1)
+    values = _bessel_sweep(sorted(set(wanted)), flat, lowest, (np.sin(flat), np.cos(flat)))
     if arr.ndim == 0:
         results = tuple(float(values[m][0]) for m in wanted)
     else:
@@ -158,19 +159,19 @@ def _bessel_sweep(
     orders: list[int],
     a: np.ndarray,
     lowest: float,
-    trig: tuple[np.ndarray, np.ndarray] | None = None,
+    trig: tuple[np.ndarray, np.ndarray],
 ) -> dict[int, np.ndarray]:
     """{n: j_n(a)} for distinct ascending orders over a flat array of finite a >= 0.
 
-    ``lowest`` is min(a). An order whose trigonometric start lies above it
-    gets an array of its small-x values first; the sweep then writes the
-    points from the start on. ``trig``, when given, is (sin a, cos a) over
-    the same points, used in place of np.sin and np.cos (the Miller branch's
-    normalisation reads the sine too).
+    ``lowest`` is min(a) and ``trig`` is (sin a, cos a) over the same points;
+    the sweep takes no sin or cos itself (the Miller branch's normalisation
+    reads the sine too). An order whose trigonometric start lies above
+    ``lowest`` gets an array of its small-x values first; the sweep then
+    writes the points from the start on.
     """
     import numpy as np
 
-    sin_a, cos_a = trig if trig is not None else (None, None)
+    sin_t, cos_t = trig
     out = {}
     for n in orders:
         if lowest >= _trig_start(n):
@@ -185,22 +186,17 @@ def _bessel_sweep(
         else:
             mid = ~small & (a < n + 1.0)
             if np.any(mid):
-                below[mid] = _bessel_downward(n, a[mid], None if trig is None else sin_a[mid])
+                below[mid] = _bessel_downward(n, a[mid], sin_t[mid])
         if np.any(small):
             below[small] = _bessel_series(n, a[small])
     if not orders:
         return out
-    # sin and cos once (or the caller's), over every point some order reads
-    # them at; ``where`` indexes the points still in the sweep, None while
-    # that is all of them
-    where, t, sin_t, cos_t = None, a, sin_a, cos_a
+    # ``where`` indexes the points still in the sweep, None while that is
+    # all of them
+    where, t = None, a
     if lowest < _trig_start(orders[0]):
         where = np.flatnonzero(a >= _trig_start(orders[0]))
-        t = a[where]
-        if trig is not None:
-            sin_t, cos_t = sin_t[where], cos_t[where]
-    if trig is None:
-        sin_t = np.sin(t)
+        t, sin_t, cos_t = a[where], sin_t[where], cos_t[where]
     prev = sin_t / t
     upward = orders[1:] if orders[0] == 0 else orders
     if orders[0] == 0:
@@ -220,11 +216,11 @@ def _bessel_sweep(
             t, sin_t, prev = t[keep], sin_t[keep], prev[keep]
             if cur is not None:
                 cur = cur[keep]
-            elif cos_t is not None:
+            else:
                 cos_t = cos_t[keep]
             scratch = None
         if cur is None:
-            cur = sin_t / (t * t) - (np.cos(t) if cos_t is None else cos_t) / t
+            cur = sin_t / (t * t) - cos_t / t
         if scratch is None:
             scratch = np.empty_like(t)
         while m < n:
@@ -253,10 +249,10 @@ def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
     return a**n / _double_factorial_odd(n) * total
 
 
-def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray | None = None) -> np.ndarray:
-    """j_n(a) by Miller's downward recurrence, normalised against j_0 = sin(a)/a.
+def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray) -> np.ndarray:
+    """j_n(a) by Miller's downward recurrence, normalised against j_0 = sin_a/a.
 
-    ``sin_a`` is sin(a) when the caller already has it.
+    ``sin_a`` is sin(a), which the caller already has.
     """
     import numpy as np
 
@@ -276,7 +272,7 @@ def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray | None = None) -> 
                 cur *= 1e-250
                 if target is not None:
                     target *= 1e-250
-    return target * ((np.sin(a) if sin_a is None else sin_a) / a) / cur
+    return target * (sin_a / a) / cur
 
 
 # --------------------------------------------------------------------------
