@@ -9,9 +9,8 @@ Subcommands:
 * ``oracle``    direct numerical quadrature (quad or triple integrand)
 
 Exit codes: 0 success; 1 batch row failures or discrepancy threshold exceeded;
-2 no parity-valid bridge order; 3 degenerate momenta without
-``--fallback-oracle``; 4 quadrature non-convergence; 64 usage errors;
-65 malformed batch input.
+2 no parity-valid bridge order; 4 quadrature non-convergence; 64 usage errors,
+including momenta whose value leaves the float range; 65 malformed batch input.
 """
 from __future__ import annotations
 
@@ -23,9 +22,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .core import EvaluationReport, IntegralSpec
+from .core import IntegralSpec
 from .errors import (
-    DegenerateMomenta,
     DomainError,
     FourBesselError,
     NoConvergence,
@@ -34,7 +32,7 @@ from .errors import (
 from .legendre import assoc_legendre_gt1, legendre_p
 from .oracle import QuadratureConfig, quad_bessel_numeric, triple_bessel_numeric
 from .quadbessel import evaluate
-from .wigner import select_bridge_order, wigner_3j_zero, wigner_6j
+from .wigner import wigner_3j_zero, wigner_6j
 
 _BATCH_COLUMNS = [
     "l1", "l2", "l3", "l4", "k1", "k2",
@@ -161,28 +159,7 @@ def _cmd_eval(args) -> int:
     except NoValidBridge as exc:
         _emit(_error_document(exc, **context))
         return 2
-    except DegenerateMomenta as exc:
-        if not args.fallback_oracle:
-            _emit(_error_document(exc, **context))
-            return 3
-        print(
-            f"warning: {exc}; rerouting to the numerical oracle",
-            file=sys.stderr,
-        )
-        try:
-            value, error_estimate = quad_bessel_numeric(spec, config)
-        except NoConvergence as oracle_exc:
-            _emit(_error_document(oracle_exc, **context))
-            return 4
-        report = EvaluationReport(
-            value=value,
-            bridge_L=select_bridge_order(*spec.orders),
-            terms=(),
-            method="oracle",
-            oracle_value=value,
-            oracle_error_estimate=error_estimate,
-        )
-    if args.check and report.method != "oracle":
+    if args.check:
         try:
             oracle_value, oracle_error = quad_bessel_numeric(spec, config)
         except NoConvergence as exc:
@@ -420,8 +397,6 @@ def build_parser() -> _Parser:
     cmd = commands.add_parser("eval", help="evaluate one integral, JSON output")
     _add_orders_and_momenta(cmd)
     cmd.add_argument("--check", action="store_true", help="also run the oracle and report discrepancy")
-    cmd.add_argument("--fallback-oracle", action="store_true",
-                     help="on degenerate momenta, return the oracle value instead of failing")
     _add_quadrature_flags(cmd)
     cmd.set_defaults(handler=_cmd_eval)
 

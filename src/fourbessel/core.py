@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Relative momentum separation below which bridge orders >= 1 are refused.
+# Relative momentum separation below which legendre_band_integral, and so
+# quad_bessel_analytic, refuse bridge orders >= 1: their float assembly of the
+# band integral diverges term by term as k1 -> k2. evaluate does not use it.
 DEGENERATE_THRESHOLD = 1e-9
 
 
@@ -70,9 +72,6 @@ class IntegralSpec:
         """True when the compact paired closed form applies (l2=l1, l4=l3)."""
         return self.lambda2 == self.lambda1 and self.lambda4 == self.lambda3
 
-    def is_degenerate(self) -> bool:
-        return abs(self.k1 - self.k2) / max(self.k1, self.k2) < DEGENERATE_THRESHOLD
-
 
 @dataclass(frozen=True)
 class TermEntry:
@@ -93,7 +92,7 @@ class EvaluationReport:
     value: float
     bridge_L: int
     terms: tuple[TermEntry, ...] | Callable[[], tuple[TermEntry, ...]] = ()
-    method: str = "analytic"  # analytic | paired | oracle
+    method: str = "analytic"  # analytic | paired
     oracle_value: float | None = None
     oracle_error_estimate: float | None = None
     discrepancy: float | None = None

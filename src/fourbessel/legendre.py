@@ -23,10 +23,10 @@ from .core import require_order
 from .errors import DomainError
 from .wigner import gamma_half, wigner_3j_zero
 
-#: Largest supported degree for the two-variable polynomial path. The
-#: coefficients come from an exact integer recurrence scaled by 2^degree, so
-#: the ceiling is a guardrail against float overflow in downstream evaluation
-#: rather than an accuracy limit.
+#: Largest degree that the float evaluators legendre_poly_part and
+#: assoc_legendre_gt1 accept: beyond it x^degree overflows for large x (degree
+#: 40 at x = 1e9 raises OverflowError). The exact coefficients of
+#: _bform_coeffs and bform_band_coeffs have no such limit.
 MAX_DEGREE = 12
 
 OrderLike = Union["HalfIntegerOrder", int, float, Fraction]
@@ -96,10 +96,6 @@ def _order_as_fraction(order: OrderLike) -> Fraction:
 def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], Fraction]:
     """Coefficients of b_degree(x, m), keyed (power of x, power of m)."""
     degree = require_order(degree, "degree")
-    if degree > MAX_DEGREE:
-        raise DomainError(
-            f"degree {degree} exceeds supported maximum {MAX_DEGREE}"
-        )
     # Auxiliary recurrence q_{j+1} = (1-x^2) dq_j/dx + 2(m - (degree-j) x) q_j
     # starting from q_0 = 1; then b_degree = (-1)^degree q_degree / 2^degree.
     poly: dict[tuple[int, int], int] = {(0, 0): 1}
@@ -161,6 +157,11 @@ def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
 
 def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
     """Evaluate the polynomial factor b_degree(x, m) of the associated function."""
+    degree = require_order(degree, "degree")
+    if degree > MAX_DEGREE:
+        raise DomainError(
+            f"degree {degree} exceeds the float evaluation maximum {MAX_DEGREE}"
+        )
     m = float(_order_as_fraction(order))
     x = float(x)
     return math.fsum(

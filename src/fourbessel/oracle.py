@@ -765,33 +765,58 @@ def _certify(value: float, estimate: float, char_scale: float, cfg: QuadratureCo
         )
 
 
+def _integrate(
+    slots: tuple[tuple[int, int], ...],
+    momenta: tuple[float, ...],
+    omega_max: float,
+    depth: int,
+    char_denominator: float,
+    cfg: QuadratureConfig,
+) -> tuple[float, float]:
+    """Certified value and estimate of int_0^inf r^2 prod j_n(momenta[slot] r) dr.
+
+    ``slots`` holds one (order n, momentum slot) pair per Bessel factor; the
+    estimate is certified against pi / char_denominator as the scale. At
+    extreme momenta the head's r^2, the tail's r^(1-m) or a decomposition
+    coefficient overflows; every such overflow, and a value or estimate that is
+    not finite, raises DomainError.
+    """
+    import numpy as np
+
+    k_min = min(momenta)
+    r_max = cfg.resolved_radius(k_min)
+    radius = _split_radius(tuple(n for n, _ in slots), k_min, r_max)
+    factors = [(n, momenta[slot]) for n, slot in slots]
+    try:
+        with np.errstate(over="raise"):
+            head, head_err = _head_integral(factors, radius, omega_max, cfg.panels_per_period)
+            components = _decompose_weighted_product(slots, momenta)
+            tail, tail_err = _integrate_tail(components, momenta, radius, r_max, depth)
+        value = head + tail
+        estimate = head_err + tail_err
+        char_scale = math.pi / char_denominator
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        value = estimate = math.inf
+    if not (math.isfinite(value) and math.isfinite(estimate)):
+        raise DomainError(f"momenta {momenta!r} are out of the oracle's float range")
+    _certify(value, estimate, char_scale, cfg)
+    return value, estimate
+
+
 def quad_bessel_numeric(
     spec: IntegralSpec, config: QuadratureConfig | None = None
 ) -> tuple[float, float]:
     """Numerical value and error estimate of the four-Bessel radial integral."""
-    cfg = config or QuadratureConfig()
     k1, k2 = spec.k1, spec.k2
-    k_min = min(k1, k2)
-    r_max = cfg.resolved_radius(k_min)
-    radius = _split_radius(spec.orders, k_min, r_max)
-    factors = [
-        (spec.lambda1, k1),
-        (spec.lambda2, k2),
-        (spec.lambda3, k1),
-        (spec.lambda4, k2),
-    ]
-    head, head_err = _head_integral(factors, radius, 2.0 * (k1 + k2), cfg.panels_per_period)
-    components = _decompose_weighted_product(
+    cfg = config or QuadratureConfig()
+    return _integrate(
         ((spec.lambda1, 0), (spec.lambda2, 1), (spec.lambda3, 0), (spec.lambda4, 1)),
         (k1, k2),
+        2.0 * (k1 + k2),
+        cfg.acceleration_depth,
+        4.0 * k1 * k2 * max(k1, k2),
+        cfg,
     )
-    tail, tail_err = _integrate_tail(
-        components, (k1, k2), radius, r_max, cfg.acceleration_depth
-    )
-    value = head + tail
-    estimate = head_err + tail_err
-    _certify(value, estimate, math.pi / (4.0 * k1 * k2 * max(k1, k2)), cfg)
-    return value, estimate
 
 
 def triple_bessel_numeric(
@@ -815,16 +840,11 @@ def triple_bessel_numeric(
     k2 = require_momentum(k2, "k2")
     K = require_momentum(K, "K")
     cfg = config or QuadratureConfig()
-    k_min = min(k1, k2, K)
-    r_max = cfg.resolved_radius(k_min)
-    radius = _split_radius((l1, l2, L), k_min, r_max)
-    factors = [(l1, k1), (l2, k2), (L, K)]
-    head, head_err = _head_integral(factors, radius, k1 + k2 + K, cfg.panels_per_period)
-    components = _decompose_weighted_product(((l1, 0), (l2, 1), (L, 2)), (k1, k2, K))
-    tail, tail_err = _integrate_tail(
-        components, (k1, k2, K), radius, r_max, 2 * cfg.acceleration_depth
+    return _integrate(
+        ((l1, 0), (l2, 1), (L, 2)),
+        (k1, k2, K),
+        k1 + k2 + K,
+        2 * cfg.acceleration_depth,
+        4.0 * k1 * k2 * K,
+        cfg,
     )
-    value = head + tail
-    estimate = head_err + tail_err
-    _certify(value, estimate, math.pi / (4.0 * k1 * k2 * K), cfg)
-    return value, estimate

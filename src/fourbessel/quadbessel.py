@@ -191,14 +191,10 @@ def quad_bessel_analytic(spec: IntegralSpec) -> EvaluationReport:
     (l, lp), and weights each term by the band integral J(l, lp, L). The
     report carries every term; its value is their compensated sum.
     DegenerateMomenta is raised when the terms cancel so far that their
-    rounding bound n 2^-53 sum|terms| exceeds 1e-8 of the value.
+    rounding bound n 2^-53 sum|terms| exceeds 1e-8 of the value, and at
+    L >= 1 for nearly equal momenta, where the band integral refuses.
     """
     L = select_bridge_order(spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4)
-    if L >= 1 and spec.is_degenerate():
-        raise DegenerateMomenta(
-            f"momenta k1={spec.k1!r}, k2={spec.k2!r} are too close for the "
-            f"L={L} analytic path; use the numerical oracle instead"
-        )
     l1, l2, l3, l4 = spec.orders
     k1, k2 = spec.k1, spec.k2
     w12 = wigner_3j_zero(l1, l2, L)
@@ -388,8 +384,6 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     numerator with zero remainder. Either failing raises ArithmeticError.
     """
     L = select_bridge_order(l1, l2, l3, l4)
-    if L >= 1:
-        bform_band_coeffs(L - 1, -1)  # DomainError beyond MAX_DEGREE, before any work
     left = _side_factors(l1, l2, L)
     right = _side_factors(l3, l4, L)
     if not left or not right:
@@ -499,17 +493,11 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.
-    Bridge orders L >= 1 still refuse nearly equal momenta.
+    Every bridge order is covered, and the kernel is finite at k1 = k2.
+    DomainError is raised when the momenta are so far apart or so extreme
+    that the value or an intermediate leaves the float range.
     """
-    orders = spec.orders
-    if spec.is_degenerate():
-        L = select_bridge_order(*orders)
-        if L >= 1:
-            raise DegenerateMomenta(
-                f"momenta k1={spec.k1!r}, k2={spec.k2!r} are too close for the "
-                f"L={L} analytic path; use the numerical oracle instead"
-            )
-    L, (k1_high, k2_high) = _laurent_kernel(*orders)
+    L, (k1_high, k2_high) = _laurent_kernel(*spec.orders)
     k1, k2 = spec.k1, spec.k2
     if k1 < k2:
         k_lo, k_hi, branch = k1, k2, k2_high
@@ -517,17 +505,26 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
         k_lo, k_hi, branch = k2, k1, k1_high
     t = k_lo / k_hi
     monomials = branch.terms
-    total, magnitude = _horner(monomials, t)
-    if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
-        lo_num, lo_den = k_lo.as_integer_ratio()
-        hi_num, hi_den = k_hi.as_integer_ratio()
-        num, den = _horner_exact(branch, lo_num * hi_den, lo_den * hi_num)
-        # int / int is correctly rounded, as float(Fraction(num, den)) is
-        total = num / den
-    scale = math.pi / k_hi**3
+    try:
+        total, magnitude = _horner(monomials, t)
+        if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
+            lo_num, lo_den = k_lo.as_integer_ratio()
+            hi_num, hi_den = k_hi.as_integer_ratio()
+            num, den = _horner_exact(branch, lo_num * hi_den, lo_den * hi_num)
+            # int / int is correctly rounded, as float(Fraction(num, den)) is
+            total = num / den
+        scale = math.pi / k_hi**3
+        value = scale * total
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(
+            f"momenta k1={k1!r}, k2={k2!r} are out of range for orders {spec.orders}: "
+            "the value or t = k_lo/k_hi leaves the float range"
+        )
 
     def terms():
         return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in monomials)
 
     method = "paired" if spec.is_order_paired() else "analytic"
-    return EvaluationReport(value=scale * total, bridge_L=L, terms=terms, method=method)
+    return EvaluationReport(value=value, bridge_L=L, terms=terms, method=method)

@@ -288,24 +288,21 @@ def test_criterion_9_failure_mode_contract():
                      "--k1", "1", "--k2", "2")
         degenerate = run("eval", "--l1", "1", "--l2", "0", "--l3", "1", "--l4", "0",
                          "--k1", "1", "--k2", "1")
-        fallback = run("eval", "--l1", "1", "--l2", "0", "--l3", "1", "--l4", "0",
-                       "--k1", "1", "--k2", "1", "--fallback-oracle")
-        fallback_ok = False
-        oracle_value = float("nan")
-        if fallback.returncode == 0:
-            document = json.loads(fallback.stdout)
-            oracle_value = document.get("oracle", {}).get("value", float("nan"))
-            fallback_ok = (
-                document["method"] == "oracle"
-                and document["oracle"]["error_estimate"] > 0.0
-                and abs(oracle_value - math.pi / 12.0) / (math.pi / 12.0) < 1e-6
-            )
+        retired = run("eval", "--l1", "1", "--l2", "0", "--l3", "1", "--l4", "0",
+                      "--k1", "1", "--k2", "1", "--fallback-oracle")
+        degenerate_error = float("inf")
+        if degenerate.returncode == 0:
+            value = json.loads(degenerate.stdout)["value"]
+            degenerate_error = abs(value - math.pi / 12.0) / (math.pi / 12.0)
         outcome["passed"] = (
-            parity.returncode == 2 and degenerate.returncode == 3 and fallback_ok
+            parity.returncode == 2
+            and degenerate.returncode == 0
+            and degenerate_error <= 1e-14
+            and retired.returncode == 64
         )
         outcome["detail"] = (
-            f"parity mismatch exit {parity.returncode} (want 2); degenerate exit "
-            f"{degenerate.returncode} (want 3); --fallback-oracle exit "
-            f"{fallback.returncode} with oracle value {oracle_value:.6f} and "
-            f"positive error estimate: {'yes' if fallback_ok else 'NO'}"
+            f"parity mismatch exit {parity.returncode} (want 2); k1 = k2 exit "
+            f"{degenerate.returncode} (want 0) with rel error {degenerate_error:.1e} "
+            f"from pi/12 (<=1e-14); --fallback-oracle exit {retired.returncode} "
+            f"(want 64, usage error)"
         )

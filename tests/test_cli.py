@@ -80,24 +80,27 @@ def test_eval_no_valid_bridge_exit_2():
     assert "parity" in document["error"]["message"]
 
 
-def test_eval_degenerate_exit_3():
-    result = run_cli("eval", "--l1", "2", "--l2", "0", "--l3", "0", "--l4", "2",
-                     "--k1", "1", "--k2", "1")
-    assert result.returncode == 3
-    assert json.loads(result.stdout)["error"]["type"] == "DegenerateMomenta"
-
-
-def test_eval_degenerate_with_fallback_returns_oracle_value():
-    result = run_cli("eval", "--l1", "2", "--l2", "0", "--l3", "0", "--l4", "2",
-                     "--k1", "1", "--k2", "1", "--fallback-oracle")
-    assert result.returncode == 0
-    assert "oracle" in result.stderr.lower()
+def test_eval_degenerate_momenta_returns_the_closed_form():
+    argv = ("eval", "--l1", "2", "--l2", "0", "--l3", "0", "--l4", "2", "--k1", "1", "--k2", "1")
+    result = run_cli(*argv)
+    assert result.returncode == 0 and result.stderr == ""
     document = json.loads(result.stdout)
-    assert document["method"] == "oracle"
-    assert document["value"] == document["oracle"]["value"]
-    assert document["oracle"]["error_estimate"] > 0.0
-    # pi/20 from the equal-momentum limit of the (2,0,0,2) set
-    assert document["value"] == pytest.approx(math.pi / 20.0, rel=1e-6)
+    assert document["method"] == "analytic" and document["L"] == 2
+    # pi/20: the (2,0,0,2) kernel at t = 1
+    assert document["value"] == pytest.approx(math.pi / 20.0, rel=1e-14)
+    checked = run_cli(*argv, "--check")
+    assert checked.returncode == 0
+    document = json.loads(checked.stdout)
+    assert document["oracle"]["value"] == pytest.approx(math.pi / 20.0, rel=1e-7)
+    assert document["discrepancy"] < 1e-7
+
+
+def test_eval_out_of_range_momenta_exit_64():
+    result = run_cli("eval", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
+                     "--k1", "1e300", "--k2", "1e300")
+    assert result.returncode == 64
+    assert "float range" in result.stderr and "Traceback" not in result.stderr
+    assert result.stdout == ""
 
 
 def test_eval_usage_errors_exit_64():
@@ -172,12 +175,28 @@ def test_batch_json_footer_carries_max_discrepancy():
     assert 0.0 < footer["max_discrepancy"] < 1e-6
 
 
-def test_batch_degenerate_row_fails_run(tmp_path):
+def test_batch_degenerate_row_has_a_value(tmp_path):
     path = tmp_path / "specs.csv"
     path.write_text("l1,l2,l3,l4,k1,k2\n2,0,0,2,1,1\n0,0,0,0,1,2\n", encoding="utf-8")
     result = run_cli("batch", "--input", str(path), "--mode", "analytic")
-    assert result.returncode == 1
-    assert "DegenerateMomenta" in result.stdout
+    assert result.returncode == 0
+    rows = list(csv.DictReader(io.StringIO(result.stdout.rsplit("#", 1)[0])))
+    assert [row["error"] for row in rows] == ["", ""]
+    assert float(rows[0]["value"]) == pytest.approx(math.pi / 20.0, rel=1e-14)
+
+
+def test_batch_out_of_range_row_is_a_row_error(tmp_path):
+    path = tmp_path / "specs.csv"
+    path.write_text("l1,l2,l3,l4,k1,k2\n0,0,0,0,1e-300,1e-300\n0,0,0,0,1,2\n",
+                    encoding="utf-8")
+    for mode in ("analytic", "oracle"):
+        result = run_cli("batch", "--input", str(path), "--mode", mode)
+        assert result.returncode == 1, mode
+        assert "Traceback" not in result.stderr
+        rows = list(csv.DictReader(io.StringIO(result.stdout.rsplit("#", 1)[0])))
+        assert rows[0]["error"].startswith("DomainError: ") and rows[0]["value"] == ""
+        assert rows[1]["error"] == ""
+        assert float(rows[1]["value"]) == pytest.approx(math.pi / 16.0, rel=1e-7)
 
 
 def test_batch_malformed_inputs_exit_65(tmp_path):
@@ -323,7 +342,10 @@ def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
     assert text.count("wall_time_s") == expected.count("wall_time_s")
     assert text.splitlines()[-1] == expected.splitlines()[-1]
     if "--input" in argv:
-        assert code == 1 and "DegenerateMomenta" in text
+        # the k1 = k2 row of (2,0,0,2) has a value; (0,0,0,1) is declined
+        rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
+        assert code == 0 and rows[0]["error"] == ""
+        assert float(rows[0]["value"]) == pytest.approx(math.pi / 20.0, rel=1e-14)
 
 
 def test_batch_at_benchmark_scale_in_process():

@@ -63,14 +63,19 @@ def test_poly_part_coefficients_match_reference(degree):
 
 
 def test_poly_part_degree_gate():
-    _bform_coeffs(MAX_DEGREE)  # supported
+    # the float evaluators stop at MAX_DEGREE; the exact coefficients do not
+    assert legendre_poly_part(MAX_DEGREE, Fraction(-1, 2), 1e9) != 0.0
     with pytest.raises(DomainError):
-        _bform_coeffs(MAX_DEGREE + 1)
+        legendre_poly_part(MAX_DEGREE + 1, Fraction(-1, 2), 2.0)
+    with pytest.raises(DomainError):
+        legendre_poly_part(40, Fraction(-1, 2), 1e9)
     with pytest.raises(DomainError):
         assoc_legendre_gt1(MAX_DEGREE + 1, Fraction(-1, 2), 2.0)
+    assert dict(_bform_coeffs(MAX_DEGREE + 1)) == _reference_poly_coeffs(MAX_DEGREE + 1)
 
 
-@pytest.mark.parametrize("degree", range(0, MAX_DEGREE + 1))
+# degree 21 is the b_(L-1) of bridge order L = 22
+@pytest.mark.parametrize("degree", range(0, 22))
 def test_band_coeffs_equal_the_scaled_polynomial_part_exactly(degree):
     # 4^d (1-u)^d b_d(x, m) at x = (1+u)/(1-u), from the independent reference
     # coefficients, at exact rational u and half-integer and integer orders
@@ -84,11 +89,6 @@ def test_band_coeffs_equal_the_scaled_polynomial_part_exactly(degree):
             direct = sum(c * x**xi * m**mj for (xi, mj), c in reference.items())
             expanded = sum(c * u**k for k, c in enumerate(coeffs))
             assert expanded == 4**degree * (1 - u) ** degree * direct, (twice_m, u)
-
-
-def test_band_coeffs_degree_gate():
-    with pytest.raises(DomainError):
-        bform_band_coeffs(MAX_DEGREE + 1, -1)
 
 
 # --------------------------------------------------------------------------

@@ -691,6 +691,15 @@ def test_head_rejects_non_finite_arguments():
         quad_bessel_numeric(IntegralSpec(0, 0, 0, 0, 1e300, 1e-10))
 
 
+@pytest.mark.parametrize("k", [1e300, 1e-300])
+def test_oracle_out_of_range_momenta_raise_domain_error(k):
+    # the tail's radius^(1-m) overflows at 1e300, the head's r^2 at 1e-300
+    with pytest.raises(DomainError, match="float range"):
+        quad_bessel_numeric(IntegralSpec(1, 1, 1, 1, k, k))
+    with pytest.raises(DomainError, match="float range"):
+        triple_bessel_numeric(1, 1, 0, k, k, k)
+
+
 _PRODUCT_SAMPLE = np.random.default_rng(20261018)
 _PRODUCT_MOMENTA = 10.0 ** _PRODUCT_SAMPLE.uniform(-3.0, 3.0, 400)
 _PRODUCT_CENTERS = np.concatenate(

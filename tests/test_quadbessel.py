@@ -232,16 +232,85 @@ def test_quad_scale_covariance():
         assert scaled == pytest.approx(base / scale ** 3, rel=1e-12)
 
 
-def test_quad_degenerate_momenta():
-    with pytest.raises(DegenerateMomenta):
-        evaluate(IntegralSpec(2, 0, 0, 2, 1.0, 1.0))
-    with pytest.raises(DegenerateMomenta):
-        evaluate(IntegralSpec(1, 0, 1, 0, 1.0, 1.0 + 1e-13))
-    # paired orders never need the band kernel, equal momenta are fine there;
-    # at k1 = k2 = 1 the two linearization terms give (pi/4)(1/3 + 2/15)
+def _mellin_over_pi(orders, k1, k2):
+    """I / pi as a Fraction, from the Mellin finite part of the oracle's decomposition."""
+    # imported here because test_oracle imports this module's reference tables
+    from test_oracle import _mellin_finite_part_over_pi
+
+    return _mellin_finite_part_over_pi(orders, Fraction(k1), Fraction(k2))
+
+
+def _bridge_valid_tuples(order_max):
+    for orders in itertools.product(range(order_max + 1), repeat=4):
+        try:
+            select_bridge_order(*orders)
+        except NoValidBridge:
+            continue
+        yield orders
+
+
+@pytest.mark.parametrize("k", [0.7, 1.0, 5.0 / 3.0, 3.3])
+def test_quad_degenerate_momenta(k):
+    # the kernel is a Laurent polynomial in t, finite at t = 1: k1 = k2 is an
+    # ordinary point at every bridge order, and the value is pi times the
+    # exact Mellin finite part of the oracle's decomposition
+    compared = 0
+    for orders in _bridge_valid_tuples(4):
+        value = evaluate(IntegralSpec(*orders, k, k)).value
+        exact = _mellin_over_pi(orders, k, k)
+        if exact == 0:
+            assert value == 0.0, orders
+        else:
+            assert value == pytest.approx(math.pi * float(exact), rel=1e-13), orders
+        compared += 1
+    assert compared == 269
+
+
+def test_quad_degenerate_closed_values():
+    assert evaluate(IntegralSpec(2, 0, 0, 2, 1.0, 1.0)).value == pytest.approx(
+        math.pi / 20.0, rel=1e-14
+    )
+    assert evaluate(IntegralSpec(1, 0, 1, 0, 1.0, 1.0)).value == pytest.approx(
+        math.pi / 12.0, rel=1e-14
+    )
+    assert evaluate(IntegralSpec(1, 0, 1, 0, 1.0, 1.0 + 1e-13)).value == pytest.approx(
+        math.pi / 12.0, rel=1e-12
+    )
+    # at k1 = k2 = 1 the two linearization terms of (1,1,1,1) give (pi/4)(1/3 + 2/15)
     assert evaluate(IntegralSpec(1, 1, 1, 1, 1.0, 1.0)).value == pytest.approx(
         7.0 * math.pi / 60.0, rel=1e-13
     )
+
+
+@pytest.mark.parametrize(
+    "k1, k2", [(1e300, 1e300), (1e-300, 1e-300), (1e-104, 2e-104), (1e-300, 1e300)]
+)
+def test_out_of_range_momenta_raise_domain_error(k1, k2):
+    # k_hi^3 overflows, underflows to 0, leaves pi / k_hi^3 infinite, or
+    # t = k_lo/k_hi underflows under a t^-1 term
+    for orders in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (2, 1, 3, 0)):
+        with pytest.raises(DomainError, match="float range"):
+            evaluate(IntegralSpec(*orders, k1, k2))
+
+
+def test_in_range_extremes_keep_their_bits():
+    # (0,0,0,0) at k1 = k2 is pi/4 / k^3, its t^-1 coefficient 1/4 at t = 1
+    for k in (1e-100, 1e100):
+        assert evaluate(IntegralSpec(0, 0, 0, 0, k, k)).value == math.pi / k**3 * 0.25
+
+
+def test_analytic_path_refuses_equal_momenta():
+    # the term-by-term float assembly keeps its gate: its band integral
+    # refuses every bridge order L >= 1 below a relative gap of 1e-9
+    refused = 0
+    for orders in _bridge_valid_tuples(4):
+        if select_bridge_order(*orders) == 0:
+            continue
+        for k2 in (1.0, 1.0 + 1e-12):
+            with pytest.raises(DegenerateMomenta):
+                quad_bessel_analytic(IntegralSpec(*orders, 1.0, k2))
+            refused += 1
+    assert refused == 488
 
 
 def test_quad_no_valid_bridge():
@@ -309,10 +378,11 @@ def _eager_terms(orders, k1, k2):
     return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in branch.terms)
 
 
-@pytest.mark.parametrize("u", range(1, 9))
+@pytest.mark.parametrize("u", [*range(1, 17), math.inf])
 def test_gap_sweep_matches_exact_values(u):
-    # k2 = 1 +- 10^-u: the term-by-term float assembly lost every digit here
-    # (relative error 8.4 at a gap of 1e-3) while raising nothing
+    # k2 = 1 +- 10^-u, down to k2 = k1 at u = inf: the term-by-term float
+    # assembly lost every digit here (relative error 8.4 at a gap of 1e-3)
+    # while raising nothing
     k1 = 1.0
     for k2 in (1.0 + 10.0**-u, 1.0 - 10.0**-u):
         value = evaluate(IntegralSpec(2, 1, 3, 0, k1, k2)).value
@@ -408,11 +478,7 @@ def test_exact_horner_rescues_cancelling_kernels():
 
 
 def _integer_horner_cases():
-    for orders in itertools.product(range(4), repeat=4):
-        try:
-            select_bridge_order(*orders)
-        except NoValidBridge:
-            continue
+    for orders in _bridge_valid_tuples(3):
         for k1, k2 in (
             (Fraction(7, 4), Fraction(2, 3)),
             (Fraction(2, 3), Fraction(7, 4)),
@@ -475,11 +541,16 @@ def test_kernel_build_refuses_instead_of_rounding():
         _divide_one_minus_u([1, 1, 1, 0, -2])
 
 
-def test_evaluate_keeps_the_legendre_degree_limit():
-    # bridge order 14 needs b_13, past MAX_DEGREE; paired tuples need no b_l
-    with pytest.raises(DomainError):
-        evaluate(IntegralSpec(14, 0, 14, 0, 1.0, 2.0))
-    assert evaluate(IntegralSpec(14, 14, 14, 14, 1.0, 2.0)).value > 0.0
+@pytest.mark.parametrize(
+    "orders", [(L, 0, L, 0) for L in range(14, 23)] + [(25, 3, 24, 2), (14, 14, 14, 14)]
+)
+def test_evaluate_past_the_legendre_degree_limit(orders):
+    # bridge orders 14 to 22 need b_13 to b_21, past the float evaluators'
+    # MAX_DEGREE; the kernel builds them in integers
+    for k1, k2 in ((1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (0.7, 3.3)):
+        value = evaluate(IntegralSpec(*orders, k1, k2)).value
+        exact = math.pi * float(_mellin_over_pi(orders, k1, k2))
+        assert value == pytest.approx(exact, rel=1e-14), (orders, k1, k2)
 
 
 def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
@@ -503,7 +574,7 @@ def test_report_terms_equal_the_eager_terms():
         for k1, k2 in ((1.0, 3.0), (3.0, 1.0), (2.0, 2.0)):
             try:
                 report = evaluate(IntegralSpec(*orders, k1, k2))
-            except (NoValidBridge, DegenerateMomenta):
+            except NoValidBridge:
                 continue
             eager = _eager_terms(orders, k1, k2)
             assert [term.indices for term in report.terms] == [term.indices for term in eager]
@@ -511,8 +582,8 @@ def test_report_terms_equal_the_eager_terms():
                 term.value.hex() for term in eager
             ], (orders, k1, k2)
             compared += 1
-    # k1 = k2 leaves the 25 tuples of bridge order 0
-    assert compared == 538 + 25
+    # every bridge-valid tuple, at k1 = k2 too
+    assert compared == 538 + 269
 
 
 def test_report_terms_are_built_once():
