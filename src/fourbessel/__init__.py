@@ -13,13 +13,11 @@ numerical quadrature oracle.
 from __future__ import annotations
 
 from .core import (
-    DEGENERATE_THRESHOLD,
     EvaluationReport,
     IntegralSpec,
     TermEntry,
 )
 from .errors import (
-    DegenerateMomenta,
     DomainError,
     FourBesselError,
     NoConvergence,
@@ -43,9 +41,6 @@ from .oracle import (
 )
 from .quadbessel import (
     evaluate,
-    legendre_band_integral,
-    legendre_ratio_integral,
-    quad_bessel_analytic,
     quad_bessel_paired,
     triple_bessel_weighted,
 )
@@ -62,8 +57,6 @@ from .wigner import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEGENERATE_THRESHOLD",
-    "DegenerateMomenta",
     "DomainError",
     "EvaluationReport",
     "FourBesselError",
@@ -81,12 +74,9 @@ __all__ = [
     "evaluate",
     "gamma_half",
     "gauss_legendre",
-    "legendre_band_integral",
     "legendre_linearization_coeffs",
     "legendre_p",
     "legendre_poly_part",
-    "legendre_ratio_integral",
-    "quad_bessel_analytic",
     "quad_bessel_numeric",
     "quad_bessel_paired",
     "select_bridge_order",

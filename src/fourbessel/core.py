@@ -17,11 +17,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-# Relative momentum separation below which legendre_band_integral, and so
-# quad_bessel_analytic, refuse bridge orders >= 1: their float assembly of the
-# band integral diverges term by term as k1 -> k2. evaluate does not use it.
-DEGENERATE_THRESHOLD = 1e-9
-
 
 def require_order(value: int, name: str = "order") -> int:
     """Validate a non-negative integer angular momentum index."""

@@ -15,11 +15,6 @@ class NoValidBridge(FourBesselError):
     constraints; the closed-form method does not apply to this order set."""
 
 
-class DegenerateMomenta(FourBesselError):
-    """The two momenta are equal or nearly so and the requested closed form
-    contains individually divergent factors (bridge order >= 1)."""
-
-
 class NoConvergence(FourBesselError):
     """The numerical quadrature could not certify the requested tolerance."""
 

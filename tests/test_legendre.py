@@ -22,7 +22,8 @@ from fourbessel.legendre import (
     legendre_poly_part,
 )
 from fourbessel.oracle import gauss_legendre
-from fourbessel.quadbessel import legendre_ratio_integral
+
+from test_quadbessel import _ratio_integral
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +273,7 @@ def test_kernel_expansion_errors_shrink():
     for top in (4, 8, 16, 32):
         partial = math.fsum(
             (2 * mu + 1) / 2.0
-            * legendre_ratio_integral(mu, 0, bridge, y)
+            * _ratio_integral(mu, 0, bridge, y)
             * legendre_p(mu, delta)
             for mu in range(top + 1)
         )

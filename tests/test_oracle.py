@@ -324,9 +324,12 @@ def test_bessel_bounded_by_unity(order, x):
 
 def test_closed_forms_do_not_load_numpy():
     # numpy is imported on first oracle use; a process that only evaluates
-    # closed forms never loads it
+    # closed forms never loads it. The test-only packages are blocked, so the
+    # package and its oracle run on numpy alone.
     code = (
-        "import sys, fourbessel, fourbessel.cli; "
+        "import sys; "
+        "sys.modules.update(dict.fromkeys(('mpmath', 'scipy', 'hypothesis'))); "
+        "import fourbessel, fourbessel.cli; "
         "fourbessel.evaluate(fourbessel.IntegralSpec(2, 1, 3, 0, 1.0, 2.0)); "
         "loaded = 'numpy' in sys.modules; "
         "fourbessel.quad_bessel_numeric(fourbessel.IntegralSpec(0, 0, 0, 0, 1.0, 2.0)); "
@@ -463,13 +466,18 @@ def _mellin_finite_part_over_pi(orders, k1, k2):
 
 def test_mellin_finite_part_equals_laurent_kernel_exactly():
     # two independent exact routes to the closed form: the oracle's
-    # trigonometric decomposition (no Wigner symbols) and the recoupled kernel
-    compared = 0
-    for orders in itertools.product(range(4), repeat=4):
+    # trigonometric decomposition (no Wigner symbols) and the recoupled kernel;
+    # evaluate declines exactly the tuples that have no bridge order
+    compared = declined = 0
+    for orders in itertools.product(range(5), repeat=4):
         try:
-            select_bridge_order(*orders)
+            bridge = select_bridge_order(*orders)
         except NoValidBridge:
+            with pytest.raises(NoValidBridge):
+                evaluate(IntegralSpec(*orders, 1.0, 3.0))
+            declined += 1
             continue
+        assert evaluate(IntegralSpec(*orders, 1.0, 3.0)).bridge_L == bridge
         _, (k1_high, k2_high) = _laurent_kernel(*orders)
         for k1, k2 in (
             (Fraction(7, 4), Fraction(2, 3)),
@@ -481,7 +489,7 @@ def test_mellin_finite_part_equals_laurent_kernel_exactly():
             expected = Fraction(*_horner_exact(branch, t.numerator, t.denominator)) / k_hi**3
             assert _mellin_finite_part_over_pi(orders, k1, k2) == expected, (orders, k1, k2)
             compared += 1
-    assert compared == 336
+    assert compared == 807 and declined == 356
 
 
 # --------------------------------------------------------------------------

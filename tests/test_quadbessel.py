@@ -9,25 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourbessel
+from fourbessel import core, errors, quadbessel
 from fourbessel.core import EvaluationReport, IntegralSpec, TermEntry
 from fourbessel.errors import (
-    DegenerateMomenta,
     DomainError,
     NoValidBridge,
     PrefactorZero,
 )
-from fourbessel import quadbessel
 from fourbessel.oracle import gauss_legendre, quad_bessel_numeric
 from fourbessel.quadbessel import (
+    _band_series,
     _divide_one_minus_u,
     _exact_sqrt,
     _horner,
     _horner_exact,
     _laurent_kernel,
     evaluate,
-    legendre_band_integral,
-    legendre_ratio_integral,
-    quad_bessel_analytic,
     quad_bessel_paired,
     triple_bessel_weighted,
 )
@@ -70,40 +68,17 @@ TRIPLE_REFERENCES = {
 
 
 def test_band_integral_reference_values():
-    assert legendre_band_integral(0, 0, 0, 1.0, 2.0) == pytest.approx(2.0, rel=1e-13)
-    assert legendre_band_integral(0, 0, 0, 3.0, 3.0) == pytest.approx(6.0, rel=1e-13)
-    assert legendre_band_integral(1, 1, 0, 1.0, 2.0) == pytest.approx(11.0 / 15.0, rel=1e-13)
-
-
-def test_band_integral_degenerate_gate():
-    # the kernel scale (k2^2 - k1^2)^L collapses at equal momenta for L >= 1
-    with pytest.raises(DegenerateMomenta):
-        legendre_band_integral(0, 1, 1, 1.0, 1.0)
-    with pytest.raises(DegenerateMomenta):
-        legendre_band_integral(2, 2, 2, 1.0, 1.0 + 1e-12)
-    # no gate at L = 0
-    legendre_band_integral(1, 1, 0, 1.0, 1.0)
-
-
-def test_band_integral_momentum_symmetry():
-    for (l, lp, bridge) in ((0, 0, 0), (1, 1, 0), (2, 0, 2), (3, 1, 2)):
-        forward = legendre_band_integral(l, lp, bridge, 1.0, 2.0)
-        swapped = legendre_band_integral(l, lp, bridge, 2.0, 1.0)
-        assert forward == pytest.approx(swapped, rel=1e-12)
-
-
-def test_band_integral_reconstructs_from_ratio_form():
-    # the dimensionless form times k1 k2 / (2 k1 k2)^(L+1/2) recovers the
-    # band integral, with y = (k1^2 + k2^2) / (2 k1 k2)
-    for (l, lp, bridge) in ((0, 0, 0), (1, 1, 0), (1, 0, 1), (2, 2, 1), (2, 0, 2), (3, 3, 3)):
-        for (k1, k2) in ((1.0, 2.0), (2.0, 5.0), (1.0, 1.25)):
-            y = (k1 * k1 + k2 * k2) / (2.0 * k1 * k2)
-            expected = (
-                k1 * k2 / (2.0 * k1 * k2) ** (bridge + 0.5)
-                * legendre_ratio_integral(l, lp, bridge, y)
-            )
-            value = legendre_band_integral(l, lp, bridge, k1, k2)
-            assert value == pytest.approx(expected, rel=1e-12), (l, lp, bridge, k1, k2)
+    # at L = 0 the band integral is k_lo sum_mu c_mu t^mu with t = k_lo/k_hi:
+    # exact values at k = (1, 2), (3, 3) and (1, 2)
+    for (l, lp, k1, k2), expected in (
+        ((0, 0, 1, 2), Fraction(2)),
+        ((0, 0, 3, 3), Fraction(6)),
+        ((1, 1, 1, 2), Fraction(11, 15)),
+    ):
+        den, g = _band_series(l, lp, 0)
+        k_lo, k_hi = Fraction(min(k1, k2)), Fraction(max(k1, k2))
+        t = k_lo / k_hi
+        assert k_lo * sum(c * t**p for p, c in enumerate(g)) / den == expected, (l, lp, k1, k2)
 
 
 # --------------------------------------------------------------------------
@@ -111,11 +86,27 @@ def test_band_integral_reconstructs_from_ratio_form():
 # --------------------------------------------------------------------------
 
 
+def _ratio_integral(l, lp, L, y):
+    """integral_{-1}^{1} P_l(u) P_lp(u) / (y - u)^(L+1/2) du for y > 1.
+
+    Built from the kernel's exact band series: with t = y - sqrt(y^2 - 1) and
+    d = max(L-1, 0), the band integral's mu-sum is (1/den) sum g_p t^p divided
+    by 4^d (1-t^2)^d, and the ratio form is sqrt(2t) (2t/(1-t^2))^L times it.
+    """
+    den, g = _band_series(l, lp, L)
+    # 1/(y + sqrt(y^2 - 1)) equals y - sqrt(y^2 - 1) without cancellation
+    t = 1.0 / (y + math.sqrt(y * y - 1.0))
+    d = max(L - 1, 0)
+    one_minus_u = 1.0 - t * t
+    series = math.fsum(c * t**p for p, c in enumerate(g)) / den
+    return math.sqrt(2.0 * t) * (2.0 * t / one_minus_u) ** L * series / (4**d * one_minus_u**d)
+
+
 def test_ratio_integral_closed_values():
-    assert legendre_ratio_integral(0, 0, 0, 1.25) == pytest.approx(2.0, rel=1e-13)
+    assert _ratio_integral(0, 0, 0, 1.25) == pytest.approx(2.0, rel=1e-13)
     expected = 2.0 * (math.sqrt(3.0) - 1.0)
-    assert legendre_ratio_integral(0, 0, 0, 2.0) == pytest.approx(expected, rel=1e-13)
-    assert legendre_ratio_integral(1, 0, 1, 1.25) == pytest.approx(4.0 / 3.0, rel=1e-13)
+    assert _ratio_integral(0, 0, 0, 2.0) == pytest.approx(expected, rel=1e-13)
+    assert _ratio_integral(1, 0, 1, 1.25) == pytest.approx(4.0 / 3.0, rel=1e-13)
 
 
 def test_ratio_integral_matches_direct_quadrature():
@@ -125,20 +116,13 @@ def test_ratio_integral_matches_direct_quadrature():
         direct = gauss_legendre(
             lambda t: _leg(l, t) * _leg(lp, t) * (y - t) ** (-bridge - 0.5), 160
         )
-        assert legendre_ratio_integral(l, lp, bridge, y) == pytest.approx(direct, rel=1e-10)
+        assert _ratio_integral(l, lp, bridge, y) == pytest.approx(direct, rel=1e-10)
 
 
 def _leg(degree, t):
     from fourbessel.legendre import legendre_p
 
     return legendre_p(degree, t)
-
-
-def test_ratio_integral_domain():
-    with pytest.raises(DomainError):
-        legendre_ratio_integral(0, 0, 0, 1.0)
-    with pytest.raises(DomainError):
-        legendre_ratio_integral(0, 0, 0, 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +187,22 @@ def test_paired_closed_values():
 
 
 def test_paired_agrees_with_general_path():
+    # the kernel of (a, a, b, b), built by the general recoupling, is the
+    # paired closed form {mu - 1: 3j(a, b, mu)^2 / 4} as Fractions on both
+    # branches, and the paired float path sums those monomials
     for a in range(4):
         for b in range(4):
-            spec = IntegralSpec(a, a, b, b, 1.0, 2.0)
             paired = quad_bessel_paired(a, b, 1.0, 2.0)
-            general = quad_bessel_analytic(spec)
-            assert paired.value == pytest.approx(general.value, rel=1e-12), (a, b)
-            assert paired.method == "paired" and general.method == "analytic"
+            assert paired.method == "paired" and paired.bridge_L == 0
+            mus = [term.indices["mu"] for term in paired.terms]
+            expected = {mu - 1: Fraction(1, 4) * wigner_3j_zero(a, b, mu).radicand for mu in mus}
+            bridge, branches = _laurent_kernel(a, a, b, b)
+            assert bridge == 0
+            for branch in branches:
+                assert _kernel_dict(branch) == expected, (a, b)
+            # I = pi / k_hi^3 * sum c_p t^p at k = (1, 2)
+            exact = sum(c * Fraction(1, 2) ** p for p, c in expected.items()) / 8
+            assert paired.value == pytest.approx(math.pi * float(exact), rel=1e-12), (a, b)
 
 
 def test_evaluate_dispatches_on_order_pairing():
@@ -299,56 +292,18 @@ def test_in_range_extremes_keep_their_bits():
         assert evaluate(IntegralSpec(0, 0, 0, 0, k, k)).value == math.pi / k**3 * 0.25
 
 
-def test_analytic_path_refuses_equal_momenta():
-    # the term-by-term float assembly keeps its gate: its band integral
-    # refuses every bridge order L >= 1 below a relative gap of 1e-9
-    refused = 0
-    for orders in _bridge_valid_tuples(4):
-        if select_bridge_order(*orders) == 0:
-            continue
-        for k2 in (1.0, 1.0 + 1e-12):
-            with pytest.raises(DegenerateMomenta):
-                quad_bessel_analytic(IntegralSpec(*orders, 1.0, k2))
-            refused += 1
-    assert refused == 488
-
-
 def test_quad_no_valid_bridge():
     with pytest.raises(NoValidBridge):
         evaluate(IntegralSpec(0, 0, 0, 1, 1.0, 2.0))
     with pytest.raises(NoValidBridge):
-        quad_bessel_analytic(IntegralSpec(3, 0, 1, 0, 1.0, 2.0))
+        evaluate(IntegralSpec(3, 0, 1, 0, 1.0, 2.0))
 
 
 def test_report_structure_and_term_sums():
-    spec = IntegralSpec(2, 1, 1, 2, 1.0, 2.0)
-    report = quad_bessel_analytic(spec)
-    assert report.bridge_L == select_bridge_order(2, 1, 1, 2)
-    assert report.terms, "term breakdown must be populated"
-    assert report.recomputed_sum() == pytest.approx(report.value, rel=1e-13)
-    for term in report.terms:
-        assert set(term.indices) == {"LL", "LLp", "l", "lp"}
     paired = quad_bessel_paired(1, 2, 1.0, 2.0)
     assert paired.bridge_L == 0
     assert all(set(term.indices) == {"mu"} for term in paired.terms)
     assert paired.recomputed_sum() == pytest.approx(paired.value, rel=1e-13)
-
-
-@pytest.mark.parametrize("u", range(1, 9))
-def test_analytic_path_refuses_what_it_cannot_assemble(u):
-    # k2 = 1 +- 10^-u: the term-by-term float assembly cancels here and
-    # returned (2,1,3,0) 8.4 relative off at a gap of 1e-3 without raising.
-    # Every value it still returns must be within 1e-8 of the exact kernel.
-    for orders in ((2, 1, 3, 0), (1, 0, 1, 2), (4, 2, 3, 3)):
-        for k2 in (1.0 + 10.0**-u, 1.0 - 10.0**-u):
-            spec = IntegralSpec(*orders, 1.0, k2)
-            try:
-                value = quad_bessel_analytic(spec).value
-            except DegenerateMomenta:
-                continue
-            exact = evaluate(spec).value
-            scale = math.pi / (4.0 * k2 * max(1.0, k2))
-            assert abs(value - exact) <= 1e-8 * max(abs(exact), scale), (orders, k2)
 
 
 # --------------------------------------------------------------------------
@@ -415,30 +370,6 @@ def test_paired_kernel_is_the_paired_closed_form(a):
             assert [Fraction(n, branch.common) for n in branch.numerators] == [
                 coeff for _, coeff, _ in branch.terms
             ]
-
-
-def test_kernel_matches_term_by_term_path_on_order_grid():
-    compared = 0
-    for orders in itertools.product(range(5), repeat=4):
-        for k1, k2 in ((1.0, 3.0), (3.0, 1.0)):
-            spec = IntegralSpec(*orders, k1, k2)
-            try:
-                reference = quad_bessel_analytic(spec)
-            except NoValidBridge:
-                with pytest.raises(NoValidBridge):
-                    evaluate(spec)
-                continue
-            report = evaluate(spec)
-            assert report.bridge_L == reference.bridge_L
-            # the reference rounds each term once; where its terms cancel, its
-            # own rounding bound exceeds 1e-12 relative and sets the tolerance
-            rounding = len(reference.terms) * 2.0**-53 * math.fsum(
-                abs(term.value) for term in reference.terms
-            )
-            tolerance = max(1e-12 * abs(reference.value), rounding)
-            assert abs(report.value - reference.value) <= tolerance, (orders, k1, k2)
-            compared += 1
-    assert compared == 538
 
 
 def test_kernel_of_1_0_1_2_is_exact():
@@ -562,7 +493,7 @@ def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
 
     for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
         monkeypatch.setattr(SignedSqrtRational, method, forbidden)
-    monkeypatch.setattr(quadbessel, "legendre_poly_part", forbidden)
+    monkeypatch.setattr(quadbessel, "bform_band_coeffs", forbidden)
     # the exact fallback of (13, 4, 11, 2) at (1.1, 1) runs in plain integers
     monkeypatch.setattr(quadbessel, "Fraction", forbidden)
     assert [evaluate(spec).value for spec in specs] == warm
@@ -623,6 +554,26 @@ def test_report_with_given_terms_round_trips():
     assert EvaluationReport(0.0, 0).terms == ()
     lazy = evaluate(spec)
     assert lazy == EvaluationReport(lazy.value, lazy.bridge_L, tuple(lazy.terms), "analytic")
+
+
+RETIRED_NAMES = (
+    "quad_bessel_analytic",
+    "legendre_band_integral",
+    "legendre_ratio_integral",
+    "DEGENERATE_THRESHOLD",
+    "DegenerateMomenta",
+)
+
+
+def test_public_names_resolve_and_retired_names_are_gone():
+    for module in (fourbessel, quadbessel):
+        assert all(hasattr(module, name) for name in module.__all__), module.__name__
+    # the float term-by-term assembly, its band and ratio integrals and its
+    # degeneracy gate left the package; evaluate's exact kernel replaces them
+    for name in RETIRED_NAMES:
+        assert name not in fourbessel.__all__ and name not in quadbessel.__all__
+        for module in (fourbessel, quadbessel, core, errors):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_spec_validation():
