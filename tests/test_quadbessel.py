@@ -81,6 +81,47 @@ def test_band_integral_reference_values():
         assert k_lo * sum(c * t**p for p, c in enumerate(g)) / den == expected, (l, lp, k1, k2)
 
 
+def _band_integral(l, lp, L, k1, k2):
+    """k1 k2 integral_{-1}^{1} P_l(u) P_lp(u) / (k1^2 + k2^2 - 2 k1 k2 u)^(L+1/2) du.
+
+    From the kernel's exact band series in t = k_lo/k_hi, never forming
+    y = (k1^2 + k2^2) / (2 k1 k2): k_lo k_hi^(-2L) (1/den) sum g_p t^p
+    divided by 4^d (1-t^2)^(L+d), with d = max(L-1, 0).
+    """
+    den, g = _band_series(l, lp, L)
+    k_lo, k_hi = min(k1, k2), max(k1, k2)
+    t = k_lo / k_hi
+    d = max(L - 1, 0)
+    series = math.fsum(c * t**p for p, c in enumerate(g)) / den
+    return k_lo * k_hi ** (-2 * L) * series / (4**d * (1.0 - t * t) ** (L + d))
+
+
+BAND_CASES = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (2, 2, 1), (2, 0, 2), (3, 3, 3))
+BAND_MOMENTA = ((1.0, 2.0), (2.0, 1.0), (2.0, 5.0), (5.0, 2.0), (1.0, 1.25), (1.25, 1.0))
+
+
+def test_band_integral_reconstructs_from_ratio_form():
+    # the dimensionless form times k1 k2 / (2 k1 k2)^(L+1/2) recovers the
+    # band integral, with y = (k1^2 + k2^2) / (2 k1 k2): the two changes of
+    # variable agree in both momentum orders
+    for (l, lp, bridge), (k1, k2) in itertools.product(BAND_CASES, BAND_MOMENTA):
+        y = (k1 * k1 + k2 * k2) / (2.0 * k1 * k2)
+        expected = k1 * k2 / (2.0 * k1 * k2) ** (bridge + 0.5) * _ratio_integral(l, lp, bridge, y)
+        value = _band_integral(l, lp, bridge, k1, k2)
+        assert value == pytest.approx(expected, rel=1e-12), (l, lp, bridge, k1, k2)
+
+
+def test_band_integral_matches_direct_quadrature():
+    for (l, lp, bridge), (k1, k2) in itertools.product(BAND_CASES, BAND_MOMENTA):
+        direct = gauss_legendre(
+            lambda u: k1 * k2 * _leg(l, u) * _leg(lp, u)
+            * (k1 * k1 + k2 * k2 - 2.0 * k1 * k2 * u) ** (-bridge - 0.5),
+            160,
+        )
+        value = _band_integral(l, lp, bridge, k1, k2)
+        assert value == pytest.approx(direct, rel=1e-10), (l, lp, bridge, k1, k2)
+
+
 # --------------------------------------------------------------------------
 # dimensionless ratio integral
 # --------------------------------------------------------------------------
@@ -259,6 +300,57 @@ def test_quad_degenerate_momenta(k):
     assert compared == 269
 
 
+def test_every_bridge_order_answers_near_equal_momenta():
+    # a relative gap of 1e-12 on either side of k1 = k2: every tuple of
+    # {0..4}^4 with bridge order L >= 1 is answered, and its value is pi
+    # times the exact Mellin finite part at the same float momenta
+    compared = 0
+    for orders in _bridge_valid_tuples(4):
+        if select_bridge_order(*orders) == 0:
+            continue
+        for k2 in (1.0 + 1e-12, 1.0 - 1e-12):
+            value = evaluate(IntegralSpec(*orders, 1.0, k2)).value
+            exact = _mellin_over_pi(orders, 1.0, k2)
+            if exact == 0:
+                assert value == 0.0, (orders, k2)
+            else:
+                assert value == pytest.approx(math.pi * float(exact), rel=1e-13), (orders, k2)
+            compared += 1
+    assert compared == 488
+
+
+@pytest.mark.parametrize("u", range(1, 9))
+def test_near_equal_momenta_match_the_mellin_finite_part(u):
+    # k2 = 1 +- 10^-u, where a term-by-term float assembly of the same
+    # closed form cancels: evaluate keeps full relative accuracy against the
+    # exact value at the same float momenta
+    for orders in ((2, 1, 3, 0), (1, 0, 1, 2), (4, 2, 3, 3)):
+        for k2 in (1.0 + 10.0**-u, 1.0 - 10.0**-u):
+            exact = math.pi * float(_mellin_over_pi(orders, 1.0, k2))
+            value = evaluate(IntegralSpec(*orders, 1.0, k2)).value
+            assert value == pytest.approx(exact, rel=1e-12), (orders, k2)
+
+
+def test_evaluate_matches_mellin_finite_part_on_order_grid():
+    # the float side of the exact kernel check: evaluate's value on every
+    # bridge-valid tuple of {0..4}^4, both momentum orders, against pi times
+    # the exact Mellin finite part
+    compared = 0
+    for orders in _bridge_valid_tuples(4):
+        for k1, k2 in ((1.0, 3.0), (3.0, 1.0)):
+            report = evaluate(IntegralSpec(*orders, k1, k2))
+            assert report.bridge_L == select_bridge_order(*orders)
+            exact = _mellin_over_pi(orders, k1, k2)
+            if exact == 0:
+                assert report.value == 0.0, (orders, k1, k2)
+            else:
+                assert report.value == pytest.approx(math.pi * float(exact), rel=1e-13), (
+                    orders, k1, k2
+                )
+            compared += 1
+    assert compared == 538
+
+
 def test_quad_degenerate_closed_values():
     assert evaluate(IntegralSpec(2, 0, 0, 2, 1.0, 1.0)).value == pytest.approx(
         math.pi / 20.0, rel=1e-14
@@ -370,6 +462,47 @@ def test_paired_kernel_is_the_paired_closed_form(a):
             assert [Fraction(n, branch.common) for n in branch.numerators] == [
                 coeff for _, coeff, _ in branch.terms
             ]
+
+
+def _kernel_or_none(orders):
+    try:
+        return _laurent_kernel(*orders)[1]
+    except NoValidBridge:
+        return None
+
+
+def test_kernel_momentum_exchange_symmetry():
+    # I(l1, l2, l3, l4; k1, k2) = I(l2, l1, l4, l3; k2, k1): exchanging the
+    # momenta swaps the kernel's two branches, exactly, whatever bridge order
+    # each tuple selects
+    compared = 0
+    for l1, l2, l3, l4 in itertools.product(range(5), repeat=4):
+        kernel = _kernel_or_none((l1, l2, l3, l4))
+        exchanged = _kernel_or_none((l2, l1, l4, l3))
+        assert (kernel is None) == (exchanged is None), (l1, l2, l3, l4)
+        if kernel is None:
+            continue
+        assert _kernel_dict(kernel[0]) == _kernel_dict(exchanged[1]), (l1, l2, l3, l4)
+        assert _kernel_dict(kernel[1]) == _kernel_dict(exchanged[0]), (l1, l2, l3, l4)
+        compared += 1
+    assert compared == 269
+
+
+def test_kernel_same_momentum_order_swap_symmetry():
+    # l1 <-> l3 (both at k1) and l2 <-> l4 (both at k2) leave the integral
+    # unchanged: both branches are the same Laurent polynomials, exactly
+    compared = 0
+    for l1, l2, l3, l4 in itertools.product(range(5), repeat=4):
+        kernel = _kernel_or_none((l1, l2, l3, l4))
+        for swapped in ((l3, l2, l1, l4), (l1, l4, l3, l2)):
+            other = _kernel_or_none(swapped)
+            assert (kernel is None) == (other is None), (l1, l2, l3, l4, swapped)
+            if kernel is None:
+                continue
+            for branch, other_branch in zip(kernel, other):
+                assert _kernel_dict(branch) == _kernel_dict(other_branch), (l1, l2, l3, l4)
+            compared += 1
+    assert compared == 538
 
 
 def test_kernel_of_1_0_1_2_is_exact():
