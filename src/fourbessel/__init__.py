@@ -25,8 +25,6 @@ from .errors import (
     PrefactorZero,
 )
 from .legendre import (
-    MAX_DEGREE,
-    HalfIntegerOrder,
     assoc_legendre_gt1,
     legendre_linearization_coeffs,
     legendre_p,
@@ -60,9 +58,7 @@ __all__ = [
     "DomainError",
     "EvaluationReport",
     "FourBesselError",
-    "HalfIntegerOrder",
     "IntegralSpec",
-    "MAX_DEGREE",
     "NoConvergence",
     "NoValidBridge",
     "PrefactorZero",

@@ -5,16 +5,17 @@ for integer degree l and arbitrary (possibly half-integer) order m,
 
     P_l^m(x) = b_l(x, m) * ((x+1)/(x-1))^(m/2) / Gamma(|l - m| + 1)
 
-where b_l is a polynomial in both x and m with integer coefficients. The
-closed-form integral machinery consumes b_l directly (the power and Gamma
-factors cancel into exact rational prefactors there); the full function is
-exposed for direct evaluation and cross-checking.
+where b_l is a polynomial in both x and m with integer coefficients over
+2^l. The closed-form integral machinery consumes b_l directly (the power and
+Gamma factors cancel into exact rational prefactors there); the full function
+is exposed for direct evaluation and cross-checking. Both evaluators sum b_l
+exactly at the rational values of x and m, so no degree is too large and no
+cancellation near x = 1 costs digits; the result is rounded once.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
@@ -23,73 +24,20 @@ from .core import require_order
 from .errors import DomainError
 from .wigner import gamma_half, wigner_3j_zero
 
-#: Largest degree that the float evaluators legendre_poly_part and
-#: assoc_legendre_gt1 accept: beyond it x^degree overflows for large x (degree
-#: 40 at x = 1e9 raises OverflowError). The exact coefficients of
-#: _bform_coeffs and bform_band_coeffs have no such limit.
-MAX_DEGREE = 12
-
-OrderLike = Union["HalfIntegerOrder", int, float, Fraction]
+OrderLike = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class HalfIntegerOrder:
-    """Order m restricted to the half-integer lattice, stored as 2m."""
-
-    twice_m: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice_m, int) or isinstance(self.twice_m, bool):
-            raise DomainError(f"twice_m must be an int, got {self.twice_m!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfIntegerOrder":
-        """Parse 'p/q' or decimal text; the value must be a multiple of 1/2."""
-        try:
-            value = Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError(f"cannot parse order {text!r}") from exc
-        return cls.from_value(value)
-
-    @classmethod
-    def from_value(cls, value: Union[int, float, Fraction]) -> "HalfIntegerOrder":
-        as_fraction = Fraction(value)
-        if as_fraction.denominator not in (1, 2):
-            raise DomainError(
-                f"order {value!r} is not an integer or half-integer"
-            )
-        return cls(int(2 * as_fraction))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice_m % 2 == 0
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice_m, 2)
-
-    def __float__(self) -> float:
-        return self.twice_m / 2.0
-
-    def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.twice_m // 2)
-        return f"{self.twice_m}/2"
-
-
-def _order_as_fraction(order: OrderLike) -> Fraction:
-    """Exact rational value of an order argument (floats convert exactly)."""
-    if isinstance(order, HalfIntegerOrder):
-        return order.as_fraction
-    if isinstance(order, bool):
-        raise DomainError(f"order must be numeric, got {order!r}")
-    if isinstance(order, (int, Fraction)):
-        return Fraction(order)
-    if isinstance(order, float):
-        if not math.isfinite(order):
-            raise DomainError(f"order must be finite, got {order!r}")
-        return Fraction(order)
-    raise DomainError(f"order must be numeric, got {order!r}")
+def _as_fraction(value: OrderLike, name: str) -> Fraction:
+    """Exact rational value of a finite real argument (floats convert exactly)."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be numeric, got {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+        return Fraction(value)
+    raise DomainError(f"{name} must be numeric, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -155,30 +103,39 @@ def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
-    """Evaluate the polynomial factor b_degree(x, m) of the associated function."""
-    degree = require_order(degree, "degree")
-    if degree > MAX_DEGREE:
-        raise DomainError(
-            f"degree {degree} exceeds the float evaluation maximum {MAX_DEGREE}"
-        )
-    m = float(_order_as_fraction(order))
-    x = float(x)
-    return math.fsum(
-        float(coeff) * x**xi * m**mj for (xi, mj), coeff in _bform_coeffs(degree).items()
+def _poly_part_ratio(degree: int, m: Fraction, x: Fraction) -> tuple[int, int]:
+    """(num, den) with num / den = b_degree(x, m) exactly."""
+    # b_degree has total degree <= degree in (x, m), and its coefficients
+    # are integers over 2^degree
+    p, q = x.numerator, x.denominator
+    a, b = m.numerator, m.denominator
+    x_terms = [p**i * q ** (degree - i) for i in range(degree + 1)]
+    m_terms = [a**j * b ** (degree - j) for j in range(degree + 1)]
+    scale = 2**degree
+    num = sum(
+        coeff.numerator * (scale // coeff.denominator) * x_terms[xi] * m_terms[mj]
+        for (xi, mj), coeff in _bform_coeffs(degree).items()
     )
+    return num, scale * q**degree * b**degree
 
 
-def _reciprocal_gamma_factor(degree: int, order_fraction: Fraction) -> float:
-    """1 / Gamma(|degree - m| + 1), exact for integer and half-integer m."""
-    diff = abs(Fraction(degree) - order_fraction)
-    if diff.denominator == 1:
-        return 1.0 / math.factorial(int(diff))
-    if diff.denominator == 2:
-        # Gamma(n + 1/2 + 1) = sqrt(pi) * gamma_half(n + 1) for integer n >= 0
-        n = (diff.numerator - 1) // 2
-        return 1.0 / (math.sqrt(math.pi) * float(gamma_half(n + 1)))
-    return 1.0 / math.gamma(float(diff) + 1.0)
+def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
+    """Evaluate the polynomial factor b_degree(x, m) of the associated function.
+
+    The sum is exact at the rational values of x and m and rounded once;
+    DomainError is raised when the value leaves the float range.
+    """
+    degree = require_order(degree, "degree")
+    num, den = _poly_part_ratio(degree, _as_fraction(order, "order"), _as_fraction(x, "x"))
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError(
+            f"b_{degree}(x={x!r}, m={order}) leaves the float range"
+        ) from None
+
+
+_LN2 = math.log(2.0)
 
 
 def assoc_legendre_gt1(degree: int, order: OrderLike, x: float) -> float:
@@ -186,17 +143,46 @@ def assoc_legendre_gt1(degree: int, order: OrderLike, x: float) -> float:
 
     Uses the real-axis normalization whose power factor is ((x+1)/(x-1))^(m/2),
     evaluated in exp/log form. Supports any real order; integer and
-    half-integer orders take exact Gamma factors.
+    half-integer orders take exact Gamma factors, folded with b_degree into
+    one rational. The rational and the power are each scaled by a power of
+    two that is applied last, so DomainError is raised only when the value
+    itself leaves the float range; a value below it is 0.0.
     """
+    degree = require_order(degree, "degree")
+    m = _as_fraction(order, "order")
     x = float(x)
     if not x > 1.0:
         raise DomainError(f"argument must be > 1, got {x!r}")
-    order_fraction = _order_as_fraction(order)
-    m = float(order_fraction)
-    power = math.exp(0.5 * m * (math.log(x + 1.0) - math.log(x - 1.0)))
-    return legendre_poly_part(degree, order_fraction, x) * power * _reciprocal_gamma_factor(
-        degree, order_fraction
-    )
+    num, den = _poly_part_ratio(degree, m, _as_fraction(x, "x"))
+    if not num:
+        return 0.0
+    diff = abs(degree - m)
+    try:
+        log_power = 0.5 * float(m) * math.log1p(2.0 / (x - 1.0))
+        log_gamma = math.lgamma(float(diff) + 1.0)
+        # log|P| to within ln 2, checked before any exact Gamma is built
+        estimate = (num.bit_length() - den.bit_length()) * _LN2 + log_power - log_gamma
+        if estimate < -747.0:
+            return 0.0 if num > 0 else -0.0
+        if estimate < 711.0:
+            # 1 / Gamma(|degree - m| + 1); Gamma(n + 3/2) = sqrt(pi) gamma_half(n + 1)
+            factor = 1.0
+            if diff.denominator == 1:
+                den *= math.factorial(diff.numerator)
+            elif diff.denominator == 2:
+                gamma = gamma_half((diff.numerator + 1) // 2)
+                num, den = num * gamma.denominator, den * gamma.numerator
+                factor = 1.0 / math.sqrt(math.pi)
+            else:
+                log_power -= log_gamma
+            # num / den = mantissa * 2^shift, |mantissa| in (1/2, 2), correctly rounded
+            shift = num.bit_length() - den.bit_length()
+            mantissa = (num << -shift) / den if shift < 0 else num / (den << shift)
+            k = round(log_power / _LN2)
+            return math.ldexp(mantissa * factor * math.exp(log_power - k * _LN2), shift + k)
+    except OverflowError:
+        pass
+    raise DomainError(f"P_{degree}^{m}(x={x!r}) leaves the float range")
 
 
 def legendre_p(degree: int, x: float) -> float:

@@ -12,8 +12,8 @@ half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 
 ``evaluate`` compiles each order tuple once, exactly, into I * k_hi^3 / pi as
 a Laurent polynomial in t = k_lo/k_hi (one per branch, k1 >= k2 or k1 < k2);
-every later call is a cached lookup plus Horner. ``quad_bessel_paired`` keeps
-the compact float form of the order-paired case.
+every later call is a cached lookup plus Horner. ``quad_bessel_paired`` and
+``triple_bessel_weighted`` read the same exact coefficients.
 """
 from __future__ import annotations
 
@@ -58,7 +58,9 @@ def triple_bessel_weighted(
     The closed form divides by the coupling 3j symbol (l1, l2, L; 0,0,0);
     PrefactorZero is raised when that symbol vanishes. Outside the momentum
     triangle (|Delta| > 1) the integral is exactly zero and a bit-exact 0.0
-    is returned.
+    is returned. The recoupling factors are the kernel's cached _side_factors.
+    DomainError is raised when the momenta are so extreme that the value or
+    an intermediate leaves the float range.
     """
     l1 = require_order(l1, "l1")
     l2 = require_order(l2, "l2")
@@ -72,52 +74,45 @@ def triple_bessel_weighted(
             f"coupling 3j symbol ({l1},{l2},{L}) vanishes; pick L inside the "
             "triangle window with l1+l2+L even"
         )
-    delta = (k1 * k1 + k2 * k2 - K * K) / (2.0 * k1 * k2)
-    if abs(delta) > 1.0:
-        return 0.0
-    # l1+l2-L is even whenever the coupling symbol is nonzero
-    sign = -1.0 if ((l1 + l2 - L) // 2) % 2 else 1.0
-    prefactor = (
-        math.pi / (4.0 * k1 * k2 * K) * sign * math.sqrt(2 * L + 1) * (k1 / K) ** L
-    )
-    parts = []
-    for split in range(L + 1):
-        binom = SignedSqrtRational(1, Fraction(math.comb(2 * L, 2 * split)))
-        momentum_pow = (k2 / k1) ** split
-        lo = max(abs(l1 - (L - split)), abs(l2 - split))
-        hi = min(l1 + L - split, l2 + split)
-        for l in range(lo, hi + 1, 2):
-            exact = (
-                binom
-                * wigner_3j_zero(l1, L - split, l)
-                * wigner_3j_zero(l2, split, l)
-                * wigner_6j(l1, l2, L, split, L - split, l)
-            ).scaled_by(2 * l + 1) / coupling
-            parts.append(exact.to_float() * momentum_pow * legendre_p(l, delta))
-    return prefactor * math.fsum(parts)
+    value = math.inf  # stays so when an intermediate leaves the float range
+    try:
+        # a square that leaves the float range makes delta inf or nan
+        delta = (k1 * k1 + k2 * k2 - K * K) / (2.0 * k1 * k2)
+        if math.isfinite(delta):
+            if abs(delta) > 1.0:
+                return 0.0
+            # l1+l2-L is even whenever the coupling symbol is nonzero
+            sign = -1.0 if ((l1 + l2 - L) // 2) % 2 else 1.0
+            prefactor = (
+                math.pi / (4.0 * k1 * k2 * K) * sign * math.sqrt(2 * L + 1) * (k1 / K) ** L
+            )
+            parts = [
+                (SignedSqrtRational(factor_sign, radicand) / coupling).to_float()
+                * (k2 / k1) ** split
+                * legendre_p(l, delta)
+                for split, l, factor_sign, radicand in _side_factors(l1, l2, L)
+            ]
+            value = prefactor * math.fsum(parts)
+    # fsum raises ValueError when the parts hold both infinities
+    except (OverflowError, ZeroDivisionError, ValueError):
+        pass
+    if not math.isfinite(value):
+        raise DomainError(
+            f"momenta k1={k1!r}, k2={k2!r}, K={K!r} are out of range for orders "
+            f"({l1}, {l2}, {L}): the value or an intermediate leaves the float range"
+        )
+    return value
 
 
 def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationReport:
-    """Compact closed form for order-paired integrals.
+    """``evaluate`` on the order-paired tuple (l1, l1, l2, l2).
 
-    Covers lambda = (l1, l1, l2, l2), i.e. integrand
-    r^2 j_l1(k1 r) j_l1(k2 r) j_l2(k1 r) j_l2(k2 r); the bridge order
-    collapses to L = 0 and the value is a single mu-sum in powers of
-    min(k1,k2)/max(k1,k2). Valid at k1 = k2.
+    The integrand is r^2 j_l1(k1 r) j_l1(k2 r) j_l2(k1 r) j_l2(k2 r); its
+    bridge order is 0 and its kernel is the single mu-sum
+    sum_mu 3j(l1, l2, mu)^2 / 4 t^(mu - 1), so the report's terms are indexed
+    by power = mu - 1. Valid at k1 = k2.
     """
-    l1 = require_order(l1, "l1")
-    l2 = require_order(l2, "l2")
-    k1 = require_momentum(k1, "k1")
-    k2 = require_momentum(k2, "k2")
-    k_lo, k_hi = min(k1, k2), max(k1, k2)
-    quarter_pi = 0.25 * math.pi
-    entries = []
-    for mu in range(abs(l1 - l2), l1 + l2 + 1, 2):
-        squared = wigner_3j_zero(l1, l2, mu).radicand
-        value = quarter_pi * float(squared) * k_lo ** (mu - 1) / k_hi ** (mu + 2)
-        entries.append(TermEntry({"mu": mu}, value))
-    total = math.fsum(entry.value for entry in entries)
-    return EvaluationReport(value=total, bridge_L=0, terms=tuple(entries), method="paired")
+    return evaluate(IntegralSpec(l1, l1, l2, l2, k1, k2))
 
 
 # evaluate re-runs Horner in exact arithmetic when the float rounding bound
@@ -205,11 +200,12 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
 class _Branch(NamedTuple):
     """One branch of a Laurent kernel: sum c_p t^p over its nonzero coefficients.
 
-    ``terms`` holds (power, Fraction, float) triples of c_p in ascending
-    power; ``numerators`` holds the same c_p as integers over ``common``.
+    Each c_p is kept once, exactly, as an integer of ``numerators`` over
+    ``common``; ``terms`` holds the matching (power, float) pairs in ascending
+    power, each float the correctly rounded numerator / common.
     """
 
-    terms: tuple[tuple[int, Fraction, float], ...]
+    terms: tuple[tuple[int, float], ...]
     numerators: tuple[int, ...]
     common: int
 
@@ -273,13 +269,13 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
         for _ in range(2 * L - 1):
             numerator = _divide_one_minus_u(numerator)
         common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
-        triples = []
-        for index, value in enumerate(numerator):
-            if value:
-                coeff = Fraction(value, common)
-                triples.append((index - 1, coeff, float(coeff)))
+        nonzero = [(index - 1, value) for index, value in enumerate(numerator) if value]
         branches.append(
-            _Branch(tuple(triples), tuple(value for value in numerator if value), common)
+            _Branch(
+                tuple((p, value / common) for p, value in nonzero),
+                tuple(value for _, value in nonzero),
+                common,
+            )
         )
     return L, tuple(branches)
 
@@ -288,7 +284,7 @@ def _horner(terms, t: float) -> tuple[float, float]:
     """(sum c_p t^p, sum |c_p| t^p) in floating point, Horner over the sparse powers."""
     total = magnitude = 0.0
     power = terms[-1][0] if terms else 0
-    for p, _, coeff in reversed(terms):
+    for p, coeff in reversed(terms):
         step = t ** (power - p)
         total = total * step + coeff
         magnitude = magnitude * step + abs(coeff)
@@ -308,7 +304,7 @@ def _horner_exact(branch: _Branch, a: int, b: int) -> tuple[int, int]:
         return 0, 1
     top = power = branch.terms[-1][0]
     total, b_power = 0, 1
-    for (p, _, _), numerator in zip(reversed(branch.terms), reversed(branch.numerators)):
+    for (p, _), numerator in zip(reversed(branch.terms), reversed(branch.numerators)):
         gap = power - p
         b_power *= b**gap
         total = total * a**gap + numerator * b_power
@@ -366,7 +362,7 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
         )
 
     def terms():
-        return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in monomials)
+        return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, coeff in monomials)
 
     method = "paired" if spec.is_order_paired() else "analytic"
     return EvaluationReport(value=value, bridge_L=L, terms=terms, method=method)

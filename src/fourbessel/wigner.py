@@ -110,20 +110,16 @@ class TriangleSelection:
 
     lo: int
     hi: int
-    parity: str  # "even" | "odd" | "any"
+    parity: str  # "even" | "odd"
 
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
-        if self.parity not in ("even", "odd", "any"):
+        if self.parity not in ("even", "odd"):
             raise ValueError(f"bad parity {self.parity!r}")
 
     def contains(self, value: int) -> bool:
-        if not self.lo <= value <= self.hi:
-            return False
-        if self.parity == "any":
-            return True
-        return value % 2 == (0 if self.parity == "even" else 1)
+        return self.lo <= value <= self.hi and value % 2 == (self.parity == "odd")
 
 
 def triangle_window(a: int, b: int) -> TriangleSelection:

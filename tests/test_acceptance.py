@@ -98,7 +98,11 @@ def test_criterion_3_general_path_matches_paired_path():
                 for mu in range(abs(l1 - l2), l1 + l2 + 1, 2)
             }
             bridge, branches = _laurent_kernel(l1, l1, l2, l2)
-            if bridge != 0 or any({p: c for p, c, _ in b.terms} != paired for b in branches):
+            coeffs = [
+                {p: Fraction(n, b.common) for (p, _), n in zip(b.terms, b.numerators, strict=True)}
+                for b in branches
+            ]
+            if bridge != 0 or any(c != paired for c in coeffs):
                 mismatched.append((l1, l2))
         outcome["passed"] = not mismatched
         outcome["detail"] = (

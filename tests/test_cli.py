@@ -405,6 +405,18 @@ def test_legendre_subcommands():
     assert run_cli("legendre", "assoc", "--l", "0", "--m", "1/3", "--x", "2").returncode == 0
 
 
+def test_legendre_assoc_near_one_and_out_of_range():
+    # b_12(x, 3) cancels about 1e13-fold at x = 1 + 1e-7; mpmath's
+    # legenp(12, 3, x, type=3) is 6.7149247327822e-06
+    near_one = run_cli("legendre", "assoc", "--l", "12", "--m", "3", "--x", "1.0000001")
+    assert near_one.returncode == 0
+    assert float(near_one.stdout) == pytest.approx(6.7149247327822e-06, rel=1e-14)
+    # x^2 leaves the float range: a usage error, not a traceback
+    huge = run_cli("legendre", "assoc", "--l", "2", "--m", "1/2", "--x", "1e200")
+    assert huge.returncode == 64
+    assert "float range" in huge.stderr and "Traceback" not in huge.stderr
+
+
 def test_oracle_subcommands():
     quad = run_cli("oracle", "quad", "--l1", "0", "--l2", "0", "--l3", "0", "--l4", "0",
                    "--k1", "1", "--k2", "2")

@@ -12,8 +12,6 @@ from numpy.polynomial import legendre as npleg
 
 from fourbessel.errors import DomainError
 from fourbessel.legendre import (
-    MAX_DEGREE,
-    HalfIntegerOrder,
     _bform_coeffs,
     assoc_legendre_gt1,
     bform_band_coeffs,
@@ -63,16 +61,87 @@ def test_poly_part_coefficients_match_reference(degree):
     assert dict(_bform_coeffs(degree)) == _reference_poly_coeffs(degree)
 
 
-def test_poly_part_degree_gate():
-    # the float evaluators stop at MAX_DEGREE; the exact coefficients do not
-    assert legendre_poly_part(MAX_DEGREE, Fraction(-1, 2), 1e9) != 0.0
-    with pytest.raises(DomainError):
-        legendre_poly_part(MAX_DEGREE + 1, Fraction(-1, 2), 2.0)
+# every integer and half-integer order from -25/2 to 25/2
+POLY_PART_ORDERS = [Fraction(twice_m, 2) for twice_m in range(-25, 26)]
+
+
+@pytest.mark.parametrize("degree", range(0, 23))
+def test_poly_part_is_the_correctly_rounded_exact_value(degree):
+    # b_degree(x, m) summed in Fractions from the independent reference
+    # coefficients, then rounded once; near x = 1 the terms cancel by many
+    # orders of magnitude, which a float sum of the monomials does not survive
+    reference = _reference_poly_coeffs(degree)
+    assert dict(_bform_coeffs(degree)) == reference
+    for x in (1.0 + 1e-7, 1.001, 1.1, 1.5, 2.0, 10.0):
+        exact_x = Fraction(x)
+        by_power = {}
+        for (xi, mj), coeff in reference.items():
+            by_power.setdefault(mj, []).append(coeff * exact_x**xi)
+        in_x = {mj: sum(parts) for mj, parts in by_power.items()}
+        for m in POLY_PART_ORDERS:
+            exact = sum(value * m**mj for mj, value in in_x.items())
+            assert legendre_poly_part(degree, m, x) == float(exact), (degree, m, x)
+
+
+def test_poly_part_raises_only_when_the_value_leaves_the_float_range():
+    assert legendre_poly_part(12, Fraction(-1, 2), 1e9) == float(
+        sum(
+            c * Fraction(10**9) ** xi * Fraction(-1, 2) ** mj
+            for (xi, mj), c in _reference_poly_coeffs(12).items()
+        )
+    )
+    # b_40 at x = 1e9 is about 1e360
     with pytest.raises(DomainError):
         legendre_poly_part(40, Fraction(-1, 2), 1e9)
     with pytest.raises(DomainError):
-        assoc_legendre_gt1(MAX_DEGREE + 1, Fraction(-1, 2), 2.0)
-    assert dict(_bform_coeffs(MAX_DEGREE + 1)) == _reference_poly_coeffs(MAX_DEGREE + 1)
+        legendre_poly_part(2, Fraction(1, 2), math.inf)
+
+
+def _mpmath_legenp(degree, order, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.mpf(order.numerator) / order.denominator
+        return float(mpmath.legenp(degree, m, mpmath.mpf(x), type=3))
+
+
+@pytest.mark.parametrize(
+    "degree, order, x",
+    [
+        # b_12 cancels about 1e13-fold at x = 1 + 1e-7
+        (12, Fraction(3), 1.0000001),
+        (12, Fraction(15, 2), 1.1),
+        # |degree - m| > 170: 1 / Gamma(|degree - m| + 1) alone is below the
+        # float range, the value is not
+        (12, Fraction(-160), 10.0),
+        (12, Fraction(-321, 2), 10.0),
+        (3, Fraction(-341, 2), 1.5),
+    ],
+)
+def test_assoc_matches_mpmath(degree, order, x):
+    reference = _mpmath_legenp(degree, order, x)
+    assert assoc_legendre_gt1(degree, order, x) == pytest.approx(reference, rel=1e-14)
+
+
+def test_assoc_out_of_range_raises_domain_error():
+    # x^2 leaves the float range
+    with pytest.raises(DomainError, match="float range"):
+        assoc_legendre_gt1(2, Fraction(1, 2), 1e200)
+    # ((x+1)/(x-1))^350 / 700! is about 1e855
+    with pytest.raises(DomainError, match="float range"):
+        assoc_legendre_gt1(0, 700, 1.0000001)
+    # degree 13 and up were refused by a degree cap; they are values now
+    assert assoc_legendre_gt1(13, Fraction(-1, 2), 2.0) == pytest.approx(
+        _mpmath_legenp(13, Fraction(-1, 2), 2.0), rel=1e-14
+    )
+
+
+def test_assoc_far_below_the_float_range_is_zero():
+    # ((x+1)/(x-1))^(m/2) / Gamma(|m| + 1) underflows; no exact Gamma of a
+    # huge argument is built on the way
+    assert assoc_legendre_gt1(0, 10**7, 2.0) == 0.0
+    assert assoc_legendre_gt1(0, -1e300, 2.0) == 0.0
+    with pytest.raises(DomainError):
+        assoc_legendre_gt1(0, Fraction(1, 3), math.inf)
 
 
 # degree 21 is the b_(L-1) of bridge order L = 22
@@ -90,27 +159,6 @@ def test_band_coeffs_equal_the_scaled_polynomial_part_exactly(degree):
             direct = sum(c * x**xi * m**mj for (xi, mj), c in reference.items())
             expanded = sum(c * u**k for k, c in enumerate(coeffs))
             assert expanded == 4**degree * (1 - u) ** degree * direct, (twice_m, u)
-
-
-# --------------------------------------------------------------------------
-# half-integer order plumbing
-# --------------------------------------------------------------------------
-
-
-def test_half_integer_order_parse():
-    assert HalfIntegerOrder.parse("-1/2").as_fraction == Fraction(-1, 2)
-    assert HalfIntegerOrder.parse("-0.5").as_fraction == Fraction(-1, 2)
-    assert HalfIntegerOrder.parse("2").as_fraction == Fraction(2)
-    assert HalfIntegerOrder.parse("3/2").as_fraction == Fraction(3, 2)
-    assert float(HalfIntegerOrder.parse("-5/2")) == -2.5
-    assert HalfIntegerOrder.parse("1").is_integer
-    assert not HalfIntegerOrder.parse("1/2").is_integer
-    with pytest.raises(DomainError):
-        HalfIntegerOrder.parse("1/3")
-    with pytest.raises(DomainError):
-        HalfIntegerOrder.parse("socks")
-    with pytest.raises(DomainError):
-        HalfIntegerOrder.from_value(0.3)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourbessel
-from fourbessel import core, errors, quadbessel
+from fourbessel import core, errors, legendre, quadbessel
 from fourbessel.core import EvaluationReport, IntegralSpec, TermEntry
 from fourbessel.errors import (
     DomainError,
@@ -29,7 +30,13 @@ from fourbessel.quadbessel import (
     quad_bessel_paired,
     triple_bessel_weighted,
 )
-from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
+from fourbessel.legendre import legendre_p
+from fourbessel.wigner import (
+    SignedSqrtRational,
+    select_bridge_order,
+    wigner_3j_zero,
+    wigner_6j,
+)
 
 
 # reference values for the four-Bessel integral, derived once by
@@ -201,6 +208,66 @@ def test_triple_momentum_exchange_symmetry():
     assert forward == pytest.approx(swapped, rel=1e-13)
 
 
+def _reference_triple_bessel_weighted(l1, l2, L, k1, k2, K):
+    """The closed form's own recoupling loop, as triple_bessel_weighted ran it
+    before it read the kernel's cached side factors."""
+    coupling = wigner_3j_zero(l1, l2, L)
+    if coupling.is_zero:
+        raise PrefactorZero("coupling 3j symbol vanishes")
+    delta = (k1 * k1 + k2 * k2 - K * K) / (2.0 * k1 * k2)
+    if abs(delta) > 1.0:
+        return 0.0
+    sign = -1.0 if ((l1 + l2 - L) // 2) % 2 else 1.0
+    prefactor = (
+        math.pi / (4.0 * k1 * k2 * K) * sign * math.sqrt(2 * L + 1) * (k1 / K) ** L
+    )
+    parts = []
+    for split in range(L + 1):
+        binom = SignedSqrtRational(1, Fraction(math.comb(2 * L, 2 * split)))
+        momentum_pow = (k2 / k1) ** split
+        lo = max(abs(l1 - (L - split)), abs(l2 - split))
+        hi = min(l1 + L - split, l2 + split)
+        for l in range(lo, hi + 1, 2):
+            exact = (
+                binom
+                * wigner_3j_zero(l1, L - split, l)
+                * wigner_3j_zero(l2, split, l)
+                * wigner_6j(l1, l2, L, split, L - split, l)
+            ).scaled_by(2 * l + 1) / coupling
+            parts.append(exact.to_float() * momentum_pow * legendre_p(l, delta))
+    return prefactor * math.fsum(parts)
+
+
+def test_triple_equals_the_reference_loop_bit_for_bit():
+    compared = 0
+    for l1, l2, bridge in itertools.product(range(6), repeat=3):
+        if wigner_3j_zero(l1, l2, bridge).is_zero:
+            with pytest.raises(PrefactorZero):
+                triple_bessel_weighted(l1, l2, bridge, 1.0, 2.0, 2.5)
+            continue
+        for momenta in ((1.0, 2.0, 2.5), (1.0, 1.0, 1.0), (0.3, 0.7, 0.9), (2.0, 3.0, 4.9)):
+            value = triple_bessel_weighted(l1, l2, bridge, *momenta)
+            reference = _reference_triple_bessel_weighted(l1, l2, bridge, *momenta)
+            assert value.hex() == reference.hex(), (l1, l2, bridge, momenta)
+            compared += 1
+    # 69 of the 216 triads have a nonzero coupling symbol
+    assert compared == 4 * 69
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 0, 0, 1e-110, 1e-110, 1e-110),  # pi / (4 k1 k2 K) divides by an underflowed 0
+        (2, 2, 2, 1e200, 1e200, 1e200),  # k^2 overflows: delta is nan
+        (0, 0, 0, 1.4e154, 6e153, 1.3e154),  # k1^2 overflows alone: delta is inf
+    ],
+)
+def test_triple_out_of_range_momenta_raise_domain_error(args):
+    named = re.escape(f"k1={args[3]!r}, k2={args[4]!r}, K={args[5]!r}")
+    with pytest.raises(DomainError, match=named):
+        triple_bessel_weighted(*args)
+
+
 def test_triple_scale_covariance():
     base = triple_bessel_weighted(2, 2, 2, 2.0, 3.0, 4.0)
     for scale in (0.5, 2.0, 10.0):
@@ -230,20 +297,32 @@ def test_paired_closed_values():
 def test_paired_agrees_with_general_path():
     # the kernel of (a, a, b, b), built by the general recoupling, is the
     # paired closed form {mu - 1: 3j(a, b, mu)^2 / 4} as Fractions on both
-    # branches, and the paired float path sums those monomials
+    # branches; quad_bessel_paired reports its monomials, one per mu, at
+    # power mu - 1
     for a in range(4):
         for b in range(4):
             paired = quad_bessel_paired(a, b, 1.0, 2.0)
             assert paired.method == "paired" and paired.bridge_L == 0
-            mus = [term.indices["mu"] for term in paired.terms]
-            expected = {mu - 1: Fraction(1, 4) * wigner_3j_zero(a, b, mu).radicand for mu in mus}
+            expected = {
+                mu - 1: Fraction(1, 4) * wigner_3j_zero(a, b, mu).radicand
+                for mu in range(abs(a - b), a + b + 1, 2)
+            }
+            assert [term.indices for term in paired.terms] == [
+                {"power": p} for p in sorted(expected)
+            ]
             bridge, branches = _laurent_kernel(a, a, b, b)
             assert bridge == 0
             for branch in branches:
                 assert _kernel_dict(branch) == expected, (a, b)
-            # I = pi / k_hi^3 * sum c_p t^p at k = (1, 2)
+            # I = pi / k_hi^3 * sum c_p t^p at k = (1, 2), each term pi/8 c_p 2^-p
+            for term in paired.terms:
+                p = term.indices["power"]
+                exact = math.pi * float(expected[p] * Fraction(1, 2) ** p / 8)
+                assert term.value == pytest.approx(exact, rel=1e-15), (a, b, p)
             exact = sum(c * Fraction(1, 2) ** p for p, c in expected.items()) / 8
             assert paired.value == pytest.approx(math.pi * float(exact), rel=1e-12), (a, b)
+            general = evaluate(IntegralSpec(a, a, b, b, 1.0, 2.0))
+            assert paired.value.hex() == general.value.hex()
 
 
 def test_evaluate_dispatches_on_order_pairing():
@@ -394,8 +473,15 @@ def test_quad_no_valid_bridge():
 def test_report_structure_and_term_sums():
     paired = quad_bessel_paired(1, 2, 1.0, 2.0)
     assert paired.bridge_L == 0
-    assert all(set(term.indices) == {"mu"} for term in paired.terms)
+    # mu = 1, 3 at powers mu - 1
+    assert [term.indices for term in paired.terms] == [{"power": 0}, {"power": 2}]
     assert paired.recomputed_sum() == pytest.approx(paired.value, rel=1e-13)
+
+
+def test_paired_out_of_range_momenta_raise_domain_error():
+    # the float mu-sum returned inf here
+    with pytest.raises(DomainError, match="k1=1e-110, k2=1e-110"):
+        quad_bessel_paired(0, 0, 1e-110, 1e-110)
 
 
 # --------------------------------------------------------------------------
@@ -404,14 +490,18 @@ def test_report_structure_and_term_sums():
 
 
 def _kernel_dict(branch):
-    return {power: coeff for power, coeff, _ in branch.terms}
+    return {
+        power: Fraction(n, branch.common)
+        for (power, _), n in zip(branch.terms, branch.numerators, strict=True)
+    }
 
 
 def _reference_horner_exact(branch, t: Fraction) -> Fraction:
     """sum c_p t^p in Fraction arithmetic, as evaluate computed its exact fallback."""
     total = Fraction(0)
+    coeffs = _kernel_dict(branch)
     power = branch.terms[-1][0] if branch.terms else 0
-    for p, coeff, _ in reversed(branch.terms):
+    for p, coeff in reversed(coeffs.items()):
         total = total * t ** (power - p) + coeff
         power = p
     return total * t**power
@@ -422,7 +512,7 @@ def _eager_terms(orders, k1, k2):
     _, (k1_high, k2_high) = _laurent_kernel(*orders)
     k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
     t, scale = k_lo / k_hi, math.pi / k_hi**3
-    return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, _, coeff in branch.terms)
+    return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, coeff in branch.terms)
 
 
 @pytest.mark.parametrize("u", [*range(1, 17), math.inf])
@@ -458,10 +548,23 @@ def test_paired_kernel_is_the_paired_closed_form(a):
         assert bridge == 0
         for branch in branches:
             assert _kernel_dict(branch) == expected, (a, b)
-            assert all(isinstance(coeff, Fraction) for _, coeff, _ in branch.terms)
-            assert [Fraction(n, branch.common) for n in branch.numerators] == [
-                coeff for _, coeff, _ in branch.terms
-            ]
+            _assert_floats_are_the_rounded_numerators(branch)
+
+
+def _assert_floats_are_the_rounded_numerators(branch):
+    assert len(branch.terms) == len(branch.numerators)
+    for (_, coeff), n in zip(branch.terms, branch.numerators):
+        assert isinstance(n, int) and n != 0
+        assert coeff.hex() == (n / branch.common).hex() == float(Fraction(n, branch.common)).hex()
+    powers = [p for p, _ in branch.terms]
+    assert powers == sorted(set(powers))
+
+
+def test_every_kernel_float_is_its_rounded_numerator():
+    for orders in itertools.product(range(5), repeat=4):
+        kernel = _kernel_or_none(orders)
+        for branch in kernel or ():
+            _assert_floats_are_the_rounded_numerators(branch)
 
 
 def _kernel_or_none(orders):
@@ -609,8 +712,9 @@ def test_kernel_build_refuses_instead_of_rounding():
     "orders", [(L, 0, L, 0) for L in range(14, 23)] + [(25, 3, 24, 2), (14, 14, 14, 14)]
 )
 def test_evaluate_past_the_legendre_degree_limit(orders):
-    # bridge orders 14 to 22 need b_13 to b_21, past the float evaluators'
-    # MAX_DEGREE; the kernel builds them in integers
+    # bridge orders 14 to 22 need b_13 to b_21, past the degree cap of 12
+    # that the float Legendre evaluators once had; the kernel builds them in
+    # integers
     for k1, k2 in ((1.0, 2.0), (2.0, 1.0), (1.5, 1.5), (0.7, 3.3)):
         value = evaluate(IntegralSpec(*orders, k1, k2)).value
         exact = math.pi * float(_mellin_over_pi(orders, k1, k2))
@@ -695,17 +799,20 @@ RETIRED_NAMES = (
     "legendre_ratio_integral",
     "DEGENERATE_THRESHOLD",
     "DegenerateMomenta",
+    "HalfIntegerOrder",
+    "MAX_DEGREE",
 )
 
 
 def test_public_names_resolve_and_retired_names_are_gone():
     for module in (fourbessel, quadbessel):
         assert all(hasattr(module, name) for name in module.__all__), module.__name__
-    # the float term-by-term assembly, its band and ratio integrals and its
-    # degeneracy gate left the package; evaluate's exact kernel replaces them
+    # the float term-by-term assembly, its band and ratio integrals, its
+    # degeneracy gate and the Legendre degree cap left the package; exact
+    # coefficients replace them. HalfIntegerOrder had no caller.
     for name in RETIRED_NAMES:
         assert name not in fourbessel.__all__ and name not in quadbessel.__all__
-        for module in (fourbessel, quadbessel, core, errors):
+        for module in (fourbessel, quadbessel, legendre, core, errors):
             assert not hasattr(module, name), (module.__name__, name)
 
 

@@ -274,6 +274,11 @@ def test_triangle_selection_validation():
         TriangleSelection(3, 1, "even")
     with pytest.raises(ValueError):
         TriangleSelection(0, 2, "both")
+    # triangle_window only produces "even" and "odd"
+    with pytest.raises(ValueError):
+        TriangleSelection(0, 2, "any")
+    odd = TriangleSelection(1, 5, "odd")
+    assert [j for j in range(7) if odd.contains(j)] == [1, 3, 5]
 
 
 @pytest.mark.parametrize(
