@@ -44,10 +44,8 @@ from .quadbessel import (
 )
 from .wigner import (
     SignedSqrtRational,
-    TriangleSelection,
     gamma_half,
     select_bridge_order,
-    triangle_window,
     wigner_3j_zero,
     wigner_6j,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "QuadratureConfig",
     "SignedSqrtRational",
     "TermEntry",
-    "TriangleSelection",
     "assoc_legendre_gt1",
     "evaluate",
     "gamma_half",
@@ -77,7 +74,6 @@ __all__ = [
     "quad_bessel_paired",
     "select_bridge_order",
     "spherical_bessel_j",
-    "triangle_window",
     "triple_bessel_numeric",
     "triple_bessel_weighted",
     "wigner_3j_zero",

@@ -6,8 +6,9 @@ past the last Bessel turning point:
 
 * head [0, R]: uniform Gauss panels sized to the fastest oscillation, with
   the integrand evaluated directly through the Bessel recurrences of
-  ``spherical_bessel_j``. A 12-node and an 8-node rule share one row of nodes
-  per panel; their difference is the head's error estimate;
+  ``_bessel_sweep``, the code behind ``spherical_bessel_j``. A 12-node and
+  an 8-node rule share one row of nodes per panel; their difference is the
+  head's error estimate;
 * tail [R, inf): the product is rewritten exactly (Rayleigh trigonometric
   forms, product-to-sum identities, rational coefficient arithmetic) as a sum
   of components coeff * r^(-m) * {cos,sin}(omega r). Each component tail is
@@ -115,37 +116,25 @@ def _double_factorial_odd(n: int) -> float:
 def spherical_bessel_j(n, x):
     """j_n(x) for finite x >= 0; accepts scalars or numpy arrays (returns float/array).
 
-    ``n`` may also be a tuple of orders: the result is then a tuple with one
-    float/array per order (a repeated order shares one array). The orders
-    share one pass: sin and cos are computed once over all the points, and
-    one upward recurrence runs to the largest order, keeping each requested
-    order on its way. Every value
-    is bit-identical to the single-order call, which is the same code with a
-    one-order tuple.
-
-    Regimes per order: j_0 = sin(x)/x; j_1 by its closed form from x = 0.5;
-    for n >= 2 the upward trigonometric recurrence for x >= n+1 and the
-    downward (Miller) recurrence, renormalized against j_0, on [0.5, n+1).
-    Below x = 0.5 every order n >= 1 takes the Taylor series, and
-    j_n(0) = delta_{n,0} exactly. NaN, infinite or negative x raises
-    DomainError.
+    Regimes: j_0 = sin(x)/x; j_1 by its closed form from x = 0.5; for n >= 2
+    the upward trigonometric recurrence for x >= n+1 and the downward
+    (Miller) recurrence, renormalized against j_0, on [0.5, n+1). Below
+    x = 0.5 every order n >= 1 takes the Taylor series, and j_n(0) =
+    delta_{n,0} exactly. NaN, infinite or negative x raises DomainError.
+    The values come from _bessel_sweep, which the oracle's head runs for
+    several orders at once.
     """
     import numpy as np
 
-    several = isinstance(n, tuple)
-    wanted = tuple(require_order(m, "n") for m in n) if several else (require_order(n, "n"),)
+    n = require_order(n, "n")
     arr = np.asarray(x, dtype=float)
     lowest = arr.min() if arr.size else math.inf
     # min and max propagate NaN, and every comparison with NaN is false
     if not (0.0 <= lowest and (arr.size == 0 or arr.max() < math.inf)):
         raise DomainError("spherical_bessel_j requires finite x >= 0")
     flat = arr.reshape(-1)
-    values = _bessel_sweep(sorted(set(wanted)), flat, lowest, (np.sin(flat), np.cos(flat)))
-    if arr.ndim == 0:
-        results = tuple(float(values[m][0]) for m in wanted)
-    else:
-        results = tuple(values[m].reshape(arr.shape) for m in wanted)
-    return results if several else results[0]
+    values = _bessel_sweep([n], flat, lowest, (np.sin(flat), np.cos(flat)))[n]
+    return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
 
 def _trig_start(n: int) -> float:
@@ -720,8 +709,16 @@ def _head_integral(
         orders = sorted({factors[i][0] for i in members})
         phase = k * offsets
         sweeps.append((k, members, orders, np.sin(phase)[:, None], np.cos(phase)[:, None]))
-    fine_rows = np.empty(n_panels)
-    coarse_rows = np.empty(n_panels)
+    try:
+        fine_rows = np.empty(n_panels)
+        coarse_rows = np.empty(n_panels)
+    except (ValueError, MemoryError):
+        # numpy refuses a length past its index range with ValueError
+        momenta = tuple(dict.fromkeys(k for _, k in factors))
+        raise DomainError(
+            f"momenta {momenta!r} are too far apart for the oracle: the head needs "
+            "more panels than can be allocated"
+        ) from None
     bessel = [None] * len(factors)
     for lo in range(0, n_panels, _HEAD_BLOCK_PANELS):
         hi = min(lo + _HEAD_BLOCK_PANELS, n_panels)

@@ -10,10 +10,11 @@ weighted triple-Bessel integrals, and the leftover radial integral over the
 momentum band [|k1-k2|, k1+k2] reduces to associated Legendre functions of
 half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 
-``evaluate`` compiles each order tuple once, exactly, into I * k_hi^3 / pi as
-a Laurent polynomial in t = k_lo/k_hi (one per branch, k1 >= k2 or k1 < k2);
-every later call is a cached lookup plus Horner. ``quad_bessel_paired`` and
-``triple_bessel_weighted`` read the same exact coefficients.
+``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
+a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
+of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. Every later call is a
+cached lookup plus Horner. ``quad_bessel_paired`` and ``triple_bessel_weighted``
+read the same exact coefficients.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
 
 
 class _Branch(NamedTuple):
-    """One branch of a Laurent kernel: sum c_p t^p over its nonzero coefficients.
+    """A Laurent kernel: sum c_p t^p over its nonzero coefficients.
 
     Each c_p is kept once, exactly, as an integer of ``numerators`` over
     ``common``; ``terms`` holds the matching (power, float) pairs in ascending
@@ -212,20 +213,22 @@ class _Branch(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
-    """Compile one order tuple into I * k_hi^3 / pi as exact Laurent polynomials.
+    """Compile one order tuple into I * k1^3 / pi for k1 >= k2, an exact Laurent polynomial.
 
-    Returns (L, (k1_high, k2_high)): the bridge order and the _Branch of each
-    case k1 >= k2 and k1 < k2, in powers of t = k_lo/k_hi. Built once,
-    exactly, from the paper's bridge recoupling (_side_factors) and band
-    integral (_band_series): every coupling product is a perfect square, and
-    (1 - t^2)^(2L-1) divides the assembled numerator with zero remainder.
-    Either failing raises ArithmeticError.
+    Returns (L, branch): the bridge order and the _Branch in powers of
+    t = k2/k1. The case k1 < k2 is the kernel of the exchanged tuple
+    (l2, l1, l4, l3), since trading the momenta together with their orders
+    leaves the integral unchanged. Built once, exactly, from the paper's
+    bridge recoupling (_side_factors) and band integral (_band_series): every
+    coupling product is a perfect square, and (1 - t^2)^(2L-1) divides the
+    assembled numerator with zero remainder. Either failing raises
+    ArithmeticError.
     """
     L = select_bridge_order(l1, l2, l3, l4)
+    # Neither side is empty: its s = 0, l = lb factor is
+    # 3j(la,L,lb) 3j(lb,0,lb) 6j(la,lb,L;0,L,lb) (2lb+1), nonzero for a bridge-valid L.
     left = _side_factors(l1, l2, L)
     right = _side_factors(l3, l4, L)
-    if not left or not right:
-        return L, (_Branch((), (), 1), _Branch((), (), 1))
     # The global weight (2L+1) (-1)^half_phase / (3j(l1,l2,L) 3j(l3,l4,L)) has
     # radicand G. Each term's coupling product is sign * sqrt(G R_left R_right),
     # a rational; with R0 = G times the first left radicand R1 it splits
@@ -252,32 +255,24 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
             grouped[key] = grouped.get(key, 0) + a * b
     series = {key[:2]: _band_series(key[0], key[1], L) for key in grouped}
     series_den = math.lcm(*(den for den, _ in series.values()))
-    # I k_hi^3 / pi = (1/8) sum W t^e G(t) / (d 4^(L-1) (1-u)^(2L-1)), with
-    # e = s+s'-1 when k1 >= k2 and e = 2L-1-(s+s') when k1 < k2. Index i of a
-    # numerator holds the power i - 1, the lowest being t^-1.
-    size = 2 * L + 1 + max(len(g) for _, g in series.values())
-    branches = []
-    for k2_high in (False, True):
-        numerator = [0] * size
-        for (lo, hi, total), weight in grouped.items():
-            den, g = series[(lo, hi)]
-            factor = weight * (series_den // den)
-            offset = 2 * L - total if k2_high else total
-            for index, value in enumerate(g):
-                if value:
-                    numerator[offset + index] += factor * value
-        for _ in range(2 * L - 1):
-            numerator = _divide_one_minus_u(numerator)
-        common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
-        nonzero = [(index - 1, value) for index, value in enumerate(numerator) if value]
-        branches.append(
-            _Branch(
-                tuple((p, value / common) for p, value in nonzero),
-                tuple(value for _, value in nonzero),
-                common,
-            )
-        )
-    return L, tuple(branches)
+    # I k1^3 / pi = (1/8) sum W t^(s+s'-1) G(t) / (d 4^(L-1) (1-u)^(2L-1)).
+    # Index i of the numerator holds the power i - 1, the lowest being t^-1.
+    numerator = [0] * (2 * L + 1 + max(len(g) for _, g in series.values()))
+    for (lo, hi, total), weight in grouped.items():
+        den, g = series[(lo, hi)]
+        factor = weight * (series_den // den)
+        for index, value in enumerate(g):
+            if value:
+                numerator[total + index] += factor * value
+    for _ in range(2 * L - 1):
+        numerator = _divide_one_minus_u(numerator)
+    common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
+    nonzero = [(index - 1, value) for index, value in enumerate(numerator) if value]
+    return L, _Branch(
+        tuple((p, value / common) for p, value in nonzero),
+        tuple(value for _, value in nonzero),
+        common,
+    )
 
 
 def _horner(terms, t: float) -> tuple[float, float]:
@@ -325,9 +320,11 @@ def _horner_exact(branch: _Branch, a: int, b: int) -> tuple[int, int]:
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
     """Value of the integral from the order tuple's cached Laurent kernel.
 
-    The first call per order tuple builds the kernel exactly; later calls run
-    a float Horner at t = k_lo/k_hi, or an exact integer one when the
-    coefficients' cancellation bound says the float result could lose digits.
+    The first call per order tuple builds the kernel exactly; k1 < k2 reads
+    the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
+    integral. Later calls run a float Horner at t = k_lo/k_hi, or an exact
+    integer one when the coefficients' cancellation bound says the float
+    result could lose digits.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.
@@ -335,12 +332,14 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     DomainError is raised when the momenta are so far apart or so extreme
     that the value or an intermediate leaves the float range.
     """
-    L, (k1_high, k2_high) = _laurent_kernel(*spec.orders)
     k1, k2 = spec.k1, spec.k2
     if k1 < k2:
-        k_lo, k_hi, branch = k1, k2, k2_high
+        l1, l2, l3, l4 = spec.orders
+        L, branch = _laurent_kernel(l2, l1, l4, l3)
+        k_lo, k_hi = k1, k2
     else:
-        k_lo, k_hi, branch = k2, k1, k1_high
+        L, branch = _laurent_kernel(*spec.orders)
+        k_lo, k_hi = k2, k1
     t = k_lo / k_hi
     monomials = branch.terms
     try:

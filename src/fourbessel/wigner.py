@@ -104,31 +104,6 @@ class SignedSqrtRational:
         return f"{'+' if self.sign > 0 else '-'}sqrt({body})"
 
 
-@dataclass(frozen=True)
-class TriangleSelection:
-    """Allowed window [lo, hi] and parity class for a coupled angular momentum."""
-
-    lo: int
-    hi: int
-    parity: str  # "even" | "odd"
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty window: lo={self.lo} > hi={self.hi}")
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"bad parity {self.parity!r}")
-
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi and value % 2 == (self.parity == "odd")
-
-
-def triangle_window(a: int, b: int) -> TriangleSelection:
-    """Window of j coupling to a and b with a zero-projection 3j symbol."""
-    a = require_order(a, "a")
-    b = require_order(b, "b")
-    return TriangleSelection(abs(a - b), a + b, "even" if (a + b) % 2 == 0 else "odd")
-
-
 def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b
 
@@ -204,23 +179,26 @@ def gamma_half(n: int) -> Fraction:
 def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:
     """Smallest L compatible with both order pairs.
 
-    L must lie in both triangle windows and make both zero-projection 3j
-    prefactors nonzero, which adds the two parity constraints. Raises
-    NoValidBridge when the parities disagree or the windows do not intersect.
+    L must lie in both triangle windows [|l1-l2|, l1+l2] and [|l3-l4|, l3+l4]
+    and make both zero-projection 3j prefactors nonzero, which adds the two
+    parity constraints L = l1+l2 = l3+l4 (mod 2). Raises NoValidBridge when
+    the parities disagree or the windows do not intersect.
     """
-    w12 = triangle_window(l1, l2)
-    w34 = triangle_window(l3, l4)
-    if w12.parity != w34.parity:
+    l1, l2, l3, l4 = (
+        require_order(value, f"l{index}") for index, value in enumerate((l1, l2, l3, l4), 1)
+    )
+    if (l1 + l2 - l3 - l4) % 2:
         raise NoValidBridge(
             "no parity-valid bridge order: "
             f"l1+l2={l1 + l2} and l3+l4={l3 + l4} have different parities"
         )
+    lo12, hi12 = abs(l1 - l2), l1 + l2
+    lo34, hi34 = abs(l3 - l4), l3 + l4
     # |a-b| and a+b share parity, so the larger window floor is parity-valid
-    candidate = max(w12.lo, w34.lo)
-    hi = min(w12.hi, w34.hi)
-    if candidate > hi:
+    candidate = max(lo12, lo34)
+    if candidate > min(hi12, hi34):
         raise NoValidBridge(
             "no parity-valid bridge order: "
-            f"triangle windows [{w12.lo},{w12.hi}] and [{w34.lo},{w34.hi}] are disjoint"
+            f"triangle windows [{lo12},{hi12}] and [{lo34},{hi34}] are disjoint"
         )
     return candidate

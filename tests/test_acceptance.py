@@ -90,23 +90,23 @@ def test_criterion_2_paired_grid_vs_oracle():
 def test_criterion_3_general_path_matches_paired_path():
     with criterion(3) as outcome:
         # the kernel built by the general recoupling against the paired closed
-        # form {mu - 1: 3j(l1, l2, mu)^2 / 4}, as Fractions on both branches
+        # form {mu - 1: 3j(l1, l2, mu)^2 / 4}, as Fractions; (l1, l1, l2, l2) is
+        # its own momentum exchange, so both momentum orders read this kernel
         mismatched = []
         for l1, l2 in itertools.product(range(4), repeat=2):
             paired = {
                 mu - 1: Fraction(1, 4) * wigner_3j_zero(l1, l2, mu).radicand
                 for mu in range(abs(l1 - l2), l1 + l2 + 1, 2)
             }
-            bridge, branches = _laurent_kernel(l1, l1, l2, l2)
-            coeffs = [
-                {p: Fraction(n, b.common) for (p, _), n in zip(b.terms, b.numerators, strict=True)}
-                for b in branches
-            ]
-            if bridge != 0 or any(c != paired for c in coeffs):
+            bridge, b = _laurent_kernel(l1, l1, l2, l2)
+            coeffs = {
+                p: Fraction(n, b.common) for (p, _), n in zip(b.terms, b.numerators, strict=True)
+            }
+            if bridge != 0 or coeffs != paired:
                 mismatched.append((l1, l2))
         outcome["passed"] = not mismatched
         outcome["detail"] = (
-            f"16 order pairs, both branches: general kernel equals the paired closed form "
+            f"16 order pairs, both momentum orders: general kernel equals the paired closed form "
             f"as Fractions: {'yes' if not mismatched else f'NO at {mismatched}'}"
         )
 

@@ -1,7 +1,9 @@
 """The benchmark under perfbench/ imports from fourbessel; every name it imports must exist.
 
 The files are parsed, never imported or changed: an API removal that would stop
-the benchmark or its tests from collecting fails here instead.
+the benchmark or its tests from collecting fails here instead. The same holds
+for the names the benchmark's tracer wraps: a removed name is traced as
+nothing, which would silently blind its per-layer view.
 """
 from __future__ import annotations
 
@@ -73,3 +75,50 @@ def test_every_name_the_benchmark_imports_resolves():
             except ImportError:
                 missing.append((filename, module_name, name))
     assert not missing, missing
+
+
+# tracer hooks on names the package has already retired; the tracer reports
+# them as absent. A name may leave this set, never join it.
+ABSENT_TRACER_HOOKS = {
+    ("fourbessel.quadbessel", "legendre_poly_part"),
+    ("fourbessel.quadbessel", "legendre_band_integral"),
+    ("fourbessel.quadbessel", "quad_bessel_analytic"),
+}
+
+
+def _tracer_constants():
+    """The tracer's module-level HOOKS, EXACT_CLASS, EXACT_METHODS and CACHED literals."""
+    path = PERFBENCH / "tracer.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    wanted = {"HOOKS", "EXACT_CLASS", "EXACT_METHODS", "CACHED"}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in wanted:
+                found[target.id] = ast.literal_eval(node.value)
+    assert set(found) == wanted, sorted(found)
+    return found
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    constants = _tracer_constants()
+    targets = [(module, name) for module, name, _ in constants["HOOKS"]]
+    targets += list(constants["CACHED"])
+    exact_module, exact_class = constants["EXACT_CLASS"]
+    targets.append((exact_module, exact_class))
+    # the hooks the tracer has today, so the parser cannot find nothing
+    assert ("fourbessel.cli", "evaluate") in targets
+    assert ("fourbessel.wigner", "wigner_6j") in targets
+    absent = {
+        (module, name)
+        for module, name in targets
+        if not hasattr(importlib.import_module(module), name)
+    }
+    assert absent <= ABSENT_TRACER_HOOKS, sorted(absent - ABSENT_TRACER_HOOKS)
+    exact = getattr(importlib.import_module(exact_module), exact_class)
+    assert constants["EXACT_METHODS"]
+    for method in constants["EXACT_METHODS"]:
+        assert callable(getattr(exact, method, None)), method
+    for module, name in constants["CACHED"]:
+        assert callable(getattr(getattr(importlib.import_module(module), name), "cache_info"))

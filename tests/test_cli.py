@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from fourbessel import IntegralSpec, evaluate
+from fourbessel import IntegralSpec, QuadratureConfig, evaluate
 from fourbessel import cli
 from fourbessel.errors import FourBesselError, NoValidBridge
 from fourbessel.oracle import quad_bessel_numeric
@@ -139,6 +139,23 @@ def test_batch_grid_both_modes():
     ]
 
 
+def test_batch_grid_both_covers_equal_momenta():
+    # every tuple in {0, 1}^4 at k1 = k2 and at (2, 5): the 8 tuples with a
+    # bridge order are answered at both pairs and agree with the oracle
+    code, text = _batch_in_process(["batch", "--grid", "1", "--k-pairs", "1:1,2:5",
+                                    "--mode", "both"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
+    assert len(rows) == 32
+    declined = [row for row in rows if row["error"].startswith("NoValidBridge: ")]
+    answered = [row for row in rows if not row["error"]]
+    assert len(declined) == 16 and len(answered) == 16
+    assert {(row["k1"], row["k2"]) for row in answered} == {("1.0", "1.0"), ("2.0", "5.0")}
+    rel_tol = QuadratureConfig().rel_tol
+    for row in answered:
+        assert float(row["discrepancy"]) <= 10.0 * rel_tol, row
+
+
 def test_batch_input_file_analytic_csv(tmp_path):
     path = tmp_path / "specs.csv"
     path.write_text("l1,l2,l3,l4,k1,k2\n1,0,1,2,1,2\n0,0,0,0,1,2\n", encoding="utf-8")
@@ -197,6 +214,17 @@ def test_batch_out_of_range_row_is_a_row_error(tmp_path):
         assert rows[0]["error"].startswith("DomainError: ") and rows[0]["value"] == ""
         assert rows[1]["error"] == ""
         assert float(rows[1]["value"]) == pytest.approx(math.pi / 16.0, rel=1e-7)
+
+
+def test_batch_unallocatable_oracle_head_is_a_row_error(tmp_path):
+    path = tmp_path / "specs.csv"
+    path.write_text("l1,l2,l3,l4,k1,k2\n1,1,1,1,1e-300,1\n0,0,0,0,1,2\n", encoding="utf-8")
+    code, text = _batch_in_process(["batch", "--input", str(path), "--mode", "oracle"])
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
+    assert rows[0]["error"].startswith("DomainError: momenta (1e-300, 1.0) are too far apart")
+    assert rows[0]["value"] == ""
+    assert float(rows[1]["value"]) == pytest.approx(math.pi / 16.0, rel=1e-7)
 
 
 def test_batch_malformed_inputs_exit_65(tmp_path):
@@ -434,6 +462,17 @@ def test_oracle_subcommands():
                         "--k1", "1", "--k2", "2", "--K", "3")
     assert divergent.returncode == 4
     assert json.loads(divergent.stdout)["error"]["type"] == "NoConvergence"
+
+
+def test_oracle_unallocatable_head_exit_64():
+    for args in (
+        ("quad", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1", "--k1", "1e-300", "--k2", "1"),
+        ("triple", "--l1", "1", "--l2", "1", "--L", "0", "--k1", "1e-300", "--k2", "1", "--K", "1"),
+    ):
+        result = run_cli("oracle", *args)
+        assert result.returncode == 64, args
+        assert "too far apart" in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
 
 
 def test_oracle_config_flags_round_trip():

@@ -21,6 +21,7 @@ from fourbessel.oracle import (
     QuadratureConfig,
     _bessel_downward,
     _bessel_series,
+    _bessel_sweep,
     _canonical,
     _compile_decomposition,
     _component_numerators,
@@ -69,10 +70,17 @@ def test_bessel_rejects_negative_argument():
     "x",
     [math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 2.0]), np.array([[0.5], [math.inf]])],
 )
-@pytest.mark.parametrize("orders", [0, 1, 3, (0, 2), (4, 1)])
-def test_bessel_rejects_non_finite_argument(orders, x):
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 13])
+def test_bessel_rejects_non_finite_argument(order, x):
     with pytest.raises(DomainError):
-        spherical_bessel_j(orders, x)
+        spherical_bessel_j(order, x)
+
+
+def test_bessel_rejects_a_tuple_of_orders():
+    # the head runs several orders through _bessel_sweep; the public function
+    # takes one order
+    with pytest.raises(DomainError):
+        spherical_bessel_j((0, 2), 1.0)
 
 
 def test_bessel_matches_scipy_across_regimes():
@@ -146,30 +154,39 @@ _SWEEP_POINTS = np.array(
 )
 
 
+def _sweep(orders, x):
+    """_bessel_sweep over the flat points of x, given np.sin and np.cos of them."""
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    return _bessel_sweep(sorted(set(orders)), flat, flat.min(), (np.sin(flat), np.cos(flat)))
+
+
 @pytest.mark.parametrize("first", range(14))
-def test_bessel_tuple_form_is_bit_identical_to_single_orders(first):
+def test_bessel_sweep_is_bit_identical_to_single_orders(first):
     x = _SWEEP_POINTS
     singles = {n: spherical_bessel_j(n, x) for n in range(14)}
     assert np.array_equal(singles[first], _reference_bessel_j(first, x))
-    (alone,) = spherical_bessel_j((first,), x)
-    assert np.array_equal(alone, singles[first])
+    alone = _sweep((first,), x)
+    assert list(alone) == [first] and np.array_equal(alone[first], singles[first])
     for second in range(14):
-        pair = spherical_bessel_j((first, second), x)
-        assert np.array_equal(pair[0], singles[first]), second
-        assert np.array_equal(pair[1], singles[second]), second
-        grid = spherical_bessel_j((first, second), x.reshape(-1, 3))
-        assert np.array_equal(grid[1], singles[second].reshape(-1, 3)), second
-        at_points = [spherical_bessel_j((first, second), float(point)) for point in x]
-        assert [v[0] for v in at_points] == singles[first].tolist(), second
-        assert [v[1] for v in at_points] == singles[second].tolist(), second
+        pair = _sweep((first, second), x)
+        assert np.array_equal(pair[first], singles[first]), second
+        assert np.array_equal(pair[second], singles[second]), second
+        grid = spherical_bessel_j(second, x.reshape(-1, 3))
+        assert np.array_equal(grid, singles[second].reshape(-1, 3)), second
+        at_points = [_sweep((first, second), point) for point in x]
+        assert [v[first][0] for v in at_points] == singles[first].tolist(), second
+        assert [v[second][0] for v in at_points] == singles[second].tolist(), second
 
 
-def test_bessel_tuple_form_of_many_orders():
+def test_bessel_sweep_of_many_orders():
     x = np.linspace(0.0, 40.0, 321)
     orders = (13, 0, 7, 2, 7, 1, 4)
-    for n, value in zip(orders, spherical_bessel_j(orders, x)):
-        assert np.array_equal(value, _reference_bessel_j(n, x)), n
-    assert spherical_bessel_j((), x) == ()
+    values = _sweep(orders, x)
+    assert sorted(values) == sorted(set(orders))
+    for n in orders:
+        assert np.array_equal(values[n], _reference_bessel_j(n, x)), n
+        assert np.array_equal(values[n], spherical_bessel_j(n, x)), n
+    assert _sweep((), x) == {}
 
 
 # --------------------------------------------------------------------------
@@ -466,8 +483,9 @@ def _mellin_finite_part_over_pi(orders, k1, k2):
 
 def test_mellin_finite_part_equals_laurent_kernel_exactly():
     # two independent exact routes to the closed form: the oracle's
-    # trigonometric decomposition (no Wigner symbols) and the recoupled kernel;
-    # evaluate declines exactly the tuples that have no bridge order
+    # trigonometric decomposition (no Wigner symbols) and the recoupled kernel,
+    # read for k1 < k2 from the exchanged tuple (l2, l1, l4, l3) as evaluate
+    # reads it; evaluate declines exactly the tuples that have no bridge order
     compared = declined = 0
     for orders in itertools.product(range(5), repeat=4):
         try:
@@ -478,7 +496,9 @@ def test_mellin_finite_part_equals_laurent_kernel_exactly():
             declined += 1
             continue
         assert evaluate(IntegralSpec(*orders, 1.0, 3.0)).bridge_L == bridge
-        _, (k1_high, k2_high) = _laurent_kernel(*orders)
+        l1, l2, l3, l4 = orders
+        _, k1_high = _laurent_kernel(*orders)
+        _, k2_high = _laurent_kernel(l2, l1, l4, l3)
         for k1, k2 in (
             (Fraction(7, 4), Fraction(2, 3)),
             (Fraction(2, 3), Fraction(7, 4)),
@@ -706,6 +726,18 @@ def test_oracle_out_of_range_momenta_raise_domain_error(k):
         quad_bessel_numeric(IntegralSpec(1, 1, 1, 1, k, k))
     with pytest.raises(DomainError, match="float range"):
         triple_bessel_numeric(1, 1, 0, k, k, k)
+
+
+@pytest.mark.parametrize("k_lo", [1e-300, 1e-20])
+def test_oracle_unallocatable_head_raises_domain_error(k_lo):
+    # the head's panel count passes numpy's index range, so no memory is
+    # requested; ratios from about 1e7 up to that range would really
+    # allocate, so none of them is tried
+    message = rf"momenta \({k_lo!r}, 1\.0\) are too far apart for the oracle"
+    with pytest.raises(DomainError, match=message):
+        quad_bessel_numeric(IntegralSpec(1, 1, 1, 1, k_lo, 1.0))
+    with pytest.raises(DomainError, match=message):
+        triple_bessel_numeric(1, 1, 0, k_lo, 1.0, 1.0)
 
 
 _PRODUCT_SAMPLE = np.random.default_rng(20261018)

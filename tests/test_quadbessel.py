@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourbessel
-from fourbessel import core, errors, legendre, quadbessel
+from fourbessel import core, errors, legendre, quadbessel, wigner
 from fourbessel.core import EvaluationReport, IntegralSpec, TermEntry
 from fourbessel.errors import (
     DomainError,
+    FourBesselError,
     NoValidBridge,
     PrefactorZero,
 )
@@ -296,9 +297,10 @@ def test_paired_closed_values():
 
 def test_paired_agrees_with_general_path():
     # the kernel of (a, a, b, b), built by the general recoupling, is the
-    # paired closed form {mu - 1: 3j(a, b, mu)^2 / 4} as Fractions on both
-    # branches; quad_bessel_paired reports its monomials, one per mu, at
-    # power mu - 1
+    # paired closed form {mu - 1: 3j(a, b, mu)^2 / 4} as Fractions; the tuple
+    # is its own momentum exchange, so both momentum orders read this one
+    # kernel; quad_bessel_paired reports its monomials, one per mu, at power
+    # mu - 1
     for a in range(4):
         for b in range(4):
             paired = quad_bessel_paired(a, b, 1.0, 2.0)
@@ -310,10 +312,9 @@ def test_paired_agrees_with_general_path():
             assert [term.indices for term in paired.terms] == [
                 {"power": p} for p in sorted(expected)
             ]
-            bridge, branches = _laurent_kernel(a, a, b, b)
+            bridge, branch = _laurent_kernel(a, a, b, b)
             assert bridge == 0
-            for branch in branches:
-                assert _kernel_dict(branch) == expected, (a, b)
+            assert _kernel_dict(branch) == expected, (a, b)
             # I = pi / k_hi^3 * sum c_p t^p at k = (1, 2), each term pi/8 c_p 2^-p
             for term in paired.terms:
                 p = term.indices["power"]
@@ -323,6 +324,11 @@ def test_paired_agrees_with_general_path():
             assert paired.value == pytest.approx(math.pi * float(exact), rel=1e-12), (a, b)
             general = evaluate(IntegralSpec(a, a, b, b, 1.0, 2.0))
             assert paired.value.hex() == general.value.hex()
+            exchanged = quad_bessel_paired(a, b, 2.0, 1.0)
+            assert exchanged.value.hex() == paired.value.hex(), (a, b)
+            assert [term.value for term in exchanged.terms] == [
+                term.value for term in paired.terms
+            ]
 
 
 def test_evaluate_dispatches_on_order_pairing():
@@ -507,10 +513,17 @@ def _reference_horner_exact(branch, t: Fraction) -> Fraction:
     return total * t**power
 
 
+def _kernel_read(orders, k1, k2):
+    """(kernel, k_lo, k_hi) that evaluate reads: the exchanged tuple's kernel when k1 < k2."""
+    l1, l2, l3, l4 = orders
+    if k1 < k2:
+        return _laurent_kernel(l2, l1, l4, l3)[1], k1, k2
+    return _laurent_kernel(*orders)[1], k2, k1
+
+
 def _eager_terms(orders, k1, k2):
     """The Laurent monomials of evaluate's report, built at once from the kernel."""
-    _, (k1_high, k2_high) = _laurent_kernel(*orders)
-    k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
+    branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
     t, scale = k_lo / k_hi, math.pi / k_hi**3
     return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, coeff in branch.terms)
 
@@ -544,11 +557,12 @@ def test_paired_kernel_is_the_paired_closed_form(a):
             mu - 1: Fraction(1, 4) * wigner_3j_zero(a, b, mu).radicand
             for mu in range(abs(a - b), a + b + 1, 2)
         }
-        bridge, branches = _laurent_kernel(a, a, b, b)
+        bridge, branch = _laurent_kernel(a, a, b, b)
         assert bridge == 0
-        for branch in branches:
-            assert _kernel_dict(branch) == expected, (a, b)
-            _assert_floats_are_the_rounded_numerators(branch)
+        assert _kernel_dict(branch) == expected, (a, b)
+        _assert_floats_are_the_rounded_numerators(branch)
+        # (a, a, b, b) is its own momentum exchange: k1 < k2 reads this kernel
+        assert _kernel_read((a, a, b, b), 1.0, 2.0)[0] is branch
 
 
 def _assert_floats_are_the_rounded_numerators(branch):
@@ -561,9 +575,10 @@ def _assert_floats_are_the_rounded_numerators(branch):
 
 
 def test_every_kernel_float_is_its_rounded_numerator():
+    # every tuple's kernel, so also every kernel read for k1 < k2
     for orders in itertools.product(range(5), repeat=4):
-        kernel = _kernel_or_none(orders)
-        for branch in kernel or ():
+        branch = _kernel_or_none(orders)
+        if branch is not None:
             _assert_floats_are_the_rounded_numerators(branch)
 
 
@@ -574,44 +589,66 @@ def _kernel_or_none(orders):
         return None
 
 
-def test_kernel_momentum_exchange_symmetry():
-    # I(l1, l2, l3, l4; k1, k2) = I(l2, l1, l4, l3; k2, k1): exchanging the
-    # momenta swaps the kernel's two branches, exactly, whatever bridge order
-    # each tuple selects
+def _outcome(spec):
+    """Everything evaluate reports for spec, floats as hex, or its error type and message."""
+    try:
+        report = evaluate(spec)
+    except FourBesselError as exc:
+        return type(exc).__name__, str(exc)
+    terms = [(term.indices, term.value.hex()) for term in report.terms]
+    return report.value.hex(), report.bridge_L, report.method, terms
+
+
+def test_evaluate_momentum_exchange_symmetry():
+    # I(l1, l2, l3, l4; k1, k2) = I(l2, l1, l4, l3; k2, k1): value, bridge
+    # order, method, terms and any refusal agree bit for bit. At k1 = k2 the
+    # two sides read the kernels of both tuples, which meet exactly at t = 1.
+    # The k1 < k2 values are checked exactly against the Mellin finite part in
+    # test_oracle.py.
     compared = 0
     for l1, l2, l3, l4 in itertools.product(range(5), repeat=4):
-        kernel = _kernel_or_none((l1, l2, l3, l4))
-        exchanged = _kernel_or_none((l2, l1, l4, l3))
-        assert (kernel is None) == (exchanged is None), (l1, l2, l3, l4)
+        orders, exchanged = (l1, l2, l3, l4), (l2, l1, l4, l3)
+        for k1, k2 in ((1.0, 1.1), (3.0, 1.0), (0.3, 1.7), (1.0, 1.0 + 1e-9), (2.5, 0.75)):
+            assert _outcome(IntegralSpec(*orders, k1, k2)) == _outcome(
+                IntegralSpec(*exchanged, k2, k1)
+            ), (orders, k1, k2)
+        kernel, other = _kernel_or_none(orders), _kernel_or_none(exchanged)
+        assert (kernel is None) == (other is None), orders
         if kernel is None:
             continue
-        assert _kernel_dict(kernel[0]) == _kernel_dict(exchanged[1]), (l1, l2, l3, l4)
-        assert _kernel_dict(kernel[1]) == _kernel_dict(exchanged[0]), (l1, l2, l3, l4)
+        assert Fraction(*_horner_exact(kernel, 1, 1)) == Fraction(*_horner_exact(other, 1, 1))
+        for k in (0.7, 1.3):
+            assert evaluate(IntegralSpec(*orders, k, k)).value == pytest.approx(
+                evaluate(IntegralSpec(*exchanged, k, k)).value, rel=1e-12, abs=1e-300
+            ), (orders, k)
         compared += 1
     assert compared == 269
 
 
 def test_kernel_same_momentum_order_swap_symmetry():
     # l1 <-> l3 (both at k1) and l2 <-> l4 (both at k2) leave the integral
-    # unchanged: both branches are the same Laurent polynomials, exactly
+    # unchanged: the kernel read for each momentum order is the same Laurent
+    # polynomial, exactly
     compared = 0
-    for l1, l2, l3, l4 in itertools.product(range(5), repeat=4):
-        kernel = _kernel_or_none((l1, l2, l3, l4))
+    for orders in itertools.product(range(5), repeat=4):
+        l1, l2, l3, l4 = orders
+        bridged = _kernel_or_none(orders) is not None
         for swapped in ((l3, l2, l1, l4), (l1, l4, l3, l2)):
-            other = _kernel_or_none(swapped)
-            assert (kernel is None) == (other is None), (l1, l2, l3, l4, swapped)
-            if kernel is None:
+            assert bridged == (_kernel_or_none(swapped) is not None), (orders, swapped)
+            if not bridged:
                 continue
-            for branch, other_branch in zip(kernel, other):
-                assert _kernel_dict(branch) == _kernel_dict(other_branch), (l1, l2, l3, l4)
+            for k1, k2 in ((2.0, 1.0), (1.0, 2.0)):
+                kernel, other = _kernel_read(orders, k1, k2)[0], _kernel_read(swapped, k1, k2)[0]
+                assert _kernel_dict(kernel) == _kernel_dict(other), (orders, swapped, k1)
             compared += 1
     assert compared == 538
 
 
 def test_kernel_of_1_0_1_2_is_exact():
-    bridge, (k1_high, k2_high) = _laurent_kernel(1, 0, 1, 2)
-    assert bridge == 1
-    assert _kernel_dict(k2_high) == {-1: Fraction(-1, 12), 1: Fraction(1, 10)}
+    # k1 < k2 reads the kernel of the exchanged tuple (0, 1, 2, 1)
+    bridge, branch = _laurent_kernel(0, 1, 2, 1)
+    assert bridge == 1 and _laurent_kernel(1, 0, 1, 2)[0] == 1
+    assert _kernel_dict(branch) == {-1: Fraction(-1, 12), 1: Fraction(1, 10)}
     # I = pi / k2^3 * (-2/12 + 1/20) = -7 pi / 480 at k = (1, 2)
     reference = QUAD_REFERENCES[(1, 0, 1, 2, 1.0, 2.0)]
     assert -7.0 * math.pi / 480.0 == pytest.approx(reference, rel=1e-15)
@@ -632,13 +669,13 @@ def test_evaluate_terms_are_laurent_monomials():
 
 
 def test_exact_horner_rescues_cancelling_kernels():
-    # the k1 > k2 branch of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the
-    # float Horner alone is off by ~2e-8 there
+    # the kernel of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the float
+    # Horner alone is off by ~2e-8 there
     k1, k2 = 1.1, 1.0
-    _, (k1_high, _) = _laurent_kernel(13, 4, 11, 2)
+    _, branch = _laurent_kernel(13, 4, 11, 2)
     t = k2 / k1
-    exact = _reference_horner_exact(k1_high, Fraction(k2) / Fraction(k1))
-    float_only, _ = _horner(k1_high.terms, t)
+    exact = _reference_horner_exact(branch, Fraction(k2) / Fraction(k1))
+    float_only, _ = _horner(branch.terms, t)
     assert abs(float_only - float(exact)) > 1e-9 * abs(float(exact))
     value = evaluate(IntegralSpec(13, 4, 11, 2, k1, k2)).value
     assert value == pytest.approx(math.pi / k1**3 * float(exact), rel=1e-15)
@@ -664,8 +701,7 @@ def test_integer_horner_equals_fraction_horner():
     lowest = set()
     compared = 0
     for orders, k1, k2 in _integer_horner_cases():
-        _, (k1_high, k2_high) = _laurent_kernel(*orders)
-        k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
+        branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
         t = Fraction(k_lo) / Fraction(k_hi)
         num, den = _horner_exact(branch, t.numerator, t.denominator)
         reference = _reference_horner_exact(branch, t)
@@ -675,7 +711,7 @@ def test_integer_horner_equals_fraction_horner():
             lowest.add(min(branch.terms[0][0], 0))
         compared += 1
     assert compared == 336 + 32
-    assert lowest == {-1, 0}, "branches with lowest power -1 and >= 0 must both be covered"
+    assert lowest == {-1, 0}, "kernels with lowest power -1 and >= 0 must both be covered"
 
 
 def test_exact_fallback_returns_the_fraction_value():
@@ -685,8 +721,7 @@ def test_exact_fallback_returns_the_fraction_value():
     for orders, k1, k2 in _integer_horner_cases():
         if isinstance(k1, Fraction):
             continue
-        _, (k1_high, k2_high) = _laurent_kernel(*orders)
-        k_lo, k_hi, branch = (k1, k2, k2_high) if k1 < k2 else (k2, k1, k1_high)
+        branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
         total, magnitude = _horner(branch.terms, k_lo / k_hi)
         if 2 * len(branch.terms) * 2.0**-53 * magnitude > 1e-12 * abs(total):
             exact = _reference_horner_exact(branch, Fraction(k_lo) / Fraction(k_hi))
@@ -801,6 +836,8 @@ RETIRED_NAMES = (
     "DegenerateMomenta",
     "HalfIntegerOrder",
     "MAX_DEGREE",
+    "TriangleSelection",
+    "triangle_window",
 )
 
 
@@ -809,10 +846,11 @@ def test_public_names_resolve_and_retired_names_are_gone():
         assert all(hasattr(module, name) for name in module.__all__), module.__name__
     # the float term-by-term assembly, its band and ratio integrals, its
     # degeneracy gate and the Legendre degree cap left the package; exact
-    # coefficients replace them. HalfIntegerOrder had no caller.
+    # coefficients replace them. HalfIntegerOrder had no caller, and
+    # select_bridge_order computes the triangle windows itself.
     for name in RETIRED_NAMES:
         assert name not in fourbessel.__all__ and name not in quadbessel.__all__
-        for module in (fourbessel, quadbessel, legendre, core, errors):
+        for module in (fourbessel, quadbessel, legendre, wigner, core, errors):
             assert not hasattr(module, name), (module.__name__, name)
 
 

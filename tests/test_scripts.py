@@ -28,14 +28,6 @@ def _run(module, argv):
     return code, out.getvalue()
 
 
-def test_certify_grid_covers_equal_momenta():
-    code, text = _run(_load("certify_grid"), ["--order-max", "1", "--k-pairs", "1:1,2:5"])
-    assert code == 0
-    # 8 of the 16 tuples have a bridge order; every one is evaluated at both pairs
-    assert text.startswith("evaluated 16 cells (16 skipped, no parity-valid bridge)")
-    assert text.rstrip().endswith("OK")
-
-
 def test_degenerate_scan_answers_every_gap():
     module = _load("degenerate_scan")
     argv = ["--orders", "2", "0", "0", "2", "--points", "3"]

@@ -6,17 +6,16 @@ import math
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourbessel.errors import NoValidBridge
+from fourbessel.errors import DomainError, NoValidBridge
 from fourbessel.wigner import (
     SignedSqrtRational,
-    TriangleSelection,
     gamma_half,
     select_bridge_order,
-    triangle_window,
     wigner_3j_zero,
     wigner_6j,
 )
@@ -262,23 +261,28 @@ def test_gamma_half_matches_float_gamma():
 # --------------------------------------------------------------------------
 
 
-def test_triangle_window_contents():
-    window = triangle_window(2, 3)
-    assert (window.lo, window.hi) == (1, 5)
-    assert window.contains(1) and window.contains(3) and window.contains(5)
-    assert not window.contains(2) and not window.contains(0) and not window.contains(7)
+def _reference_window(a: int, b: int) -> set[int]:
+    """Every j coupling to a and b with a nonzero zero-projection 3j symbol."""
+    return {j for j in range(a + b + 1) if _reference_3j_zero(a, b, j)[0] != 0}
 
 
-def test_triangle_selection_validation():
-    with pytest.raises(ValueError):
-        TriangleSelection(3, 1, "even")
-    with pytest.raises(ValueError):
-        TriangleSelection(0, 2, "both")
-    # triangle_window only produces "even" and "odd"
-    with pytest.raises(ValueError):
-        TriangleSelection(0, 2, "any")
-    odd = TriangleSelection(1, 5, "odd")
-    assert [j for j in range(7) if odd.contains(j)] == [1, 3, 5]
+def test_reference_window_is_the_parity_class_of_the_triangle():
+    assert _reference_window(2, 3) == {1, 3, 5}
+    assert _reference_window(0, 0) == {0}
+    for a in range(9):
+        for b in range(9):
+            assert _reference_window(a, b) == set(range(abs(a - b), a + b + 1, 2)), (a, b)
+
+
+def test_select_bridge_order_validation():
+    for bad in (-1, True, 1.5, "2", None):
+        for position in range(4):
+            orders = [1, 1, 1, 1]
+            orders[position] = bad
+            with pytest.raises(DomainError, match=f"l{position + 1} must be"):
+                select_bridge_order(*orders)
+    # an integer-like order is accepted, as operator.index accepts it
+    assert select_bridge_order(np.int64(2), 0, 0, 2) == 2
 
 
 @pytest.mark.parametrize(
@@ -315,16 +319,23 @@ def test_select_bridge_order_disjoint_windows():
     l4=st.integers(min_value=0, max_value=10),
 )
 def test_select_bridge_order_minimality(l1, l2, l3, l4):
-    first = triangle_window(l1, l2)
-    second = triangle_window(l3, l4)
+    # the bridge order is the smallest j in both reference windows; with none,
+    # NoValidBridge names the parity mismatch or the two disjoint windows
+    common = _reference_window(l1, l2) & _reference_window(l3, l4)
     try:
         bridge = select_bridge_order(l1, l2, l3, l4)
-    except NoValidBridge:
-        assert first.parity != second.parity or min(first.hi, second.hi) < max(first.lo, second.lo)
+    except NoValidBridge as exc:
+        assert not common
+        if (l1 + l2 - l3 - l4) % 2:
+            reason = f"l1+l2={l1 + l2} and l3+l4={l3 + l4} have different parities"
+        else:
+            reason = (
+                f"triangle windows [{abs(l1 - l2)},{l1 + l2}] and "
+                f"[{abs(l3 - l4)},{l3 + l4}] are disjoint"
+            )
+        assert str(exc) == f"no parity-valid bridge order: {reason}"
         return
-    assert first.contains(bridge) and second.contains(bridge)
-    for smaller in range(bridge):
-        assert not (first.contains(smaller) and second.contains(smaller))
+    assert bridge == min(common)
 
 
 # --------------------------------------------------------------------------
