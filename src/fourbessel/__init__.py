@@ -32,7 +32,6 @@ from .legendre import (
 )
 from .oracle import (
     QuadratureConfig,
-    gauss_legendre,
     quad_bessel_numeric,
     spherical_bessel_j,
     triple_bessel_numeric,
@@ -66,7 +65,6 @@ __all__ = [
     "assoc_legendre_gt1",
     "evaluate",
     "gamma_half",
-    "gauss_legendre",
     "legendre_linearization_coeffs",
     "legendre_p",
     "legendre_poly_part",

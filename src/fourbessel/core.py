@@ -92,9 +92,6 @@ class EvaluationReport:
     oracle_error_estimate: float | None = None
     discrepancy: float | None = None
 
-    def recomputed_sum(self) -> float:
-        return math.fsum(t.value for t in self.terms)
-
     def as_dict(self, spec: IntegralSpec) -> dict:
         doc: dict = {
             "lambda": list(spec.orders),

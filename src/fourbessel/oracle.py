@@ -57,7 +57,6 @@ if TYPE_CHECKING:
 __all__ = [
     "QuadratureConfig",
     "spherical_bessel_j",
-    "gauss_legendre",
     "quad_bessel_numeric",
     "triple_bessel_numeric",
 ]
@@ -277,31 +276,6 @@ def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def gauss_legendre(integrand, n_nodes: int) -> float:
-    """Fixed-order Gauss-Legendre rule on [-1, 1]; exact for degree <= 2n-1.
-
-    The integrand is called once with the node array; if that raises
-    TypeError, ValueError or DomainError, or returns the wrong shape, it is
-    called per node instead.
-    """
-    import numpy as np
-
-    n_nodes = require_order(n_nodes, "n_nodes")
-    if n_nodes < 1:
-        raise DomainError("n_nodes must be >= 1")
-    nodes, weights = _gauss_rule(n_nodes)
-    try:
-        values = np.asarray(integrand(nodes), dtype=float)
-        if values.shape != nodes.shape:
-            raise TypeError("integrand did not vectorize")
-    except (TypeError, ValueError, DomainError):
-        # what scalar-only code raises on an array (numpy's conversions, or
-        # this package's argument checks); any other error is a bug in the
-        # integrand and propagates
-        values = np.array([float(integrand(t)) for t in nodes])
-    return float(weights @ values)
 
 
 # --------------------------------------------------------------------------

