@@ -15,6 +15,7 @@ cancellation near x = 1 costs digits; the result is rounded once.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -41,8 +42,8 @@ def _as_fraction(value: OrderLike, name: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], Fraction]:
-    """Coefficients of b_degree(x, m), keyed (power of x, power of m)."""
+def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], int]:
+    """Integer numerators over 2^degree of b_degree(x, m), keyed (power of x, power of m)."""
     degree = require_order(degree, "degree")
     # Auxiliary recurrence q_{j+1} = (1-x^2) dq_j/dx + 2(m - (degree-j) x) q_j
     # starting from q_0 = 1; then b_degree = (-1)^degree q_degree / 2^degree.
@@ -58,21 +59,21 @@ def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], Fraction]:
             nxt[(xi + 1, mj)] -= 2 * shift * coeff
         poly = {key: val for key, val in nxt.items() if val}
     sign = -1 if degree % 2 else 1
-    return {key: Fraction(sign * val, 2**degree) for key, val in poly.items()}
+    return {key: sign * val for key, val in poly.items()}
 
 
 @lru_cache(maxsize=None)
 def _band_basis(degree: int) -> tuple[tuple[int, ...], ...]:
-    """Entry i: ascending u-coefficients of (1+u)^i (1-u)^(degree-i)."""
+    """Entry k, i: the u^k coefficient of (1+u)^i (1-u)^(degree-i)."""
     return tuple(
         tuple(
             sum(
                 math.comb(i, a) * math.comb(degree - i, k - a) * (-1) ** (k - a)
                 for a in range(max(0, k - degree + i), min(i, k) + 1)
             )
-            for k in range(degree + 1)
+            for i in range(degree + 1)
         )
-        for i in range(degree + 1)
+        for k in range(degree + 1)
     )
 
 
@@ -83,24 +84,16 @@ def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
     Here x = (1+u)/(1-u) and m = twice_m/2. Each x^i becomes
     (1+u)^i (1-u)^(degree-i) over (1-u)^degree, so the product is a
     polynomial of degree <= ``degree`` in u; entry k is the u^k coefficient.
-    b_degree has coefficients over 2^degree and total degree ``degree`` in
+    b_degree has coefficients over 2^degree and total degree <= ``degree`` in
     (x, m), so for integer or half-integer m the factor 4^degree clears every
-    denominator; a remainder raises ArithmeticError rather than rounding.
+    denominator: 4^degree (n / 2^degree) (twice_m / 2)^j = n twice_m^j 2^(degree - j).
     """
     # 4^degree times the coefficient of x^i, summed over the powers of m
+    m_terms = [twice_m**j << (degree - j) for j in range(degree + 1)]
     by_power = [0] * (degree + 1)
     for (xi, mj), coeff in _bform_coeffs(degree).items():
-        value, remainder = divmod(
-            coeff.numerator * 4**degree * twice_m**mj, coeff.denominator << mj
-        )
-        if remainder:
-            raise ArithmeticError(f"b_{degree} coefficient at x^{xi} m^{mj} is not integral")
-        by_power[xi] += value
-    out = [0] * (degree + 1)
-    for weight, basis in zip(by_power, _band_basis(degree)):
-        for k, value in enumerate(basis):
-            out[k] += weight * value
-    return tuple(out)
+        by_power[xi] += coeff * m_terms[mj]
+    return tuple(sum(map(operator.mul, by_power, column)) for column in _band_basis(degree))
 
 
 def _poly_part_ratio(degree: int, m: Fraction, x: Fraction) -> tuple[int, int]:
@@ -111,12 +104,10 @@ def _poly_part_ratio(degree: int, m: Fraction, x: Fraction) -> tuple[int, int]:
     a, b = m.numerator, m.denominator
     x_terms = [p**i * q ** (degree - i) for i in range(degree + 1)]
     m_terms = [a**j * b ** (degree - j) for j in range(degree + 1)]
-    scale = 2**degree
     num = sum(
-        coeff.numerator * (scale // coeff.denominator) * x_terms[xi] * m_terms[mj]
-        for (xi, mj), coeff in _bform_coeffs(degree).items()
+        coeff * x_terms[xi] * m_terms[mj] for (xi, mj), coeff in _bform_coeffs(degree).items()
     )
-    return num, scale * q**degree * b**degree
+    return num, q**degree * b**degree << degree
 
 
 def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
@@ -138,29 +129,50 @@ def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
 _LN2 = math.log(2.0)
 
 
+def _power_fourth_root(a: int, b: int, n: int) -> tuple[int, int]:
+    """(r, e) with r 2^e = (a/b)^(n/4) to within 2^-60 relative, for a > b > 0, n >= 0.
+
+    Binary powering in fixed point, every product cut back to ``bits`` bits so
+    no integer grows with n; two isqrt then give a root of 64 bits or more.
+    """
+    bits = 64 + 2 * n.bit_length()
+    base = (a << bits) // b
+    mant, exp = 1, 0
+    for digit in bin(n)[2:]:
+        mant, exp = mant * mant, 2 * exp
+        if digit == "1":
+            mant, exp = mant * base, exp - bits
+        cut = max(mant.bit_length() - bits, 0)
+        mant, exp = mant >> cut, exp + cut
+    lift = 256 + exp % 4
+    return math.isqrt(math.isqrt(mant << lift)), (exp - lift) // 4
+
+
 def assoc_legendre_gt1(degree: int, order: OrderLike, x: float) -> float:
     """Associated Legendre function of the first kind for argument x > 1.
 
-    Uses the real-axis normalization whose power factor is ((x+1)/(x-1))^(m/2),
-    evaluated in exp/log form. Supports any real order; integer and
-    half-integer orders take exact Gamma factors, folded with b_degree into
-    one rational. The rational and the power are each scaled by a power of
-    two that is applied last, so DomainError is raised only when the value
-    itself leaves the float range; a value below it is 0.0.
+    Uses the real-axis normalization whose power factor is ((x+1)/(x-1))^(m/2).
+    Integer and half-integer orders take that power as the fourth root of
+    ((p+q)/(p-q))^(2m) at x = p/q, to within 2^-60, and exact Gamma factors,
+    all folded with b_degree into one rational; any other real order takes
+    the power and Gamma in exp/log form. The rational and the power are each
+    scaled by a power of two that is applied last, so DomainError is raised
+    only when the value itself leaves the float range; a value below it is 0.0.
     """
     degree = require_order(degree, "degree")
     m = _as_fraction(order, "order")
     x = float(x)
     if not x > 1.0:
         raise DomainError(f"argument must be > 1, got {x!r}")
-    num, den = _poly_part_ratio(degree, m, _as_fraction(x, "x"))
+    exact_x = _as_fraction(x, "x")
+    num, den = _poly_part_ratio(degree, m, exact_x)
     if not num:
         return 0.0
     diff = abs(degree - m)
     try:
         log_power = 0.5 * float(m) * math.log1p(2.0 / (x - 1.0))
         log_gamma = math.lgamma(float(diff) + 1.0)
-        # log|P| to within ln 2, checked before any exact Gamma is built
+        # log|P| to within ln 2, checked before any exact Gamma or power is built
         estimate = (num.bit_length() - den.bit_length()) * _LN2 + log_power - log_gamma
         if estimate < -747.0:
             return 0.0 if num > 0 else -0.0
@@ -173,13 +185,20 @@ def assoc_legendre_gt1(degree: int, order: OrderLike, x: float) -> float:
                 gamma = gamma_half((diff.numerator + 1) // 2)
                 num, den = num * gamma.denominator, den * gamma.numerator
                 factor = 1.0 / math.sqrt(math.pi)
+            if diff.denominator <= 2:
+                p, q = exact_x.numerator, exact_x.denominator
+                root, k = _power_fourth_root(p + q, p - q, abs(m.numerator) * (2 // m.denominator))
+                if m < 0:
+                    den, k = den * root, -k
+                else:
+                    num *= root
             else:
-                log_power -= log_gamma
+                k = round((log_power - log_gamma) / _LN2)
+                factor = math.exp(log_power - log_gamma - k * _LN2)
             # num / den = mantissa * 2^shift, |mantissa| in (1/2, 2), correctly rounded
             shift = num.bit_length() - den.bit_length()
             mantissa = (num << -shift) / den if shift < 0 else num / (den << shift)
-            k = round(log_power / _LN2)
-            return math.ldexp(mantissa * factor * math.exp(log_power - k * _LN2), shift + k)
+            return math.ldexp(mantissa * factor, shift + k)
     except OverflowError:
         pass
     raise DomainError(f"P_{degree}^{m}(x={x!r}) leaves the float range")

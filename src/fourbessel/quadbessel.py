@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from .core import (
@@ -34,11 +35,7 @@ from .core import (
     require_order,
 )
 from .errors import DomainError, PrefactorZero
-from .legendre import (
-    bform_band_coeffs,
-    legendre_linearization_coeffs,
-    legendre_p,
-)
+from .legendre import bform_band_coeffs, legendre_p
 from .wigner import (
     SignedSqrtRational,
     gamma_half,
@@ -91,10 +88,10 @@ def triple_bessel_weighted(
                 math.pi / (4.0 * k1 * k2 * K) * sign * math.sqrt(2 * L + 1) * (k1 / K) ** L
             )
             parts = [
-                (SignedSqrtRational(factor_sign, radicand) / coupling).to_float()
+                (SignedSqrtRational(factor_sign, Fraction(num, den)) / coupling).to_float()
                 * (k2 / k1) ** split
                 * legendre_p(l, delta)
-                for split, l, factor_sign, radicand in _side_factors(l1, l2, L)
+                for split, l, factor_sign, num, den in _side_factors(l1, l2, L)
             ]
             value = prefactor * math.fsum(parts)
     # fsum raises ValueError when the parts hold both infinities
@@ -131,36 +128,40 @@ _EXACT_HORNER_BOUND = 1e-12
 _CENTRES = 16
 
 
-def _exact_sqrt(value: Fraction) -> Fraction:
-    """Square root of a rational that must be a perfect square; never rounds."""
-    num, den = value.numerator, value.denominator
+def _exact_sqrt(num: int, den: int) -> tuple[int, int]:
+    """(a, b) in lowest terms with a / b = sqrt(num / den), which must be a perfect square."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     root_num, root_den = math.isqrt(num), math.isqrt(den)
     if root_num * root_num != num or root_den * root_den != den:
-        raise ArithmeticError(f"coupling product radicand {value} is not a perfect square")
-    return Fraction(root_num, root_den)
+        raise ArithmeticError(f"coupling product radicand {num}/{den} is not a perfect square")
+    return root_num, root_den
 
 
 @lru_cache(maxsize=None)
-def _side_factors(la: int, lb: int, L: int) -> tuple[tuple[int, int, int, Fraction], ...]:
+def _side_factors(la: int, lb: int, L: int) -> tuple[tuple[int, int, int, int, int], ...]:
     """Nonzero recoupling factors sqrt(C(2L,2s)) 3j 3j 6j (2l+1) of one order pair.
 
-    One entry (s, l, sign, radicand) per split s and inner degree l; the
-    kernel multiplies a left and a right factor per term of the recoupling.
+    One entry (s, l, sign, num, den) per split s and inner degree l, the
+    factor being sign * sqrt(num / den); the kernel multiplies a left and a
+    right factor per term of the recoupling.
     """
     out = []
     for split in range(L + 1):
-        binom = SignedSqrtRational(1, Fraction(math.comb(2 * L, 2 * split)))
+        binom = math.comb(2 * L, 2 * split)
         for l in range(
             max(abs(la - (L - split)), abs(lb - split)), min(la + L - split, lb + split) + 1, 2
         ):
-            factor = (
-                binom
-                * wigner_3j_zero(la, L - split, l)
-                * wigner_3j_zero(lb, split, l)
-                * wigner_6j(la, lb, L, split, L - split, l)
-            ).scaled_by(2 * l + 1)
-            if not factor.is_zero:
-                out.append((split, l, factor.sign, factor.radicand))
+            symbols = (
+                wigner_3j_zero(la, L - split, l),
+                wigner_3j_zero(lb, split, l),
+                wigner_6j(la, lb, L, split, L - split, l),
+            )
+            sign = math.prod(symbol.sign for symbol in symbols)
+            if sign:
+                num = binom * (2 * l + 1) ** 2 * math.prod(x.radicand.numerator for x in symbols)
+                den = math.prod(x.radicand.denominator for x in symbols)
+                out.append((split, l, sign, num, den))
     return tuple(out)
 
 
@@ -171,24 +172,23 @@ def _band_series(l: int, lp: int, L: int) -> tuple[int, tuple[int, ...]]:
     Returns (d, g) with sum_mu c_mu t^mu 4^(L-1) (1-u)^(L-1) b_(L-1)(x, -mu-1/2)
     = (1/d) sum_p g[p] t^p, where u = t^2 and x = (1+u)/(1-u); at L = 0 the
     Legendre factor is 1 and the sum is plain sum_mu c_mu t^mu. Each weight
-    c_mu combines the P_l*P_lp linearization coefficient with the Gamma ratio
-    attached to the order -mu-1/2 Legendre factor; every sqrt(pi) cancels,
-    leaving a plain positive rational.
+    c_mu = (2mu+1) 3j(l,lp,mu)^2 gh(L+mu) / (gh(L) gh(D+mu+1)), with
+    gh = gamma_half and D = max(L-1, 0), combines the P_l*P_lp linearization
+    coefficient with the Gamma ratio of the order -mu-1/2 Legendre factor, so
+    every sqrt(pi) cancels. That ratio is 1 / gh(L) for L >= 1 and
+    2 / (2mu+1) at L = 0.
     """
-    degree = max(L - 1, 0)
     scale = gamma_half(L)
-    weights = [
-        (mu, lin * gamma_half(L + mu) / (scale * gamma_half(degree + mu + 1)))
-        for mu, lin in legendre_linearization_coeffs(l, lp)
-    ]
-    den = math.lcm(*(coeff.denominator for _, coeff in weights))
-    out = [0] * (l + lp + 2 * degree + 1)
-    for mu, coeff in weights:
-        scaled = coeff.numerator * (den // coeff.denominator)
+    symbols = [(mu, wigner_3j_zero(l, lp, mu).radicand) for mu in range(abs(l - lp), l + lp + 1, 2)]
+    den = math.lcm(*(rad.denominator for _, rad in symbols))
+    out = [0] * (l + lp + 2 * max(L - 1, 0) + 1)
+    for mu, rad in symbols:
+        weight = (2 * mu + 1) * scale.denominator if L else 2
+        scaled = weight * rad.numerator * (den // rad.denominator)
         band = bform_band_coeffs(L - 1, -2 * mu - 1) if L >= 1 else (1,)
         for k, value in enumerate(band):
             out[mu + 2 * k] += scaled * value
-    return den, tuple(out)
+    return den * scale.numerator, tuple(out)
 
 
 def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
@@ -198,8 +198,8 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
     entries of the prefix sums are the remainder; they must vanish.
     """
     quotient = list(coeffs)
-    for index in range(2, len(quotient)):
-        quotient[index] += quotient[index - 2]
+    quotient[0::2] = accumulate(coeffs[0::2])
+    quotient[1::2] = accumulate(coeffs[1::2])
     if any(quotient[-2:]):
         raise ArithmeticError("Laurent kernel numerator is not divisible by 1 - t^2")
     return quotient[:-2]
@@ -225,7 +225,7 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     Returns (L, branch): the bridge order and the _Branch in powers of
     t = k2/k1. The case k1 < k2 is the kernel of the exchanged tuple
     (l2, l1, l4, l3), since trading the momenta together with their orders
-    leaves the integral unchanged. Built once, exactly, from the paper's
+    leaves the integral unchanged. Built once, in integers, from the paper's
     bridge recoupling (_side_factors) and band integral (_band_series): every
     coupling product is a perfect square, and (1 - t^2)^(2L-1) divides the
     assembled numerator with zero remainder. Either failing raises
@@ -244,19 +244,23 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     w12, w34 = wigner_3j_zero(l1, l2, L), wigner_3j_zero(l3, l4, L)
     half_phase = (l1 + l2 + l3 + l4 - 2 * L) // 2
     sign = w12.sign * w34.sign * (-1 if half_phase % 2 else 1)
-    first = left[0][3]
-    reference = first * (2 * L + 1) ** 2 / (w12.radicand * w34.radicand)
-    left_exact = [(s, l, sign * ls * _exact_sqrt(rad / first)) for s, l, ls, rad in left]
-    right_exact = [(s, l, rs * _exact_sqrt(rad * reference)) for s, l, rs, rad in right]
-    left_den = math.lcm(*(value.denominator for _, _, value in left_exact))
-    right_den = math.lcm(*(value.denominator for _, _, value in right_exact))
+    _, _, _, first_num, first_den = left[0]
+    ref_num = first_num * (2 * L + 1) ** 2 * w12.radicand.denominator * w34.radicand.denominator
+    ref_den = first_den * w12.radicand.numerator * w34.radicand.numerator
+    left_exact = [
+        (s, l, sign * ls, *_exact_sqrt(num * first_den, den * first_num))
+        for s, l, ls, num, den in left
+    ]
+    right_exact = [
+        (s, l, rs, *_exact_sqrt(num * ref_num, den * ref_den)) for s, l, rs, num, den in right
+    ]
+    left_den = math.lcm(*(den for *_, den in left_exact))
+    right_den = math.lcm(*(den for *_, den in right_exact))
     # sum of pair products per (min(l,lp), max(l,lp), s+s'), over left_den*right_den
     grouped: dict[tuple[int, int, int], int] = {}
-    right_ints = [
-        (s, l, value.numerator * (right_den // value.denominator)) for s, l, value in right_exact
-    ]
-    for s, l, value in left_exact:
-        a = value.numerator * (left_den // value.denominator)
+    right_ints = [(s, l, rs * num * (right_den // den)) for s, l, rs, num, den in right_exact]
+    for s, l, ls, num, den in left_exact:
+        a = ls * num * (left_den // den)
         for sp, lp, b in right_ints:
             key = (l, lp, s + sp) if l <= lp else (lp, l, s + sp)
             grouped[key] = grouped.get(key, 0) + a * b

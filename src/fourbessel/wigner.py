@@ -1,9 +1,10 @@
 """Exact angular-momentum coupling coefficients.
 
-Everything here is computed over arbitrary-precision rational arithmetic and
-returned as a :class:`SignedSqrtRational`, the exact carrier s*sqrt(p/q) that
-is closed under the products appearing in the integral pipeline. Conversion to
-floating point happens once, at the summation boundary, via ``to_float``.
+Every symbol is an integer factorial quotient over one shared factorial
+table, returned as a :class:`SignedSqrtRational`, the exact carrier
+s*sqrt(p/q), built once per distinct symbol. The kernel build reads the
+radicand's numerator and denominator; conversion to floating point happens
+once, at the summation boundary, via ``to_float``.
 
 Only integer angular momenta are supported; the integral pipeline never needs
 half-integer ones.
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .core import require_order
 from .errors import NoValidBridge
@@ -30,12 +30,12 @@ class SignedSqrtRational:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        rad = Fraction(self.radicand)
-        if rad < 0:
-            raise ValueError(f"radicand must be >= 0, got {rad!r}")
-        if (self.sign == 0) != (rad == 0):
+        if type(self.radicand) is not Fraction:
+            object.__setattr__(self, "radicand", Fraction(self.radicand))
+        if self.radicand.numerator < 0:
+            raise ValueError(f"radicand must be >= 0, got {self.radicand!r}")
+        if (self.sign == 0) != (self.radicand.numerator == 0):
             raise ValueError("sign is zero exactly when the radicand is zero")
-        object.__setattr__(self, "radicand", rad)
 
     @classmethod
     def zero(cls) -> "SignedSqrtRational":
@@ -108,12 +108,29 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b
 
 
+# k! at index k; a longer table is built aside and bound in one step, so
+# that a thread reads the old table or the new one, never a partial one
+_FACTORIALS = (1,)
+
+
+def _factorials(n: int) -> tuple[int, ...]:
+    """The shared factorial table, grown to cover n! at least."""
+    global _FACTORIALS
+    table = _FACTORIALS
+    if len(table) <= n:
+        grown = list(table)
+        for k in range(len(grown), 2 * n + 2):
+            grown.append(grown[-1] * k)
+        table = _FACTORIALS = tuple(grown)
+    return table
+
+
 @lru_cache(maxsize=None)
 def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
     """Wigner 3j symbol with all magnetic quantum numbers zero, exactly.
 
     Zero when the triangle inequality fails or j1+j2+j3 is odd; otherwise the
-    standard closed form with exact factorials.
+    standard closed form, an integer factorial quotient.
     """
     j1 = require_order(j1, "j1")
     j2 = require_order(j2, "j2")
@@ -122,48 +139,41 @@ def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
     if big_j % 2 or not _triangle_ok(j1, j2, j3):
         return SignedSqrtRational.zero()
     g = big_j // 2
-    radicand = Fraction(
-        factorial(big_j - 2 * j1) * factorial(big_j - 2 * j2) * factorial(big_j - 2 * j3),
-        factorial(big_j + 1),
-    )
-    coeff = Fraction(factorial(g), factorial(g - j1) * factorial(g - j2) * factorial(g - j3))
-    return SignedSqrtRational(-1 if g % 2 else 1, radicand * coeff * coeff)
-
-
-def _triangle_quotient(a: int, b: int, c: int) -> Fraction:
-    """Squared triangle coefficient of the Racah formula."""
-    return Fraction(
-        factorial(a + b - c) * factorial(a - b + c) * factorial(-a + b + c),
-        factorial(a + b + c + 1),
-    )
+    f = _factorials(big_j + 1)
+    coeff_den = f[g - j1] * f[g - j2] * f[g - j3]
+    num = f[big_j - 2 * j1] * f[big_j - 2 * j2] * f[big_j - 2 * j3] * f[g] ** 2
+    return SignedSqrtRational(-1 if g % 2 else 1, Fraction(num, f[big_j + 1] * coeff_den**2))
 
 
 @lru_cache(maxsize=None)
 def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqrtRational:
-    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} via the Racah single sum, exactly."""
+    """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} via the Racah single sum, exactly.
+
+    The sum runs in integers over the common denominator of its terms.
+    """
     j1, j2, j3, j4, j5, j6 = (require_order(j, "j") for j in (j1, j2, j3, j4, j5, j6))
     triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
     if not all(_triangle_ok(*t) for t in triads):
         return SignedSqrtRational.zero()
-    prefactor = math.prod(_triangle_quotient(*t) for t in triads)
-    t_lo = max(sum(t) for t in triads)
-    t_hi = min(j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
-    total = Fraction(0)
+    a1, a2, a3, a4 = lows = [sum(t) for t in triads]
+    b1, b2, b3 = j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4
+    t_lo, t_hi = max(lows), min(b1, b2, b3)
+    f = _factorials(t_hi + 1)
+    # squared triangle coefficients of the Racah formula
+    pre_num = math.prod(f[a + b - c] * f[a - b + c] * f[b + c - a] for a, b, c in triads)
+    pre_den = f[a1 + 1] * f[a2 + 1] * f[a3 + 1] * f[a4 + 1]
+    # every term's denominator divides the common one
+    common = f[t_hi - a1] * f[t_hi - a2] * f[t_hi - a3] * f[t_hi - a4]
+    common *= f[b1 - t_lo] * f[b2 - t_lo] * f[b3 - t_lo]
+    total = 0
     for t in range(t_lo, t_hi + 1):
-        denom = (
-            factorial(t - j1 - j2 - j3)
-            * factorial(t - j1 - j5 - j6)
-            * factorial(t - j4 - j2 - j6)
-            * factorial(t - j4 - j5 - j3)
-            * factorial(j1 + j2 + j4 + j5 - t)
-            * factorial(j2 + j3 + j5 + j6 - t)
-            * factorial(j3 + j1 + j6 + j4 - t)
-        )
-        term = Fraction(factorial(t + 1), denom)
+        denom = f[t - a1] * f[t - a2] * f[t - a3] * f[t - a4] * f[b1 - t] * f[b2 - t] * f[b3 - t]
+        term = f[t + 1] * (common // denom)
         total += -term if t % 2 else term
     if total == 0:
         return SignedSqrtRational.zero()
-    return SignedSqrtRational(1 if total > 0 else -1, total * total * prefactor)
+    radicand = Fraction(total * total * pre_num, common * common * pre_den)
+    return SignedSqrtRational(1 if total > 0 else -1, radicand)
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +183,8 @@ def gamma_half(n: int) -> Fraction:
     Callers form Gamma ratios from these so every sqrt(pi) cancels.
     """
     n = require_order(n, "n")
-    return Fraction(factorial(2 * n), 4**n * factorial(n))
+    f = _factorials(2 * n)
+    return Fraction(f[2 * n], f[n] << 2 * n)
 
 
 def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:

@@ -14,11 +14,33 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 _CRITERION_LINES: dict[int, tuple[bool, str]] = {}
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Start cold: every lru cache of the package emptied, its factorial table back to 0!.
+
+    The fixture's value empties them again when called. The table the test
+    found is put back afterwards.
+    """
+    from fourbessel import cli, legendre, oracle, quadbessel, wigner
+
+    def clear():
+        for module in (cli, legendre, oracle, quadbessel, wigner):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+        monkeypatch.setattr(wigner, "_FACTORIALS", (1,))
+
+    clear()
+    return clear
 
 
 def record_criterion(number: int, passed: bool, detail: str) -> None:

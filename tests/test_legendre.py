@@ -13,6 +13,7 @@ from numpy.polynomial import legendre as npleg
 from fourbessel.errors import DomainError
 from fourbessel.legendre import (
     _bform_coeffs,
+    _power_fourth_root,
     assoc_legendre_gt1,
     bform_band_coeffs,
     legendre_linearization_coeffs,
@@ -55,9 +56,15 @@ def _reference_poly_coeffs(degree: int) -> dict[tuple[int, int], Fraction]:
     return {key: val * scale for key, val in poly.items()}
 
 
+def _bform_values(degree: int) -> dict[tuple[int, int], Fraction]:
+    """The library's b-form coefficients as values: integer numerators over 2^degree."""
+    return {key: Fraction(n, 2**degree) for key, n in _bform_coeffs(degree).items()}
+
+
 @pytest.mark.parametrize("degree", range(0, 7))
 def test_poly_part_coefficients_match_reference(degree):
-    assert dict(_bform_coeffs(degree)) == _reference_poly_coeffs(degree)
+    assert all(type(n) is int and n for n in _bform_coeffs(degree).values())
+    assert _bform_values(degree) == _reference_poly_coeffs(degree)
 
 
 # every integer and half-integer order from -25/2 to 25/2
@@ -70,7 +77,7 @@ def test_poly_part_is_the_correctly_rounded_exact_value(degree):
     # coefficients, then rounded once; near x = 1 the terms cancel by many
     # orders of magnitude, which a float sum of the monomials does not survive
     reference = _reference_poly_coeffs(degree)
-    assert dict(_bform_coeffs(degree)) == reference
+    assert _bform_values(degree) == reference
     for x in (1.0 + 1e-7, 1.001, 1.1, 1.5, 2.0, 10.0):
         exact_x = Fraction(x)
         by_power = {}
@@ -97,28 +104,63 @@ def test_poly_part_raises_only_when_the_value_leaves_the_float_range():
 
 
 def _mpmath_legenp(degree, order, x):
+    """mpmath's type-3 P_degree^order(x), in the package's normalization.
+
+    The two agree for m <= 0. At degree 0 and m > 0, mpmath divides the power
+    by Gamma(1 - m) where the package divides by Gamma(|m| + 1), so degree 0
+    takes the closed form ((x+1)/(x-1))^(m/2) / Gamma(|m| + 1) throughout.
+    """
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         m = mpmath.mpf(order.numerator) / order.denominator
-        return float(mpmath.legenp(degree, m, mpmath.mpf(x), type=3))
+        x = mpmath.mpf(x)
+        if degree == 0:
+            return float(((x + 1) / (x - 1)) ** (m / 2) / mpmath.gamma(abs(m) + 1))
+        return float(mpmath.legenp(degree, m, x, type=3))
 
 
 @pytest.mark.parametrize(
-    "degree, order, x",
+    "degree, order, x, rel",
     [
         # b_12 cancels about 1e13-fold at x = 1 + 1e-7
-        (12, Fraction(3), 1.0000001),
-        (12, Fraction(15, 2), 1.1),
+        (12, Fraction(3), 1.0000001, 1e-14),
+        (12, Fraction(15, 2), 1.1, 1e-14),
         # |degree - m| > 170: 1 / Gamma(|degree - m| + 1) alone is below the
         # float range, the value is not
-        (12, Fraction(-160), 10.0),
-        (12, Fraction(-321, 2), 10.0),
-        (3, Fraction(-341, 2), 1.5),
+        (12, Fraction(-160), 10.0, 1e-14),
+        (12, Fraction(-321, 2), 10.0, 1e-14),
+        (3, Fraction(-341, 2), 1.5, 1e-14),
+        # the power's exponent m/2 log((x+1)/(x-1)) is 40 to 450, and its
+        # rounding must not grow with it
+        (0, Fraction(171), 1.01, 1e-15),
+        (0, Fraction(101), 1.001, 1e-15),
+        (0, Fraction(81, 2), 1.0001, 1e-15),
+        (0, Fraction(303, 2), 1.01, 1e-15),
     ],
 )
-def test_assoc_matches_mpmath(degree, order, x):
+def test_assoc_matches_mpmath(degree, order, x, rel):
     reference = _mpmath_legenp(degree, order, x)
-    assert assoc_legendre_gt1(degree, order, x) == pytest.approx(reference, rel=1e-14)
+    # several values lie far below approx's default abs tolerance of 1e-12
+    assert assoc_legendre_gt1(degree, order, x) == pytest.approx(reference, rel=rel, abs=0.0)
+
+
+def test_power_fourth_root_is_within_its_bound():
+    # (r 2^e)^4 against the exact (a/b)^n, in integers: relative error <= 2^-60
+    # in r is at most 4.0001 * 2^-60 in its fourth power
+    cases = ((3, 1, 0), (3, 1, 1), (201, 199, 342), (2**53 + 3, 2**53 - 1, 1001), (7, 5, 4097))
+    for a, b, n in cases:
+        r, e = _power_fourth_root(a, b, n)
+        power = Fraction(r**4) * Fraction(2) ** (4 * e)
+        assert abs(power * b**n - a**n) <= Fraction(40001, 10**4 * 2**60) * a**n, (a, b, n)
+
+
+def test_power_fourth_root_keeps_its_integers_small():
+    # binary powering cut back to a fixed width: n = 10^9 needs a 3e10-bit
+    # integer exactly, and here never more than about 2 (64 + 2 * 30) bits
+    r, e = _power_fourth_root(2**53 + 1, 2**53 - 1, 10**9)
+    expected = 10**9 / 4 * math.log((2**53 + 1) / (2**53 - 1))
+    assert r.bit_length() < 200
+    assert math.log(r) + e * math.log(2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_assoc_out_of_range_raises_domain_error():

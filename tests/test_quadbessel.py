@@ -889,11 +889,13 @@ def test_shifted_bound_is_an_a_posteriori_bound():
 
 
 def test_kernel_build_refuses_instead_of_rounding():
-    assert _exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    assert _exact_sqrt(9, 4) == (3, 2)
+    # the quotient is reduced first: 18/8 = 9/4
+    assert _exact_sqrt(18, 8) == (3, 2)
     with pytest.raises(ArithmeticError):
-        _exact_sqrt(Fraction(2, 9))
+        _exact_sqrt(2, 9)
     with pytest.raises(ArithmeticError):
-        _exact_sqrt(Fraction(4, 3))
+        _exact_sqrt(4, 3)
     # (1 - t^2)(1 + 2 t^2) divides; adding t breaks the divisibility
     assert _divide_one_minus_u([1, 0, 1, 0, -2]) == [1, 0, 2]
     with pytest.raises(ArithmeticError):

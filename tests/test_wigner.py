@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import itertools
 import math
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -11,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourbessel import wigner
 from fourbessel.errors import DomainError, NoValidBridge
+from fourbessel.quadbessel import _laurent_kernel
 from fourbessel.wigner import (
     SignedSqrtRational,
     gamma_half,
@@ -19,6 +24,8 @@ from fourbessel.wigner import (
     wigner_3j_zero,
     wigner_6j,
 )
+
+from test_quadbessel import _bridge_valid_tuples
 
 
 # --------------------------------------------------------------------------
@@ -119,6 +126,82 @@ def test_3j_fully_symmetric_under_column_permutations(j1, j2, j3):
 # --------------------------------------------------------------------------
 # 6j
 # --------------------------------------------------------------------------
+
+
+# --------------------------------------------------------------------------
+# the Fraction forms the library computed before its integer factorial quotients
+# --------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_3j_product(j1: int, j2: int, j3: int) -> SignedSqrtRational:
+    """3j(j1 j2 j3; 0 0 0) from its closed product form, in Fraction arithmetic."""
+    big_j = j1 + j2 + j3
+    if big_j % 2 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return SignedSqrtRational.zero()
+    g = big_j // 2
+    radicand = Fraction(
+        factorial(big_j - 2 * j1) * factorial(big_j - 2 * j2) * factorial(big_j - 2 * j3),
+        factorial(big_j + 1),
+    )
+    coeff = Fraction(factorial(g), factorial(g - j1) * factorial(g - j2) * factorial(g - j3))
+    return SignedSqrtRational(-1 if g % 2 else 1, radicand * coeff * coeff)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqrtRational:
+    """{j1 j2 j3; j4 j5 j6} from the Racah single sum, in Fraction arithmetic."""
+    triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
+    if not all(abs(a - b) <= c <= a + b for a, b, c in triads):
+        return SignedSqrtRational.zero()
+    prefactor = math.prod(
+        Fraction(
+            factorial(a + b - c) * factorial(a - b + c) * factorial(-a + b + c),
+            factorial(a + b + c + 1),
+        )
+        for a, b, c in triads
+    )
+    t_lo = max(sum(t) for t in triads)
+    t_hi = min(j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)
+    total = Fraction(0)
+    for t in range(t_lo, t_hi + 1):
+        denom = (
+            factorial(t - j1 - j2 - j3)
+            * factorial(t - j1 - j5 - j6)
+            * factorial(t - j4 - j2 - j6)
+            * factorial(t - j4 - j5 - j3)
+            * factorial(j1 + j2 + j4 + j5 - t)
+            * factorial(j2 + j3 + j5 + j6 - t)
+            * factorial(j3 + j1 + j6 + j4 - t)
+        )
+        term = Fraction(factorial(t + 1), denom)
+        total += -term if t % 2 else term
+    if total == 0:
+        return SignedSqrtRational.zero()
+    return SignedSqrtRational(1 if total > 0 else -1, total * total * prefactor)
+
+
+def test_3j_equals_the_fraction_product_form():
+    for j1, j2, j3 in itertools.product(range(25), repeat=3):
+        assert wigner_3j_zero(j1, j2, j3) == _reference_3j_product(j1, j2, j3), (j1, j2, j3)
+    # and at the orders of a bridge order 30 kernel
+    for j3 in range(0, 91, 3):
+        assert wigner_3j_zero(60, 30, j3) == _reference_3j_product(60, 30, j3), j3
+
+
+def test_6j_equals_the_fraction_racah_sum():
+    nonzero = 0
+    for args in itertools.product(range(7), repeat=6):
+        symbol = wigner_6j(*args)
+        assert symbol == _reference_6j.__wrapped__(*args), args
+        nonzero += not symbol.is_zero
+    assert nonzero > 10000
+    # and the symbols of the bridge order 30 kernel of (30, 0, 30, 60)
+    for split in range(31):
+        low = 30 - split
+        for args in ((30, 0, 30, split, low, split), (30, 60, 30, split, low, 60 - split)):
+            symbol = wigner_6j(*args)
+            assert not symbol.is_zero and symbol == _reference_6j(*args), args
 
 
 @pytest.mark.parametrize(
@@ -343,7 +426,11 @@ def test_select_bridge_order_minimality(l1, l2, l3, l4):
 # --------------------------------------------------------------------------
 
 
-def test_symbol_caches_are_thread_safe():
+def _build_each(tuples):
+    return [(orders, _laurent_kernel(*orders)) for orders in tuples]
+
+
+def test_symbol_caches_are_thread_safe(cold_caches):
     jobs = [(j1, j2, j3, j4, j5, j6)
             for j1, j2, j3, j4, j5, j6 in _valid_6j_tuples(3)]
     serial = [wigner_6j.__wrapped__(*args) for args in jobs[:50]]
@@ -351,3 +438,33 @@ def test_symbol_caches_are_thread_safe():
         results = list(pool.map(lambda args: wigner_6j(*args), jobs * 3))
     assert results[: len(jobs)] == results[len(jobs): 2 * len(jobs)]
     assert serial == results[:50]
+    # cold kernel builds: 4 threads over overlapping three-quarter slices of
+    # the tuples, each from its own start, while the factorial table grows
+    tuples = [*_bridge_valid_tuples(4), (13, 0, 13, 0), (16, 2, 15, 1), (9, 9, 18, 0)]
+    assert len(tuples) == 269 + 3
+    cold_caches()
+    single = {orders: _laurent_kernel(*orders) for orders in tuples}
+    cold_caches()
+    n = len(tuples)
+    slices = [(tuples[i * n // 4:] + tuples[: i * n // 4])[: 3 * n // 4] for i in range(4)]
+
+    def grow(_):
+        for k in range(0, 150, 7):
+            table = wigner._factorials(k)
+            assert len(table) > k and table[k] == factorial(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            built = list(pool.map(_build_each, slices, timeout=120))
+            # the factorial table alone, grown from 0! by 4 threads at once, many times
+            for _ in range(100):
+                cold_caches()
+                list(pool.map(grow, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(len(part) for part in built) == 4 * (3 * n // 4)
+    for part in built:
+        for orders, kernel in part:
+            assert kernel == single[orders], orders
