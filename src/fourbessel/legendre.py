@@ -219,6 +219,21 @@ def legendre_p(degree: int, x: float) -> float:
 
 
 @lru_cache(maxsize=None)
+def _linearization_weights(l: int, lp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(den, ((mu, num), ...)): the coefficients c_mu = num / den of P_l * P_lp in integers.
+
+    c_mu = (2 mu + 1) * (three-j with zero projections)^2 over the lcm of the
+    squared symbols' denominators, for mu = |l - lp|, |l - lp| + 2, ..., l + lp.
+    """
+    window = range(abs(l - lp), l + lp + 1, 2)
+    radicands = [(mu, wigner_3j_zero(l, lp, mu).radicand) for mu in window]
+    den = math.lcm(*(rad.denominator for _, rad in radicands))
+    return den, tuple(
+        (mu, (2 * mu + 1) * rad.numerator * (den // rad.denominator)) for mu, rad in radicands
+    )
+
+
+@lru_cache(maxsize=None)
 def legendre_linearization_coeffs(l: int, lp: int) -> tuple[tuple[int, Fraction], ...]:
     """Exact coefficients c_mu with P_l * P_lp = sum_mu c_mu P_mu.
 
@@ -226,10 +241,5 @@ def legendre_linearization_coeffs(l: int, lp: int) -> tuple[tuple[int, Fraction]
     mu = |l - lp|, |l - lp| + 2, ..., l + lp and every listed coefficient is
     strictly positive.
     """
-    l = require_order(l, "l")
-    lp = require_order(lp, "lp")
-    out = []
-    for mu in range(abs(l - lp), l + lp + 1, 2):
-        coupling = wigner_3j_zero(l, lp, mu)
-        out.append((mu, (2 * mu + 1) * coupling.radicand))
-    return tuple(out)
+    den, weights = _linearization_weights(require_order(l, "l"), require_order(lp, "lp"))
+    return tuple((mu, Fraction(num, den)) for mu, num in weights)

@@ -35,7 +35,7 @@ from .core import (
     require_order,
 )
 from .errors import DomainError, PrefactorZero
-from .legendre import bform_band_coeffs, legendre_p
+from .legendre import _linearization_weights, bform_band_coeffs, legendre_p
 from .wigner import (
     SignedSqrtRational,
     gamma_half,
@@ -179,12 +179,10 @@ def _band_series(l: int, lp: int, L: int) -> tuple[int, tuple[int, ...]]:
     2 / (2mu+1) at L = 0.
     """
     scale = gamma_half(L)
-    symbols = [(mu, wigner_3j_zero(l, lp, mu).radicand) for mu in range(abs(l - lp), l + lp + 1, 2)]
-    den = math.lcm(*(rad.denominator for _, rad in symbols))
+    den, weights = _linearization_weights(l, lp)
     out = [0] * (l + lp + 2 * max(L - 1, 0) + 1)
-    for mu, rad in symbols:
-        weight = (2 * mu + 1) * scale.denominator if L else 2
-        scaled = weight * rad.numerator * (den // rad.denominator)
+    for mu, num in weights:
+        scaled = num * scale.denominator if L else 2 * num // (2 * mu + 1)
         band = bform_band_coeffs(L - 1, -2 * mu - 1) if L >= 1 else (1,)
         for k, value in enumerate(band):
             out[mu + 2 * k] += scaled * value

@@ -1,10 +1,10 @@
 """Exact angular-momentum coupling coefficients.
 
-Every symbol is an integer factorial quotient over one shared factorial
-table, returned as a :class:`SignedSqrtRational`, the exact carrier
-s*sqrt(p/q), built once per distinct symbol. The kernel build reads the
-radicand's numerator and denominator; conversion to floating point happens
-once, at the summation boundary, via ``to_float``.
+Every symbol is an integer factorial quotient, returned as a
+:class:`SignedSqrtRational`, the exact carrier s*sqrt(p/q), built once per
+distinct symbol. The kernel build reads the radicand's numerator and
+denominator; conversion to floating point happens once, at the summation
+boundary, via ``to_float``.
 
 Only integer angular momenta are supported; the integral pipeline never needs
 half-integer ones.
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .core import require_order
 from .errors import NoValidBridge
@@ -108,21 +110,15 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b
 
 
-# k! at index k; a longer table is built aside and bound in one step, so
-# that a thread reads the old table or the new one, never a partial one
-_FACTORIALS = (1,)
+# k! at index k < 192, built once at import: it covers every symbol of the
+# kernels up to bridge order 30, which read up to 181!. Larger arguments go to
+# math.factorial, so the memory held does not grow with the orders asked for.
+_FACTORIALS = tuple(accumulate(range(1, 192), mul, initial=1))
 
 
-def _factorials(n: int) -> tuple[int, ...]:
-    """The shared factorial table, grown to cover n! at least."""
-    global _FACTORIALS
-    table = _FACTORIALS
-    if len(table) <= n:
-        grown = list(table)
-        for k in range(len(grown), 2 * n + 2):
-            grown.append(grown[-1] * k)
-        table = _FACTORIALS = tuple(grown)
-    return table
+def _factorial(n: int):
+    """k -> k! for 0 <= k <= n: the table's lookup where it reaches n, else math.factorial."""
+    return _FACTORIALS.__getitem__ if n < len(_FACTORIALS) else math.factorial
 
 
 @lru_cache(maxsize=None)
@@ -139,10 +135,10 @@ def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
     if big_j % 2 or not _triangle_ok(j1, j2, j3):
         return SignedSqrtRational.zero()
     g = big_j // 2
-    f = _factorials(big_j + 1)
-    coeff_den = f[g - j1] * f[g - j2] * f[g - j3]
-    num = f[big_j - 2 * j1] * f[big_j - 2 * j2] * f[big_j - 2 * j3] * f[g] ** 2
-    return SignedSqrtRational(-1 if g % 2 else 1, Fraction(num, f[big_j + 1] * coeff_den**2))
+    f = _factorial(big_j + 1)
+    coeff_den = f(g - j1) * f(g - j2) * f(g - j3)
+    num = f(big_j - 2 * j1) * f(big_j - 2 * j2) * f(big_j - 2 * j3) * f(g) ** 2
+    return SignedSqrtRational(-1 if g % 2 else 1, Fraction(num, f(big_j + 1) * coeff_den**2))
 
 
 @lru_cache(maxsize=None)
@@ -158,17 +154,17 @@ def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqr
     a1, a2, a3, a4 = lows = [sum(t) for t in triads]
     b1, b2, b3 = j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4
     t_lo, t_hi = max(lows), min(b1, b2, b3)
-    f = _factorials(t_hi + 1)
+    f = _factorial(t_hi + 1)
     # squared triangle coefficients of the Racah formula
-    pre_num = math.prod(f[a + b - c] * f[a - b + c] * f[b + c - a] for a, b, c in triads)
-    pre_den = f[a1 + 1] * f[a2 + 1] * f[a3 + 1] * f[a4 + 1]
+    pre_num = math.prod(f(a + b - c) * f(a - b + c) * f(b + c - a) for a, b, c in triads)
+    pre_den = f(a1 + 1) * f(a2 + 1) * f(a3 + 1) * f(a4 + 1)
     # every term's denominator divides the common one
-    common = f[t_hi - a1] * f[t_hi - a2] * f[t_hi - a3] * f[t_hi - a4]
-    common *= f[b1 - t_lo] * f[b2 - t_lo] * f[b3 - t_lo]
+    common = f(t_hi - a1) * f(t_hi - a2) * f(t_hi - a3) * f(t_hi - a4)
+    common *= f(b1 - t_lo) * f(b2 - t_lo) * f(b3 - t_lo)
     total = 0
     for t in range(t_lo, t_hi + 1):
-        denom = f[t - a1] * f[t - a2] * f[t - a3] * f[t - a4] * f[b1 - t] * f[b2 - t] * f[b3 - t]
-        term = f[t + 1] * (common // denom)
+        denom = f(t - a1) * f(t - a2) * f(t - a3) * f(t - a4) * f(b1 - t) * f(b2 - t) * f(b3 - t)
+        term = f(t + 1) * (common // denom)
         total += -term if t % 2 else term
     if total == 0:
         return SignedSqrtRational.zero()
@@ -183,8 +179,8 @@ def gamma_half(n: int) -> Fraction:
     Callers form Gamma ratios from these so every sqrt(pi) cancels.
     """
     n = require_order(n, "n")
-    f = _factorials(2 * n)
-    return Fraction(f[2 * n], f[n] << 2 * n)
+    f = _factorial(2 * n)
+    return Fraction(f(2 * n), f(n) << 2 * n)
 
 
 def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:

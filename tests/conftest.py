@@ -24,11 +24,10 @@ _CRITERION_LINES: dict[int, tuple[bool, str]] = {}
 
 
 @pytest.fixture
-def cold_caches(monkeypatch):
-    """Start cold: every lru cache of the package emptied, its factorial table back to 0!.
+def cold_caches():
+    """Start cold: every lru cache of the package emptied.
 
-    The fixture's value empties them again when called. The table the test
-    found is put back afterwards.
+    The fixture's value empties them again when called.
     """
     from fourbessel import cli, legendre, oracle, quadbessel, wigner
 
@@ -37,7 +36,6 @@ def cold_caches(monkeypatch):
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-        monkeypatch.setattr(wigner, "_FACTORIALS", (1,))
 
     clear()
     return clear

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -187,6 +188,10 @@ def test_3j_equals_the_fraction_product_form():
     # and at the orders of a bridge order 30 kernel
     for j3 in range(0, 91, 3):
         assert wigner_3j_zero(60, 30, j3) == _reference_3j_product(60, 30, j3), j3
+    # and on both sides of the factorial table's end, which 3j reaches at j1+j2+j3+1
+    assert {62 + 64 + j3 + 1 < len(wigner._FACTORIALS) for j3 in range(56, 73, 2)} == {True, False}
+    for j3 in range(56, 73, 2):
+        assert wigner_3j_zero(62, 64, j3) == _reference_3j_product(62, 64, j3), j3
 
 
 def test_6j_equals_the_fraction_racah_sum():
@@ -202,6 +207,30 @@ def test_6j_equals_the_fraction_racah_sum():
         for args in ((30, 0, 30, split, low, split), (30, 60, 30, split, low, 60 - split)):
             symbol = wigner_6j(*args)
             assert not symbol.is_zero and symbol == _reference_6j(*args), args
+    # and on both sides of the factorial table's end, which the sum reaches at t_hi + 1 = 4j
+    assert {4 * j < len(wigner._FACTORIALS) for j in range(46, 50)} == {True, False}
+    for j in range(46, 50):
+        args = (j, j, j, j, j, j - 1)
+        assert wigner_6j(*args) == _reference_6j(*args), args
+
+
+def test_large_orders_take_memory_that_does_not_grow_with_a_table(cold_caches):
+    # a factorial table grown to these orders would hold about 0.7 GB for
+    # 3j(5000, 5000, 5000) and about 3 GB for gamma_half(3 * 10**4)
+    n = 3 * 10**4
+    tracemalloc.start()
+    try:
+        symbol = wigner_3j_zero(5000, 5000, 5000)
+        gamma = gamma_half(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert symbol.sign == 1 and 0 < symbol.to_float() < 1
+    # (2n)! / (4^n n!) is the odd (2n - 1)!! over 2^n
+    assert gamma.denominator == 1 << n and gamma.numerator % 2
+    log2_gamma = (math.lgamma(n + 0.5) - 0.5 * math.log(math.pi)) / math.log(2)
+    assert math.log2(gamma.numerator) - n == pytest.approx(log2_gamma, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -328,8 +357,9 @@ def test_ssr_to_float_matches_math_sqrt(p, q, sign):
 
 
 def test_gamma_half_base_and_recurrence():
+    # past n = 95, (2n)! is beyond the factorial table
     assert gamma_half(0) == 1
-    for n in range(40):
+    for n in range(100):
         assert gamma_half(n + 1) == gamma_half(n) * Fraction(2 * n + 1, 2)
 
 
@@ -439,7 +469,7 @@ def test_symbol_caches_are_thread_safe(cold_caches):
     assert results[: len(jobs)] == results[len(jobs): 2 * len(jobs)]
     assert serial == results[:50]
     # cold kernel builds: 4 threads over overlapping three-quarter slices of
-    # the tuples, each from its own start, while the factorial table grows
+    # the tuples, each from its own start
     tuples = [*_bridge_valid_tuples(4), (13, 0, 13, 0), (16, 2, 15, 1), (9, 9, 18, 0)]
     assert len(tuples) == 269 + 3
     cold_caches()
@@ -448,20 +478,11 @@ def test_symbol_caches_are_thread_safe(cold_caches):
     n = len(tuples)
     slices = [(tuples[i * n // 4:] + tuples[: i * n // 4])[: 3 * n // 4] for i in range(4)]
 
-    def grow(_):
-        for k in range(0, 150, 7):
-            table = wigner._factorials(k)
-            assert len(table) > k and table[k] == factorial(k)
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             built = list(pool.map(_build_each, slices, timeout=120))
-            # the factorial table alone, grown from 0! by 4 threads at once, many times
-            for _ in range(100):
-                cold_caches()
-                list(pool.map(grow, range(4), timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert sum(len(part) for part in built) == 4 * (3 * n // 4)
