@@ -28,7 +28,6 @@ from .legendre import (
     assoc_legendre_gt1,
     legendre_linearization_coeffs,
     legendre_p,
-    legendre_poly_part,
 )
 from .oracle import (
     QuadratureConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "gamma_half",
     "legendre_linearization_coeffs",
     "legendre_p",
-    "legendre_poly_part",
     "quad_bessel_numeric",
     "quad_bessel_paired",
     "select_bridge_order",

@@ -5,21 +5,26 @@ for integer degree l and arbitrary (possibly half-integer) order m,
 
     P_l^m(x) = b_l(x, m) * ((x+1)/(x-1))^(m/2) / Gamma(|l - m| + 1)
 
-where b_l is a polynomial in both x and m with integer coefficients over
-2^l. The closed-form integral machinery consumes b_l directly (the power and
-Gamma factors cancel into exact rational prefactors there); the full function
-is exposed for direct evaluation and cross-checking. Both evaluators sum b_l
-exactly at the rational values of x and m, so no degree is too large and no
-cancellation near x = 1 costs digits; the result is rounded once.
+where b_l is the terminating hypergeometric sum (DLMF §14.3)
+
+    b_l(x, m) = (1-m)_l 2F1(-l, l+1; 1-m; (1-x)/2).
+
+Its Pfaff transform (DLMF 15.8.1) at x = (1+u)/(1-u) is
+4^l (1-u)^l b_l = 4^l (1-m)_l 2F1(-l, -m-l; 1-m; u), a polynomial in u with
+integer coefficients for integer and half-integer m. The closed-form integral
+machinery consumes that polynomial (the power and Gamma factors cancel into
+exact rational prefactors there); the full function is exposed for direct
+evaluation and cross-checking. Each form is one sum of l + 1 terms. The full
+function sums b_l exactly at the rational values of x and m, so no degree is
+too large and no cancellation near x = 1 costs digits; the result is rounded
+once.
 """
 from __future__ import annotations
 
 import math
-import operator
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 from .core import require_order
 from .errors import DomainError
@@ -42,88 +47,45 @@ def _as_fraction(value: OrderLike, name: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _bform_coeffs(degree: int) -> Mapping[tuple[int, int], int]:
-    """Integer numerators over 2^degree of b_degree(x, m), keyed (power of x, power of m)."""
-    degree = require_order(degree, "degree")
-    # Auxiliary recurrence q_{j+1} = (1-x^2) dq_j/dx + 2(m - (degree-j) x) q_j
-    # starting from q_0 = 1; then b_degree = (-1)^degree q_degree / 2^degree.
-    poly: dict[tuple[int, int], int] = {(0, 0): 1}
-    for step in range(degree):
-        shift = degree - step
-        nxt: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for (xi, mj), coeff in poly.items():
-            if xi:
-                nxt[(xi - 1, mj)] += xi * coeff
-                nxt[(xi + 1, mj)] -= xi * coeff
-            nxt[(xi, mj + 1)] += 2 * coeff
-            nxt[(xi + 1, mj)] -= 2 * shift * coeff
-        poly = {key: val for key, val in nxt.items() if val}
-    sign = -1 if degree % 2 else 1
-    return {key: sign * val for key, val in poly.items()}
-
-
-@lru_cache(maxsize=None)
-def _band_basis(degree: int) -> tuple[tuple[int, ...], ...]:
-    """Entry k, i: the u^k coefficient of (1+u)^i (1-u)^(degree-i)."""
-    return tuple(
-        tuple(
-            sum(
-                math.comb(i, a) * math.comb(degree - i, k - a) * (-1) ** (k - a)
-                for a in range(max(0, k - degree + i), min(i, k) + 1)
-            )
-            for i in range(degree + 1)
-        )
-        for k in range(degree + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
     """Integer coefficients in u of 4^degree (1-u)^degree b_degree(x, m).
 
-    Here x = (1+u)/(1-u) and m = twice_m/2. Each x^i becomes
-    (1+u)^i (1-u)^(degree-i) over (1-u)^degree, so the product is a
-    polynomial of degree <= ``degree`` in u; entry k is the u^k coefficient.
-    b_degree has coefficients over 2^degree and total degree <= ``degree`` in
-    (x, m), so for integer or half-integer m the factor 4^degree clears every
-    denominator: 4^degree (n / 2^degree) (twice_m / 2)^j = n twice_m^j 2^(degree - j).
+    Here x = (1+u)/(1-u) and m = twice_m/2, and the polynomial is
+    4^l (1-m)_l 2F1(-l, -m-l; 1-m; u) for l = degree. Its u^k coefficient is
+    2^l (-1)^k C(l, k) prod_(i<k) (2i - 2l - twice_m) prod_(k<j<=l) (2j - twice_m):
+    every factor of the two products is twice its factor of (-m-l)_k or
+    (1-m)_l / (1-m)_k, and 4^l clears the 2^-l that this leaves.
     """
-    # 4^degree times the coefficient of x^i, summed over the powers of m
-    m_terms = [twice_m**j << (degree - j) for j in range(degree + 1)]
-    by_power = [0] * (degree + 1)
-    for (xi, mj), coeff in _bform_coeffs(degree).items():
-        by_power[xi] += coeff * m_terms[mj]
-    return tuple(sum(map(operator.mul, by_power, column)) for column in _band_basis(degree))
+    degree = require_order(degree, "degree")
+    # upper[k] = prod_(k<j<=degree) (2j - twice_m)
+    upper = [1] * (degree + 1)
+    for k in range(degree, 0, -1):
+        upper[k - 1] = upper[k] * (2 * k - twice_m)
+    # lower = 2^degree (-1)^k prod_(i<k) (2i - 2 degree - twice_m)
+    out, lower = [], 1 << degree
+    for k in range(degree + 1):
+        out.append(math.comb(degree, k) * lower * upper[k])
+        lower *= 2 * degree + twice_m - 2 * k
+    return tuple(out)
 
 
 def _poly_part_ratio(degree: int, m: Fraction, x: Fraction) -> tuple[int, int]:
-    """(num, den) with num / den = b_degree(x, m) exactly."""
-    # b_degree has total degree <= degree in (x, m), and its coefficients
-    # are integers over 2^degree
+    """(num, den) with num / den = b_degree(x, m) exactly.
+
+    At x = p/q and m = a/b the 2F1 sum over den = (2qb)^l, l = degree, is
+    num = sum_k F_k prod_(k<j<=l) (bj - a) 2q, where
+    F_k = (-1)^k C(l, k) (l+1)_k (b(q-p))^k. Horner's rule in the products
+    runs it with two integers: F_k from F_(k-1), and the partial sum.
+    """
     p, q = x.numerator, x.denominator
     a, b = m.numerator, m.denominator
-    x_terms = [p**i * q ** (degree - i) for i in range(degree + 1)]
-    m_terms = [a**j * b ** (degree - j) for j in range(degree + 1)]
-    num = sum(
-        coeff * x_terms[xi] * m_terms[mj] for (xi, mj), coeff in _bform_coeffs(degree).items()
-    )
-    return num, q**degree * b**degree << degree
-
-
-def legendre_poly_part(degree: int, order: OrderLike, x: float) -> float:
-    """Evaluate the polynomial factor b_degree(x, m) of the associated function.
-
-    The sum is exact at the rational values of x and m and rounded once;
-    DomainError is raised when the value leaves the float range.
-    """
-    degree = require_order(degree, "degree")
-    num, den = _poly_part_ratio(degree, _as_fraction(order, "order"), _as_fraction(x, "x"))
-    try:
-        return num / den
-    except OverflowError:
-        raise DomainError(
-            f"b_{degree}(x={x!r}, m={order}) leaves the float range"
-        ) from None
+    step = b * (q - p)
+    num = term = 1
+    for k in range(1, degree + 1):
+        # C(l, k) = C(l, k-1) (l-k+1) / k, exact on the product so far
+        term = -term * (degree - k + 1) * (degree + k) * step // k
+        num = num * (b * k - a) * 2 * q + term
+    return num, (2 * q * b) ** degree
 
 
 _LN2 = math.log(2.0)

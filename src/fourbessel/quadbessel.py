@@ -204,7 +204,7 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
 
 
 class _Branch(NamedTuple):
-    """A Laurent kernel, sum c_p t^p, or a Taylor basis, over its nonzero coefficients.
+    """A Laurent kernel, sum c_p t^p, over its nonzero coefficients.
 
     Each c_p is kept once, exactly, as an integer of ``numerators`` over
     ``common``; ``terms`` holds the matching (power, float) pairs in ascending
@@ -298,13 +298,11 @@ def _horner(terms, t: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def _taylor_basis(
-    orders: tuple[int, int, int, int], j: int
-) -> tuple[int, _Branch, tuple[float, ...]]:
-    """(p0, basis, dense): the kernel K(t) = t^p0 P(t^2) of orders, P about c = j / _CENTRES.
+def _taylor_basis(orders: tuple[int, int, int, int], j: int) -> tuple[int, tuple[float, ...]]:
+    """(p0, dense): the kernel K(t) = t^p0 P(t^2) of orders, P about c = j / _CENTRES.
 
-    The basis is a _Branch in powers of w = u - c, u = t^2, and dense holds
-    its floats for every power 0 .. D, a zero coefficient as 0.0. With n_i the
+    dense holds the coefficients of P in powers of w = u - c, u = t^2, for
+    every power 0 .. D, each correctly rounded once, a zero as 0.0. With n_i the
     kernel's numerator of u^i over d and D the degree of P, the polynomial
     sum n_i C^(D-i) (C u)^i = C^D d P(u), C = _CENTRES, has integer
     coefficients; the shift C u = j + C w by the integer j keeps them integers
@@ -322,10 +320,7 @@ def _taylor_basis(
         for i in range(degree - 1, low - 1, -1):
             coeffs[i] += j * coeffs[i + 1]
     common = _CENTRES**degree * branch.common
-    dense = tuple(s * _CENTRES**m / common for m, s in enumerate(coeffs))
-    shifted = [(m, s * _CENTRES**m) for m, s in enumerate(coeffs) if s]
-    basis = _Branch(tuple((m, dense[m]) for m, _ in shifted), tuple(n for _, n in shifted), common)
-    return p0, basis, dense
+    return p0, tuple(s * _CENTRES**m / common for m, s in enumerate(coeffs))
 
 
 def _shifted_horner(
@@ -340,7 +335,7 @@ def _shifted_horner(
     one per power for the rounding of w, and one spare.
     """
     j = round(t * t * _CENTRES)
-    p0, _, dense = _taylor_basis(orders, j)
+    p0, dense = _taylor_basis(orders, j)
     b2 = b * b
     w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
     r = abs(w)
@@ -412,7 +407,7 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     try:
         if k_lo == k_hi:
             # K(1) = P(1) is the constant of the Taylor basis at u = 1
-            total = _taylor_basis(orders, _CENTRES)[2][0]
+            total = _taylor_basis(orders, _CENTRES)[1][0]
         else:
             total, magnitude = _horner(monomials, t)
             if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):

@@ -174,13 +174,14 @@ def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqr
 
 @lru_cache(maxsize=None)
 def gamma_half(n: int) -> Fraction:
-    """Gamma(n + 1/2) / sqrt(pi), exactly: (2n)! / (4^n n!).
+    """Gamma(n + 1/2) / sqrt(pi), exactly: (2n - 1)!! / 2^n, in lowest terms.
 
-    Callers form Gamma ratios from these so every sqrt(pi) cancels.
+    The numerator is the odd part of (2n)! / n! = C(2n, n) n! = 2^n (2n - 1)!!,
+    so no gcd of factorials and no big exact division is formed. Callers form
+    Gamma ratios from these so every sqrt(pi) cancels.
     """
     n = require_order(n, "n")
-    f = _factorial(2 * n)
-    return Fraction(f(2 * n), f(n) << 2 * n)
+    return Fraction(math.comb(2 * n, n) * _factorial(n)(n) >> n, 1 << n)
 
 
 def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:

@@ -17,6 +17,7 @@ import pytest
 
 from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
+from fourbessel.legendre import bform_band_coeffs
 from fourbessel.quadbessel import _Branch, _divide_one_minus_u, _laurent_kernel, evaluate
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order
 
@@ -192,6 +193,19 @@ def test_build_equals_the_fraction_build_on_orders_up_to_6():
 def test_build_equals_the_fraction_build_at_bridge_orders_14_to_30(orders, bridge):
     assert _assert_same_kernel(orders)
     assert _laurent_kernel(*orders)[0] == bridge
+
+
+def test_band_coeffs_equal_the_reference_up_to_bridge_order_30():
+    # b_(L-1) at the orders -mu-1/2 that _band_series reads, degree 29 being
+    # bridge order 30's; mu = 60 is the top of the (30, 0, 30, 60) kernel
+    checked = 0
+    for degree in range(30):
+        for mu in sorted({0, degree, 2 * degree + 1, 60}):
+            assert bform_band_coeffs(degree, -2 * mu - 1) == _reference_band_coeffs(
+                degree, -2 * mu - 1
+            ), (degree, mu)
+            checked += 1
+    assert checked == 119
 
 
 def test_cold_build_does_no_fraction_or_signed_sqrt_arithmetic(monkeypatch, cold_caches):

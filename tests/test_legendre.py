@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,13 @@ from numpy.polynomial import legendre as npleg
 
 from fourbessel.errors import DomainError
 from fourbessel.legendre import (
-    _bform_coeffs,
+    _as_fraction,
+    _poly_part_ratio,
     _power_fourth_root,
     assoc_legendre_gt1,
     bform_band_coeffs,
     legendre_linearization_coeffs,
     legendre_p,
-    legendre_poly_part,
 )
 
 from test_quadbessel import _ratio_integral, _reference_gauss_legendre
@@ -34,7 +35,7 @@ def _reference_poly_coeffs(degree: int) -> dict[tuple[int, int], Fraction]:
 
     Starts from the constant seed and applies
     q_{j+1} = (1 - x^2) dq_j/dx + 2 (m - (degree - j) x) q_j
-    independently of the library's table/recurrence split.
+    independently of the library's hypergeometric sums.
     """
     poly = {(0, 0): Fraction(1)}
     for step in range(degree):
@@ -56,15 +57,26 @@ def _reference_poly_coeffs(degree: int) -> dict[tuple[int, int], Fraction]:
     return {key: val * scale for key, val in poly.items()}
 
 
-def _bform_values(degree: int) -> dict[tuple[int, int], Fraction]:
-    """The library's b-form coefficients as values: integer numerators over 2^degree."""
-    return {key: Fraction(n, 2**degree) for key, n in _bform_coeffs(degree).items()}
+def _reference_value(degree: int, m: Fraction, x: Fraction) -> Fraction:
+    """b_degree(x, m) summed in Fractions from the reference coefficients."""
+    return sum(c * x**xi * m**mj for (xi, mj), c in _reference_poly_coeffs(degree).items())
+
+
+def _assert_exact_ratio(degree: int, m: Fraction, x: Fraction, expected: Fraction):
+    """_poly_part_ratio is expected exactly, over the denominator (2 q b)^degree."""
+    num, den = _poly_part_ratio(degree, m, x)
+    assert type(num) is int and den == (2 * x.denominator * m.denominator) ** degree
+    assert Fraction(num, den) == expected, (degree, m, x)
+    return num, den
 
 
 @pytest.mark.parametrize("degree", range(0, 7))
-def test_poly_part_coefficients_match_reference(degree):
-    assert all(type(n) is int and n for n in _bform_coeffs(degree).values())
-    assert _bform_values(degree) == _reference_poly_coeffs(degree)
+def test_poly_part_ratio_matches_reference_off_the_half_integers(degree):
+    # b_degree is a polynomial in (x, m); the 2F1 sum holds at any rational
+    # order and argument, also where the kernel never reads it
+    for m in (Fraction(1, 3), Fraction(-7, 5), Fraction(0), Fraction(2)):
+        for x in (Fraction(7, 3), Fraction(-1, 2), Fraction(0), Fraction(1)):
+            _assert_exact_ratio(degree, m, x, _reference_value(degree, m, x))
 
 
 # every integer and half-integer order from -25/2 to 25/2
@@ -74,10 +86,10 @@ POLY_PART_ORDERS = [Fraction(twice_m, 2) for twice_m in range(-25, 26)]
 @pytest.mark.parametrize("degree", range(0, 23))
 def test_poly_part_is_the_correctly_rounded_exact_value(degree):
     # b_degree(x, m) summed in Fractions from the independent reference
-    # coefficients, then rounded once; near x = 1 the terms cancel by many
-    # orders of magnitude, which a float sum of the monomials does not survive
+    # coefficients; near x = 1 the terms cancel by many orders of magnitude,
+    # which a float sum of the monomials does not survive, so the ratio must
+    # be exact and its int / int division the correctly rounded value
     reference = _reference_poly_coeffs(degree)
-    assert _bform_values(degree) == reference
     for x in (1.0 + 1e-7, 1.001, 1.1, 1.5, 2.0, 10.0):
         exact_x = Fraction(x)
         by_power = {}
@@ -86,21 +98,20 @@ def test_poly_part_is_the_correctly_rounded_exact_value(degree):
         in_x = {mj: sum(parts) for mj, parts in by_power.items()}
         for m in POLY_PART_ORDERS:
             exact = sum(value * m**mj for mj, value in in_x.items())
-            assert legendre_poly_part(degree, m, x) == float(exact), (degree, m, x)
+            num, den = _assert_exact_ratio(degree, m, exact_x, exact)
+            assert num / den == float(exact), (degree, m, x)
 
 
-def test_poly_part_raises_only_when_the_value_leaves_the_float_range():
-    assert legendre_poly_part(12, Fraction(-1, 2), 1e9) == float(
-        sum(
-            c * Fraction(10**9) ** xi * Fraction(-1, 2) ** mj
-            for (xi, mj), c in _reference_poly_coeffs(12).items()
-        )
-    )
-    # b_40 at x = 1e9 is about 1e360
-    with pytest.raises(DomainError):
-        legendre_poly_part(40, Fraction(-1, 2), 1e9)
-    with pytest.raises(DomainError):
-        legendre_poly_part(2, Fraction(1, 2), math.inf)
+def test_poly_part_ratio_is_exact_past_the_float_range():
+    m, x = Fraction(-1, 2), Fraction(10**9)
+    _assert_exact_ratio(12, m, x, _reference_value(12, m, x))
+    # b_40 at x = 1e9 is about 8e418: the ratio stays exact, and the function
+    # raises only because its value leaves the float range as well
+    exact = _reference_value(40, m, x)
+    _assert_exact_ratio(40, m, x, exact)
+    assert 10**418 < exact < 10**419
+    with pytest.raises(DomainError, match="float range"):
+        assoc_legendre_gt1(40, m, 1e9)
 
 
 def _mpmath_legenp(degree, order, x):
@@ -142,6 +153,26 @@ def test_assoc_matches_mpmath(degree, order, x, rel):
     reference = _mpmath_legenp(degree, order, x)
     # several values lie far below approx's default abs tolerance of 1e-12
     assert assoc_legendre_gt1(degree, order, x) == pytest.approx(reference, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "degree, order, x", [(200, Fraction(-5, 2), 1.2), (400, Fraction(-1, 2), 1.5)]
+)
+def test_assoc_at_high_degree_is_one_short_sum(degree, order, x):
+    # b_l is one sum of l + 1 terms, so degree 400 needs no table of
+    # (x-power, m-power) coefficients and little memory
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        m = mpmath.mpf(order.numerator) / order.denominator
+        reference = float(mpmath.legenp(degree, m, mpmath.mpf(x), type=3))
+    tracemalloc.start()
+    try:
+        value = assoc_legendre_gt1(degree, order, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(reference, rel=1e-14, abs=0.0)
+    assert peak < 2**20
 
 
 def test_power_fourth_root_is_within_its_bound():
@@ -288,11 +319,15 @@ def test_assoc_order_zero_equals_polynomial_continuation(degree, x):
 
 
 def test_poly_part_is_polynomial_in_the_order():
-    # evaluating the (x, m) polynomial at integer orders must agree with
-    # evaluating it at the same order passed as a fraction
-    assert legendre_poly_part(3, 1, 2.0) == pytest.approx(
-        legendre_poly_part(3, Fraction(1), 2.0), rel=1e-15
-    )
+    # an integer order, the same order as a Fraction and as a float give the
+    # same exact ratio, and so the same value
+    orders = (1, Fraction(1), 1.0)
+    ratios = {_poly_part_ratio(3, _as_fraction(m, "order"), Fraction(2)) for m in orders}
+    assert len(ratios) == 1
+    num, den = ratios.pop()
+    assert Fraction(num, den) == _reference_value(3, Fraction(1), Fraction(2))
+    values = {assoc_legendre_gt1(3, m, 2.0).hex() for m in orders}
+    assert len(values) == 1
 
 
 # --------------------------------------------------------------------------

@@ -848,19 +848,19 @@ def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
 
 def _assert_taylor_basis_is_exact(orders, j):
     """The basis about c = j/16 is P(c + w) coefficient by coefficient, each rounded once."""
-    p0, basis, dense = _taylor_basis(orders, j)
-    _assert_floats_are_the_rounded_numerators(basis)
-    assert dense == tuple(dict(basis.terms).get(m, 0.0) for m in range(len(dense)))
+    p0, dense = _taylor_basis(orders, j)
     branch = _laurent_kernel(*orders)[1]
     assert p0 == branch.terms[0][0]
-    w, c = Fraction(1, 7), Fraction(j, _CENTRES)
-    shifted = sum(
-        Fraction(n, basis.common) * w**m for (m, _), n in zip(basis.terms, basis.numerators)
-    )
-    assert shifted == sum(
-        Fraction(n, branch.common) * (c + w) ** ((p - p0) // 2)
-        for (p, _), n in zip(branch.terms, branch.numerators)
-    ), (orders, j)
+    # P(u) = sum_i e_i u^i; the w^m coefficient of P(c + w) is sum_i e_i C(i, m) c^(i-m)
+    by_power = {(p - p0) // 2: Fraction(n, branch.common)
+                for (p, _), n in zip(branch.terms, branch.numerators)}
+    degree = max(by_power)
+    c = Fraction(j, _CENTRES)
+    exact = [
+        sum(e * math.comb(i, m) * c ** (i - m) for i, e in by_power.items() if i >= m)
+        for m in range(degree + 1)
+    ]
+    assert [x.hex() for x in dense] == [float(e).hex() for e in exact], (orders, j)
 
 
 def test_shifted_bound_is_an_a_posteriori_bound():
@@ -886,6 +886,16 @@ def test_shifted_bound_is_an_a_posteriori_bound():
             checked += 1
     assert checked == 269 * 40
     assert taken == 172
+
+
+def test_taylor_basis_is_rounded_once_on_wide_kernels():
+    # the Taylor denominators of {0..4}^4 fit in under 60 bits; these two
+    # eval-kgrid kernels pass 90, where rounding the integers before dividing
+    # would differ from rounding the quotient once
+    for orders in ((13, 4, 11, 2), (8, 3, 13, 10)):
+        assert _laurent_kernel(*orders)[1].common.bit_length() > 90
+        for j in range(_CENTRES + 1):
+            _assert_taylor_basis_is_exact(orders, j)
 
 
 def test_kernel_build_refuses_instead_of_rounding():
@@ -1006,6 +1016,7 @@ RETIRED_NAMES = (
     "triangle_window",
     "gauss_legendre",
     "recomputed_sum",
+    "legendre_poly_part",
 )
 
 
@@ -1017,8 +1028,9 @@ def test_public_names_resolve_and_retired_names_are_gone():
     # coefficients replace them. HalfIntegerOrder had no caller, and
     # select_bridge_order computes the triangle windows itself. Only the
     # tests called gauss_legendre (the oracle reads _gauss_rule) and
-    # EvaluationReport.recomputed_sum.
-    assert len(fourbessel.__all__) == 25
+    # EvaluationReport.recomputed_sum, and legendre_poly_part (the exact
+    # ratio behind assoc_legendre_gt1 is tested directly).
+    assert len(fourbessel.__all__) == 24
     for name in RETIRED_NAMES:
         assert name not in fourbessel.__all__ and name not in quadbessel.__all__
         assert name not in oracle.__all__
