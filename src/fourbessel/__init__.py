@@ -26,7 +26,6 @@ from .errors import (
 )
 from .legendre import (
     assoc_legendre_gt1,
-    legendre_linearization_coeffs,
     legendre_p,
 )
 from .oracle import (
@@ -64,7 +63,6 @@ __all__ = [
     "assoc_legendre_gt1",
     "evaluate",
     "gamma_half",
-    "legendre_linearization_coeffs",
     "legendre_p",
     "quad_bessel_numeric",
     "quad_bessel_paired",

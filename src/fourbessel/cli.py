@@ -20,6 +20,7 @@ import itertools
 import json
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 
 from .core import IntegralSpec
@@ -117,17 +118,12 @@ def _momentum_pairs(text: str) -> list[tuple[float, float]]:
 
 
 def _quadrature_config(args) -> QuadratureConfig:
-    kwargs = {}
-    for attr, field in (
-        ("rel_tol", "rel_tol"),
-        ("max_radius", "max_radius"),
-        ("panels_per_period", "panels_per_period"),
-        ("acceleration_depth", "acceleration_depth"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            kwargs[field] = value
-    return QuadratureConfig(**kwargs)
+    """The config from the flags given; each flag's dest is its field's name."""
+    return QuadratureConfig(**{
+        field.name: value
+        for field in fields(QuadratureConfig)
+        if (value := getattr(args, field.name, None)) is not None
+    })
 
 
 def _relative_discrepancy(value: float, reference: float) -> float:

@@ -193,15 +193,3 @@ def _linearization_weights(l: int, lp: int) -> tuple[int, tuple[tuple[int, int],
     return den, tuple(
         (mu, (2 * mu + 1) * rad.numerator * (den // rad.denominator)) for mu, rad in radicands
     )
-
-
-@lru_cache(maxsize=None)
-def legendre_linearization_coeffs(l: int, lp: int) -> tuple[tuple[int, Fraction], ...]:
-    """Exact coefficients c_mu with P_l * P_lp = sum_mu c_mu P_mu.
-
-    c_mu = (2 mu + 1) * (three-j with zero projections)^2; the window runs over
-    mu = |l - lp|, |l - lp| + 2, ..., l + lp and every listed coefficient is
-    strictly positive.
-    """
-    den, weights = _linearization_weights(require_order(l, "l"), require_order(lp, "lp"))
-    return tuple((mu, Fraction(num, den)) for mu, num in weights)

@@ -12,10 +12,11 @@ half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 
 ``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
-of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. Every later call is a
-cached lookup plus Horner: over the monomials first, then, where they cancel,
-over the polynomial's Taylor coefficients about the nearest of 17 rational
-centres, and in exact integers only where both bounds fail.
+of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. The polynomial is
+K(t) = t^p0 P(u), u = t^2, stored dense in u. Every later call is a cached
+lookup plus one float Horner over P's coefficients, about centre 0 first
+and, where they cancel, about the nearest of 17 rational centres, and in
+exact integers only where both bounds fail.
 ``quad_bessel_paired`` and ``triple_bessel_weighted`` read the same exact
 coefficients.
 """
@@ -116,13 +117,15 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
     return evaluate(IntegralSpec(l1, l1, l2, l2, k1, k2))
 
 
-# Relative rounding bound of evaluate's two float passes. The monomial pass
-# accepts its value when 2 n 2^-53 * sum|c_p| t^p / |sum c_p t^p| is within
-# this; its bound leaves out the rounding of t = k_lo/k_hi, for which 1e-12
-# leaves a wide margin below perfbench's failure threshold of 1e-8 (the
-# oracle's default rel_tol). The Taylor pass (_shifted_horner) computes its
-# argument from the momenta's exact ratio and counts that argument's one
-# rounding in its bound. Past both, Horner is re-run in exact integers.
+# Relative rounding bound of evaluate's two float passes, both one Horner
+# (_float_horner) over P's coefficients in w that accepts its value when
+# (3 D + 2) 2^-53 sum|e_m| |w|^m / |P| is within this. The first pass runs
+# about centre 0 at w = t * t and treats t = k_lo/k_hi as an exact input: its
+# bound leaves out the rounding of t, for which 1e-12 leaves a wide margin
+# below perfbench's failure threshold of 1e-8 (the oracle's default rel_tol).
+# The second runs about the nearest centre at w from the momenta's exact
+# ratio, whose one rounding its bound counts. Past both, Horner is re-run in
+# exact integers.
 _EXACT_HORNER_BOUND = 1e-12
 # The Taylor pass expands P(u) about the centre j / _CENTRES nearest u, j = 0 .. _CENTRES.
 _CENTRES = 16
@@ -203,31 +206,32 @@ def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
     return quotient[:-2]
 
 
-class _Branch(NamedTuple):
-    """A Laurent kernel, sum c_p t^p, over its nonzero coefficients.
+class _Kernel(NamedTuple):
+    """A Laurent kernel K(t) = t^p0 P(u), u = t^2, with P dense in u.
 
-    Each c_p is kept once, exactly, as an integer of ``numerators`` over
-    ``common``; ``terms`` holds the matching (power, float) pairs in ascending
-    power, each float the correctly rounded numerator / common.
+    The coefficient of u^i in P is kept once, exactly, as the integer
+    ``numerators[i]`` over ``common``, a zero as 0; ``floats[i]`` is that
+    numerator / common, correctly rounded.
     """
 
-    terms: tuple[tuple[int, float], ...]
+    p0: int
     numerators: tuple[int, ...]
     common: int
+    floats: tuple[float, ...]
 
 
 @lru_cache(maxsize=None)
 def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     """Compile one order tuple into I * k1^3 / pi for k1 >= k2, an exact Laurent polynomial.
 
-    Returns (L, branch): the bridge order and the _Branch in powers of
+    Returns (L, kernel): the bridge order and the _Kernel in powers of
     t = k2/k1. The case k1 < k2 is the kernel of the exchanged tuple
     (l2, l1, l4, l3), since trading the momenta together with their orders
     leaves the integral unchanged. Built once, in integers, from the paper's
     bridge recoupling (_side_factors) and band integral (_band_series): every
-    coupling product is a perfect square, and (1 - t^2)^(2L-1) divides the
-    assembled numerator with zero remainder. Either failing raises
-    ArithmeticError.
+    coupling product is a perfect square, (1 - t^2)^(2L-1) divides the
+    assembled numerator with zero remainder, and the quotient's powers of t
+    share one parity. Any of these failing raises ArithmeticError.
     """
     L = select_bridge_order(l1, l2, l3, l4)
     # Neither side is empty: its s = 0, l = lb factor is
@@ -276,103 +280,99 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     for _ in range(2 * L - 1):
         numerator = _divide_one_minus_u(numerator)
     common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
-    nonzero = [(index - 1, value) for index, value in enumerate(numerator) if value]
-    return L, _Branch(
-        tuple((p, value / common) for p, value in nonzero),
-        tuple(value for _, value in nonzero),
-        common,
-    )
-
-
-def _horner(terms, t: float) -> tuple[float, float]:
-    """(sum c_p t^p, sum |c_p| t^p) in floating point, Horner over the sparse powers."""
-    total = magnitude = 0.0
-    power = terms[-1][0] if terms else 0
-    for p, coeff in reversed(terms):
-        step = t ** (power - p)
-        total = total * step + coeff
-        magnitude = magnitude * step + abs(coeff)
-        power = p
-    low = t**power
-    return total * low, magnitude * low
+    # a zero numerator is the kernel P = 0 at p0 = 0
+    nonzero = [index for index, value in enumerate(numerator) if value] or [1]
+    first, last = nonzero[0], nonzero[-1]
+    if any(numerator[first + 1 : last : 2]):
+        raise ArithmeticError("Laurent kernel numerator has powers of t of both parities")
+    dense = tuple(numerator[first : last + 1 : 2])
+    return L, _Kernel(first - 1, dense, common, tuple(value / common for value in dense))
 
 
 @lru_cache(maxsize=None)
-def _taylor_basis(orders: tuple[int, int, int, int], j: int) -> tuple[int, tuple[float, ...]]:
-    """(p0, dense): the kernel K(t) = t^p0 P(t^2) of orders, P about c = j / _CENTRES.
+def _taylor_basis(orders: tuple[int, int, int, int], j: int) -> tuple[float, ...]:
+    """The coefficients of P(u) in powers of w = u - c, c = j / _CENTRES, K(t) = t^p0 P(t^2).
 
-    dense holds the coefficients of P in powers of w = u - c, u = t^2, for
-    every power 0 .. D, each correctly rounded once, a zero as 0.0. With n_i the
-    kernel's numerator of u^i over d and D the degree of P, the polynomial
-    sum n_i C^(D-i) (C u)^i = C^D d P(u), C = _CENTRES, has integer
-    coefficients; the shift C u = j + C w by the integer j keeps them integers
-    s_m, so P(u) = sum s_m C^m w^m / (C^D d), exactly. Built on first use per
-    (orders, centre).
+    One float per power 0 .. D, each correctly rounded once, a zero as 0.0.
+    With n_i the kernel's numerator of u^i over d and D the degree of P, the
+    polynomial sum n_i C^(D-i) (C u)^i = C^D d P(u), C = _CENTRES, has
+    integer coefficients; the shift C u = j + C w by the integer j keeps them
+    integers s_m, so P(u) = sum s_m C^m w^m / (C^D d), exactly. Built on
+    first use per (orders, centre).
     """
-    _, branch = _laurent_kernel(*orders)
-    p0 = branch.terms[0][0]
-    degree = (branch.terms[-1][0] - p0) // 2
-    coeffs = [0] * (degree + 1)
-    for (p, _), numerator in zip(branch.terms, branch.numerators):
-        i = (p - p0) // 2
-        coeffs[i] = numerator * _CENTRES ** (degree - i)
+    _, kernel = _laurent_kernel(*orders)
+    degree = len(kernel.numerators) - 1
+    coeffs = [n * _CENTRES ** (degree - i) for i, n in enumerate(kernel.numerators)]
     for low in range(degree):
         for i in range(degree - 1, low - 1, -1):
             coeffs[i] += j * coeffs[i + 1]
-    common = _CENTRES**degree * branch.common
-    return p0, tuple(s * _CENTRES**m / common for m, s in enumerate(coeffs))
+    common = _CENTRES**degree * kernel.common
+    return tuple(s * _CENTRES**m / common for m, s in enumerate(coeffs))
 
 
-def _shifted_horner(
-    orders: tuple[int, int, int, int], a: int, b: int, t: float
-) -> tuple[int, float, float]:
-    """(p0, P, bound) with K(t) = t^p0 P(u) at t = a/b > 0, P from _taylor_basis.
+def _float_horner(coeffs: tuple[float, ...], w: float) -> tuple[float, float]:
+    """(P, bound): P = sum e_m w^m by Horner, and an a-posteriori bound on its float error.
 
-    The centre j / _CENTRES is the one nearest u = t^2, and w = u - c is one
-    correctly rounded integer division. bound is an a-posteriori bound on the
-    float error of P, 3 D + 2 roundings of sum |e_m| |w|^m for P of degree D:
-    two per power of w in the Horner, one for the coefficients' own rounding,
-    one per power for the rounding of w, and one spare.
+    bound is 3 D + 2 roundings of sum |e_m| |w|^m for P of degree D: two per
+    power of w in the Horner, one for the coefficients' own rounding, one per
+    power for the rounding of w, and one spare.
     """
-    j = round(t * t * _CENTRES)
-    p0, dense = _taylor_basis(orders, j)
-    b2 = b * b
-    w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
     r = abs(w)
     total = magnitude = 0.0
-    for coeff in reversed(dense):
+    for coeff in reversed(coeffs):
         total = total * w + coeff
         magnitude = magnitude * r + abs(coeff)
-    return p0, total, (3 * len(dense) - 1) * 2.0**-53 * magnitude
+    return total, (3 * len(coeffs) - 1) * 2.0**-53 * magnitude
 
 
-def _horner_exact(branch: _Branch, a: int, b: int) -> tuple[int, int]:
-    """(num, den) with num / den = sum c_p t^p exactly at t = a/b, for a, b > 0.
+def _horner_exact(kernel: _Kernel, a: int, b: int) -> tuple[int, int]:
+    """(num, den) with num / den = K(t) exactly at t = a/b, for a, b > 0.
 
-    With n_p the coefficients over the denominator d and p0, pm the lowest and
-    highest powers, sum c_p t^p = a^p0 S / (b^pm d), where the integer
-    S = sum n_p a^(p-p0) b^(pm-p) comes from one Horner over the sparse powers.
+    With n_i the numerators over d and D the degree of P, P(u) = S / (b^2D d),
+    where the integer S = sum n_i a^2i b^(2D-2i) comes from one Horner in
+    a^2 and b^2; the factor t^p0 = a^p0 / b^p0 goes on top.
     """
-    if not branch.terms:
-        return 0, 1
-    top = power = branch.terms[-1][0]
-    total, b_power = 0, 1
-    for (p, _), numerator in zip(reversed(branch.terms), reversed(branch.numerators)):
-        gap = power - p
-        b_power *= b**gap
-        total = total * a**gap + numerator * b_power
-        power = p
-    den = branch.common
-    # the lowest power is -1 when the kernel has a t^-1 term
-    if power < 0:
-        den *= a**-power
-    else:
-        total *= a**power
-    if top < 0:
-        total *= b**-top
-    else:
-        den *= b**top
-    return total, den
+    a2, b2 = a * a, b * b
+    numerators = kernel.numerators
+    total, b_power = numerators[-1], 1
+    for n in reversed(numerators[:-1]):
+        b_power *= b2
+        total = total * a2 + n * b_power
+    den = kernel.common * b_power
+    p0 = kernel.p0
+    # p0 is -1 when the kernel has a t^-1 term
+    if p0 < 0:
+        return total * b**-p0, den * a**-p0
+    return total * a**p0, den * b**p0
+
+
+def _kernel_value(
+    orders: tuple[int, int, int, int], kernel: _Kernel, k_lo: float, k_hi: float, t: float
+) -> float:
+    """K(t) at t = k_lo/k_hi <= 1: each pass runs when the one before fails its bound.
+
+    First one float Horner over P's own coefficients at w = t * t; then one
+    about the centre j / _CENTRES nearest u = t^2, at w = u - c, one correctly
+    rounded integer division of the momenta's exact ratio a/b; last, the
+    integer Horner, correctly rounded. K(1) = P(1) is the constant of the
+    Taylor basis about u = 1, rounded once.
+    """
+    if k_lo == k_hi:
+        return _taylor_basis(orders, _CENTRES)[0]
+    total, bound = _float_horner(kernel.floats, t * t)
+    if bound > _EXACT_HORNER_BOUND * abs(total):
+        lo_num, lo_den = k_lo.as_integer_ratio()
+        hi_num, hi_den = k_hi.as_integer_ratio()
+        a, b = lo_num * hi_den, lo_den * hi_num
+        j = round(t * t * _CENTRES)
+        b2 = b * b
+        w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
+        total, bound = _float_horner(_taylor_basis(orders, j), w)
+        if bound > _EXACT_HORNER_BOUND * abs(total):
+            num, den = _horner_exact(kernel, a, b)
+            # int / int is correctly rounded, as float(Fraction(num, den)) is
+            return num / den
+    return total * t**kernel.p0
 
 
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
@@ -380,12 +380,12 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
 
     The first call per order tuple builds the kernel exactly; k1 < k2 reads
     the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
-    integral. Later calls run a float Horner over the monomials at
-    t = k_lo/k_hi. When the coefficients' cancellation bound says that result
-    could lose digits, a float Horner over the Taylor basis of the nearest
-    centre runs instead, and an exact integer one when its bound fails too.
-    At k1 = k2 the value is K(1) rounded once, so it is bit-identical for a
-    tuple and its exchange.
+    integral. Later calls run a float Horner over P's coefficients at
+    u = t^2, t = k_lo/k_hi. When the coefficients' cancellation bound says
+    that result could lose digits, the same Horner runs over P's Taylor
+    coefficients about the nearest centre instead, and an exact integer one
+    when its bound fails too. At k1 = k2 the value is K(1) rounded once, so it
+    is bit-identical for a tuple and its exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.
@@ -401,26 +401,10 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
         k_lo, k_hi = k1, k2
     else:
         k_lo, k_hi = k2, k1
-    L, branch = _laurent_kernel(*orders)
+    L, kernel = _laurent_kernel(*orders)
     t = k_lo / k_hi
-    monomials = branch.terms
     try:
-        if k_lo == k_hi:
-            # K(1) = P(1) is the constant of the Taylor basis at u = 1
-            total = _taylor_basis(orders, _CENTRES)[1][0]
-        else:
-            total, magnitude = _horner(monomials, t)
-            if 2 * len(monomials) * 2.0**-53 * magnitude > _EXACT_HORNER_BOUND * abs(total):
-                lo_num, lo_den = k_lo.as_integer_ratio()
-                hi_num, hi_den = k_hi.as_integer_ratio()
-                a, b = lo_num * hi_den, lo_den * hi_num
-                p0, total, bound = _shifted_horner(orders, a, b, t)
-                if bound > _EXACT_HORNER_BOUND * abs(total):
-                    num, den = _horner_exact(branch, a, b)
-                    # int / int is correctly rounded, as float(Fraction(num, den)) is
-                    total = num / den
-                else:
-                    total *= t**p0
+        total = _kernel_value(orders, kernel, k_lo, k_hi, t)
         scale = math.pi / k_hi**3
         value = scale * total
     except (OverflowError, ZeroDivisionError):
@@ -432,7 +416,12 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
         )
 
     def terms():
-        return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, coeff in monomials)
+        powers = range(kernel.p0, kernel.p0 + 2 * len(kernel.floats), 2)
+        return tuple(
+            TermEntry({"power": p}, scale * coeff * t**p)
+            for p, coeff in zip(powers, kernel.floats)
+            if coeff
+        )
 
     method = "paired" if spec.is_order_paired() else "analytic"
     return EvaluationReport(value=value, bridge_L=L, terms=terms, method=method)

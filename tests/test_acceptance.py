@@ -98,9 +98,11 @@ def test_criterion_3_general_path_matches_paired_path():
                 mu - 1: Fraction(1, 4) * wigner_3j_zero(l1, l2, mu).radicand
                 for mu in range(abs(l1 - l2), l1 + l2 + 1, 2)
             }
-            bridge, b = _laurent_kernel(l1, l1, l2, l2)
+            bridge, kernel = _laurent_kernel(l1, l1, l2, l2)
             coeffs = {
-                p: Fraction(n, b.common) for (p, _), n in zip(b.terms, b.numerators, strict=True)
+                kernel.p0 + 2 * i: Fraction(n, kernel.common)
+                for i, n in enumerate(kernel.numerators)
+                if n
             }
             if bridge != 0 or coeffs != paired:
                 mismatched.append((l1, l2))

@@ -484,3 +484,13 @@ def test_oracle_config_flags_round_trip():
     assert json.loads(tight.stdout)["value"] == pytest.approx(0.071994831644766095, rel=1e-7)
     assert run_cli("oracle", "quad", "--l1", "0", "--l2", "0", "--l3", "0", "--l4", "0",
                    "--k1", "1", "--k2", "2", "--panels-per-period", "1").returncode == 64
+    # each flag reaches its field; a flag left out keeps the field's default
+    base = ["oracle", "quad", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
+            "--k1", "1", "--k2", "2"]
+    parser = cli.build_parser()
+    flags = ["--rel-tol", "1e-9", "--max-radius", "3000", "--panels-per-period", "5",
+             "--acceleration-depth", "8"]
+    assert cli._quadrature_config(parser.parse_args(base + flags)) == QuadratureConfig(
+        rel_tol=1e-9, max_radius=3000.0, panels_per_period=5, acceleration_depth=8
+    )
+    assert cli._quadrature_config(parser.parse_args(base)) == QuadratureConfig()

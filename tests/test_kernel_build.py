@@ -18,7 +18,7 @@ import pytest
 from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
 from fourbessel.legendre import bform_band_coeffs
-from fourbessel.quadbessel import _Branch, _divide_one_minus_u, _laurent_kernel, evaluate
+from fourbessel.quadbessel import _divide_one_minus_u, _Kernel, _laurent_kernel, evaluate
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order
 
 from test_legendre import _reference_poly_coeffs
@@ -117,7 +117,7 @@ def _fraction_sqrt(value: Fraction) -> Fraction:
     return Fraction(root_num, root_den)
 
 
-def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, _Branch]:
+def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, _Kernel]:
     """(L, kernel) for k1 >= k2 in Fraction arithmetic, as _laurent_kernel built it before."""
     L = select_bridge_order(l1, l2, l3, l4)
     left = _reference_side_factors(l1, l2, L)
@@ -152,12 +152,13 @@ def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, 
     for _ in range(2 * L - 1):
         numerator = _divide_one_minus_u(numerator)
     common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
-    nonzero = [(index - 1, value) for index, value in enumerate(numerator) if value]
-    return L, _Branch(
-        tuple((p, value / common) for p, value in nonzero),
-        tuple(value for _, value in nonzero),
-        common,
-    )
+    # K(t) = t^p0 P(t^2): index i holds the power i - 1, and every nonzero
+    # power has the parity of the lowest
+    powers = {index - 1: value for index, value in enumerate(numerator) if value}
+    p0 = min(powers)
+    assert all((p - p0) % 2 == 0 for p in powers)
+    dense = tuple(powers.get(p, 0) for p in range(p0, max(powers) + 1, 2))
+    return L, _Kernel(p0, dense, common, tuple(float(Fraction(n, common)) for n in dense))
 
 
 def _assert_same_kernel(orders) -> bool:
@@ -168,13 +169,14 @@ def _assert_same_kernel(orders) -> bool:
         with pytest.raises(NoValidBridge):
             _laurent_kernel(*orders)
         return False
-    L, branch = _laurent_kernel(*orders)
+    L, kernel = _laurent_kernel(*orders)
     assert L == bridge, orders
-    assert [p for p, _ in branch.terms] == [p for p, _ in expected.terms], orders
-    assert [Fraction(n, branch.common) for n in branch.numerators] == [
+    assert kernel.p0 == expected.p0, orders
+    # the two builds reach different common denominators: compare the exact ratios
+    assert [Fraction(n, kernel.common) for n in kernel.numerators] == [
         Fraction(n, expected.common) for n in expected.numerators
     ], orders
-    assert [c.hex() for _, c in branch.terms] == [c.hex() for _, c in expected.terms], orders
+    assert [c.hex() for c in kernel.floats] == [c.hex() for c in expected.floats], orders
     return True
 
 

@@ -17,8 +17,8 @@ from fourbessel.legendre import (
     _poly_part_ratio,
     _power_fourth_root,
     assoc_legendre_gt1,
+    _linearization_weights,
     bform_band_coeffs,
-    legendre_linearization_coeffs,
     legendre_p,
 )
 
@@ -365,10 +365,16 @@ def test_legendre_p_orthogonality_by_quadrature():
 # --------------------------------------------------------------------------
 
 
+def _linearization_coeffs(l, lp):
+    """((mu, c_mu), ...) with P_l * P_lp = sum_mu c_mu P_mu, from the integer weights."""
+    den, weights = _linearization_weights(l, lp)
+    return tuple((mu, Fraction(num, den)) for mu, num in weights)
+
+
 def test_linearization_weights_sum_to_one():
     for l in range(7):
         for lp in range(7):
-            coeffs = legendre_linearization_coeffs(l, lp)
+            coeffs = _linearization_coeffs(l, lp)
             assert sum(weight for _, weight in coeffs) == 1
             degrees = [mu for mu, _ in coeffs]
             assert degrees == list(range(abs(l - lp), l + lp + 1, 2))
@@ -380,7 +386,7 @@ def test_linearization_reproduces_products(l, lp):
     for x in (-0.9, -0.3, 0.0, 0.42, 0.77, 1.0):
         product = legendre_p(l, x) * legendre_p(lp, x)
         expansion = math.fsum(
-            float(weight) * legendre_p(mu, x) for mu, weight in legendre_linearization_coeffs(l, lp)
+            float(weight) * legendre_p(mu, x) for mu, weight in _linearization_coeffs(l, lp)
         )
         assert expansion == pytest.approx(product, abs=1e-13)
 

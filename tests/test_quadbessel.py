@@ -27,10 +27,9 @@ from fourbessel.quadbessel import (
     _band_series,
     _divide_one_minus_u,
     _exact_sqrt,
-    _horner,
+    _float_horner,
     _horner_exact,
     _laurent_kernel,
-    _shifted_horner,
     _taylor_basis,
     evaluate,
     quad_bessel_paired,
@@ -326,9 +325,9 @@ def test_paired_agrees_with_general_path():
             assert [term.indices for term in paired.terms] == [
                 {"power": p} for p in sorted(expected)
             ]
-            bridge, branch = _laurent_kernel(a, a, b, b)
+            bridge, kernel = _laurent_kernel(a, a, b, b)
             assert bridge == 0
-            assert _kernel_dict(branch) == expected, (a, b)
+            assert _kernel_dict(kernel) == expected, (a, b)
             # I = pi / k_hi^3 * sum c_p t^p at k = (1, 2), each term pi/8 c_p 2^-p
             for term in paired.terms:
                 p = term.indices["power"]
@@ -514,22 +513,18 @@ def test_paired_out_of_range_momenta_raise_domain_error():
 # --------------------------------------------------------------------------
 
 
-def _kernel_dict(branch):
+def _kernel_dict(kernel):
+    """{p: c_p} over the nonzero coefficients of K(t) = sum c_p t^p, as Fractions."""
     return {
-        power: Fraction(n, branch.common)
-        for (power, _), n in zip(branch.terms, branch.numerators, strict=True)
+        kernel.p0 + 2 * i: Fraction(n, kernel.common)
+        for i, n in enumerate(kernel.numerators)
+        if n
     }
 
 
-def _reference_horner_exact(branch, t: Fraction) -> Fraction:
-    """sum c_p t^p in Fraction arithmetic, as evaluate computed its exact fallback."""
-    total = Fraction(0)
-    coeffs = _kernel_dict(branch)
-    power = branch.terms[-1][0] if branch.terms else 0
-    for p, coeff in reversed(coeffs.items()):
-        total = total * t ** (power - p) + coeff
-        power = p
-    return total * t**power
+def _reference_horner_exact(kernel, t: Fraction) -> Fraction:
+    """sum c_p t^p in Fraction arithmetic, term by term over the exact coefficients."""
+    return sum((coeff * t**p for p, coeff in _kernel_dict(kernel).items()), Fraction(0))
 
 
 def _orders_read(orders, k1, k2):
@@ -544,10 +539,13 @@ def _kernel_read(orders, k1, k2):
 
 
 def _eager_terms(orders, k1, k2):
-    """The Laurent monomials of evaluate's report, built at once from the kernel."""
-    branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+    """The Laurent monomials of evaluate's report, built at once from the exact kernel."""
+    kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
     t, scale = k_lo / k_hi, math.pi / k_hi**3
-    return tuple(TermEntry({"power": p}, scale * coeff * t**p) for p, coeff in branch.terms)
+    return tuple(
+        TermEntry({"power": p}, scale * float(coeff) * t**p)
+        for p, coeff in _kernel_dict(kernel).items()
+    )
 
 
 @pytest.mark.parametrize("u", [*range(1, 17), math.inf])
@@ -579,29 +577,30 @@ def test_paired_kernel_is_the_paired_closed_form(a):
             mu - 1: Fraction(1, 4) * wigner_3j_zero(a, b, mu).radicand
             for mu in range(abs(a - b), a + b + 1, 2)
         }
-        bridge, branch = _laurent_kernel(a, a, b, b)
+        bridge, kernel = _laurent_kernel(a, a, b, b)
         assert bridge == 0
-        assert _kernel_dict(branch) == expected, (a, b)
-        _assert_floats_are_the_rounded_numerators(branch)
+        assert _kernel_dict(kernel) == expected, (a, b)
+        _assert_floats_are_the_rounded_numerators(kernel)
         # (a, a, b, b) is its own momentum exchange: k1 < k2 reads this kernel
-        assert _kernel_read((a, a, b, b), 1.0, 2.0)[0] is branch
+        assert _kernel_read((a, a, b, b), 1.0, 2.0)[0] is kernel
 
 
-def _assert_floats_are_the_rounded_numerators(branch):
-    assert len(branch.terms) == len(branch.numerators)
-    for (_, coeff), n in zip(branch.terms, branch.numerators):
-        assert isinstance(n, int) and n != 0
-        assert coeff.hex() == (n / branch.common).hex() == float(Fraction(n, branch.common)).hex()
-    powers = [p for p, _ in branch.terms]
-    assert powers == sorted(set(powers))
+def _assert_floats_are_the_rounded_numerators(kernel):
+    assert len(kernel.floats) == len(kernel.numerators) >= 1
+    for coeff, n in zip(kernel.floats, kernel.numerators):
+        assert isinstance(n, int)
+        assert coeff.hex() == (n / kernel.common).hex() == float(Fraction(n, kernel.common)).hex()
+    # dense from the lowest power p0 to the highest: both ends are nonzero
+    assert kernel.numerators[0] != 0 and kernel.numerators[-1] != 0
+    assert kernel.p0 >= -1
 
 
 def test_every_kernel_float_is_its_rounded_numerator():
     # every tuple's kernel, so also every kernel read for k1 < k2
     for orders in itertools.product(range(5), repeat=4):
-        branch = _kernel_or_none(orders)
-        if branch is not None:
-            _assert_floats_are_the_rounded_numerators(branch)
+        kernel = _kernel_or_none(orders)
+        if kernel is not None:
+            _assert_floats_are_the_rounded_numerators(kernel)
 
 
 def _kernel_or_none(orders):
@@ -669,9 +668,9 @@ def test_kernel_same_momentum_order_swap_symmetry():
 
 def test_kernel_of_1_0_1_2_is_exact():
     # k1 < k2 reads the kernel of the exchanged tuple (0, 1, 2, 1)
-    bridge, branch = _laurent_kernel(0, 1, 2, 1)
+    bridge, kernel = _laurent_kernel(0, 1, 2, 1)
     assert bridge == 1 and _laurent_kernel(1, 0, 1, 2)[0] == 1
-    assert _kernel_dict(branch) == {-1: Fraction(-1, 12), 1: Fraction(1, 10)}
+    assert _kernel_dict(kernel) == {-1: Fraction(-1, 12), 1: Fraction(1, 10)}
     # I = pi / k2^3 * (-2/12 + 1/20) = -7 pi / 480 at k = (1, 2)
     reference = QUAD_REFERENCES[(1, 0, 1, 2, 1.0, 2.0)]
     assert -7.0 * math.pi / 480.0 == pytest.approx(reference, rel=1e-15)
@@ -693,13 +692,13 @@ def test_evaluate_terms_are_laurent_monomials():
 
 def test_cancelling_kernels_keep_their_digits():
     # the kernel of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the float
-    # Horner over the monomials alone is off by ~2e-8 there, and the Taylor
-    # basis about u = 13/16 keeps every digit
+    # Horner over P's own coefficients alone is off by ~2e-8 there, and the
+    # Taylor basis about u = 13/16 keeps every digit
     k1, k2 = 1.1, 1.0
-    _, branch = _laurent_kernel(13, 4, 11, 2)
+    _, kernel = _laurent_kernel(13, 4, 11, 2)
     t = k2 / k1
-    exact = _reference_horner_exact(branch, Fraction(k2) / Fraction(k1))
-    float_only, _ = _horner(branch.terms, t)
+    exact = _reference_horner_exact(kernel, Fraction(k2) / Fraction(k1))
+    float_only = _float_horner(kernel.floats, t * t)[0] * t**kernel.p0
     assert abs(float_only - float(exact)) > 1e-9 * abs(float(exact))
     value = evaluate(IntegralSpec(13, 4, 11, 2, k1, k2)).value
     assert value == pytest.approx(math.pi / k1**3 * float(exact), rel=1e-15)
@@ -725,45 +724,49 @@ def test_integer_horner_equals_fraction_horner():
     lowest = set()
     compared = 0
     for orders, k1, k2 in _integer_horner_cases():
-        branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+        kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
         t = Fraction(k_lo) / Fraction(k_hi)
-        num, den = _horner_exact(branch, t.numerator, t.denominator)
-        reference = _reference_horner_exact(branch, t)
+        num, den = _horner_exact(kernel, t.numerator, t.denominator)
+        reference = _reference_horner_exact(kernel, t)
         assert Fraction(num, den) == reference, (orders, k1, k2)
         assert num / den == float(reference), (orders, k1, k2)
-        if branch.terms:
-            lowest.add(min(branch.terms[0][0], 0))
+        lowest.add(min(kernel.p0, 0))
         compared += 1
     assert compared == 336 + 32
     assert lowest == {-1, 0}, "kernels with lowest power -1 and >= 0 must both be covered"
 
 
-def _monomial_bound_fails(branch, t):
-    total, magnitude = _horner(branch.terms, t)
-    return 2 * len(branch.terms) * 2.0**-53 * magnitude > 1e-12 * abs(total)
+def _first_bound_fails(kernel, t):
+    """The first float pass, over P's own coefficients at w = t * t, fails its bound."""
+    total, bound = _float_horner(kernel.floats, t * t)
+    return bound > 1e-12 * abs(total)
 
 
 def _shifted_pass(orders, k1, k2):
-    """(p0, P, bound, exact P): the Taylor pass for the spec, and P(t^2) at the exact t."""
-    branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+    """(p0, P, bound, exact P): the Taylor pass for the spec, and P(t^2) at the exact t.
+
+    The pass runs about the centre j/16 nearest the float t^2, at w = u - j/16
+    from the exact u, correctly rounded.
+    """
+    kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
     t = Fraction(k_lo) / Fraction(k_hi)
-    p0, total, bound = _shifted_horner(
-        _orders_read(orders, k1, k2), t.numerator, t.denominator, k_lo / k_hi
-    )
-    return p0, total, bound, _reference_horner_exact(branch, t) / t**p0
+    j = round((k_lo / k_hi) ** 2 * _CENTRES)
+    w = float(t * t - Fraction(j, _CENTRES))
+    total, bound = _float_horner(_taylor_basis(_orders_read(orders, k1, k2), j), w)
+    return kernel.p0, total, bound, _reference_horner_exact(kernel, t) / t**kernel.p0
 
 
 def test_shifted_pass_returns_the_fraction_value():
     # the gap sweep of (13, 4, 11, 2) and (13, 0, 13, 0) includes cancelling
-    # specs whose monomial bound fails; the Taylor pass answers every one of
+    # specs whose first bound fails; the Taylor pass answers every one of
     # them within its bound, and within 1e-15 of the rounded Fraction
     shifted = 0
     for orders, k1, k2 in _integer_horner_cases():
         if isinstance(k1, Fraction):
             continue
-        branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+        kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
         t = k_lo / k_hi
-        if not _monomial_bound_fails(branch, t):
+        if not _first_bound_fails(kernel, t):
             continue
         p0, total, bound, exact = _shifted_pass(orders, k1, k2)
         assert bound <= 1e-12 * abs(total), (orders, k1, k2)
@@ -786,10 +789,10 @@ def _root_adjacent_specs():
     """
     specs, roots = [], {}
     for orders in ((2, 1, 3, 0), (13, 4, 11, 2), (8, 3, 13, 10)):
-        branch = _laurent_kernel(*orders)[1]
+        kernel = _laurent_kernel(*orders)[1]
 
         def sign(m):
-            num, _ = _horner_exact(branch, m, 1 << 60)
+            num, _ = _horner_exact(kernel, m, 1 << 60)
             return (num > 0) - (num < 0)
 
         grid = [i << 54 for i in range(1, 64)]
@@ -818,16 +821,16 @@ def test_exact_horner_runs_next_to_roots_and_returns_the_fraction_value(monkeypa
         quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
     )
     for orders, k1, k2 in specs:
-        branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
-        exact = _reference_horner_exact(branch, Fraction(k_lo) / Fraction(k_hi))
+        kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+        exact = _reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi))
         value = evaluate(IntegralSpec(*orders, k1, k2)).value
         assert value == math.pi / k_hi**3 * float(exact), (orders, k1, k2)
     assert len(calls) == len(specs) == 3 * 11
 
 
 def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
-    # 1500 momentum pairs log-uniform on [0.1, 10]^2: the monomial bound fails
-    # on 272 of them for (13, 4, 11, 2) and on 356 for (13, 0, 13, 0); the
+    # 1500 momentum pairs log-uniform on [0.1, 10]^2: the first bound fails
+    # on 277 of them for (13, 4, 11, 2) and on 368 for (13, 0, 13, 0); the
     # Taylor pass leaves 1 and 0 of them to the integer Horner
     rng = random.Random("exact-fallback-rate")
     pairs = [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(1500)]
@@ -835,25 +838,25 @@ def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
     monkeypatch.setattr(
         quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
     )
-    for orders, limit, monomial_floor in (((13, 4, 11, 2), 15, 150), ((13, 0, 13, 0), 0, 150)):
+    for orders, limit, first_floor in (((13, 4, 11, 2), 15, 150), ((13, 0, 13, 0), 0, 150)):
         calls.clear()
-        monomial_fails = 0
+        first_fails = 0
         for k1, k2 in pairs:
             evaluate(IntegralSpec(*orders, k1, k2))
-            branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
-            monomial_fails += _monomial_bound_fails(branch, k_lo / k_hi)
-        assert monomial_fails > monomial_floor, orders
+            kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            first_fails += _first_bound_fails(kernel, k_lo / k_hi)
+        assert first_fails > first_floor, orders
         assert len(calls) <= limit, orders
 
 
 def _assert_taylor_basis_is_exact(orders, j):
     """The basis about c = j/16 is P(c + w) coefficient by coefficient, each rounded once."""
-    p0, dense = _taylor_basis(orders, j)
-    branch = _laurent_kernel(*orders)[1]
-    assert p0 == branch.terms[0][0]
+    dense = _taylor_basis(orders, j)
+    kernel = _laurent_kernel(*orders)[1]
+    # about c = 0 the basis is the kernel's own floats, which the first pass reads
+    assert j != 0 or dense == kernel.floats
     # P(u) = sum_i e_i u^i; the w^m coefficient of P(c + w) is sum_i e_i C(i, m) c^(i-m)
-    by_power = {(p - p0) // 2: Fraction(n, branch.common)
-                for (p, _), n in zip(branch.terms, branch.numerators)}
+    by_power = {i: Fraction(n, kernel.common) for i, n in enumerate(kernel.numerators)}
     degree = max(by_power)
     c = Fraction(j, _CENTRES)
     exact = [
@@ -866,7 +869,7 @@ def _assert_taylor_basis_is_exact(orders, j):
 def test_shifted_bound_is_an_a_posteriori_bound():
     # every bridge-valid tuple of {0..4}^4, at the gap sweep and at log-uniform
     # momenta: the Taylor pass lies within its bound of the exact P(t^2), and
-    # evaluate returns it wherever the monomial bound fails and its own holds
+    # evaluate returns it wherever the first bound fails and its own holds
     rng = random.Random("shifted-bound")
     momenta = [(1.0, 1.0 + sign * 10.0**-u) for u in range(1, 16) for sign in (1, -1)]
     momenta += [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(10)]
@@ -877,9 +880,9 @@ def test_shifted_bound_is_an_a_posteriori_bound():
         for k1, k2 in momenta:
             p0, total, bound, exact = _shifted_pass(orders, k1, k2)
             assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
-            branch, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
             t = k_lo / k_hi
-            if _monomial_bound_fails(branch, t) and bound <= 1e-12 * abs(total):
+            if _first_bound_fails(kernel, t) and bound <= 1e-12 * abs(total):
                 value = evaluate(IntegralSpec(*orders, k1, k2)).value
                 assert value == math.pi / k_hi**3 * (total * t**p0), (orders, k1, k2)
                 taken += 1
@@ -912,6 +915,27 @@ def test_kernel_build_refuses_instead_of_rounding():
         _divide_one_minus_u([1, 1, 1, 0, -2])
 
 
+def test_kernel_build_refuses_a_numerator_of_mixed_parity(monkeypatch):
+    # the kernel of (0, 1, 2, 1) is -t^-1/12 + t/10, from one division by
+    # 1 - t^2; a t^0 term in the quotient would be dropped by the dense format
+    def with_even_power(coeffs):
+        quotient = _divide_one_minus_u(coeffs)
+        quotient[1] += 1
+        return quotient
+
+    monkeypatch.setattr(quadbessel, "_divide_one_minus_u", with_even_power)
+    with pytest.raises(ArithmeticError, match="parit"):
+        _laurent_kernel.__wrapped__(0, 1, 2, 1)
+
+
+def test_zero_kernel_needs_no_branch_of_its_own(monkeypatch):
+    monkeypatch.setattr(quadbessel, "_divide_one_minus_u", lambda coeffs: [0] * len(coeffs))
+    _, kernel = _laurent_kernel.__wrapped__(0, 1, 2, 1)
+    assert kernel.p0 == 0 and kernel.numerators == (0,) and kernel.floats == (0.0,)
+    assert _float_horner(kernel.floats, 0.81) == (0.0, 0.0)
+    assert Fraction(*_horner_exact(kernel, 9, 10)) == 0
+
+
 @pytest.mark.parametrize(
     "orders", [(L, 0, L, 0) for L in range(14, 23)] + [(25, 3, 24, 2), (14, 14, 14, 14)]
 )
@@ -926,7 +950,7 @@ def test_evaluate_past_the_legendre_degree_limit(orders):
 
 
 def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
-    # one spec per pass: monomial, Taylor (two; the second at k1 = k2), integer
+    # one spec per pass: about centre 0, Taylor (two; the second at k1 = k2), integer
     root_orders, root_k1, root_k2 = _root_adjacent_specs()[0][0]
     specs = [
         IntegralSpec(2, 1, 3, 0, 1.0, 1.5),
@@ -1017,6 +1041,7 @@ RETIRED_NAMES = (
     "gauss_legendre",
     "recomputed_sum",
     "legendre_poly_part",
+    "legendre_linearization_coeffs",
 )
 
 
@@ -1029,8 +1054,10 @@ def test_public_names_resolve_and_retired_names_are_gone():
     # select_bridge_order computes the triangle windows itself. Only the
     # tests called gauss_legendre (the oracle reads _gauss_rule) and
     # EvaluationReport.recomputed_sum, and legendre_poly_part (the exact
-    # ratio behind assoc_legendre_gt1 is tested directly).
-    assert len(fourbessel.__all__) == 24
+    # ratio behind assoc_legendre_gt1 is tested directly), and
+    # legendre_linearization_coeffs (the kernel reads the integer weights of
+    # _linearization_weights, which are tested directly).
+    assert len(fourbessel.__all__) == 23
     for name in RETIRED_NAMES:
         assert name not in fourbessel.__all__ and name not in quadbessel.__all__
         assert name not in oracle.__all__
