@@ -9,6 +9,11 @@ which this package evaluates exactly as a finite sum of coupling
 coefficients (3j/6j symbols), binomial weights, and associated Legendre
 functions of half-integer order, and certifies against an independent
 numerical quadrature oracle.
+
+The oracle and numpy load on first use: ``import fourbessel`` brings in the
+closed form alone, and the first read of ``QuadratureConfig``,
+``quad_bessel_numeric``, ``spherical_bessel_j`` or
+``triple_bessel_numeric`` imports ``fourbessel.oracle``.
 """
 from __future__ import annotations
 
@@ -27,12 +32,6 @@ from .errors import (
 from .legendre import (
     assoc_legendre_gt1,
     legendre_p,
-)
-from .oracle import (
-    QuadratureConfig,
-    quad_bessel_numeric,
-    spherical_bessel_j,
-    triple_bessel_numeric,
 )
 from .quadbessel import (
     evaluate,
@@ -74,3 +73,21 @@ __all__ = [
     "wigner_6j",
     "__version__",
 ]
+
+_ORACLE_NAMES = frozenset(
+    ("QuadratureConfig", "quad_bessel_numeric", "spherical_bessel_j", "triple_bessel_numeric")
+)
+
+
+def __getattr__(name: str):
+    # PEP 562: reached only for names not yet in the namespace
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        value = globals()[name] = getattr(oracle, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ORACLE_NAMES)

@@ -22,6 +22,7 @@ import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import IntegralSpec
 from .errors import (
@@ -384,7 +385,9 @@ def _add_quadrature_flags(parser: argparse.ArgumentParser, full: bool = False) -
                             help="tail averaging depth (default 6)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The CLI's argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="fourbessel",
                      description="Closed-form four-spherical-Bessel radial integrals "
                                  "with numerical certification.")

@@ -20,6 +20,8 @@ from .errors import DomainError
 
 def require_order(value: int, name: str = "order") -> int:
     """Validate a non-negative integer angular momentum index."""
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, bool):
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
     try:
@@ -33,6 +35,9 @@ def require_order(value: int, name: str = "order") -> int:
 
 def require_momentum(value: float, name: str = "momentum") -> float:
     """Validate a strictly positive, finite momentum."""
+    # NaN, -0.0 and inf fail the comparison and take the checked path below
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     try:
         fval = float(value)
     except (TypeError, ValueError):

@@ -39,8 +39,8 @@ from .errors import DomainError, PrefactorZero
 from .legendre import _linearization_weights, bform_band_coeffs, legendre_p
 from .wigner import (
     SignedSqrtRational,
+    _bridge_order,
     gamma_half,
-    select_bridge_order,
     wigner_3j_zero,
     wigner_6j,
 )
@@ -233,7 +233,7 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     assembled numerator with zero remainder, and the quotient's powers of t
     share one parity. Any of these failing raises ArithmeticError.
     """
-    L = select_bridge_order(l1, l2, l3, l4)
+    L = _bridge_order(l1, l2, l3, l4)
     # Neither side is empty: its s = 0, l = lb factor is
     # 3j(la,L,lb) 3j(lb,0,lb) 6j(la,lb,L;0,L,lb) (2lb+1), nonzero for a bridge-valid L.
     left = _side_factors(l1, l2, L)

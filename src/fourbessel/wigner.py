@@ -192,11 +192,28 @@ def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:
     parity constraints L = l1+l2 = l3+l4 (mod 2). Raises NoValidBridge when
     the parities disagree or the windows do not intersect.
     """
-    l1, l2, l3, l4 = (
-        require_order(value, f"l{index}") for index, value in enumerate((l1, l2, l3, l4), 1)
+    return _bridge_order(
+        *(require_order(value, f"l{index}") for index, value in enumerate((l1, l2, l3, l4), 1))
     )
+
+
+def _bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:
+    """select_bridge_order on validated orders: each refusal is a fresh NoValidBridge."""
+    verdict = _bridge_verdict(l1, l2, l3, l4)
+    if type(verdict) is str:
+        raise NoValidBridge(verdict)
+    return verdict
+
+
+@lru_cache(maxsize=None)
+def _bridge_verdict(l1: int, l2: int, l3: int, l4: int) -> int | str:
+    """The bridge order of validated orders, or the message that refuses them.
+
+    lru_cache keeps no exceptions, so a refusal is cached as its message; a
+    cached exception instance would grow its traceback with every raise.
+    """
     if (l1 + l2 - l3 - l4) % 2:
-        raise NoValidBridge(
+        return (
             "no parity-valid bridge order: "
             f"l1+l2={l1 + l2} and l3+l4={l3 + l4} have different parities"
         )
@@ -205,7 +222,7 @@ def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:
     # |a-b| and a+b share parity, so the larger window floor is parity-valid
     candidate = max(lo12, lo34)
     if candidate > min(hi12, hi34):
-        raise NoValidBridge(
+        return (
             "no parity-valid bridge order: "
             f"triangle windows [{lo12},{hi12}] and [{lo34},{hi34}] are disjoint"
         )

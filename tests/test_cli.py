@@ -494,3 +494,30 @@ def test_oracle_config_flags_round_trip():
         rel_tol=1e-9, max_radius=3000.0, panels_per_period=5, acceleration_depth=8
     )
     assert cli._quadrature_config(parser.parse_args(base)) == QuadratureConfig()
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    # main parses with the parser built on its first call; two subcommands and
+    # a usage error print and return what a freshly built parser gives
+    runs = [
+        ["eval", "--l1", "1", "--l2", "0", "--l3", "1", "--l4", "2", "--k1", "1", "--k2", "2"],
+        ["wigner", "6j", "1", "1", "1", "1", "1", "1"],
+        ["eval", "--l1", "1", "--k1", "0"],
+        ["legendre", "assoc", "--l", "2", "--m", "-1/2", "--x", "1.5"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in runs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_all()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = run_all()
+    assert [code for code, _, _ in reused] == [0, 0, 64, 0]
+    assert "usage: fourbessel eval" in reused[2][2]
+    assert reused == fresh

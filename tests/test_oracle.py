@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourbessel
 from fourbessel import oracle
 from fourbessel.core import IntegralSpec
 from fourbessel.errors import DomainError, NoConvergence, NoValidBridge
@@ -329,6 +331,45 @@ def test_closed_forms_do_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
+
+
+def test_closed_forms_do_not_load_the_oracle():
+    # import fourbessel binds the oracle's four public names on first read,
+    # so a process that only evaluates closed forms never compiles oracle.py
+    code = (
+        "import sys, json; "
+        "sys.modules.update(dict.fromkeys(('mpmath', 'scipy', 'hypothesis'))); "
+        "import fourbessel; "
+        "fourbessel.evaluate(fourbessel.IntegralSpec(2, 1, 3, 0, 1.0, 2.0)); "
+        "loaded = [m for m in ('fourbessel.oracle', 'fourbessel.cli', 'numpy') if m in sys.modules]; "
+        "listed = sorted(set(fourbessel.__all__) - set(dir(fourbessel))); "
+        "namespace = {}; "
+        "exec('from fourbessel import *', namespace); "
+        "import fourbessel.oracle as oracle; "
+        "lazy = ('QuadratureConfig', 'quad_bessel_numeric', 'spherical_bessel_j', "
+        "'triple_bessel_numeric'); "
+        "print(json.dumps({"
+        "'loaded': loaded, 'unlisted': listed, "
+        "'star': sorted(set(fourbessel.__all__) - namespace.keys()), "
+        "'same': [getattr(fourbessel, n) is getattr(oracle, n) is namespace[n] for n in lazy], "
+        "'cached': [n in vars(fourbessel) for n in lazy]}))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "loaded": [],
+        "unlisted": [],
+        "star": [],
+        "same": [True] * 4,
+        "cached": [True] * 4,
+    }
+
+
+def test_unknown_package_names_still_raise_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        fourbessel.no_such_name
+    assert len(fourbessel.__all__) == 23
+    assert {"QuadratureConfig", "quad_bessel_numeric"} <= set(dir(fourbessel))
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1075,6 +1076,72 @@ def test_spec_validation():
         IntegralSpec(0, 0, 0, 0, 1.0, math.inf)
     with pytest.raises(DomainError):
         IntegralSpec(True, 0, 0, 0, 1.0, 2.0)
+
+
+class _FloatSubclass(float):
+    pass
+
+
+# An exact int or float in range returns as it is; every other input is
+# converted or refused as before, with the same message.
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0, 0),
+        (7, 7),
+        (np.int64(3), 3),
+        (np.uint8(4), 4),
+        (True, "order must be a non-negative integer, got True"),
+        (False, "order must be a non-negative integer, got False"),
+        (-2, "order must be >= 0, got -2"),
+        (np.int64(-2), "order must be >= 0, got -2"),
+        ("2", "order must be a non-negative integer, got '2'"),
+        (2.0, "order must be a non-negative integer, got 2.0"),
+        (None, "order must be a non-negative integer, got None"),
+    ],
+)
+def test_require_order_inputs(value, expected):
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            core.require_order(value)
+        assert str(info.value) == expected
+    else:
+        result = core.require_order(value)
+        assert result == expected and type(result) is int
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (2.5, 2.5),
+        (5e-324, 5e-324),
+        (1.7976931348623157e308, 1.7976931348623157e308),
+        (3, 3.0),
+        (True, 1.0),
+        (_FloatSubclass(2.5), 2.5),
+        (np.float64(0.25), 0.25),
+        ("2.5", 2.5),
+        ("abc", "momentum must be a positive real, got 'abc'"),
+        (None, "momentum must be a positive real, got None"),
+        (math.nan, "momentum must be positive and finite, got nan"),
+        (_FloatSubclass(math.nan), "momentum must be positive and finite, got nan"),
+        (math.inf, "momentum must be positive and finite, got inf"),
+        (-math.inf, "momentum must be positive and finite, got -inf"),
+        (0.0, "momentum must be positive and finite, got 0.0"),
+        (-0.0, "momentum must be positive and finite, got -0.0"),
+        (-1.5, "momentum must be positive and finite, got -1.5"),
+        (_FloatSubclass(-1.5), "momentum must be positive and finite, got -1.5"),
+        (-1, "momentum must be positive and finite, got -1.0"),
+    ],
+)
+def test_require_momentum_inputs(value, expected):
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            core.require_momentum(value)
+        assert str(info.value) == expected
+    else:
+        result = core.require_momentum(value)
+        assert result == expected and type(result) is float
 
 
 @settings(deadline=None)

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import sys
+import traceback
 import tracemalloc
 from fractions import Fraction
 from math import factorial
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 
 from fourbessel import wigner
 from fourbessel.errors import DomainError, NoValidBridge
-from fourbessel.quadbessel import _laurent_kernel
+from fourbessel.core import IntegralSpec
+from fourbessel.quadbessel import _laurent_kernel, evaluate
 from fourbessel.wigner import (
     SignedSqrtRational,
     gamma_half,
@@ -449,6 +451,31 @@ def test_select_bridge_order_minimality(l1, l2, l3, l4):
         assert str(exc) == f"no parity-valid bridge order: {reason}"
         return
     assert bridge == min(common)
+
+
+@pytest.mark.parametrize(
+    "orders, message",
+    [
+        ((0, 0, 0, 1), "l1+l2=0 and l3+l4=1 have different parities"),
+        ((5, 0, 0, 1), "triangle windows [5,5] and [1,1] are disjoint"),
+    ],
+)
+def test_bridge_refusal_is_computed_once_and_raised_fresh(cold_caches, orders, message):
+    # the verdict is cached per tuple as a message; every caller gets a new
+    # exception, so no traceback grows from one raise to the next
+    raised = []
+    for _ in range(3):
+        with pytest.raises(NoValidBridge) as select_info:
+            select_bridge_order(*orders)
+        with pytest.raises(NoValidBridge) as evaluate_info:
+            evaluate(IntegralSpec(*orders, 2.0, 1.0))
+        raised += [select_info.value, evaluate_info.value]
+    assert {str(exc) for exc in raised} == {f"no parity-valid bridge order: {message}"}
+    assert len({id(exc) for exc in raised}) == len(raised)
+    assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised[0::2]}) == 1
+    assert len({len(traceback.extract_tb(exc.__traceback__)) for exc in raised[1::2]}) == 1
+    info = wigner._bridge_verdict.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 # --------------------------------------------------------------------------
