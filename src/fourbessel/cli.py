@@ -376,13 +376,9 @@ def _add_orders_and_momenta(parser: argparse.ArgumentParser) -> None:
 def _add_quadrature_flags(parser: argparse.ArgumentParser, full: bool = False) -> None:
     parser.add_argument("--rel-tol", type=_positive_float, default=None,
                         help="oracle target relative tolerance (default 1e-8)")
-    parser.add_argument("--max-radius", type=_positive_float, default=None,
-                        help="oracle truncation radius (default 4000/min momentum)")
     if full:
         parser.add_argument("--panels-per-period", type=_positive_int, default=None,
                             help="head panels per oscillation period (default 4)")
-        parser.add_argument("--acceleration-depth", type=_nonnegative_int, default=None,
-                            help="tail averaging depth (default 6)")
 
 
 @lru_cache(maxsize=1)

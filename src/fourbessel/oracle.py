@@ -1,40 +1,34 @@
 """Independent numerical evaluation of the radial Bessel-product integrals.
 
 This module is the certification oracle: it never touches the closed-form
-pipeline. The integrand r^2 * prod_i j_{n_i}(k_i r) is split at a radius R
-past the last Bessel turning point:
+pipeline. The momenta are scaled by the power of two that puts the largest
+in [1, 2), which scales the integral exactly, and the integrand
+r^2 * prod_i j_{n_i}(k_i r) is split at a radius R:
 
-* head [0, R]: uniform Gauss panels sized to the fastest oscillation, with
-  the integrand evaluated directly through the Bessel recurrences of
-  ``_bessel_sweep``, the code behind ``spherical_bessel_j``. A 12-node and
-  an 8-node rule share one row of nodes per panel; their difference is the
-  head's error estimate;
 * tail [R, inf): the product is rewritten exactly (Rayleigh trigonometric
   forms, product-to-sum identities, rational coefficient arithmetic) as a sum
-  of components coeff * r^(-m) * {cos,sin}(omega r). Each component tail is
-  integrated by one of three rules: an exact power-law formula when omega = 0,
-  a convergent sine/cosine-integral series chain when |omega| R is small, and
-  half-period windows with iterated averaging otherwise.
+  of components coeff * r^(-m) * {cos,sin}(omega r), each with a closed-form
+  tail: a power law when omega = 0, else R^(1-m) E_m(-i omega R), the
+  generalized exponential integral, with a bound on its rounding;
+* R is the first of k_min R = 2, 4, 8, ... at which that bound is a small
+  fraction of rel_tol * |tail|;
+* head [0, R]: the only quadrature. Uniform Gauss panels sized to the
+  fastest oscillation, the integrand evaluated through the Bessel
+  recurrences of ``_bessel_sweep``, the code behind ``spherical_bessel_j``.
+  A 12-node and an 8-node rule share one row of nodes per panel; their
+  difference plus a rounding bound is the head's error estimate.
 
-Cost model of the tail decomposition: it is compiled once per order tuple,
-exactly, with the momenta kept as symbols (each coefficient a polynomial in
-the 1/k_i with integer numerators over one denominator) and cached. Each call
-then substitutes the exact ratios k_i = p_i/q_i: a few integer products per
-coefficient and one correctly rounded division, the same float as rounding
-the exact rational coefficient.
+The decomposition is compiled once per order tuple, exactly, with the
+momenta as symbols, and cached; each call substitutes the exact ratios
+k_i = p_i/q_i and rounds each coefficient once.
 
-Cost model of the head: the panels are walked in blocks of _HEAD_BLOCK_PANELS,
-and each block makes one Bessel sweep per distinct momentum k, running one
-upward recurrence for all the orders k carries (j_l1 and j_l3 share k1 r,
-j_l2 and j_l4 share k2 r), for both rules at once. No node takes its own sin
-or cos: the grid is exactly uniform, r = c_p + o_j, so sin(k r) and cos(k r)
-come by angle addition from those of k c_p, taken once per panel, and of
-k o_j, taken once per head. Per distinct momentum a head calls np.sin and
-np.cos on n_panels + 20 points, not on all 20 n_panels nodes. The phase k c_p
-is corrected by the rounding error of the product (Dekker's TwoProduct), so
-the head is slightly more accurate than sin and cos of the rounded k r:
-within 2^-50 of the same Gauss sums in extended precision, relative to their
-sum of |w f h|.
+The head walks its panels in blocks of _HEAD_BLOCK_PANELS, with one Bessel
+sweep per block and distinct momentum k for all the orders k carries, both
+rules at once. No node takes its own sin or cos: r = c_p + o_j, so sin(k r)
+and cos(k r) come by angle addition from those of k c_p, once per panel,
+corrected by the rounding of the product (Dekker's TwoProduct), and of k o_j,
+once per head. The head is within 2^-50 of the same Gauss sums in extended
+precision, relative to their sum of |w f h|.
 
 Everything returns (value, error_estimate); NoConvergence is raised when the
 estimate cannot certify the configured tolerance.
@@ -62,43 +56,38 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
-# Largest |omega|*R handled by the sine/cosine-integral series; beyond this the
-# windowed rule always has enough half-periods before max_radius.
+# the unit roundoff of a float, and the smallest normal float
+_U, _TINY = 2.0**-53, 2.0**-1022
+# Largest omega*R at which a component tail is seeded by the sine and cosine
+# integral series; above it the continued fraction takes at most about 120
+# steps (120 at omega R = 1.5, order 2). The step cap lies far above that, so
+# a fraction that fails to converge raises instead of looping.
 _SERIES_PHASE_LIMIT = 1.5
+_LENTZ_STEPS = 2000
+# Split radius candidates k_min R = 2, 4, ..., 4096 (4096 is about the former
+# fixed truncation radius, 4000 / k_min); a rung is kept once the tail's
+# rounding bound is at most _TAIL_CONDITION * rel_tol * |tail|
+_RUNGS = tuple(2.0**j for j in range(1, 13))
+_TAIL_CONDITION = 1e-3
 # Head panels per block: 512 panels of 20 nodes keep each temporary at 80 kB.
 _HEAD_BLOCK_PANELS = 512
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls for the numerical oracle.
-
-    max_radius=None resolves to 4000 / min(momenta) per call.
-    """
+    """Controls for the numerical oracle: the relative tolerance it certifies,
+    and the head's Gauss panels per period of its fastest oscillation."""
 
     rel_tol: float = 1e-8
-    max_radius: float | None = None
     panels_per_period: int = 4
-    acceleration_depth: int = 6
 
     def __post_init__(self) -> None:
         if not (isinstance(self.rel_tol, (int, float)) and self.rel_tol > 0):
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
-        if self.max_radius is not None and not (
-            isinstance(self.max_radius, (int, float)) and self.max_radius > 0
-        ):
-            raise DomainError(f"max_radius must be > 0, got {self.max_radius!r}")
         if not (isinstance(self.panels_per_period, int) and self.panels_per_period >= 2):
             raise DomainError(
                 f"panels_per_period must be an int >= 2, got {self.panels_per_period!r}"
             )
-        if not (isinstance(self.acceleration_depth, int) and self.acceleration_depth >= 0):
-            raise DomainError(
-                f"acceleration_depth must be an int >= 0, got {self.acceleration_depth!r}"
-            )
-
-    def resolved_radius(self, k_min: float) -> float:
-        return self.max_radius if self.max_radius is not None else 4000.0 / k_min
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +106,7 @@ def spherical_bessel_j(n, x):
 
     Regimes: j_0 = sin(x)/x; j_1 by its closed form from x = 0.5; for n >= 2
     the upward trigonometric recurrence for x >= n+1 and the downward
-    (Miller) recurrence, renormalized against j_0, on [0.5, n+1). Below
+    (Miller) recurrence, renormalized against j_0 or j_1, on [0.5, n+1). Below
     x = 0.5 every order n >= 1 takes the Taylor series, and j_n(0) =
     delta_{n,0} exactly. NaN, infinite or negative x raises DomainError.
     The values come from _bessel_sweep, which the oracle's head runs for
@@ -174,7 +163,7 @@ def _bessel_sweep(
         else:
             mid = ~small & (a < n + 1.0)
             if np.any(mid):
-                below[mid] = _bessel_downward(n, a[mid], sin_t[mid])
+                below[mid] = _bessel_downward(n, a[mid], sin_t[mid], cos_t[mid])
         if np.any(small):
             below[small] = _bessel_series(n, a[small])
     if not orders:
@@ -237,10 +226,11 @@ def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
     return a**n / _double_factorial_odd(n) * total
 
 
-def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray) -> np.ndarray:
-    """j_n(a) by Miller's downward recurrence, normalised against j_0 = sin_a/a.
+def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray, cos_a: np.ndarray) -> np.ndarray:
+    """j_n(a) by Miller's downward recurrence, given sin(a) and cos(a).
 
-    ``sin_a`` is sin(a), which the caller already has.
+    Each point is normalised against the larger of j_0 and j_1 there: near a
+    zero of j_0 alone, 2 pi + 1e-9 say, the ratio lost 4e-7 relative.
     """
     import numpy as np
 
@@ -260,7 +250,9 @@ def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray) -> np.ndarray:
                 cur *= 1e-250
                 if target is not None:
                     target *= 1e-250
-    return target * (sin_a / a) / cur
+    j0 = sin_a / a
+    j1 = (j0 - cos_a) / a
+    return target * np.where(np.abs(j0) >= np.abs(j1), j0 / cur, j1 / above)
 
 
 # --------------------------------------------------------------------------
@@ -460,121 +452,111 @@ def _decompose_weighted_product(
 
 
 # --------------------------------------------------------------------------
-# tail integration rules
+# exact component tails
 # --------------------------------------------------------------------------
+# int_R^inf r^-m e^(i omega r) dr = R^(1-m) E_m(-ix), x = omega R > 0 (DLMF
+# 8.19). Each value comes with a bound on its rounding error in units _U of
+# the sizes it is built from: a complex sum, or a product or quotient with a
+# real, rounds once; a complex product 3 units, a quotient 4; e^(ix) has 3.
 
 
-def _sin_cos_integral_tails(z: float) -> tuple[float, float]:
-    """(S1, T1) = (int_z^inf sin u / u du, int_z^inf cos u / u du) for 0 < z <= ~2."""
-    si = 0.0
-    term = z
-    k = 0
-    while True:
-        si += term / (2 * k + 1)
-        k += 1
-        term *= -z * z / ((2 * k) * (2 * k + 1))
-        if abs(term) < 1e-20 * (1.0 + abs(si)):
-            break
-    ci = _EULER_GAMMA + math.log(z)
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -z * z / ((2 * k - 1) * (2 * k))
-        ci += term / (2 * k)
-        if abs(term) < 1e-20 * (1.0 + abs(ci)):
-            break
-    return math.pi / 2 - si, -ci
+def _sine_cosine_integral_tail(z: float) -> tuple[complex, float]:
+    """E_1(-iz) = -Ci(z) + i (pi/2 - Si(z)) for 0 < z <= ~2, and its error bound.
+
+    Si and Ci come from their power series (DLMF 6.6.5, 6.6.6), one term
+    (-1)^(j//2) z^j / j! per step, the odd ones for Si and the even ones for
+    Ci, until a term is below 1e-20. After j steps a term has been rounded
+    2j + 1 times and each partial sum once more.
+    """
+    log_z = math.log(z)
+    sums = [_EULER_GAMMA + log_z, 0.0]  # Ci, Si
+    size = _EULER_GAMMA + abs(log_z)
+    term, j = 1.0, 0
+    while j < 2 or abs(term) >= 1e-20:
+        j += 1
+        term *= z / j if j % 2 else -z / j
+        sums[j % 2] += term / j
+        size += abs(term) / j
+    ci, si = sums
+    s_tail = math.pi / 2 - si
+    return complex(-ci, s_tail), (2 * j + 2) * _U * size + _U * (math.pi / 2 + abs(s_tail))
 
 
-def _series_component_tail(omega: float, cos_coeffs: dict, sin_coeffs: dict, radius: float) -> tuple[float, float]:
-    """Tail of one slowly oscillating component via the by-parts chain."""
-    m_max = max([*cos_coeffs, *sin_coeffs])
-    z = omega * radius
-    s_tails = [0.0] * (m_max + 1)
-    t_tails = [0.0] * (m_max + 1)
-    s_tails[1], t_tails[1] = _sin_cos_integral_tails(z)
-    cos_z, sin_z = math.cos(z), math.sin(z)
-    for m in range(2, m_max + 1):
-        scale = radius ** (1 - m) / (m - 1)
-        t_tails[m] = scale * cos_z - omega / (m - 1) * s_tails[m - 1]
-        s_tails[m] = scale * sin_z + omega / (m - 1) * t_tails[m - 1]
-    parts = [c * t_tails[m] for m, c in cos_coeffs.items()]
-    parts += [c * s_tails[m] for m, c in sin_coeffs.items()]
-    value = math.fsum(parts)
-    estimate = 5e-16 * math.fsum(abs(p) for p in parts) + 1e-300
-    return value, estimate
+def _continued_fraction(z: complex, p: int) -> tuple[complex, int]:
+    """(e^z E_p(z), steps taken) for z off the negative real axis.
+
+    DLMF 8.19.17 in its even contraction, 1/(z+p- 1p/(z+p+2- 2(p+1)/(z+p+4-
+    ...))), by modified Lentz until a step moves the value by two units at
+    most. A step rounds a d + b (2 units), its reciprocal (4), b + a/c (5),
+    c d (3) and the running product (3): 17 in all.
+    """
+    b = z + p
+    c, d = math.inf, 1.0 / b
+    value = d
+    for step in range(1, _LENTZ_STEPS + 1):
+        a = -step * (p - 1 + step)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        value *= delta
+        if abs(delta - 1.0) <= 2 * _U:
+            return value, step
+    raise NoConvergence(
+        f"the continued fraction for E_{p}({z}) did not converge in {_LENTZ_STEPS} steps"
+    )
 
 
-def _windowed_component_tail(
-    omega: float,
-    cos_coeffs: dict,
-    sin_coeffs: dict,
-    radius: float,
-    r_max: float,
-    depth: int,
-) -> tuple[float, float]:
-    """Tail of one oscillatory component: half-period windows, iterated averaging."""
-    import numpy as np
+def _exponential_integrals(x: float, cis: complex, m_lo: int, m_hi: int) -> dict:
+    """{m: (E_m(-ix), error bound)} for m_lo <= m <= m_hi, x > 0, cis = e^(ix).
 
-    window = math.pi / omega
-    available = int((r_max - radius) / window)
-    n_windows = min(max(2 * depth + 8, 24), available)
-    if n_windows < 4:
-        # not enough room to accelerate: report a rigorous magnitude bound
-        bound = 0.0
-        for m, c in cos_coeffs.items():
-            bound += abs(c) * (radius ** (1 - m) / (m - 1) if m >= 2 else 2.0 / (omega * radius))
-        for m, c in sin_coeffs.items():
-            bound += abs(c) * (radius ** (1 - m) / (m - 1) if m >= 2 else 2.0 / (omega * radius))
-        return 0.0, bound
-    nodes, weights = _gauss_rule(10)
-    offsets = (nodes + 1.0) * (0.5 * window)
-    starts = radius + window * np.arange(n_windows)
-    r = starts[:, None] + offsets[None, :]
-    phase = omega * r
-    f = np.zeros_like(r)
-    cos_r = np.cos(phase)
-    sin_r = np.sin(phase)
-    for m, c in cos_coeffs.items():
-        f += (c * cos_r) * r ** float(-m)
-    for m, c in sin_coeffs.items():
-        f += (c * sin_r) * r ** float(-m)
-    window_integrals = (f @ weights) * (0.5 * window)
-    levels = np.cumsum(window_integrals)
-    depth_eff = min(depth, len(levels) - 1)
-    previous_last = float(levels[-1])
-    for _ in range(depth_eff):
-        previous_last = float(levels[-1])
-        levels = 0.5 * (levels[:-1] + levels[1:])
-    final = float(levels[-1])
-    if depth_eff == 0:
-        drift = abs(float(window_integrals[-1]))
+    One order p0 is seeded: E_1 from the sine and cosine integrals up to
+    _SERIES_PHASE_LIMIT, else a continued fraction at p0 = round(x) clamped
+    to [m_lo, m_hi]. The rest follow from p E_(p+1)(z) + z E_p(z) = e^(-z)
+    (DLMF 8.19.12), upward above p0 (stable for p > |z|) and downward below
+    it (stable for p < |z|). A step carries the previous bound through and
+    adds a product, a difference and a quotient (1 unit each) and e^(ix) (3).
+    """
+    z = complex(0.0, -x)
+    if x <= _SERIES_PHASE_LIMIT:
+        pivot = 1
+        seed, seed_error = _sine_cosine_integral_tail(x)
     else:
-        # change contributed by the final averaging pass
-        drift = abs(final - previous_last)
-    floor = 1e-15 * float(np.sum(np.abs(window_integrals)))
-    return final, drift + floor
+        pivot = min(max(round(x), m_lo), m_hi)
+        fraction, steps = _continued_fraction(z, pivot)
+        seed = fraction * cis
+        seed_error = (17 * steps + 6) * _U * abs(seed)
+    out = {pivot: (seed, seed_error)}
+    value, error = seed, seed_error
+    for p in range(pivot, m_hi):
+        following = (cis - z * value) / p
+        error = (x * error + _U * (4.0 + 2.0 * x * abs(value))) / p + _U * abs(following)
+        out[p + 1] = following, error
+        value = following
+    value, error = seed, seed_error
+    for p in range(pivot - 1, m_lo - 1, -1):
+        preceding = (cis - p * value) / z
+        error = (p * error + _U * (4.0 + 2.0 * p * abs(value))) / x + _U * abs(preceding)
+        out[p] = preceding, error
+        value = preceding
+    return out
 
 
-def _integrate_tail(
-    components: dict,
-    momenta: tuple[float, ...],
-    radius: float,
-    r_max: float,
-    depth: int,
-) -> tuple[float, float]:
-    """Sum of all component tails over [radius, inf)."""
-    total = 0.0
-    estimate = 0.0
+def _integrate_tail(components: dict, momenta: tuple[float, ...], radius: float) -> tuple[float, float]:
+    """Sum of all component tails over [radius, inf), and a bound on its rounding error.
+
+    omega = label . momenta and x = omega R are kept as hi + lo, and e^(ix)
+    is corrected by lo: the phase is that of the exact momenta. A part
+    c R^(1-m) Re/Im E_m adds 5 units of its size to the error of E_m.
+    """
+    parts_out = []
+    bound = 0.0
     for label, parts in components.items():
-        omega = math.fsum(n * k for n, k in zip(label, momenta))
-        flip = 1.0
+        terms = [t for n, k in zip(label, momenta) for t in _two_product(float(n), k)]
+        omega = math.fsum(terms)
+        omega_lo, flip = math.fsum([*terms, -omega]), 1.0
         if omega < 0.0:
-            omega = -omega
-            flip = -1.0
-        cos_coeffs = {m: c for (kind, m), c in parts.items() if kind == 0}
-        sin_coeffs = {m: flip * c for (kind, m), c in parts.items() if kind == 1}
+            omega, omega_lo, flip = -omega, -omega_lo, -1.0
         if omega == 0.0:
             # sin(0 * r) vanishes identically; the cosine part is a pure power
             # law. Components are pruned where their exact value is zero, so a
@@ -584,19 +566,23 @@ def _integrate_tail(
                     "integrand has a non-oscillatory r^-1 component; the "
                     "integral diverges logarithmically"
                 )
-            total += math.fsum(
-                c * radius ** (1 - m) / (m - 1) for m, c in cos_coeffs.items() if m >= 2
-            )
+            powers = [c * radius ** (1 - m) / (m - 1) for (kind, m), c in parts.items() if not kind]
+            parts_out += powers
+            bound += 5 * _U * math.fsum(abs(v) for v in powers)
             continue
-        if omega * radius <= _SERIES_PHASE_LIMIT:
-            value, err = _series_component_tail(omega, cos_coeffs, sin_coeffs, radius)
-        else:
-            value, err = _windowed_component_tail(
-                omega, cos_coeffs, sin_coeffs, radius, r_max, depth
-            )
-        total += value
-        estimate += err
-    return total, estimate
+        x, x_lo = _two_product(omega, radius)
+        x_lo += omega_lo * radius
+        cos_x, sin_x = math.cos(x), math.sin(x)
+        cis = complex(cos_x - x_lo * sin_x, sin_x + x_lo * cos_x)
+        orders = [m for _, m in parts]
+        integrals = _exponential_integrals(x, cis, min(orders), max(orders))
+        for (kind, m), c in parts.items():
+            value, error = integrals[m]
+            scale = c * radius ** (1 - m)
+            parts_out.append(scale * (flip * value.imag if kind else value.real))
+            bound += abs(scale) * (error + 5 * _U * abs(value))
+    total = math.fsum(parts_out)
+    return total, bound + _U * abs(total)
 
 
 # --------------------------------------------------------------------------
@@ -643,30 +629,43 @@ def _sin_cos_of_product(k: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sin_p + err * (cos_p - half * sin_p), cos_p - err * (sin_p + half * cos_p)
 
 
-def _head_integral(
-    factors: list[tuple[int, float]],
-    radius: float,
-    omega_max: float,
-    panels_per_period: int,
-) -> tuple[float, float]:
-    """Fine Gauss value of the head and its difference from the coarse rule.
+class _TooManyPanels(Exception):
+    """The head needs more panels than can be laid out or allocated."""
 
-    The panels are uniform: panel p has centre c_p = (p + 1/2) h, and the
-    12 + 8 nodes of both rules sit at c_p + o_j with o_j = (h/2) x_j. Blocks
-    of _HEAD_BLOCK_PANELS panels are laid out node-major, one row per node,
-    so that each angle-addition product is a row times a scalar. For each
-    block and distinct momentum k, sin and cos of k c_p are taken once per
-    panel and corrected for the rounding of k c_p; with those of k o_j, taken
-    once per head, angle addition gives sin(k r) and cos(k r) at every node,
-    and one Bessel sweep gives every order k carries.
+
+def _head_grid(factors, radius: float, omega_max: float, panels_per_period: int) -> tuple[int, float]:
+    """(n_panels, width) of a head over about [0, radius], sized to the fastest oscillation.
+
+    The width keeps only the bits that leave room for the panel index, so
+    each centre (p + 1/2) width and the end n_panels * width are exact.
     """
-    import numpy as np
-
     for _, k in factors:
         if not math.isfinite(k * radius):
             raise DomainError(f"head argument k*r = {k!r}*{radius!r} is not finite")
     n_panels = max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
-    width = radius / n_panels
+    bits = 53 - (2 * n_panels).bit_length()
+    if bits < 1:
+        raise _TooManyPanels
+    mantissa, exponent = math.frexp(radius / n_panels)
+    return n_panels, math.ldexp(math.floor(math.ldexp(mantissa, bits)), exponent - bits)
+
+
+def _head_integral(factors, n_panels: int, width: float) -> tuple[float, float]:
+    """Fine Gauss value of the head over [0, n_panels * width] and its error estimate.
+
+    Panel p has centre c_p = (p + 1/2) h, and the 12 + 8 nodes of both rules
+    sit at c_p + o_j, o_j = (h/2) x_j. Blocks of _HEAD_BLOCK_PANELS panels are
+    laid out node-major, one row per node, so that each angle-addition
+    product is a row times a scalar.
+
+    The estimate is |fine - coarse| plus a rounding bound in units _U of the
+    fine sum of |w f h|: 4 for a node r (o_j, c_p + o_j, r r, k r; c_p is
+    exact), 3 per step of each order's recurrence from j_0 (a quotient, a
+    product, a difference), 1 per factor's product, 12 for a panel's dot
+    product and 16 + log2(n_panels) for the pairwise sum and its h/2.
+    """
+    import numpy as np
+
     fine_nodes, fine_weights = _gauss_rule(12)
     coarse_nodes, coarse_weights = _gauss_rule(8)
     nodes = np.concatenate((fine_nodes, coarse_nodes))
@@ -684,15 +683,10 @@ def _head_integral(
         phase = k * offsets
         sweeps.append((k, members, orders, np.sin(phase)[:, None], np.cos(phase)[:, None]))
     try:
-        fine_rows = np.empty(n_panels)
-        coarse_rows = np.empty(n_panels)
-    except (ValueError, MemoryError):
-        # numpy refuses a length past its index range with ValueError
-        momenta = tuple(dict.fromkeys(k for _, k in factors))
-        raise DomainError(
-            f"momenta {momenta!r} are too far apart for the oracle: the head needs "
-            "more panels than can be allocated"
-        ) from None
+        rows = np.empty((3, n_panels))
+    except MemoryError:
+        raise _TooManyPanels from None
+    fine_rows, coarse_rows, size_rows = rows
     bessel = [None] * len(factors)
     for lo in range(0, n_panels, _HEAD_BLOCK_PANELS):
         hi = min(lo + _HEAD_BLOCK_PANELS, n_panels)
@@ -716,61 +710,74 @@ def _head_integral(
             f *= value
         np.matmul(fine_weights, f[:n_fine], out=fine_rows[lo:hi])
         np.matmul(coarse_weights, f[n_fine:], out=coarse_rows[lo:hi])
-    fine = 0.5 * width * float(np.sum(fine_rows))
-    coarse = 0.5 * width * float(np.sum(coarse_rows))
-    return fine, abs(fine - coarse) + 1e-16 * abs(fine)
+        np.matmul(fine_weights, np.abs(f[:n_fine]), out=size_rows[lo:hi])
+    fine, coarse, size = (0.5 * width) * rows.sum(axis=1)
+    units = 32 + len(factors) + n_panels.bit_length() + 3 * sum(n + 1 for n, _ in factors)
+    return float(fine), float(abs(fine - coarse) + units * _U * size)
 
 
-def _split_radius(orders: tuple[int, ...], k_min: float, r_max: float) -> float:
-    lam = max(orders)
-    return min((40.0 + 0.5 * lam * (lam + 1)) / k_min, 0.5 * r_max)
+def _choose_split(components, factors, momenta, omega_max, cfg) -> tuple[int, float, float, float]:
+    """(n_panels, width, tail, tail bound) at the first well-conditioned split radius.
+
+    k_min R climbs 2, 4, 8, ... to the first rung whose tail rounding bound
+    is at most _TAIL_CONDITION * rel_tol * |tail|: the tail is exact at every
+    radius, so only its rounding decides. It starts where the head ends.
+    """
+    k_min = min(momenta)
+    for rung in _RUNGS:
+        n_panels, width = _head_grid(factors, rung / k_min, omega_max, cfg.panels_per_period)
+        tail, bound = _integrate_tail(components, momenta, n_panels * width)
+        if bound <= _TAIL_CONDITION * cfg.rel_tol * abs(tail):
+            return n_panels, width, tail, bound
+    raise NoConvergence(
+        f"the tail's rounding bound {bound:.3e} exceeds {_TAIL_CONDITION:g} * rel_tol "
+        f"of the tail {tail:.3e} at every split radius up to k_min R = {rung:g}"
+    )
 
 
-def _certify(value: float, estimate: float, char_scale: float, cfg: QuadratureConfig) -> None:
-    if estimate > cfg.rel_tol * max(abs(value), char_scale):
-        raise NoConvergence(
-            f"error estimate {estimate:.3e} exceeds rel_tol={cfg.rel_tol:.1e} "
-            f"at value {value:.6e}; increase max_radius or acceleration_depth",
-            value=value,
-            error_estimate=estimate,
-        )
-
-
-def _integrate(
-    slots: tuple[tuple[int, int], ...],
-    momenta: tuple[float, ...],
-    omega_max: float,
-    depth: int,
-    char_denominator: float,
-    cfg: QuadratureConfig,
-) -> tuple[float, float]:
+def _integrate(slots, momenta, char_momenta, cfg: QuadratureConfig) -> tuple[float, float]:
     """Certified value and estimate of int_0^inf r^2 prod j_n(momenta[slot] r) dr.
 
     ``slots`` holds one (order n, momentum slot) pair per Bessel factor; the
-    estimate is certified against pi / char_denominator as the scale. At
-    extreme momenta the head's r^2, the tail's r^(1-m) or a decomposition
-    coefficient overflows; every such overflow, and a value or estimate that is
-    not finite, raises DomainError.
+    estimate is certified against pi / (4 prod char_momenta) as the scale.
+    The momenta are scaled by 2^-e so that the largest lies in [1, 2), and
+    the result by 2^(3e), which is exact. The head's checks run first, at
+    the shortest head: an argument that is not finite, or more panels than
+    can be laid out, raises DomainError; so does any other overflow, and a
+    value that leaves the normal floats.
     """
     import numpy as np
 
-    k_min = min(momenta)
-    r_max = cfg.resolved_radius(k_min)
-    radius = _split_radius(tuple(n for n, _ in slots), k_min, r_max)
-    factors = [(n, momenta[slot]) for n, slot in slots]
+    shift = math.frexp(max(momenta))[1] - 1
+    scaled = tuple(math.ldexp(k, -shift) for k in momenta)
+    factors = [(n, scaled[slot]) for n, slot in slots]
+    omega_max = math.fsum(k for _, k in factors)
     try:
+        _head_grid(factors, _RUNGS[0] / min(scaled), omega_max, cfg.panels_per_period)
         with np.errstate(over="raise"):
-            head, head_err = _head_integral(factors, radius, omega_max, cfg.panels_per_period)
-            components = _decompose_weighted_product(slots, momenta)
-            tail, tail_err = _integrate_tail(components, momenta, radius, r_max, depth)
-        value = head + tail
-        estimate = head_err + tail_err
-        char_scale = math.pi / char_denominator
+            components = _decompose_weighted_product(slots, scaled)
+            n_panels, width, tail, tail_err = _choose_split(components, factors, scaled, omega_max, cfg)
+            head, head_err = _head_integral(factors, n_panels, width)
+        total = head + tail
+        value = math.ldexp(total, -3 * shift)
+        estimate = math.ldexp(head_err + tail_err, -3 * shift)
+        char_scale = math.pi / (4.0 * math.prod(char_momenta))
+    except _TooManyPanels:
+        raise DomainError(
+            f"momenta {tuple(dict.fromkeys(momenta))!r} are too far apart for the oracle: the head needs "
+            "more panels than can be allocated"
+        ) from None
     except (OverflowError, ZeroDivisionError, FloatingPointError):
-        value = estimate = math.inf
-    if not (math.isfinite(value) and math.isfinite(estimate)):
+        total = value = estimate = math.inf
+    if not (math.isfinite(value) and math.isfinite(estimate)) or (total and abs(value) < _TINY):
         raise DomainError(f"momenta {momenta!r} are out of the oracle's float range")
-    _certify(value, estimate, char_scale, cfg)
+    if estimate > cfg.rel_tol * max(abs(value), char_scale):
+        raise NoConvergence(
+            f"error estimate {estimate:.3e} exceeds rel_tol={cfg.rel_tol:.1e} "
+            f"at value {value:.6e}; increase panels_per_period or rel_tol",
+            value=value,
+            error_estimate=estimate,
+        )
     return value, estimate
 
 
@@ -779,14 +786,11 @@ def quad_bessel_numeric(
 ) -> tuple[float, float]:
     """Numerical value and error estimate of the four-Bessel radial integral."""
     k1, k2 = spec.k1, spec.k2
-    cfg = config or QuadratureConfig()
     return _integrate(
         ((spec.lambda1, 0), (spec.lambda2, 1), (spec.lambda3, 0), (spec.lambda4, 1)),
         (k1, k2),
-        2.0 * (k1 + k2),
-        cfg.acceleration_depth,
-        4.0 * k1 * k2 * max(k1, k2),
-        cfg,
+        (k1, k2, max(k1, k2)),
+        config or QuadratureConfig(),
     )
 
 
@@ -801,8 +805,8 @@ def triple_bessel_numeric(
 ) -> tuple[float, float]:
     """Numerical value and error estimate of the weighted triple-Bessel integral.
 
-    The integrand envelope decays only as r^-1, so the averaging depth is
-    doubled relative to the four-Bessel case.
+    Its integrand decays only as r^-1, which the exact tails take as they
+    come: E_1 is a conditionally convergent integral like the others.
     """
     l1 = require_order(l1, "l1")
     l2 = require_order(l2, "l2")
@@ -810,12 +814,6 @@ def triple_bessel_numeric(
     k1 = require_momentum(k1, "k1")
     k2 = require_momentum(k2, "k2")
     K = require_momentum(K, "K")
-    cfg = config or QuadratureConfig()
     return _integrate(
-        ((l1, 0), (l2, 1), (L, 2)),
-        (k1, k2, K),
-        k1 + k2 + K,
-        2 * cfg.acceleration_depth,
-        4.0 * k1 * k2 * K,
-        cfg,
+        ((l1, 0), (l2, 1), (L, 2)), (k1, k2, K), (k1, k2, K), config or QuadratureConfig()
     )

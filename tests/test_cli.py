@@ -477,9 +477,7 @@ def test_oracle_unallocatable_head_exit_64():
 
 def test_oracle_config_flags_round_trip():
     tight = run_cli("oracle", "quad", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
-                    "--k1", "1", "--k2", "2", "--rel-tol", "1e-9",
-                    "--max-radius", "3000", "--panels-per-period", "5",
-                    "--acceleration-depth", "8")
+                    "--k1", "1", "--k2", "2", "--rel-tol", "1e-9", "--panels-per-period", "5")
     assert tight.returncode == 0
     assert json.loads(tight.stdout)["value"] == pytest.approx(0.071994831644766095, rel=1e-7)
     assert run_cli("oracle", "quad", "--l1", "0", "--l2", "0", "--l3", "0", "--l4", "0",
@@ -488,12 +486,19 @@ def test_oracle_config_flags_round_trip():
     base = ["oracle", "quad", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
             "--k1", "1", "--k2", "2"]
     parser = cli.build_parser()
-    flags = ["--rel-tol", "1e-9", "--max-radius", "3000", "--panels-per-period", "5",
-             "--acceleration-depth", "8"]
+    flags = ["--rel-tol", "1e-9", "--panels-per-period", "5"]
     assert cli._quadrature_config(parser.parse_args(base + flags)) == QuadratureConfig(
-        rel_tol=1e-9, max_radius=3000.0, panels_per_period=5, acceleration_depth=8
+        rel_tol=1e-9, panels_per_period=5
     )
     assert cli._quadrature_config(parser.parse_args(base)) == QuadratureConfig()
+    assert cli._quadrature_config(parser.parse_args(base + ["--rel-tol", "1e-9"])) == (
+        QuadratureConfig(rel_tol=1e-9)
+    )
+    # the truncation radius and the averaging depth are gone, flags and fields
+    for gone in (["--max-radius", "3000"], ["--acceleration-depth", "8"]):
+        result = run_cli(*base, *gone)
+        assert result.returncode == 64, gone
+        assert "unrecognized arguments" in result.stderr and result.stdout == ""
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

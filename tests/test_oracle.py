@@ -1,6 +1,7 @@
 """Numerical oracle: Bessel evaluation, quadrature rules, tail handling."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -143,7 +144,7 @@ def _reference_bessel_j(n, x):
             prev, cur = cur, (2 * m + 1) / a * cur - prev
         out[big] = cur
         if np.any(mid):
-            out[mid] = _bessel_downward(n, arr[mid], np.sin(arr[mid]))
+            out[mid] = _bessel_downward(n, arr[mid], np.sin(arr[mid]), np.cos(arr[mid]))
     return out.reshape(np.shape(x))
 
 
@@ -266,13 +267,27 @@ def test_oracle_equal_momentum_grid_matches_paired_path():
     assert worst < 1e-8
 
 
-def test_oracle_self_consistent_under_config_changes():
+def test_oracle_self_consistent_under_config_changes(monkeypatch):
     spec = IntegralSpec(2, 1, 1, 2, 1.0, 2.0)
+    heads = []
+    head_integral = oracle._head_integral
+
+    def recording(factors, n_panels, width):
+        heads.append(n_panels * width)
+        return head_integral(factors, n_panels, width)
+
+    monkeypatch.setattr(oracle, "_head_integral", recording)
     base, base_err = quad_bessel_numeric(spec)
     tight, tight_err = quad_bessel_numeric(spec, QuadratureConfig(rel_tol=1e-10))
-    shorter, shorter_err = quad_bessel_numeric(spec, QuadratureConfig(max_radius=1500.0))
+    denser, denser_err = quad_bessel_numeric(spec, QuadratureConfig(panels_per_period=7))
+    # a split radius forced to k_min R = 64, past the former fixed one
+    monkeypatch.setattr(oracle, "_RUNGS", (64.0,))
+    longer, longer_err = quad_bessel_numeric(spec)
+    # the oracle scales the momenta to (0.5, 1.0), so k_min R = R / 2
+    assert heads[0] / 2 <= 8.0 and heads[-1] / 2 == pytest.approx(64.0, rel=1e-12)
     assert tight == pytest.approx(base, abs=10 * (base_err + tight_err))
-    assert shorter == pytest.approx(base, abs=10 * (base_err + shorter_err) + 1e-12)
+    assert denser == pytest.approx(base, abs=10 * (base_err + denser_err))
+    assert longer == pytest.approx(base, abs=10 * (base_err + longer_err) + 1e-12)
 
 
 def test_oracle_closure_identity():
@@ -296,13 +311,21 @@ def test_quadrature_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
-        QuadratureConfig(max_radius=-10.0)
+        QuadratureConfig(rel_tol=-1e-8)
     with pytest.raises(DomainError):
         QuadratureConfig(panels_per_period=1)
     with pytest.raises(DomainError):
-        QuadratureConfig(acceleration_depth=-1)
-    assert QuadratureConfig().resolved_radius(2.0) == pytest.approx(2000.0)
-    assert QuadratureConfig(max_radius=77.0).resolved_radius(2.0) == 77.0
+        QuadratureConfig(panels_per_period=4.0)
+    assert QuadratureConfig() == QuadratureConfig(1e-8, 4)
+    # the split radius is chosen by conditioning and the tails are exact:
+    # the truncation radius and the averaging depth are gone
+    assert [field.name for field in dataclasses.fields(QuadratureConfig)] == [
+        "rel_tol",
+        "panels_per_period",
+    ]
+    for gone in ("max_radius", "acceleration_depth"):
+        with pytest.raises(TypeError):
+            QuadratureConfig(**{gone: 1})
 
 
 @settings(deadline=None, max_examples=25)
@@ -532,27 +555,25 @@ def test_mellin_finite_part_equals_laurent_kernel_exactly():
 # --------------------------------------------------------------------------
 
 
-def _panel_count(radius, omega_max, panels_per_period):
-    return max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
-
-
-def _linspace_panels(radius, n_panels):
+def _linspace_panels(n_panels, width):
     """(centres, half-widths) of the former head's panels, cut from np.linspace edges."""
-    edges = np.linspace(0.0, radius, n_panels + 1)
+    edges = np.linspace(0.0, n_panels * width, n_panels + 1)
     return 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
 
 
-def _uniform_panels(radius, n_panels):
+def _uniform_panels(n_panels, width):
     """(centres, half-widths) of the head's panels: c_p = (p + 1/2) h."""
-    width = radius / n_panels
     return (np.arange(n_panels) + 0.5) * width, np.full(n_panels, 0.5 * width)
 
 
-def _reference_head_integral(factors, radius, omega_max, panels_per_period):
+def _rounding_units(factors, n_panels):
+    """The head's rounding bound in units of 2^-53 of its fine sum of |w f h|."""
+    return 32 + len(factors) + n_panels.bit_length() + 3 * sum(n + 1 for n, _ in factors)
+
+
+def _reference_head_integral(factors, n_panels, width):
     """The former head: np.sin of every node, each Gauss rule and factor on its own."""
-    centers, half_widths = _linspace_panels(
-        radius, _panel_count(radius, omega_max, panels_per_period)
-    )
+    centers, half_widths = _linspace_panels(n_panels, width)
 
     def panels(n_nodes):
         nodes, weights = _gauss_rule(n_nodes)
@@ -560,21 +581,21 @@ def _reference_head_integral(factors, radius, omega_max, panels_per_period):
         f = r * r
         for n, k in factors:
             f = f * _reference_bessel_j(n, k * r)
-        return float((f @ weights) @ half_widths)
+        return float((f @ weights) @ half_widths), float((np.abs(f) @ weights) @ half_widths)
 
-    fine = panels(12)
-    coarse = panels(8)
-    return fine, abs(fine - coarse) + 1e-16 * abs(fine)
+    fine, size = panels(12)
+    coarse, _ = panels(8)
+    return fine, abs(fine - coarse) + _rounding_units(factors, n_panels) * 2.0**-53 * size
 
 
-def _longdouble_head(factors, radius, omega_max, panels_per_period, panels, n_nodes=12):
+def _longdouble_head(factors, n_panels, width, panels, n_nodes=12):
     """(Gauss sum, its sum of |w f h|) in np.longdouble, by default of the fine rule.
 
     The panels are the float64 ones ``panels`` cuts, the nodes the float64
     Gauss nodes; only the arithmetic is extended.
     """
     ld = np.longdouble
-    centers, half_widths = panels(radius, _panel_count(radius, omega_max, panels_per_period))
+    centers, half_widths = panels(n_panels, width)
     nodes, weights = _gauss_rule(n_nodes)
     r = centers.astype(ld)[:, None] + half_widths.astype(ld)[:, None] * nodes.astype(ld)
     f = r * r
@@ -591,7 +612,8 @@ def _outcome(call, *args):
         return "NoConvergence", exc.value, exc.error_estimate
 
 
-# (orders, momenta, distinct momenta): the first two span 16 head blocks
+# (orders, momenta, distinct momenta): at the former split radius the first
+# two span 16 head blocks
 _HEAD_QUAD_SPECS = [
     ((6, 6, 4, 4), (0.1, 10.0), 2),
     ((6, 6, 4, 4), (10.0, 0.1), 2),
@@ -613,21 +635,19 @@ def _oracle_call(orders, momenta):
     return triple_bessel_numeric, (*orders, *momenta)
 
 
-def _head_arguments(orders, momenta, monkeypatch):
-    """(factors, radius, omega_max, panels_per_period) of the spec's one head call."""
-    heads = []
-    head_integral = oracle._head_integral
+def _head_arguments(orders, momenta):
+    """(factors, n_panels, width) of a head at the former fixed split radius.
 
-    def recording(*args):
-        heads.append(args)
-        return head_integral(*args)
-
-    call, args = _oracle_call(orders, momenta)
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_head_integral", recording)
-        _outcome(call, *args)
-    (head_args,) = heads
-    return head_args
+    That radius, (40 + lam (lam + 1) / 2) / k_min with lam the largest order,
+    is 5 to 30 times the one the oracle now chooses: its heads cross block
+    boundaries, 16 blocks on the first two specs.
+    """
+    slots = (0, 1, 0, 1) if len(orders) == 4 else (0, 1, 2)
+    factors = [(n, momenta[slot]) for n, slot in zip(orders, slots)]
+    lam = max(orders)
+    radius = (40.0 + 0.5 * lam * (lam + 1)) / min(momenta)
+    omega_max = math.fsum(k for _, k in factors)
+    return (factors, *oracle._head_grid(factors, radius, omega_max, 4))
 
 
 def _momentum_groups(orders, momenta):
@@ -642,8 +662,8 @@ def _momentum_groups(orders, momenta):
     np.finfo(np.longdouble).eps > 2.0**-60, reason="np.longdouble is not wider than float64"
 )
 @pytest.mark.parametrize("orders, momenta, distinct", _HEAD_SPECS)
-def test_head_is_accurate_against_extended_precision(orders, momenta, distinct, monkeypatch):
-    factors, *panel_args = _head_arguments(orders, momenta, monkeypatch)
+def test_head_is_accurate_against_extended_precision(orders, momenta, distinct):
+    factors, *panel_args = _head_arguments(orders, momenta)
     head, estimate = oracle._head_integral(factors, *panel_args)
     former, _ = _reference_head_integral(factors, *panel_args)
     exact, magnitude = _longdouble_head(factors, *panel_args, _uniform_panels)
@@ -651,15 +671,20 @@ def test_head_is_accurate_against_extended_precision(orders, momenta, distinct, 
     bound = 2.0**-50 * float(magnitude)
     error = abs(head - float(exact))
     assert error <= bound
-    # the estimate is |fine - coarse| + 1e-16 |fine|: the coarse 8-node sum
-    # is held to the same bound, relative to its own sum of |w f h|
+    # the estimate is |fine - coarse| plus the rounding units times 2^-53 of
+    # the fine sum of |w f h|: the coarse 8-node sum is held to the same
+    # bound, relative to its own sum of |w f h|
     coarse, coarse_magnitude = _longdouble_head(factors, *panel_args, _uniform_panels, 8)
-    exact_estimate = float(abs(exact - coarse) + 1e-16 * abs(exact))
+    units = _rounding_units(factors, panel_args[0])
+    exact_estimate = float(abs(exact - coarse) + units * 2.0**-53 * magnitude)
     assert abs(estimate - exact_estimate) <= 2.0**-50 * float(magnitude + coarse_magnitude)
-    # this also spans the two grids' rounding: linspace edges perturb each
-    # half-width by up to n_panels ulps, 8.4e-16 of |w f h| on the 16-block specs
+    # the exact centres make the linspace edges exact too: the former panels
+    # are the same panels
+    assert np.array_equal(
+        np.concatenate(_linspace_panels(*panel_args)), np.concatenate(_uniform_panels(*panel_args))
+    )
     assert abs(head - former) <= bound
-    if _panel_count(*panel_args) > 15 * _HEAD_BLOCK_PANELS:
+    if panel_args[0] > 15 * _HEAD_BLOCK_PANELS:
         # np.sin of the rounded k r loses up to half an ulp of k r ~ 6000
         # per node; the compensated phase does not
         assert error < abs(former - float(former_exact))
@@ -690,11 +715,10 @@ def test_head_sweeps_once_per_momentum_per_block(orders, momenta, distinct, monk
         calls.append((tuple(wanted), a.size))
         return sweep(wanted, a, lowest, trig)
 
-    factors, *panel_args = _head_arguments(orders, momenta, monkeypatch)
+    factors, n_panels, width = _head_arguments(orders, momenta)
     monkeypatch.setattr(oracle, "_bessel_sweep", counting)
-    oracle._head_integral(factors, *panel_args)
+    oracle._head_integral(factors, n_panels, width)
     by_momentum = _momentum_groups(orders, momenta)
-    n_panels = _panel_count(*panel_args)
     blocks = math.ceil(n_panels / _HEAD_BLOCK_PANELS)
     assert len(by_momentum) == distinct
     assert len(calls) == distinct * blocks
@@ -709,7 +733,7 @@ def test_head_sweeps_once_per_momentum_per_block(orders, momenta, distinct, monk
 def test_head_takes_sin_and_cos_per_panel_and_per_node_only(
     orders, momenta, distinct, monkeypatch
 ):
-    factors, *panel_args = _head_arguments(orders, momenta, monkeypatch)
+    factors, n_panels, width = _head_arguments(orders, momenta)
     points = {"sin": 0, "cos": 0}
 
     def counting(name):
@@ -723,8 +747,8 @@ def test_head_takes_sin_and_cos_per_panel_and_per_node_only(
 
     for name in points:
         monkeypatch.setattr(np, name, counting(name))
-    oracle._head_integral(factors, *panel_args)
-    expected = distinct * (_panel_count(*panel_args) + 20)
+    oracle._head_integral(factors, n_panels, width)
+    expected = distinct * (n_panels + 20)
     assert points == {"sin": expected, "cos": expected}
 
 
@@ -736,18 +760,45 @@ def test_head_rejects_non_finite_arguments():
 
 @pytest.mark.parametrize("k", [1e300, 1e-300])
 def test_oracle_out_of_range_momenta_raise_domain_error(k):
-    # the tail's radius^(1-m) overflows at 1e300, the head's r^2 at 1e-300
+    # the momenta are scaled into [1, 2) and the value back by 2^(3e): it
+    # underflows the normal floats at 1e300 and overflows at 1e-300, where
+    # evaluate raises DomainError too
     with pytest.raises(DomainError, match="float range"):
         quad_bessel_numeric(IntegralSpec(1, 1, 1, 1, k, k))
     with pytest.raises(DomainError, match="float range"):
         triple_bessel_numeric(1, 1, 0, k, k, k)
+    with pytest.raises(DomainError, match="float range"):
+        evaluate(IntegralSpec(1, 1, 1, 1, k, k))
+
+
+def test_oracle_answers_where_evaluate_does_at_small_momenta():
+    # at k1 = k2 = 1e-50 the value is 3.665e149; the oracle's own head and
+    # tail at those momenta would leave the float range
+    spec = IntegralSpec(1, 1, 1, 1, 1e-50, 1e-50)
+    value, estimate = quad_bessel_numeric(spec)
+    exact = evaluate(spec).value
+    assert exact == pytest.approx(3.665191429188092e149, rel=1e-15)
+    assert abs(value - exact) <= min(estimate, 1e-8 * exact)
+
+
+@pytest.mark.parametrize("e", [-300, -60, -7, -1, 1, 9, 300])
+def test_oracle_scales_exactly_by_powers_of_two(e):
+    # I(2^e k1, 2^e k2) = 2^(-3e) I(k1, k2), bit for bit: both calls scale
+    # their momenta to the same pair in [1, 2)
+    for orders, k1, k2 in (((1, 0, 1, 2), 1.3, 0.4), ((2, 1, 1, 1), 0.7, 1.9)):
+        value, estimate = quad_bessel_numeric(IntegralSpec(*orders, k1, k2))
+        scaled = quad_bessel_numeric(IntegralSpec(*orders, math.ldexp(k1, e), math.ldexp(k2, e)))
+        assert scaled == (math.ldexp(value, -3 * e), math.ldexp(estimate, -3 * e))
+    value, estimate = triple_bessel_numeric(1, 2, 3, 0.9, 1.2, 1.6)
+    scaled = triple_bessel_numeric(1, 2, 3, *(math.ldexp(k, e) for k in (0.9, 1.2, 1.6)))
+    assert scaled == (math.ldexp(value, -3 * e), math.ldexp(estimate, -3 * e))
 
 
 @pytest.mark.parametrize("k_lo", [1e-300, 1e-20])
 def test_oracle_unallocatable_head_raises_domain_error(k_lo):
-    # the head's panel count passes numpy's index range, so no memory is
-    # requested; ratios from about 1e7 up to that range would really
-    # allocate, so none of them is tried
+    # the head's panel count passes the 2^51 that a grid of exact centres can
+    # lay out, so no memory is requested; ratios from about 1e7 up to that
+    # range would really allocate, so none of them is tried
     message = rf"momenta \({k_lo!r}, 1\.0\) are too far apart for the oracle"
     with pytest.raises(DomainError, match=message):
         quad_bessel_numeric(IntegralSpec(1, 1, 1, 1, k_lo, 1.0))
@@ -785,3 +836,124 @@ def test_compensated_panel_phase_matches_the_exact_product():
                 phase = mpmath.mpf(k) * mpmath.mpf(float(c))
                 assert abs(s - mpmath.sin(phase)) <= 2.0**-52, (k, c)
                 assert abs(co - mpmath.cos(phase)) <= 2.0**-52, (k, c)
+
+
+# --------------------------------------------------------------------------
+# the exact tails, the split radius and the error estimate
+# --------------------------------------------------------------------------
+
+
+def test_tail_rules_match_mpmath():
+    # int_R^inf r^-m {cos, sin}(omega r) dr = R^(1-m) {Re, Im} E_m(-i omega R)
+    # for m = 1..30 and omega R from 1e-3 to 1e4: the series seed up to
+    # omega R = 1.5, one continued fraction above it. Over 141 log-spaced
+    # phases the worst error measured relative to |E_m| was 8.1e-15 (m = 9,
+    # omega R = 2.5); the tolerance is 2e-14. Every error is within the
+    # reported bound.
+    mpmath = pytest.importorskip("mpmath")
+    phases = [*np.logspace(-3.0, 4.0, 15), 1.5, 1.5000001, 1.6]
+    worst = 0.0
+    with mpmath.workdps(30):
+        for x in phases:
+            for radius in (3.7,):
+                omega = float(x) / radius
+                phase = mpmath.mpf(omega) * radius
+                for m in range(1, 31):
+                    exact = mpmath.expint(m, mpmath.mpc(0, -phase)) * mpmath.mpf(radius) ** (1 - m)
+                    for kind, part in ((0, exact.real), (1, exact.imag)):
+                        value, bound = oracle._integrate_tail({(1,): {(kind, m): 1.0}}, (omega,), radius)
+                        error = float(abs(value - part))
+                        assert error <= bound, (x, radius, m, kind)
+                        worst = max(worst, error / float(abs(exact)))
+    assert worst < 2e-14
+
+
+def test_continued_fraction_that_does_not_converge_raises(monkeypatch):
+    # at omega R = 1.6 the continued fraction needs about 117 steps
+    monkeypatch.setattr(oracle, "_LENTZ_STEPS", 20)
+    with pytest.raises(NoConvergence, match="did not converge in 20 steps"):
+        oracle._integrate_tail({(1,): {(0, 2): 1.0}}, (1.6,), 1.0)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        quad_bessel_numeric(IntegralSpec(0, 0, 0, 0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-7, 1e-12])
+def test_oracle_matches_evaluate_as_the_momenta_meet(gap):
+    # the closed form is exact at k1 = k2 at every bridge order, and the
+    # oracle, which knows nothing of it, agrees with it as the gap closes
+    spec = IntegralSpec(2, 0, 0, 2, 2.0, 2.0 * (1.0 + gap))
+    value, _ = quad_bessel_numeric(spec, QuadratureConfig(rel_tol=1e-8))
+    assert evaluate(spec).value == pytest.approx(value, rel=1e-7)
+
+
+# pi to 36 digits, so that an even-sum error is measured in exact arithmetic
+_PI = Fraction(3141592653589793238462643383279502884, 10**36)
+
+# the two specs that returned values more than rel_tol off without raising,
+# both far corners of (6, 6, 4, 4), and odd order sums (no bridge order)
+_ESTIMATE_SPECS = [
+    ((1, 0, 1, 2), 10.0, 0.1),
+    ((2, 1, 3, 0), 3.9326437915057024, 3.4405122239046926),
+    ((6, 6, 4, 4), 0.1, 10.0),
+    ((6, 6, 4, 4), 10.0, 0.1),
+    ((4, 1, 2, 3), 10.0, 0.1),
+    ((0, 0, 0, 1), 1.0, 2.0),
+    ((1, 0, 2, 0), 0.3, 3.0),
+    ((3, 0, 2, 2), 1.7, 1.7),
+    ((6, 5, 6, 4), 2.0, 0.7),
+    ((5, 2, 0, 4), 0.1, 10.0),
+]
+
+
+def _mellin_finite_part_mp(orders, k1, k2, mpmath):
+    """I from the decomposition's Mellin finite part, logarithms included, in mpmath.
+
+    With N = m - 1 and sigma = sign(omega), the finite part of
+    int_0^inf r^-m e^(i omega r) dr is (-1)^N / N! e^(-i pi sigma N / 2)
+    |omega|^N (H_N + i pi sigma / 2 - log|omega|), less a gamma-constant
+    times the pole residue; both cancel in the sum over components.
+    """
+    den, numerators = _component_numerators(
+        _compile_decomposition(tuple(zip(orders, (0, 1, 0, 1))), 2), (k1, k2)
+    )
+    total = mpmath.mpf(0)
+    for (n1, n2), parts in numerators.items():
+        omega = n1 * mpmath.mpf(k1) + n2 * mpmath.mpf(k2)
+        if omega == 0:
+            continue
+        sigma = 1 if omega > 0 else -1
+        for (kind, m), numerator in parts.items():
+            n = m - 1
+            finite = (
+                (-1) ** n / mpmath.factorial(n) * mpmath.expjpi(-sigma * n / mpmath.mpf(2))
+                * abs(omega) ** n
+                * (mpmath.harmonic(n) + 0.5j * sigma * mpmath.pi - mpmath.log(abs(omega)))
+            )
+            total += mpmath.mpf(numerator) / den * (finite.imag if kind else finite.real)
+    return total
+
+
+@pytest.mark.parametrize("orders, k1, k2", _ESTIMATE_SPECS)
+def test_oracle_estimate_bounds_the_actual_error(orders, k1, k2):
+    value, estimate = quad_bessel_numeric(IntegralSpec(*orders, k1, k2))
+    if sum(orders) % 2 == 0:
+        exact = _PI * _mellin_finite_part_over_pi(orders, Fraction(k1), Fraction(k2))
+        error = abs(Fraction(value) - exact)
+    else:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            exact = _mellin_finite_part_mp(orders, k1, k2, mpmath)
+            error = abs(mpmath.mpf(value) - exact)
+    assert error <= estimate
+    assert error <= 1e-8 * abs(exact)
+
+
+def test_mellin_finite_part_with_logarithms_matches_the_exact_even_sums():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        for orders, k1, k2 in _ESTIMATE_SPECS:
+            if sum(orders) % 2 == 0:
+                fraction = _mellin_finite_part_over_pi(orders, Fraction(k1), Fraction(k2))
+                exact = mpmath.pi * fraction.numerator / fraction.denominator
+                got = _mellin_finite_part_mp(orders, k1, k2, mpmath)
+                assert abs(got - exact) <= mpmath.mpf(10) ** -25 * abs(exact), orders

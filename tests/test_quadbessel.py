@@ -1043,6 +1043,9 @@ RETIRED_NAMES = (
     "recomputed_sum",
     "legendre_poly_part",
     "legendre_linearization_coeffs",
+    "max_radius",
+    "acceleration_depth",
+    "resolved_radius",
 )
 
 
@@ -1057,12 +1060,17 @@ def test_public_names_resolve_and_retired_names_are_gone():
     # EvaluationReport.recomputed_sum, and legendre_poly_part (the exact
     # ratio behind assoc_legendre_gt1 is tested directly), and
     # legendre_linearization_coeffs (the kernel reads the integer weights of
-    # _linearization_weights, which are tested directly).
+    # _linearization_weights, which are tested directly). The oracle's tails
+    # are exact and its split radius is chosen by conditioning, so
+    # QuadratureConfig lost its truncation radius and averaging depth.
     assert len(fourbessel.__all__) == 23
     for name in RETIRED_NAMES:
         assert name not in fourbessel.__all__ and name not in quadbessel.__all__
         assert name not in oracle.__all__
-        owners = (fourbessel, quadbessel, legendre, wigner, core, errors, oracle, EvaluationReport)
+        owners = (
+            fourbessel, quadbessel, legendre, wigner, core, errors, oracle, EvaluationReport,
+            oracle.QuadratureConfig,
+        )
         for owner in owners:
             assert not hasattr(owner, name), (owner.__name__, name)
 
