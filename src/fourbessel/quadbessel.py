@@ -40,6 +40,7 @@ from .legendre import _linearization_weights, bform_band_coeffs, legendre_p
 from .wigner import (
     SignedSqrtRational,
     _bridge_order,
+    _three_j_square,
     gamma_half,
     wigner_3j_zero,
     wigner_6j,
@@ -155,15 +156,13 @@ def _side_factors(la: int, lb: int, L: int) -> tuple[tuple[int, int, int, int, i
         for l in range(
             max(abs(la - (L - split)), abs(lb - split)), min(la + L - split, lb + split) + 1, 2
         ):
-            symbols = (
-                wigner_3j_zero(la, L - split, l),
-                wigner_3j_zero(lb, split, l),
-                wigner_6j(la, lb, L, split, L - split, l),
-            )
-            sign = math.prod(symbol.sign for symbol in symbols)
+            sign_a, num_a, den_a = _three_j_square(la, L - split, l)
+            sign_b, num_b, den_b = _three_j_square(lb, split, l)
+            six_j = wigner_6j(la, lb, L, split, L - split, l)
+            sign = sign_a * sign_b * six_j.sign
             if sign:
-                num = binom * (2 * l + 1) ** 2 * math.prod(x.radicand.numerator for x in symbols)
-                den = math.prod(x.radicand.denominator for x in symbols)
+                num = binom * (2 * l + 1) ** 2 * num_a * num_b * six_j.radicand.numerator
+                den = den_a * den_b * six_j.radicand.denominator
                 out.append((split, l, sign, num, den))
     return tuple(out)
 
@@ -243,12 +242,13 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     # a rational; with R0 = G times the first left radicand R1 it splits
     # exactly as sqrt(R_left / R1) * sqrt(R0 R_right), so the square roots are
     # linear in the number of factors rather than in the number of terms.
-    w12, w34 = wigner_3j_zero(l1, l2, L), wigner_3j_zero(l3, l4, L)
+    sign12, num12, den12 = _three_j_square(l1, l2, L)
+    sign34, num34, den34 = _three_j_square(l3, l4, L)
     half_phase = (l1 + l2 + l3 + l4 - 2 * L) // 2
-    sign = w12.sign * w34.sign * (-1 if half_phase % 2 else 1)
+    sign = sign12 * sign34 * (-1 if half_phase % 2 else 1)
     _, _, _, first_num, first_den = left[0]
-    ref_num = first_num * (2 * L + 1) ** 2 * w12.radicand.denominator * w34.radicand.denominator
-    ref_den = first_den * w12.radicand.numerator * w34.radicand.numerator
+    ref_num = first_num * (2 * L + 1) ** 2 * den12 * den34
+    ref_den = first_den * num12 * num34
     left_exact = [
         (s, l, sign * ls, *_exact_sqrt(num * first_den, den * first_num))
         for s, l, ls, num, den in left

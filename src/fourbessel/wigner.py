@@ -2,9 +2,10 @@
 
 Every symbol is an integer factorial quotient, returned as a
 :class:`SignedSqrtRational`, the exact carrier s*sqrt(p/q), built once per
-distinct symbol. The kernel build reads the radicand's numerator and
-denominator; conversion to floating point happens once, at the summation
-boundary, via ``to_float``.
+distinct symbol. The kernel build reads the 6j radicand's numerator and
+denominator, and each squared 3j symbol as a sign and an integer pair from
+its binomial closed form, with no symbol object; conversion to floating point
+happens once, at the summation boundary, via ``to_float``.
 
 Only integer angular momenta are supported; the integral pipeline never needs
 half-integer ones.
@@ -139,6 +140,27 @@ def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
     coeff_den = f(g - j1) * f(g - j2) * f(g - j3)
     num = f(big_j - 2 * j1) * f(big_j - 2 * j2) * f(big_j - 2 * j3) * f(g) ** 2
     return SignedSqrtRational(-1 if g % 2 else 1, Fraction(num, f(big_j + 1) * coeff_den**2))
+
+
+@lru_cache(maxsize=None)
+def _three_j_square(j1: int, j2: int, j3: int) -> tuple[int, int, int]:
+    """(sign, num, den) with wigner_3j_zero(j1, j2, j3) = sign * sqrt(num / den), in integers.
+
+    The square is Adams' binomial quotient (DLMF §34.3)
+    C(2a, a) C(2b, b) C(2c, c) / ((2g + 1) C(2g, g)), with 2g = j1 + j2 + j3,
+    a = g - j1, b = g - j2 and c = g - j3, reduced to lowest terms by one gcd,
+    and the sign is (-1)^g; a vanishing symbol is (0, 0, 1). For validated
+    orders: the kernel build reads it where it once built a symbol.
+    """
+    big_j = j1 + j2 + j3
+    if big_j % 2 or not _triangle_ok(j1, j2, j3):
+        return 0, 0, 1
+    g = big_j // 2
+    a, b, c = g - j1, g - j2, g - j3
+    num = math.comb(2 * a, a) * math.comb(2 * b, b) * math.comb(2 * c, c)
+    den = (big_j + 1) * math.comb(big_j, g)
+    common = math.gcd(num, den)
+    return -1 if g % 2 else 1, num // common, den // common
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import math
 import re
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -499,6 +500,85 @@ def test_oracle_config_flags_round_trip():
         result = run_cli(*base, *gone)
         assert result.returncode == 64, gone
         assert "unrecognized arguments" in result.stderr and result.stdout == ""
+
+
+def test_commands_without_the_oracle_do_not_load_it():
+    # the closed-form commands never compile oracle.py nor import numpy
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        sys.modules.update(dict.fromkeys(("mpmath", "scipy", "hypothesis")))
+        from fourbessel import cli
+        runs = [
+            ["batch", "--grid", "2", "--k-pairs", "1:2,3:1", "--mode", "analytic"],
+            ["eval", "--l1", "1", "--l2", "0", "--l3", "1", "--l4", "2", "--k1", "1", "--k2", "2"],
+            ["wigner", "3j", "1", "1", "2"],
+            ["legendre", "p", "--l", "2", "--x", "0.5"],
+        ]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [cli.main(argv) for argv in runs]
+        loaded = [name for name in ("fourbessel.oracle", "numpy") if name in sys.modules]
+        print(json.dumps({"codes": codes, "lines": out.getvalue().count("\\n"), "loaded": loaded}))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # the batch header, 162 rows and the footer; one JSON document, one symbol, one value
+    assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "lines": 167, "loaded": []}
+
+
+def test_every_oracle_run_goes_through_the_module_name(capsys, monkeypatch):
+    # replacing cli.quad_bessel_numeric (as the benchmark's tracer does) sees
+    # every oracle evaluation of every command, once each
+    calls = []
+
+    def counting(spec, config=None):
+        calls.append(spec)
+        return quad_bessel_numeric(spec, config)
+
+    monkeypatch.setattr(cli, "quad_bessel_numeric", counting)
+    code = cli.main(["batch", "--grid", "1", "--k-pairs", "1:2,3:3", "--mode", "both"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out.rsplit("#", 1)[0])))
+    assert code == 0 and len(rows) == 32
+    checked = [row for row in rows if row["oracle_value"]]
+    assert len(checked) == 16 and len(calls) == 16
+    assert [(spec.orders, spec.k1, spec.k2) for spec in calls] == [
+        (tuple(int(row[name]) for name in ("l1", "l2", "l3", "l4")), float(row["k1"]),
+         float(row["k2"]))
+        for row in checked
+    ]
+    calls.clear()
+    orders = ["--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1", "--k1", "1", "--k2", "2"]
+    assert cli.main(["eval", *orders, "--check"]) == 0
+    assert len(calls) == 1 and "oracle" in json.loads(capsys.readouterr().out)
+    assert cli.main(["oracle", "quad", *orders]) == 0
+    assert len(calls) == 2
+    assert cli.main(["eval", *orders]) == 0
+    assert cli.main(["batch", "--grid", "1", "--k-pairs", "1:2", "--mode", "analytic"]) == 0
+    assert len(calls) == 2
+
+
+def test_batch_into_a_closed_pipe_exits_141_quietly():
+    # about 0.5 MB of rows, far more than a pipe buffers: the writer meets the
+    # closed pipe while rows remain, as under `fourbessel batch | head -1`
+    pairs = ",".join(f"{k}:{k + 1}" for k in range(1, 9))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fourbessel", "batch", "--grid", "4", "--k-pairs", pairs,
+         "--mode", "analytic"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert header.startswith("l1,l2,l3,l4,k1,k2,")
+    assert stderr == ""
+    assert proc.returncode == 141
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):

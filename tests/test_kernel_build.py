@@ -19,7 +19,8 @@ from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
 from fourbessel.legendre import bform_band_coeffs
 from fourbessel.quadbessel import _divide_one_minus_u, _Kernel, _laurent_kernel, evaluate
-from fourbessel.wigner import SignedSqrtRational, select_bridge_order
+from fourbessel import wigner
+from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
 
 from test_legendre import _reference_poly_coeffs
 from test_quadbessel import _bridge_valid_tuples
@@ -187,11 +188,14 @@ def test_build_equals_the_fraction_build_on_orders_up_to_6():
     assert declined == 1384
 
 
-@pytest.mark.parametrize(
-    "orders, bridge",
-    [((14, 0, 14, 0), 14), ((17, 3, 16, 4), 14), ((22, 4, 21, 3), 18), ((20, 0, 20, 0), 20),
-     ((25, 5, 25, 45), 20), ((26, 1, 27, 52), 25), ((30, 0, 30, 60), 30)],
+# order tuples at bridge orders 14 to 30, with their bridge order
+HIGH_BRIDGE_TUPLES = (
+    ((14, 0, 14, 0), 14), ((17, 3, 16, 4), 14), ((22, 4, 21, 3), 18), ((20, 0, 20, 0), 20),
+    ((25, 5, 25, 45), 20), ((26, 1, 27, 52), 25), ((30, 0, 30, 60), 30),
 )
+
+
+@pytest.mark.parametrize("orders, bridge", HIGH_BRIDGE_TUPLES)
 def test_build_equals_the_fraction_build_at_bridge_orders_14_to_30(orders, bridge):
     assert _assert_same_kernel(orders)
     assert _laurent_kernel(*orders)[0] == bridge
@@ -223,6 +227,17 @@ def test_cold_build_does_no_fraction_or_signed_sqrt_arithmetic(monkeypatch, cold
     # the benchmark's set-up: one evaluate per tuple at k = (1, 2), the exchanged kernel
     values = [evaluate(IntegralSpec(*orders, 1.0, 2.0)).value for orders in EVAL_KGRID_TUPLES]
     built += [_laurent_kernel(*orders) for orders in EVAL_KGRID_TUPLES]
+    built += [_laurent_kernel(*orders) for orders, _ in HIGH_BRIDGE_TUPLES]
     monkeypatch.undo()
-    assert len(built) == 269 + 15
+    assert len(built) == 269 + 15 + 7
     assert all(math.isfinite(value) for value in values)
+
+
+def test_cold_build_builds_no_3j_symbol(cold_caches):
+    # the 3j squares come from their binomial closed form; at bridge order 30
+    # the symbols were 15.5k distinct objects, each a Fraction behind a
+    # SignedSqrtRational
+    for orders in [(30, 0, 30, 60), *_bridge_valid_tuples(4)]:
+        _laurent_kernel(*orders)
+    assert wigner_3j_zero.cache_info().misses == 0
+    assert wigner._three_j_square.cache_info().misses > 15000

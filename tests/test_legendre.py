@@ -16,6 +16,7 @@ from fourbessel.legendre import (
     _as_fraction,
     _poly_part_ratio,
     _power_fourth_root,
+    _reciprocal_gamma,
     assoc_legendre_gt1,
     _linearization_weights,
     bform_band_coeffs,
@@ -192,6 +193,57 @@ def test_power_fourth_root_keeps_its_integers_small():
     expected = 10**9 / 4 * math.log((2**53 + 1) / (2**53 - 1))
     assert r.bit_length() < 200
     assert math.log(r) + e * math.log(2) == pytest.approx(expected, rel=1e-12)
+
+
+def test_reciprocal_gamma_is_within_its_bound():
+    # r 2^e against 1/Gamma(z) at 60 digits: the shifted small arguments, the
+    # first unshifted ones and the arguments of far larger orders
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        for twice_z in [*range(2, 140), 2 * 10**5 + 2, 4 * 10**5 + 3, 10**9 + 1, 10**15]:
+            r, e = _reciprocal_gamma(twice_z)
+            exact = 1 / mpmath.gamma(mpmath.mpf(twice_z) / 2)
+            assert abs(mpmath.ldexp(r, e) / exact - 1) < mpmath.ldexp(1, -70), twice_z
+
+
+def _unit_argument(degree: int, order: Fraction) -> float:
+    """x > 1 at which ((x+1)/(x-1))^(m/2) / Gamma(|degree - m| + 1) is about 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.mpf(order.numerator) / order.denominator
+        ratio = mpmath.exp(2 * mpmath.loggamma(abs(degree - m) + 1) / m)
+        return float((ratio + 1) / (ratio - 1))
+
+
+@pytest.mark.parametrize(
+    "degree, order",
+    [(0, Fraction(200000)), (0, Fraction(400001, 2)), (0, Fraction(100000)),
+     (2, Fraction(200001, 2)), (5, Fraction(200011, 2))],
+)
+def test_assoc_at_large_order_builds_no_factorial(degree, order):
+    # |degree - m| >= 10^5 at x = 1 + 4e-10 .. 2e-9, where the value is in the
+    # float range: 200000! alone would take 0.4 MB and most of a second
+    mpmath = pytest.importorskip("mpmath")
+    x = _unit_argument(degree, order)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(order.numerator) / order.denominator
+        if degree == 0:
+            reference = _mpmath_legenp(0, order, x)
+        else:
+            # legenp divides by Gamma(1 - m), the package by Gamma(|degree - m| + 1)
+            reference = float(
+                mpmath.legenp(degree, m, mpmath.mpf(x), type=3)
+                * mpmath.gamma(1 - m + degree) / mpmath.gamma(abs(degree - m) + 1)
+            )
+    tracemalloc.start()
+    try:
+        value = assoc_legendre_gt1(degree, order, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(reference, rel=1e-14, abs=0.0)
+    assert 1e-30 < abs(value) < 1e30
+    assert peak < 2**16
 
 
 def test_assoc_out_of_range_raises_domain_error():

@@ -196,6 +196,24 @@ def test_3j_equals_the_fraction_product_form():
         assert wigner_3j_zero(62, 64, j3) == _reference_3j_product(62, 64, j3), j3
 
 
+def test_3j_square_is_the_symbol_in_lowest_terms():
+    # the kernel build's integer squares against the public symbol, inside and
+    # outside each triangle; uncached, so the check leaves no 234k-entry caches
+    symbol, square = wigner_3j_zero.__wrapped__, wigner._three_j_square.__wrapped__
+    nonzero = 0
+    for j1, j2 in itertools.product(range(61), repeat=2):
+        for j3 in range(j1 + j2 + 3):
+            expected = symbol(j1, j2, j3)
+            sign, num, den = square(j1, j2, j3)
+            assert (sign, num, den) == (
+                expected.sign, expected.radicand.numerator, expected.radicand.denominator
+            ), (j1, j2, j3)
+            nonzero += sign != 0
+    assert nonzero == sum(
+        min(j1, j2) + 1 for j1, j2 in itertools.product(range(61), repeat=2)
+    )
+
+
 def test_6j_equals_the_fraction_racah_sum():
     nonzero = 0
     for args in itertools.product(range(7), repeat=6):
