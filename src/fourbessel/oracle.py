@@ -24,10 +24,13 @@ k_i = p_i/q_i and rounds each coefficient once.
 
 The head walks its panels in blocks of _HEAD_BLOCK_PANELS, with one Bessel
 sweep per block and distinct momentum k for all the orders k carries, both
-rules at once. No node takes its own sin or cos: r = c_p + o_j, so sin(k r)
-and cos(k r) come by angle addition from those of k c_p, once per panel,
-corrected by the rounding of the product (Dekker's TwoProduct), and of k o_j,
-once per head. The head is within 2^-50 of the same Gauss sums in extended
+rules at once. A sweep runs one upward recurrence, one Taylor series pass
+below k r = 0.5 and one downward (Miller) recurrence per start, each for all
+its orders together; the start grows with the order, so high orders keep
+their digits, and a single order gets the same bits. No node takes its own
+sin or cos: r = c_p + o_j, so sin(k r) and cos(k r) come by angle addition
+from those of k c_p, once per panel, corrected by the rounding of the
+product (Dekker's TwoProduct), and of k o_j, once per head. The head is within 2^-50 of the same Gauss sums in extended
 precision, relative to their sum of |w f h|.
 
 Everything returns (value, error_estimate); NoConvergence is raised when the
@@ -71,6 +74,9 @@ _RUNGS = tuple(2.0**j for j in range(1, 13))
 _TAIL_CONDITION = 1e-3
 # Head panels per block: 512 panels of 20 nodes keep each temporary at 80 kB.
 _HEAD_BLOCK_PANELS = 512
+# Miller's recurrence scales a point by 2^-600 once it passes 2^600, which
+# leaves it at least 1: nothing it still needs underflows
+_MILLER_LIMIT = 2.0**600
 
 
 @dataclass(frozen=True)
@@ -95,22 +101,18 @@ class QuadratureConfig:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _double_factorial_odd(n: int) -> float:
-    """(2n+1)!! as a float."""
-    return float(math.prod(range(1, 2 * n + 2, 2)))
-
-
 def spherical_bessel_j(n, x):
     """j_n(x) for finite x >= 0; accepts scalars or numpy arrays (returns float/array).
 
     Regimes: j_0 = sin(x)/x; j_1 by its closed form from x = 0.5; for n >= 2
     the upward trigonometric recurrence for x >= n+1 and the downward
-    (Miller) recurrence, renormalized against j_0 or j_1, on [0.5, n+1). Below
-    x = 0.5 every order n >= 1 takes the Taylor series, and j_n(0) =
-    delta_{n,0} exactly. NaN, infinite or negative x raises DomainError.
-    The values come from _bessel_sweep, which the oracle's head runs for
-    several orders at once.
+    (Miller) recurrence, renormalized against j_0 or j_1, on [0.5, n+1). Its
+    start grows with n, so high orders keep their digits there (orders 60 to
+    200 are within 1e-13 of 30-digit values). Below x = 0.5 every order
+    n >= 1 takes the Taylor series, and j_n(0) = delta_{n,0} exactly; values
+    below the smallest subnormal are 0.0. NaN, infinite or negative x raises
+    DomainError. The values come from _bessel_sweep, which the oracle's head
+    runs for several orders at once, with the same bits.
     """
     import numpy as np
 
@@ -132,6 +134,20 @@ def _trig_start(n: int) -> float:
     return 0.5 if n == 1 else n + 1.0
 
 
+def _miller_start(n: int) -> int:
+    """The order at which the downward recurrence for j_n starts: the first
+    multiple of 32 at least max(25, 9 (n+1)^(1/3)) above n.
+
+    Near x = n + 1, j_{n+s}/j_n falls like an Airy function of s / n^(1/3),
+    so a fixed margin loses digits at high n (25 left 2.8e-8 at n = 200).
+    Against 30-digit values on [0.5, n+1), rounding level took a margin of
+    29 at n = 60, 41 at 200 and 53 at 500. Orders up to 7 start at 32. The
+    start depends on n alone: the orders of one start share a recurrence,
+    and each gets the bits it gets alone.
+    """
+    return -(-(n + max(25, math.ceil(9 * (n + 1) ** (1 / 3)))) // 32) * 32
+
+
 def _bessel_sweep(
     orders: list[int],
     a: np.ndarray,
@@ -142,30 +158,36 @@ def _bessel_sweep(
 
     ``lowest`` is min(a) and ``trig`` is (sin a, cos a) over the same points;
     the sweep takes no sin or cos itself (the Miller branch's normalisation
-    reads the sine too). An order whose trigonometric start lies above
-    ``lowest`` gets an array of its small-x values first; the sweep then
-    writes the points from the start on.
+    reads them too). An order whose trigonometric start lies above
+    ``lowest`` gets an array of its small-x values first: one series pass
+    for all such orders below a = 0.5, and one downward recurrence per
+    Miller start over [0.5, n+1) of its highest order n. The upward sweep
+    then writes every order's points from its start on, over the Miller
+    values of the lower orders that share a start.
     """
     import numpy as np
 
     sin_t, cos_t = trig
     out = {}
+    rungs: dict[int, list[int]] = {}
     for n in orders:
-        if lowest >= _trig_start(n):
-            continue
-        out[n] = below = np.zeros_like(a)
-        if n == 0:
-            below[a == 0.0] = 1.0
-            continue
+        if lowest < _trig_start(n):
+            out[n] = np.zeros_like(a)
+            if n >= 2:
+                rungs.setdefault(_miller_start(n), []).append(n)
+    if 0 in out:
+        out[0][a == 0.0] = 1.0
+    series = [n for n in out if n > 0]
+    if series and lowest < 0.5:
         small = a < 0.5
-        if n == 1:
-            small &= a > 0.0
-        else:
-            mid = ~small & (a < n + 1.0)
-            if np.any(mid):
-                below[mid] = _bessel_downward(n, a[mid], sin_t[mid], cos_t[mid])
-        if np.any(small):
-            below[small] = _bessel_series(n, a[small])
+        for n, values in zip(series, _bessel_series(series, a[small])):
+            out[n][small] = values
+    for group in rungs.values():
+        mid = (a >= 0.5) & (a < group[-1] + 1.0)
+        if mid.any():
+            values = _bessel_downward(group, a[mid], sin_t[mid], cos_t[mid])
+            for n, row in zip(group, values):
+                out[n][mid] = row
     if not orders:
         return out
     # ``where`` indexes the points still in the sweep, None while that is
@@ -214,45 +236,91 @@ def _bessel_sweep(
     return out
 
 
-def _bessel_series(n: int, a: np.ndarray) -> np.ndarray:
-    import numpy as np
+@lru_cache(maxsize=None)
+def _series_table(orders: tuple[int, ...]) -> np.ndarray:
+    """One row per order n >= 1: n, 1/(2n+1)!!, then c_7, ..., c_0, where
+    j_n(a) = a^n/(2n+1)!! * sum_k c_k y^k with y = -a^2/2 and
+    c_k = 1 / (k! (2n+3)(2n+5)...(2n+2k+1)).
 
-    half_sq = 0.5 * a * a
-    total = np.ones_like(a)
-    term = np.ones_like(a)
-    for k in range(1, 8):
-        term = term * (-half_sq) / (k * (2 * n + 2 * k + 1))
-        total += term
-    return a**n / _double_factorial_odd(n) * total
-
-
-def _bessel_downward(n: int, a: np.ndarray, sin_a: np.ndarray, cos_a: np.ndarray) -> np.ndarray:
-    """j_n(a) by Miller's downward recurrence, given sin(a) and cos(a).
-
-    Each point is normalised against the larger of j_0 and j_1 there: near a
-    zero of j_0 alone, 2 pi + 1e-9 say, the ratio lost 4e-7 relative.
+    Each entry is an int/int quotient, correctly rounded: 1/(2n+1)!! is
+    subnormal from n = 150 and 0.0 from n = 156, where a^n/(2n+1)!! at
+    a < 0.5 is below the smallest subnormal anyway.
     """
     import numpy as np
 
-    top = n + 25
+    rows = []
+    for n in orders:
+        denominators = [1]
+        for k in range(1, 8):
+            denominators.append(denominators[-1] * k * (2 * n + 2 * k + 1))
+        rows.append([n, 1 / math.prod(range(1, 2 * n + 2, 2))] + [1 / d for d in denominators[::-1]])
+    return np.array(rows)
+
+
+def _bessel_series(orders: list[int], a: np.ndarray) -> np.ndarray:
+    """(len(orders), len(a)): j_n(a) for orders n >= 1 at 0 <= a < 0.5.
+
+    The 7-term Taylor series as one Horner in y = -a^2/2 over an
+    (orders x points) array, one coefficient row per order.
+    """
+    import numpy as np
+
+    table = _series_table(tuple(orders))
+    y = a * a
+    y *= -0.5
+    total = table[:, 2:3] * y
+    total += table[:, 3:4]
+    for k in range(4, 10):
+        total *= y
+        total += table[:, k : k + 1]
+    scale = np.power(a, table[:, :1])
+    scale *= table[:, 1:2]
+    total *= scale
+    return total
+
+
+def _bessel_downward(orders: list[int], a: np.ndarray, sin_a: np.ndarray, cos_a: np.ndarray) -> np.ndarray:
+    """(len(orders), len(a)): j_n(a) by Miller's downward recurrence, for
+    ascending orders n >= 2 of one start _miller_start(n), at a >= 0.5,
+    given sin(a) and cos(a).
+
+    One recurrence runs from the start down to j_0 and captures each order
+    on the way. Each point is normalised against the larger of j_0 and j_1
+    there: near a zero of j_0 alone, 2 pi + 1e-9 say, the ratio lost 4e-7
+    relative. The points that pass _MILLER_LIMIT are scaled back by that
+    power of two, each alone, so a point's value never depends on the
+    others in its array.
+    """
+    import numpy as np
+
+    start = _miller_start(orders[-1])
+    # at a >= 0.5 a step grows the values at most (4m+3)-fold, so between
+    # checks one below _MILLER_LIMIT stays below 2^(600+424); a fixed 20
+    # steps would overflow from starts of about 6e5
+    period = min(20, 424 // (4 * start + 3).bit_length())
+    out = np.empty((len(orders), a.size), dtype=a.dtype)
     above = np.zeros_like(a)
     cur = np.full_like(a, 1e-30)
-    target = None
-    for m in range(top, 0, -1):
-        below = (2 * m + 1) / a * cur - above
-        above, cur = cur, below
-        if m - 1 == n:
-            target = cur.copy()
-        if m % 20 == 0:
-            peak = np.max(np.abs(cur))
-            if peak > 1e250:
-                above *= 1e-250
-                cur *= 1e-250
-                if target is not None:
-                    target *= 1e-250
+    scratch = np.empty_like(a)
+    row = len(orders) - 1
+    for m in range(start, 0, -1):
+        # (2m+1)/a * j_m - j_{m+1}, in place
+        np.divide(2 * m + 1, a, out=scratch)
+        scratch *= cur
+        scratch -= above
+        above, cur, scratch = cur, scratch, above
+        if row >= 0 and m - 1 == orders[row]:
+            out[row] = cur
+            row -= 1
+        if m % period == 0 and np.abs(cur).max() > _MILLER_LIMIT:
+            factor = np.where(np.abs(cur) > _MILLER_LIMIT, 1.0 / _MILLER_LIMIT, 1.0)
+            above *= factor
+            cur *= factor
+            out[row + 1 :] *= factor
     j0 = sin_a / a
     j1 = (j0 - cos_a) / a
-    return target * np.where(np.abs(j0) >= np.abs(j1), j0 / cur, j1 / above)
+    out *= np.where(np.abs(j0) >= np.abs(j1), j0 / cur, j1 / above)
+    return out
 
 
 # --------------------------------------------------------------------------

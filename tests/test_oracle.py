@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -128,7 +129,7 @@ def _reference_bessel_j(n, x):
         out[positive] = np.sin(arr[positive]) / arr[positive]
     elif n == 1:
         small = positive & (arr < 0.5)
-        out[small] = _bessel_series(1, arr[small])
+        out[small] = _bessel_series([1], arr[small])[0]
         rest = positive & ~small
         a = arr[rest]
         out[rest] = np.sin(a) / (a * a) - np.cos(a) / a
@@ -136,7 +137,7 @@ def _reference_bessel_j(n, x):
         small = arr < 0.5
         big = arr >= n + 1.0
         mid = ~small & ~big
-        out[small] = _bessel_series(n, arr[small])
+        out[small] = _bessel_series([n], arr[small])[0]
         a = arr[big]
         prev = np.sin(a) / a
         cur = np.sin(a) / (a * a) - np.cos(a) / a
@@ -144,7 +145,7 @@ def _reference_bessel_j(n, x):
             prev, cur = cur, (2 * m + 1) / a * cur - prev
         out[big] = cur
         if np.any(mid):
-            out[mid] = _bessel_downward(n, arr[mid], np.sin(arr[mid]), np.cos(arr[mid]))
+            out[mid] = _bessel_downward([n], arr[mid], np.sin(arr[mid]), np.cos(arr[mid]))[0]
     return out.reshape(np.shape(x))
 
 
@@ -189,6 +190,75 @@ def test_bessel_sweep_of_many_orders():
         assert np.array_equal(values[n], _reference_bessel_j(n, x)), n
         assert np.array_equal(values[n], spherical_bessel_j(n, x)), n
     assert _sweep((), x) == {}
+
+
+def test_bessel_sweep_across_miller_starts():
+    # orders 7, 8 and 40 start their downward recurrences at 32, 64 and 96;
+    # each start is one recurrence, and every order keeps its own bits
+    assert [oracle._miller_start(n) for n in (2, 7, 8, 30, 40)] == [32, 32, 64, 64, 96]
+    x = np.concatenate([_SWEEP_POINTS, np.linspace(0.0, 45.0, 181)])
+    orders = (2, 7, 8, 30, 40)
+    for wanted in ((7, 8), (7, 40), orders):
+        values = _sweep(wanted, x)
+        for n in wanted:
+            assert np.array_equal(values[n], spherical_bessel_j(n, x)), (wanted, n)
+            assert np.array_equal(values[n], _reference_bessel_j(n, x)), (wanted, n)
+
+
+def test_bessel_sweep_runs_one_series_pass_and_one_recurrence_per_start(monkeypatch):
+    calls = {"series": [], "downward": []}
+
+    def counting(name, function):
+        def counted(orders, *args):
+            calls[name].append(tuple(orders))
+            return function(orders, *args)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_bessel_series", counting("series", oracle._bessel_series))
+    monkeypatch.setattr(oracle, "_bessel_downward", counting("downward", oracle._bessel_downward))
+    x = np.linspace(0.0, 45.0, 181)
+    _sweep((5, 6), x)
+    assert calls == {"series": [(5, 6)], "downward": [(5, 6)]}
+    for made in calls.values():
+        made.clear()
+    _sweep((0, 1, 7, 40), x)
+    assert calls == {"series": [(1, 7, 40)], "downward": [(7,), (40,)]}
+
+
+def test_bessel_high_orders_match_extended_precision():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for n in (60, 100, 150, 200):
+            series = [1e-9, 0.01, 0.1, 0.3, 0.4999999]
+            miller = np.linspace(0.5, n + 1.0, 97)[:-1].tolist() + [n + 0.999999]
+            x = np.array(series + miller)
+            for got, point in zip(spherical_bessel_j(n, x), x):
+                t = mpmath.mpf(float(point))
+                exact = mpmath.sqrt(mpmath.pi / (2 * t)) * mpmath.besselj(n + 0.5, t)
+                if abs(exact) < 2.0**-1075:
+                    # below the smallest subnormal
+                    assert got == 0.0, (n, point)
+                elif abs(exact) < 2.0**-1022:
+                    # a subnormal carries no relative accuracy: one step of 2^-1074
+                    assert abs(got - exact) <= 2.0**-1074, (n, point)
+                else:
+                    assert abs(got - exact) <= 1e-13 * abs(exact), (n, point)
+
+
+def test_bessel_points_do_not_change_each_other():
+    # a rescale of every point at once, when one passes the limit, underflows
+    # the points with less growth to 0, and their normalisation is 0/0
+    x = np.array([0.5, 20.0, 100.0, 190.0, 200.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = spherical_bessel_j(200, x)
+    assert together.tolist() == [spherical_bessel_j(200, point) for point in x]
+    assert together[0] == 0.0 and np.all(together[1:] > 0.0)
+    x = np.linspace(0.5, 151.0, 400)
+    assert np.array_equal(spherical_bessel_j(150, np.append(x, 0.5))[:-1], spherical_bessel_j(150, x))
+    # (2n+1)!! overflows a float from n = 150; j_150(0.3) ~ 1e-387 underflows
+    assert spherical_bessel_j(150, 0.3) == 0.0
 
 
 # --------------------------------------------------------------------------
