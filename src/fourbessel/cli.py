@@ -173,16 +173,16 @@ def _cmd_eval(args) -> int:
     except NoValidBridge as exc:
         _emit(_error_document(exc, **context))
         return 2
+    document = report.as_dict(spec)
     if args.check:
         try:
             oracle_value, oracle_error = quad_bessel_numeric(spec, _quadrature_config(args))
         except NoConvergence as exc:
             _emit(_error_document(exc, **context))
             return 4
-        report.oracle_value = oracle_value
-        report.oracle_error_estimate = oracle_error
-        report.discrepancy = _relative_discrepancy(report.value, oracle_value)
-    _emit(report.as_dict(spec))
+        document["oracle"] = {"value": oracle_value, "error_estimate": oracle_error}
+        document["discrepancy"] = _relative_discrepancy(report.value, oracle_value)
+    _emit(document)
     return 0
 
 

@@ -6,7 +6,7 @@ orders and two positive momenta defining
     integral_0^inf r^2 j_l1(k1 r) j_l2(k2 r) j_l3(k1 r) j_l4(k2 r) dr.
 
 Evaluations return an :class:`EvaluationReport` carrying the value, the chosen
-bridge order, a term-by-term breakdown, and (optionally) the oracle comparison.
+bridge order and a term-by-term breakdown.
 """
 from __future__ import annotations
 
@@ -93,12 +93,9 @@ class EvaluationReport:
     bridge_L: int
     terms: tuple[TermEntry, ...] | Callable[[], tuple[TermEntry, ...]] = ()
     method: str = "analytic"  # analytic | paired
-    oracle_value: float | None = None
-    oracle_error_estimate: float | None = None
-    discrepancy: float | None = None
 
     def as_dict(self, spec: IntegralSpec) -> dict:
-        doc: dict = {
+        return {
             "lambda": list(spec.orders),
             "k1": spec.k1,
             "k2": spec.k2,
@@ -107,14 +104,6 @@ class EvaluationReport:
             "method": self.method,
             "terms": [{"indices": t.indices, "value": t.value} for t in self.terms],
         }
-        if self.oracle_value is not None:
-            doc["oracle"] = {
-                "value": self.oracle_value,
-                "error_estimate": self.oracle_error_estimate,
-            }
-        if self.discrepancy is not None:
-            doc["discrepancy"] = self.discrepancy
-        return doc
 
 
 def _read_terms(report: EvaluationReport) -> tuple[TermEntry, ...]:

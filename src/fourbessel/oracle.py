@@ -5,9 +5,10 @@ pipeline. The momenta are scaled by the power of two that puts the largest
 in [1, 2), which scales the integral exactly, and the integrand
 r^2 * prod_i j_{n_i}(k_i r) is split at a radius R:
 
-* tail [R, inf): the product is rewritten exactly (Rayleigh trigonometric
-  forms, product-to-sum identities, rational coefficient arithmetic) as a sum
-  of components coeff * r^(-m) * {cos,sin}(omega r), each with a closed-form
+* tail [R, inf): the product is rewritten exactly (each factor the real part
+  of its Hankel form, Re X Re Y = (Re XY + Re X conj(Y)) / 2, integer
+  coefficient arithmetic) as a sum of components
+  coeff * r^(-m) * {cos,sin}(omega r), each with a closed-form
   tail: a power law when omega = 0, else R^(1-m) E_m(-i omega R), the
   generalized exponential integral, with a bound on its rounding;
 * R is the first of k_min R = 2, 4, 8, ... at which that bound is a small
@@ -88,8 +89,10 @@ class QuadratureConfig:
     panels_per_period: int = 4
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.rel_tol, (int, float)) and self.rel_tol > 0):
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol!r}")
+        # an infinite tolerance would certify anything; a bool is no tolerance
+        real = isinstance(self.rel_tol, (int, float)) and not isinstance(self.rel_tol, bool)
+        if not (real and 0 < self.rel_tol < math.inf):
+            raise DomainError(f"rel_tol must be a finite number > 0, got {self.rel_tol!r}")
         if not (isinstance(self.panels_per_period, int) and self.panels_per_period >= 2):
             raise DomainError(
                 f"panels_per_period must be an int >= 2, got {self.panels_per_period!r}"
@@ -343,103 +346,29 @@ def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 # The tail integrand is a sum over labels of coeff * r^(-m) * cos/sin(omega r),
 # kind 0=cos 1=sin, where omega = label . momenta. Labels are integer tuples,
-# canonicalized so the first nonzero entry is positive (sin picks up the sign
-# flip); this keeps frequency bookkeeping exact even when momenta make
-# distinct labels collide.
+# canonicalized so the first nonzero entry is positive; this keeps frequency
+# bookkeeping exact even when momenta make distinct labels collide.
 #
-# A Rayleigh factor j_n(k r) brings k^(-p) with each r^(-p), so every coeff is
-# a polynomial in the 1/k_i. The compiled form keeps the momenta as symbols: a
-# component holds (exponent vector e, integer n_e) pairs over one integer
-# denominator D and means sum_e n_e / D * prod_i k_i^(-e_i).
+# Each factor is j_n(z) = Re sum_j c_j z^-(j+1) e^(iz), z = k r (DLMF 10.49.1,
+# 10.49.6), and Re X Re Y = (Re XY + Re X conj(Y)) / 2 multiplies them: a
+# term is a complex integer on a label and a power, and Re(c e^(i omega r)) =
+# Re c cos(omega r) - Im c sin(omega r). A factor brings k^(-p) with each
+# r^(-p), so every coeff is a polynomial in the 1/k_i. The compiled form keeps
+# the momenta as symbols: a component holds (exponent vector e, integer n_e)
+# pairs over one integer denominator D and means sum_e n_e / D * prod_i k_i^(-e_i).
 
 
 @lru_cache(maxsize=None)
-def _rayleigh(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Integer coefficients of j_n(z) = sum a_i z^-i sin z + sum b_i z^-i cos z."""
-    a_prev, b_prev = {1: 1}, {}
-    if n == 0:
-        return tuple(a_prev.items()), tuple(b_prev.items())
-    a_cur, b_cur = {2: 1}, {1: -1}
-    for m in range(1, n):
-        a_nxt: dict[int, int] = {}
-        b_nxt: dict[int, int] = {}
-        for src, dst in ((a_cur, a_nxt), (b_cur, b_nxt)):
-            for power, coeff in src.items():
-                dst[power + 1] = dst.get(power + 1, 0) + (2 * m + 1) * coeff
-        for src, dst in ((a_prev, a_nxt), (b_prev, b_nxt)):
-            for power, coeff in src.items():
-                dst[power] = dst.get(power, 0) - coeff
-        a_prev, b_prev = a_cur, b_cur
-        a_cur = {p: c for p, c in a_nxt.items() if c}
-        b_cur = {p: c for p, c in b_nxt.items() if c}
-    return tuple(a_cur.items()), tuple(b_cur.items())
-
-
-def _canonical(label: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Canonical label and the sign flip applied to sine coefficients."""
-    for entry in label:
-        if entry > 0:
-            return label, 1
-        if entry < 0:
-            return tuple(-e for e in label), -1
-    return label, 1
-
-
-def _add_part(
-    series: dict, label: tuple[int, ...], kind: int, m: int, poly: dict, sign: int
-) -> None:
-    label, flip = _canonical(label)
-    if kind == 1:
-        sign *= flip
-    total = series.setdefault(label, {}).setdefault((kind, m), {})
-    for exponents, coeff in poly.items():
-        total[exponents] = total.get(exponents, 0) + sign * coeff
-
-
-def _bessel_atom(n: int, slot: int, n_slots: int) -> dict:
-    """Series for the single factor j_n(k_slot r), its momentum kept symbolic."""
-    sin_part, cos_part = _rayleigh(n)
-    label = tuple(1 if i == slot else 0 for i in range(n_slots))
-    parts: dict[tuple[int, int], dict] = {}
-    for kind, rayleigh_part in ((0, cos_part), (1, sin_part)):
-        for power, coeff in rayleigh_part:
-            exponents = tuple(power if i == slot else 0 for i in range(n_slots))
-            parts[(kind, power)] = {exponents: coeff}
-    return {label: parts}
-
-
-def _series_mul(sa: dict, sb: dict) -> dict:
-    """Product of two series by the product-to-sum identities.
-
-    Every identity halves its product; the halves are left out here and
-    collected into the compiled denominator.
-    """
-    out: dict = {}
-    for la, pa in sa.items():
-        for lb, pb in sb.items():
-            label_sum = tuple(x + y for x, y in zip(la, lb))
-            label_diff = tuple(x - y for x, y in zip(la, lb))
-            for (kind_a, ma), ca in pa.items():
-                for (kind_b, mb), cb in pb.items():
-                    m = ma + mb
-                    product: dict[tuple[int, ...], int] = {}
-                    for ea, na in ca.items():
-                        for eb, nb in cb.items():
-                            exponents = tuple(x + y for x, y in zip(ea, eb))
-                            product[exponents] = product.get(exponents, 0) + na * nb
-                    if kind_a == 0 and kind_b == 0:
-                        _add_part(out, label_diff, 0, m, product, 1)
-                        _add_part(out, label_sum, 0, m, product, 1)
-                    elif kind_a == 1 and kind_b == 1:
-                        _add_part(out, label_diff, 0, m, product, 1)
-                        _add_part(out, label_sum, 0, m, product, -1)
-                    elif kind_a == 1 and kind_b == 0:
-                        _add_part(out, label_sum, 1, m, product, 1)
-                        _add_part(out, label_diff, 1, m, product, 1)
-                    else:
-                        _add_part(out, label_sum, 1, m, product, 1)
-                        _add_part(out, label_diff, 1, m, product, -1)
-    return out
+def _hankel(n: int) -> tuple[tuple[int, int], ...]:
+    """(re, im) of c_k, k = 0..n, in j_n(z) = Re sum_k c_k z^-(k+1) e^(iz):
+    c_k = i^(k-n-1) C(n+k, 2k) (2k-1)!!, in integers."""
+    unit = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^0, i^1, i^2, i^3
+    out = []
+    for k in range(n + 1):
+        size = math.comb(n + k, 2 * k) * math.prod(range(1, 2 * k, 2))
+        re, im = unit[(k - n - 1) % 4]
+        out.append((re * size, im * size))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -451,29 +380,51 @@ def _compile_decomposition(orders_slots: tuple[tuple[int, int], ...], n_slots: i
     ``components`` is a tuple of (label, parts), parts a tuple of
     ((kind, m), terms) with m counted after the r^2 weight and terms a tuple
     of (index into vectors, n_e). Components that vanish identically are
-    dropped; the order of the rest is the expansion's insertion order.
+    dropped, and so are the zero label's sines, which multiply sin(0 r).
     """
-    series: dict = {}
-    for n, slot in orders_slots:
-        atom = _bessel_atom(n, slot, n_slots)
-        series = _series_mul(series, atom) if series else atom
+    zero = (0,) * n_slots
+    # {exponent vector: {label: (re, im)}}; the power of r is the vector's sum
+    series = {zero: {zero: (1, 0)}}
+    for i, (n, slot) in enumerate(orders_slots):
+        step = tuple(int(j == slot) for j in range(n_slots))
+        # the first factor is taken whole: its halves would only double D
+        signs = (1,) if i == 0 else (1, -1)
+        # X Y goes onto label + step and X conj(Y) onto label - step; a target
+        # whose first nonzero entry is negative is negated (flip = -1) and its
+        # term conjugated, which leaves the real part as it is
+        moves: dict = {}
+        for label in {label for terms in series.values() for label in terms}:
+            for sign in signs:
+                target = tuple(x + sign * y for x, y in zip(label, step))
+                flip = -1 if target < zero else 1
+                moves.setdefault(label, []).append((sign, flip, tuple(flip * x for x in target)))
+        product: dict = {}
+        for exponents, terms in series.items():
+            head, tail = exponents[:slot], exponents[slot + 1 :]
+            for k, (c, d) in enumerate(_hankel(n)):
+                out = product.setdefault(head + (exponents[slot] + k + 1,) + tail, {})
+                for label, (a, b) in terms.items():
+                    for sign, flip, target in moves[label]:
+                        re, im = out.get(target, (0, 0))
+                        out[target] = (re + a * c - sign * b * d, im + flip * (sign * a * d + b * c))
+        series = product
     index: dict[tuple[int, ...], int] = {}
-    components = []
-    for label, parts in series.items():
-        kept = []
-        for (kind, m), poly in parts.items():
-            terms = tuple(
-                (index.setdefault(exponents, len(index)), coeff)
-                for exponents, coeff in poly.items()
-                if coeff
-            )
-            if terms:
-                kept.append(((kind, m - 2), terms))
-        if kept:
-            components.append((label, tuple(kept)))
+    grouped: dict = {}
+    for exponents, terms in series.items():
+        for label, (re, im) in terms.items():
+            parts = grouped.setdefault(label, {})
+            for kind, coeff in ((0, re), (1, -im)):
+                if coeff and not (kind and label == zero):
+                    entry = parts.setdefault((kind, sum(exponents) - 2), [])
+                    entry.append((index.setdefault(exponents, len(index)), coeff))
+    components = tuple(
+        (label, tuple((key, tuple(terms)) for key, terms in parts.items()))
+        for label, parts in grouped.items()
+        if parts
+    )
     vectors = tuple(index)
     top = tuple(max((e[i] for e in vectors), default=0) for i in range(n_slots))
-    return 1 << (len(orders_slots) - 1), top, vectors, tuple(components)
+    return 1 << (len(orders_slots) - 1), top, vectors, components
 
 
 def _component_numerators(compiled, momenta) -> tuple[int, dict]:
@@ -615,10 +566,11 @@ def _integrate_tail(components: dict, momenta: tuple[float, ...], radius: float)
 
     omega = label . momenta and x = omega R are kept as hi + lo, and e^(ix)
     is corrected by lo: the phase is that of the exact momenta. A part
-    c R^(1-m) Re/Im E_m adds 5 units of its size to the error of E_m.
+    c R^(1-m) Re/Im E_m adds 5 units of its size to the error of E_m. The
+    value and the bound are fsums: neither depends on the components' order.
     """
     parts_out = []
-    bound = 0.0
+    bounds = []
     for label, parts in components.items():
         terms = [t for n, k in zip(label, momenta) for t in _two_product(float(n), k)]
         omega = math.fsum(terms)
@@ -636,7 +588,7 @@ def _integrate_tail(components: dict, momenta: tuple[float, ...], radius: float)
                 )
             powers = [c * radius ** (1 - m) / (m - 1) for (kind, m), c in parts.items() if not kind]
             parts_out += powers
-            bound += 5 * _U * math.fsum(abs(v) for v in powers)
+            bounds.append(5 * _U * math.fsum(abs(v) for v in powers))
             continue
         x, x_lo = _two_product(omega, radius)
         x_lo += omega_lo * radius
@@ -648,9 +600,9 @@ def _integrate_tail(components: dict, momenta: tuple[float, ...], radius: float)
             value, error = integrals[m]
             scale = c * radius ** (1 - m)
             parts_out.append(scale * (flip * value.imag if kind else value.real))
-            bound += abs(scale) * (error + 5 * _U * abs(value))
+            bounds.append(abs(scale) * (error + 5 * _U * abs(value)))
     total = math.fsum(parts_out)
-    return total, bound + _U * abs(total)
+    return total, math.fsum(bounds) + _U * abs(total)
 
 
 # --------------------------------------------------------------------------

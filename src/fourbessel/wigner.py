@@ -111,9 +111,10 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b
 
 
-# k! at index k < 192, built once at import: it covers every symbol of the
-# kernels up to bridge order 30, which read up to 181!. Larger arguments go to
-# math.factorial, so the memory held does not grow with the orders asked for.
+# k! at index k < 192, built once at import. Only wigner_6j and gamma_half
+# read it; it covers every 6j symbol of the kernels up to bridge order 30.
+# Larger arguments go to math.factorial, so the memory held does not grow with
+# the orders asked for.
 _FACTORIALS = tuple(accumulate(range(1, 192), mul, initial=1))
 
 
@@ -127,19 +128,12 @@ def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
     """Wigner 3j symbol with all magnetic quantum numbers zero, exactly.
 
     Zero when the triangle inequality fails or j1+j2+j3 is odd; otherwise the
-    standard closed form, an integer factorial quotient.
+    binomial closed form of _three_j_square.
     """
-    j1 = require_order(j1, "j1")
-    j2 = require_order(j2, "j2")
-    j3 = require_order(j3, "j3")
-    big_j = j1 + j2 + j3
-    if big_j % 2 or not _triangle_ok(j1, j2, j3):
-        return SignedSqrtRational.zero()
-    g = big_j // 2
-    f = _factorial(big_j + 1)
-    coeff_den = f(g - j1) * f(g - j2) * f(g - j3)
-    num = f(big_j - 2 * j1) * f(big_j - 2 * j2) * f(big_j - 2 * j3) * f(g) ** 2
-    return SignedSqrtRational(-1 if g % 2 else 1, Fraction(num, f(big_j + 1) * coeff_den**2))
+    sign, num, den = _three_j_square(
+        require_order(j1, "j1"), require_order(j2, "j2"), require_order(j3, "j3")
+    )
+    return SignedSqrtRational(sign, Fraction(num, den))
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -15,7 +16,7 @@ import time
 
 import pytest
 
-from fourbessel import IntegralSpec, QuadratureConfig, evaluate
+from fourbessel import EvaluationReport, IntegralSpec, QuadratureConfig, evaluate
 from fourbessel import cli
 from fourbessel.errors import FourBesselError, NoValidBridge
 from fourbessel.oracle import quad_bessel_numeric
@@ -59,6 +60,21 @@ def test_eval_check_adds_oracle_block():
     assert oracle["value"] == pytest.approx(math.pi / 16.0, rel=1e-7)
     assert oracle["error_estimate"] > 0.0
     assert document["discrepancy"] < 1e-6
+
+
+def test_eval_check_document_keeps_its_keys_in_order():
+    # the oracle block is the CLI's own: EvaluationReport has no oracle fields
+    result = run_cli("eval", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
+                     "--k1", "1", "--k2", "2", "--check")
+    assert result.returncode == 0
+    document = json.loads(result.stdout)
+    assert list(document) == [
+        "lambda", "k1", "k2", "L", "value", "method", "terms", "oracle", "discrepancy",
+    ]
+    assert list(document["oracle"]) == ["value", "error_estimate"]
+    assert [field.name for field in dataclasses.fields(EvaluationReport)] == [
+        "value", "bridge_L", "terms", "method",
+    ]
 
 
 def test_eval_round_trip_is_bit_identical():
@@ -495,6 +511,13 @@ def test_oracle_config_flags_round_trip():
     assert cli._quadrature_config(parser.parse_args(base + ["--rel-tol", "1e-9"])) == (
         QuadratureConfig(rel_tol=1e-9)
     )
+    # an infinite tolerance would certify nothing: both commands refuse it
+    check = ["eval", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
+             "--k1", "1", "--k2", "2", "--check"]
+    for argv in (base, check):
+        result = run_cli(*argv, "--rel-tol", "inf")
+        assert result.returncode == 64, argv
+        assert "rel_tol" in result.stderr and result.stdout == ""
     # the truncation radius and the averaging depth are gone, flags and fields
     for gone in (["--max-radius", "3000"], ["--acceleration-depth", "8"]):
         result = run_cli(*base, *gone)

@@ -26,12 +26,11 @@ from fourbessel.oracle import (
     _bessel_downward,
     _bessel_series,
     _bessel_sweep,
-    _canonical,
     _compile_decomposition,
     _component_numerators,
     _decompose_weighted_product,
     _gauss_rule,
-    _rayleigh,
+    _hankel,
     quad_bessel_numeric,
     spherical_bessel_j,
     triple_bessel_numeric,
@@ -382,6 +381,11 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=-1e-8)
+    # an infinite tolerance never raises NoConvergence, and True is not 1.0
+    for bad in (math.inf, math.nan, True):
+        with pytest.raises(DomainError):
+            QuadratureConfig(rel_tol=bad)
+    assert QuadratureConfig(rel_tol=1).rel_tol == 1
     with pytest.raises(DomainError):
         QuadratureConfig(panels_per_period=1)
     with pytest.raises(DomainError):
@@ -470,22 +474,65 @@ def test_unknown_package_names_still_raise_attribute_error():
 # --------------------------------------------------------------------------
 
 
+def _reference_rayleigh(n):
+    """Integer coefficients of j_n(z) = sum a_i z^-i sin z + sum b_i z^-i cos z,
+    as ({i: a_i}, {i: b_i}), by the recurrence j_(m+1) = (2m+1)/z j_m - j_(m-1)."""
+    a_prev, b_prev = {1: 1}, {}
+    if n == 0:
+        return a_prev, b_prev
+    a_cur, b_cur = {2: 1}, {1: -1}
+    for m in range(1, n):
+        a_nxt, b_nxt = {}, {}
+        for src, dst in ((a_cur, a_nxt), (b_cur, b_nxt)):
+            for power, coeff in src.items():
+                dst[power + 1] = dst.get(power + 1, 0) + (2 * m + 1) * coeff
+        for src, dst in ((a_prev, a_nxt), (b_prev, b_nxt)):
+            for power, coeff in src.items():
+                dst[power] = dst.get(power, 0) - coeff
+        a_prev, b_prev = a_cur, b_cur
+        a_cur = {p: c for p, c in a_nxt.items() if c}
+        b_cur = {p: c for p, c in b_nxt.items() if c}
+    return a_cur, b_cur
+
+
+def _reference_canonical(label):
+    """Canonical label (first nonzero entry positive) and the sign flip of its sines."""
+    for entry in label:
+        if entry > 0:
+            return label, 1
+        if entry < 0:
+            return tuple(-e for e in label), -1
+    return label, 1
+
+
+def test_hankel_coefficients_equal_the_rayleigh_recurrence():
+    # Re sum_k c_k z^-(k+1) e^(iz) = sum_k (Re c_k cos z - Im c_k sin z) z^-(k+1)
+    for n in range(41):
+        sin_part, cos_part = _reference_rayleigh(n)
+        coefficients = _hankel(n)
+        assert len(coefficients) == n + 1
+        for k, (re, im) in enumerate(coefficients):
+            assert (re, im) == (cos_part.get(k + 1, 0), -sin_part.get(k + 1, 0)), (n, k)
+        assert set(sin_part) | set(cos_part) <= set(range(1, n + 2))
+
+
 def _reference_decomposition(orders_slots, momenta):
-    """The former per-call expansion: Rayleigh atoms multiplied in Fraction."""
+    """The former per-call expansion: Rayleigh atoms multiplied in Fraction
+    by the product-to-sum identities."""
 
     def add(series, label, kind, m, coeff):
-        label, flip = _canonical(label)
+        label, flip = _reference_canonical(label)
         if kind == 1 and flip < 0:
             coeff = -coeff
         parts = series.setdefault(label, {})
         parts[(kind, m)] = parts.get((kind, m), Fraction(0)) + coeff
 
     def atom(n, slot):
-        sin_part, cos_part = _rayleigh(n)
+        sin_part, cos_part = _reference_rayleigh(n)
         k = Fraction(momenta[slot])
         label = tuple(1 if i == slot else 0 for i in range(len(momenta)))
-        parts = {(0, power): Fraction(coeff) / k**power for power, coeff in cos_part}
-        parts.update({(1, power): Fraction(coeff) / k**power for power, coeff in sin_part})
+        parts = {(0, power): Fraction(coeff) / k**power for power, coeff in cos_part.items()}
+        parts.update({(1, power): Fraction(coeff) / k**power for power, coeff in sin_part.items()})
         return {label: parts}
 
     def multiply(sa, sb):
@@ -528,23 +575,38 @@ def _assert_compiled_equals_reference(orders_slots, momenta):
     compiled = _compile_decomposition(orders_slots, len(momenta))
     den, numerators = _component_numerators(compiled, momenta)
     reference = _reference_decomposition(orders_slots, momenta)
-    # equal as Fractions and in the same order: the tail sums its components
-    # in this order, so the order is part of the oracle's value
-    exact = [
-        (label, [(key, Fraction(n, den)) for key, n in parts.items()])
+    # the zero label's sines multiply sin(0 r): the compiled form drops them
+    zero = (0,) * len(momenta)
+    if zero in reference:
+        reference[zero] = {key: c for key, c in reference[zero].items() if key[0] == 0}
+        if not reference[zero]:
+            del reference[zero]
+    # equal as Fractions, label by label; the order is free, because the tail
+    # sums its values and its bounds with math.fsum
+    exact = {
+        label: {key: Fraction(n, den) for key, n in parts.items()}
         for label, parts in numerators.items()
-    ]
-    assert exact == [(label, list(parts.items())) for label, parts in reference.items()]
+    }
+    assert exact == reference
     rounded = _decompose_weighted_product(orders_slots, momenta)
     assert rounded == {
         label: {key: float(c) for key, c in parts.items()} for label, parts in reference.items()
     }
 
 
+# the tuples of orders 5 and 6 that perfbench's oracle-certify workload runs
+_HIGH_ORDER_TUPLES = (
+    (3, 5, 2, 4), (6, 2, 5, 1), (6, 6, 4, 4), (5, 2, 0, 4), (6, 3, 2, 4), (6, 5, 6, 4),
+)
+
+
 @pytest.mark.parametrize("l1", range(5))
 def test_compiled_decomposition_equals_per_call_expansion(l1):
-    for l2, l3, l4 in itertools.product(range(5), repeat=3):
-        orders_slots = ((l1, 0), (l2, 1), (l3, 0), (l4, 1))
+    tuples = list(itertools.product([l1], range(5), range(5), range(5)))
+    # each high-order tuple runs in one of the five slices
+    tuples += [orders for orders in _HIGH_ORDER_TUPLES if orders[0] % 5 == l1]
+    for orders in tuples:
+        orders_slots = tuple(zip(orders, (0, 1, 0, 1)))
         for momenta in ((2.5, 0.75), (0.3, 1.7), (1.3, 1.3), (1.1, 1.1 * (1 + 1e-9))):
             _assert_compiled_equals_reference(orders_slots, momenta)
 
