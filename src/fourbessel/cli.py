@@ -46,6 +46,8 @@ _BATCH_COLUMNS = [
     "L", "method", "value", "oracle_value", "oracle_error",
     "discrepancy", "wall_time_s", "error",
 ]
+_K1_COLUMN = _BATCH_COLUMNS.index("k1")
+_K2_COLUMN = _BATCH_COLUMNS.index("k2")
 _DISCREPANCY_COLUMN = _BATCH_COLUMNS.index("discrepancy")
 
 
@@ -193,7 +195,8 @@ def _cmd_eval(args) -> int:
 
 def _load_input_specs(path: str) -> list[IntegralSpec]:
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that spreadsheets write
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise _MalformedInput(f"cannot read {path!r}: {exc}") from None
     with handle:
@@ -282,9 +285,15 @@ def _cmd_batch(args) -> int:
     config = None if args.mode == "analytic" else _quadrature_config(args)
     # rows are written as they are computed; csv.writer writes None as ""
     writer = None
+    momentum_text = {}
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(_BATCH_COLUMNS)
+        # csv writes a float as its repr; a grid repeats the few momenta of
+        # --k-pairs on every row, so each is formatted once
+        if args.grid is not None:
+            momenta = set(itertools.chain.from_iterable(args.k_pairs))
+            momentum_text = {k: repr(k) for k in momenta}
     any_failed = False
     max_discrepancy = None
     for spec in specs:
@@ -296,6 +305,9 @@ def _cmd_batch(args) -> int:
         if writer is None:
             print(json.dumps(dict(zip(_BATCH_COLUMNS, row))))
         else:
+            if momentum_text:
+                row[_K1_COLUMN] = momentum_text[spec.k1]
+                row[_K2_COLUMN] = momentum_text[spec.k2]
             writer.writerow(row)
     if writer is None:
         print(json.dumps({"max_discrepancy": max_discrepancy}))

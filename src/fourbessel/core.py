@@ -47,7 +47,7 @@ def require_momentum(value: float, name: str = "momentum") -> float:
     return fval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntegralSpec:
     """Orders and momenta of the four-Bessel radial integral."""
 
@@ -58,11 +58,18 @@ class IntegralSpec:
     k1: float
     k2: float
 
-    def __post_init__(self) -> None:
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            object.__setattr__(self, name, require_order(getattr(self, name), name))
-        object.__setattr__(self, "k1", require_momentum(self.k1, "k1"))
-        object.__setattr__(self, "k2", require_momentum(self.k2, "k2"))
+    # Hand-written so that each field is validated and set once: a generated
+    # __init__ followed by __post_init__ would set every field twice.
+    def __init__(
+        self, lambda1: int, lambda2: int, lambda3: int, lambda4: int, k1: float, k2: float
+    ) -> None:
+        setter = object.__setattr__
+        setter(self, "lambda1", require_order(lambda1, "lambda1"))
+        setter(self, "lambda2", require_order(lambda2, "lambda2"))
+        setter(self, "lambda3", require_order(lambda3, "lambda3"))
+        setter(self, "lambda4", require_order(lambda4, "lambda4"))
+        setter(self, "k1", require_momentum(k1, "k1"))
+        setter(self, "k2", require_momentum(k2, "k2"))
 
     @property
     def orders(self) -> tuple[int, int, int, int]:

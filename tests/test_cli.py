@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, schemas, exit codes."""
 from __future__ import annotations
 
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -187,6 +188,17 @@ def test_batch_input_file_analytic_csv(tmp_path):
     assert result.stdout.strip().endswith("# max_discrepancy=n/a")
 
 
+def test_batch_input_reads_a_byte_order_mark(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a byte-order mark before the header
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfl1,l2,l3,l4,k1,k2\n1,1,1,1,1,2\n")
+    code, text = _batch_in_process(["batch", "--input", str(path), "--mode", "analytic"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
+    assert len(rows) == 1 and rows[0]["error"] == ""
+    assert float(rows[0]["value"]) == evaluate(IntegralSpec(1, 1, 1, 1, 1.0, 2.0)).value
+
+
 def test_batch_oracle_mode(tmp_path):
     path = tmp_path / "specs.csv"
     path.write_text("l1,l2,l3,l4,k1,k2\n0,0,0,0,1,2\n", encoding="utf-8")
@@ -363,6 +375,10 @@ def _without_wall_time(text):
     return "".join(lines)
 
 
+# pairs that share and swap momenta, one of them not the shortest decimal
+_SHARED_PAIRS = "0.1:0.30000000000000004,0.30000000000000004:0.1,2:2"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -370,7 +386,11 @@ def _without_wall_time(text):
         ["batch", "--grid", "2", "--k-pairs", "1:1.1,3:1", "--mode", "analytic",
          "--format", "json"],
         ["batch", "--grid", "1", "--k-pairs", "1:2", "--mode", "both"],
+        ["batch", "--grid", "2", "--k-pairs", _SHARED_PAIRS, "--mode", "analytic"],
+        ["batch", "--grid", "2", "--k-pairs", _SHARED_PAIRS, "--mode", "analytic",
+         "--format", "json"],
         ["batch", "--input", "{specs}"],
+        ["batch", "--input", "{distinct}", "--mode", "analytic"],
     ],
 )
 def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
@@ -379,18 +399,50 @@ def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
         "l1,l2,l3,l4,k1,k2\n2,0,0,2,1,1\n0,0,0,1,1,2\n1,0,1,2,1,2\n0,0,0,0,1,2\n",
         encoding="utf-8",
     )
-    argv = [str(path) if token == "{specs}" else token for token in argv]
+    # every momentum differs, and some are written otherwise than their repr
+    distinct = tmp_path / "distinct.csv"
+    distinct.write_text(
+        "l1,l2,l3,l4,k1,k2\n1,1,1,1,0.1,0.30000000000000004\n2,0,0,2,1.10,1e-5\n"
+        "1,0,1,2,7.25,12345.678\n0,0,0,0,3.3333333333333335,2.5E2\n",
+        encoding="utf-8",
+    )
+    tokens = {"{specs}": str(path), "{distinct}": str(distinct)}
+    argv = [tokens.get(token, token) for token in argv]
     code, text = _batch_in_process(argv)
     expected_code, expected = _reference_batch(argv)
     assert code == expected_code
     assert _without_wall_time(text) == _without_wall_time(expected)
     assert text.count("wall_time_s") == expected.count("wall_time_s")
     assert text.splitlines()[-1] == expected.splitlines()[-1]
-    if "--input" in argv:
+    if "json" in argv:
+        first = json.loads(text.splitlines()[0])
+        assert type(first["k1"]) is float and type(first["k2"]) is float
+    if str(path) in argv:
         # the k1 = k2 row of (2,0,0,2) has a value; (0,0,0,1) is declined
         rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
         assert code == 0 and rows[0]["error"] == ""
         assert float(rows[0]["value"]) == pytest.approx(math.pi / 20.0, rel=1e-14)
+
+
+def test_grid_formats_each_distinct_momentum_once(monkeypatch, tmp_path):
+    formatted = []
+
+    def counting_repr(value):
+        formatted.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    code, text = _batch_in_process(
+        ["batch", "--grid", "2", "--k-pairs", "1:1.1,3:1,1.1:3", "--mode", "analytic"]
+    )
+    assert code == 0 and text.count("\n") == 1 + 81 * 3 + 1
+    assert sorted(formatted) == [1.0, 1.1, 3.0]
+    # rows read from a file are left to the csv writer: no map grows with them
+    formatted.clear()
+    path = tmp_path / "specs.csv"
+    path.write_text("l1,l2,l3,l4,k1,k2\n1,1,1,1,1,2\n0,0,0,0,3,4\n", encoding="utf-8")
+    code, text = _batch_in_process(["batch", "--input", str(path), "--mode", "analytic"])
+    assert code == 0 and formatted == []
 
 
 def test_batch_at_benchmark_scale_in_process():

@@ -1,9 +1,12 @@
 """Analytic pipeline: band/ratio integrals, triple products, four-Bessel values."""
 from __future__ import annotations
 
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -1084,6 +1087,85 @@ def test_spec_validation():
         IntegralSpec(0, 0, 0, 0, 1.0, math.inf)
     with pytest.raises(DomainError):
         IntegralSpec(True, 0, 0, 0, 1.0, 2.0)
+
+
+def test_spec_is_a_frozen_dataclass():
+    spec = IntegralSpec(1, 2, 3, 4, 0.5, 2.0)
+    keyword = IntegralSpec(k2=2.0, k1=0.5, lambda4=4, lambda3=3, lambda2=2, lambda1=1)
+    assert spec == keyword and hash(spec) == hash(keyword)
+    assert spec != IntegralSpec(1, 2, 3, 4, 0.5, 2.5)
+    assert len({spec, keyword, IntegralSpec(1, 2, 3, 4, 0.5, 2.5)}) == 2
+    assert [field.name for field in dataclasses.fields(IntegralSpec)] == [
+        "lambda1", "lambda2", "lambda3", "lambda4", "k1", "k2",
+    ]
+    assert repr(spec) == (
+        "IntegralSpec(lambda1=1, lambda2=2, lambda3=3, lambda4=4, k1=0.5, k2=2.0)"
+    )
+    for name in ("lambda1", "k2", "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del spec.k1
+    replaced = dataclasses.replace(spec, lambda2=np.int64(0), k1=3)
+    assert replaced == IntegralSpec(1, 0, 3, 4, 3.0, 2.0)
+    assert type(replaced.lambda2) is int and type(replaced.k1) is float
+    with pytest.raises(DomainError, match="^k1 must be positive and finite, got -1.0$"):
+        dataclasses.replace(spec, k1=-1.0)
+    clones = [pickle.loads(pickle.dumps(spec, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones + [copy.copy(spec), copy.deepcopy(spec)]:
+        assert type(clone) is IntegralSpec
+        assert clone == spec and hash(clone) == hash(spec) and repr(clone) == repr(spec)
+
+
+def test_spec_converts_orders_to_int_and_momenta_to_float():
+    spec = IntegralSpec(np.int64(1), np.uint8(2), 3, np.int32(4), 1, np.float64(2.5))
+    assert spec == IntegralSpec(1, 2, 3, 4, 1.0, 2.5)
+    assert [type(order) for order in spec.orders] == [int] * 4
+    assert type(spec.k1) is float and type(spec.k2) is float
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        ((-1, -2, 0, 0, -1.0, 2.0), "lambda1 must be >= 0, got -1"),
+        ((0, 1.5, "x", 0, 0.0, 2.0), "lambda2 must be a non-negative integer, got 1.5"),
+        ((0, 0, 0, "x", 0.0, math.nan), "lambda4 must be a non-negative integer, got 'x'"),
+        ((0, 0, 0, 0, 0.0, math.nan), "k1 must be positive and finite, got 0.0"),
+        ((0, 0, 0, 0, 1.0, "abc"), "k2 must be a positive real, got 'abc'"),
+    ],
+)
+def test_spec_error_names_the_first_bad_argument(arguments, message):
+    with pytest.raises(DomainError) as info:
+        IntegralSpec(*arguments)
+    assert str(info.value) == message
+
+
+def test_spec_missing_argument_raises_type_error_naming_it():
+    with pytest.raises(TypeError, match="'k2'"):
+        IntegralSpec(1, 2, 3, 4, 1.0)
+    with pytest.raises(TypeError, match="'lambda3'"):
+        IntegralSpec(lambda1=1, lambda2=2, lambda4=4, k1=1.0, k2=2.0)
+    with pytest.raises(TypeError):
+        IntegralSpec(1, 2, 3, 4, 1.0, 2.0, 3.0)
+
+
+def test_spec_validates_each_field_once(monkeypatch):
+    calls = []
+
+    def counted(validator, kind):
+        def wrapper(value, name):
+            calls.append((kind, name))
+            return validator(value, name)
+        return wrapper
+
+    monkeypatch.setattr(core, "require_order", counted(core.require_order, "order"))
+    monkeypatch.setattr(core, "require_momentum", counted(core.require_momentum, "momentum"))
+    IntegralSpec(1, 2, 3, 4, 0.5, 2.0)
+    assert calls == [
+        ("order", "lambda1"), ("order", "lambda2"), ("order", "lambda3"),
+        ("order", "lambda4"), ("momentum", "k1"), ("momentum", "k2"),
+    ]
 
 
 class _FloatSubclass(float):
