@@ -17,13 +17,13 @@ K(t) = t^p0 P(u), u = t^2, stored dense in u. Every later call is a cached
 lookup plus one float Horner over P's coefficients, about centre 0 first
 and, where they cancel, about the nearest of 17 rational centres, and in
 exact integers only where both bounds fail.
-``quad_bessel_paired`` and ``triple_bessel_weighted`` read the same exact
-coefficients.
+``quad_bessel_paired`` reads the same kernel; ``triple_bessel_weighted``
+reads the kernel's exact weights, sums them in integers and rounds once.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -36,9 +36,8 @@ from .core import (
     require_order,
 )
 from .errors import DomainError, PrefactorZero
-from .legendre import _linearization_weights, bform_band_coeffs, legendre_p
+from .legendre import _linearization_weights, bform_band_coeffs
 from .wigner import (
-    SignedSqrtRational,
     _bridge_order,
     _three_j_square,
     gamma_half,
@@ -59,11 +58,13 @@ def triple_bessel_weighted(
     """Closed form of integral_0^inf r^2 j_l1(k1 r) j_l2(k2 r) j_L(K r) dr.
 
     The closed form divides by the coupling 3j symbol (l1, l2, L; 0,0,0);
-    PrefactorZero is raised when that symbol vanishes. Outside the momentum
-    triangle (|Delta| > 1) the integral is exactly zero and a bit-exact 0.0
-    is returned. The recoupling factors are the kernel's cached _side_factors.
-    DomainError is raised when the momenta are so extreme that the value or
-    an intermediate leaves the float range.
+    PrefactorZero is raised when that symbol vanishes. The value is
+    pi / (4 k1 k2 K) (k1/K)^L sum w (k2/k1)^s P_l(Delta) over the cached
+    exact weights w of _side_factors, with Delta = (k1^2 + k2^2 - K^2) / (2 k1 k2).
+    All but pi is summed in integers at the momenta's exact ratios and rounded
+    once, so outside the momentum triangle (|Delta| > 1, tested exactly) the
+    value is a bit-exact 0.0. DomainError is raised when the value itself
+    leaves the float range: it overflows, or underflows below the normal floats.
     """
     l1 = require_order(l1, "l1")
     l2 = require_order(l2, "l2")
@@ -71,38 +72,42 @@ def triple_bessel_weighted(
     k1 = require_momentum(k1, "k1")
     k2 = require_momentum(k2, "k2")
     K = require_momentum(K, "K")
-    coupling = wigner_3j_zero(l1, l2, L)
-    if coupling.is_zero:
+    if wigner_3j_zero(l1, l2, L).is_zero:
         raise PrefactorZero(
             f"coupling 3j symbol ({l1},{l2},{L}) vanishes; pick L inside the "
             "triangle window with l1+l2+L even"
         )
-    value = math.inf  # stays so when an intermediate leaves the float range
+    # k1, k2, K = a/q, b/q, c/q with q a power of two
+    ratios = [k.as_integer_ratio() for k in (k1, k2, K)]
+    q = max(den for _, den in ratios)
+    a, b, c = (num * (q // den) for num, den in ratios)
+    # Delta = n / d
+    n, d = a * a + b * b - c * c, 2 * a * b
+    if abs(n) > d:
+        return 0.0
+    den, weights = _side_factors(l1, l2, L)
+    # every inner degree l has l <= l1 + L - s and l <= l2 + s
+    top = (l1 + l2 + L) // 2
+    # legendre[l] = (2d)^l P_l(n/d), an integer, then scaled to (2d)^top P_l(n/d)
+    legendre = [1, 2 * n]
+    for m in range(1, top):
+        legendre.append(
+            ((2 * m + 1) * 2 * n * legendre[m] - 4 * m * d * d * legendre[m - 1]) // (m + 1)
+        )
+    two_d = 2 * d
+    legendre = [r * two_d ** (top - l) for l, r in enumerate(legendre[: top + 1])]
+    inner = [0] * (L + 1)
+    for split, l, num in weights:
+        inner[split] += num * legendre[l]
+    total = sum(part * a ** (L - split) * b**split for split, part in enumerate(inner))
     try:
-        # a square that leaves the float range makes delta inf or nan
-        delta = (k1 * k1 + k2 * k2 - K * K) / (2.0 * k1 * k2)
-        if math.isfinite(delta):
-            if abs(delta) > 1.0:
-                return 0.0
-            # l1+l2-L is even whenever the coupling symbol is nonzero
-            sign = -1.0 if ((l1 + l2 - L) // 2) % 2 else 1.0
-            prefactor = (
-                math.pi / (4.0 * k1 * k2 * K) * sign * math.sqrt(2 * L + 1) * (k1 / K) ** L
-            )
-            parts = [
-                (SignedSqrtRational(factor_sign, Fraction(num, den)) / coupling).to_float()
-                * (k2 / k1) ** split
-                * legendre_p(l, delta)
-                for split, l, factor_sign, num, den in _side_factors(l1, l2, L)
-            ]
-            value = prefactor * math.fsum(parts)
-    # fsum raises ValueError when the parts hold both infinities
-    except (OverflowError, ZeroDivisionError, ValueError):
-        pass
-    if not math.isfinite(value):
+        value = math.pi * (total * q**3 / (4 * a * b * c ** (L + 1) * den * two_d**top))
+    except OverflowError:
+        value = math.inf
+    if total and not sys.float_info.min <= abs(value) < math.inf:
         raise DomainError(
             f"momenta k1={k1!r}, k2={k2!r}, K={K!r} are out of range for orders "
-            f"({l1}, {l2}, {L}): the value or an intermediate leaves the float range"
+            f"({l1}, {l2}, {L}): the value leaves the range of normal floats"
         )
     return value
 
@@ -138,33 +143,45 @@ def _exact_sqrt(num: int, den: int) -> tuple[int, int]:
     num, den = num // g, den // g
     root_num, root_den = math.isqrt(num), math.isqrt(den)
     if root_num * root_num != num or root_den * root_den != den:
-        raise ArithmeticError(f"coupling product radicand {num}/{den} is not a perfect square")
+        raise ArithmeticError(f"squared triple weight {num}/{den} is not a perfect square")
     return root_num, root_den
 
 
 @lru_cache(maxsize=None)
-def _side_factors(la: int, lb: int, L: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """Nonzero recoupling factors sqrt(C(2L,2s)) 3j 3j 6j (2l+1) of one order pair.
+def _side_factors(la: int, lb: int, L: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The triple closed form's exact weights of one order pair, over one denominator.
 
-    One entry (s, l, sign, num, den) per split s and inner degree l, the
-    factor being sign * sqrt(num / den); the kernel multiplies a left and a
-    right factor per term of the recoupling.
+    Returns (den, ((s, l, num), ...)), one entry per split s and inner
+    degree l with a nonzero weight
+    w = num / den = (-1)^((la+lb-L)/2) sqrt((2L+1) C(2L,2s))
+        3j(la,L-s,l) 3j(lb,s,l) 6j(la,lb,L;s,L-s,l) (2l+1) / 3j(la,lb,L).
+    Each w is rational, so its root is taken exactly from its square, and
+    ArithmeticError is raised where that square is not a perfect square.
+    3j(la, lb, L) must be nonzero. A left weight times a right weight is the
+    kernel's coupling product.
     """
-    out = []
+    _, coupling_num, coupling_den = _three_j_square(la, lb, L)
+    # (-1)^((la+lb-L)/2) over the sign (-1)^((la+lb+L)/2) of 3j(la, lb, L) is (-1)^L
+    phase = -1 if L % 2 else 1
+    roots = []
     for split in range(L + 1):
-        binom = math.comb(2 * L, 2 * split)
+        binom = (2 * L + 1) * math.comb(2 * L, 2 * split)
         for l in range(
             max(abs(la - (L - split)), abs(lb - split)), min(la + L - split, lb + split) + 1, 2
         ):
             sign_a, num_a, den_a = _three_j_square(la, L - split, l)
             sign_b, num_b, den_b = _three_j_square(lb, split, l)
             six_j = wigner_6j(la, lb, L, split, L - split, l)
-            sign = sign_a * sign_b * six_j.sign
+            sign = phase * sign_a * sign_b * six_j.sign
             if sign:
-                num = binom * (2 * l + 1) ** 2 * num_a * num_b * six_j.radicand.numerator
-                den = den_a * den_b * six_j.radicand.denominator
-                out.append((split, l, sign, num, den))
-    return tuple(out)
+                num, den = _exact_sqrt(
+                    binom * (2 * l + 1) ** 2 * num_a * num_b * six_j.radicand.numerator
+                    * coupling_den,
+                    den_a * den_b * six_j.radicand.denominator * coupling_num,
+                )
+                roots.append((split, l, sign * num, den))
+    common = math.lcm(*(den for *_, den in roots))
+    return common, tuple((split, l, num * (common // den)) for split, l, num, den in roots)
 
 
 @lru_cache(maxsize=None)
@@ -228,42 +245,17 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     (l2, l1, l4, l3), since trading the momenta together with their orders
     leaves the integral unchanged. Built once, in integers, from the paper's
     bridge recoupling (_side_factors) and band integral (_band_series): every
-    coupling product is a perfect square, (1 - t^2)^(2L-1) divides the
+    squared weight is a perfect square, (1 - t^2)^(2L-1) divides the
     assembled numerator with zero remainder, and the quotient's powers of t
     share one parity. Any of these failing raises ArithmeticError.
     """
     L = _bridge_order(l1, l2, l3, l4)
-    # Neither side is empty: its s = 0, l = lb factor is
-    # 3j(la,L,lb) 3j(lb,0,lb) 6j(la,lb,L;0,L,lb) (2lb+1), nonzero for a bridge-valid L.
-    left = _side_factors(l1, l2, L)
-    right = _side_factors(l3, l4, L)
-    # The global weight (2L+1) (-1)^half_phase / (3j(l1,l2,L) 3j(l3,l4,L)) has
-    # radicand G. Each term's coupling product is sign * sqrt(G R_left R_right),
-    # a rational; with R0 = G times the first left radicand R1 it splits
-    # exactly as sqrt(R_left / R1) * sqrt(R0 R_right), so the square roots are
-    # linear in the number of factors rather than in the number of terms.
-    sign12, num12, den12 = _three_j_square(l1, l2, L)
-    sign34, num34, den34 = _three_j_square(l3, l4, L)
-    half_phase = (l1 + l2 + l3 + l4 - 2 * L) // 2
-    sign = sign12 * sign34 * (-1 if half_phase % 2 else 1)
-    _, _, _, first_num, first_den = left[0]
-    ref_num = first_num * (2 * L + 1) ** 2 * den12 * den34
-    ref_den = first_den * num12 * num34
-    left_exact = [
-        (s, l, sign * ls, *_exact_sqrt(num * first_den, den * first_num))
-        for s, l, ls, num, den in left
-    ]
-    right_exact = [
-        (s, l, rs, *_exact_sqrt(num * ref_num, den * ref_den)) for s, l, rs, num, den in right
-    ]
-    left_den = math.lcm(*(den for *_, den in left_exact))
-    right_den = math.lcm(*(den for *_, den in right_exact))
+    left_den, left = _side_factors(l1, l2, L)
+    right_den, right = _side_factors(l3, l4, L)
     # sum of pair products per (min(l,lp), max(l,lp), s+s'), over left_den*right_den
     grouped: dict[tuple[int, int, int], int] = {}
-    right_ints = [(s, l, rs * num * (right_den // den)) for s, l, rs, num, den in right_exact]
-    for s, l, ls, num, den in left_exact:
-        a = ls * num * (left_den // den)
-        for sp, lp, b in right_ints:
+    for s, l, a in left:
+        for sp, lp, b in right:
             key = (l, lp, s + sp) if l <= lp else (lp, l, s + sp)
             grouped[key] = grouped.get(key, 0) + a * b
     series = {key[:2]: _band_series(key[0], key[1], L) for key in grouped}

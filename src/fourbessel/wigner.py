@@ -4,8 +4,9 @@ Every symbol is an integer factorial quotient, returned as a
 :class:`SignedSqrtRational`, the exact carrier s*sqrt(p/q), built once per
 distinct symbol. The kernel build reads the 6j radicand's numerator and
 denominator, and each squared 3j symbol as a sign and an integer pair from
-its binomial closed form, with no symbol object; conversion to floating point
-happens once, at the summation boundary, via ``to_float``.
+its binomial closed form, with no symbol object, and turns them into exact
+rational weights; no value path rounds a symbol. ``to_float`` is for
+display: only the CLI prints with it.
 
 Only integer angular momenta are supported; the integral pipeline never needs
 half-integer ones.

@@ -23,7 +23,7 @@ from fourbessel import wigner
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
 
 from test_legendre import _reference_poly_coeffs
-from test_quadbessel import _bridge_valid_tuples
+from test_quadbessel import _bridge_valid_tuples, _forbid_exact_arithmetic
 from test_wigner import _reference_3j_product, _reference_6j
 
 # the 15 order tuples of the benchmark's eval-kgrid workload
@@ -215,14 +215,7 @@ def test_band_coeffs_equal_the_reference_up_to_bridge_order_30():
 
 
 def test_cold_build_does_no_fraction_or_signed_sqrt_arithmetic(monkeypatch, cold_caches):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("Fraction or SignedSqrtRational arithmetic in the cold build")
-
-    for method in ("__add__", "__sub__", "__mul__", "__truediv__"):
-        monkeypatch.setattr(Fraction, method, forbidden)
-        monkeypatch.setattr(Fraction, method.replace("__", "__r", 1), forbidden)
-    for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
-        monkeypatch.setattr(SignedSqrtRational, method, forbidden)
+    _forbid_exact_arithmetic(monkeypatch)
     built = [_laurent_kernel(*orders) for orders in _bridge_valid_tuples(4)]
     # the benchmark's set-up: one evaluate per tuple at k = (1, 2), the exchanged kernel
     values = [evaluate(IntegralSpec(*orders, 1.0, 2.0)).value for orders in EVAL_KGRID_TUPLES]

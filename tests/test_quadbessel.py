@@ -25,7 +25,7 @@ from fourbessel.errors import (
     NoValidBridge,
     PrefactorZero,
 )
-from fourbessel.oracle import _gauss_rule, quad_bessel_numeric
+from fourbessel.oracle import _gauss_rule, quad_bessel_numeric, triple_bessel_numeric
 from fourbessel.quadbessel import (
     _CENTRES,
     _band_series,
@@ -39,7 +39,6 @@ from fourbessel.quadbessel import (
     quad_bessel_paired,
     triple_bessel_weighted,
 )
-from fourbessel.legendre import legendre_p
 from fourbessel.wigner import (
     SignedSqrtRational,
     select_bridge_order,
@@ -226,37 +225,71 @@ def test_triple_momentum_exchange_symmetry():
     assert forward == pytest.approx(swapped, rel=1e-13)
 
 
-def _reference_triple_bessel_weighted(l1, l2, L, k1, k2, K):
-    """The closed form's own recoupling loop, as triple_bessel_weighted ran it
-    before it read the kernel's cached side factors."""
+def _fraction_sqrt(value: Fraction) -> Fraction:
+    root_num, root_den = math.isqrt(value.numerator), math.isqrt(value.denominator)
+    assert Fraction(root_num, root_den) ** 2 == value
+    return Fraction(root_num, root_den)
+
+
+def _reference_triple_over_pi(l1, l2, L, k1, k2, K):
+    """The triple closed form over pi as a Fraction, exactly at the float momenta.
+
+    pi / (4 k1 k2 K) (k1/K)^L sum w (k2/k1)^s P_l(Delta), each weight
+    (-1)^((l1+l2-L)/2) sqrt(2L+1) sqrt(C(2L,2s)) 3j 3j 6j (2l+1) / 3j(l1,l2,L)
+    from the 3j and 6j symbols in SignedSqrtRational arithmetic, and P_l from
+    Bonnet's recurrence in Fractions.
+    """
+    k1, k2, K = Fraction(k1), Fraction(k2), Fraction(K)
+    delta = (k1 * k1 + k2 * k2 - K * K) / (2 * k1 * k2)
+    if abs(delta) > 1:
+        return Fraction(0)
+    legendre = [Fraction(1), delta]
+    for n in range(1, l1 + l2 + L):
+        legendre.append(((2 * n + 1) * delta * legendre[n] - n * legendre[n - 1]) / (n + 1))
     coupling = wigner_3j_zero(l1, l2, L)
-    if coupling.is_zero:
-        raise PrefactorZero("coupling 3j symbol vanishes")
-    delta = (k1 * k1 + k2 * k2 - K * K) / (2.0 * k1 * k2)
-    if abs(delta) > 1.0:
-        return 0.0
-    sign = -1.0 if ((l1 + l2 - L) // 2) % 2 else 1.0
-    prefactor = (
-        math.pi / (4.0 * k1 * k2 * K) * sign * math.sqrt(2 * L + 1) * (k1 / K) ** L
-    )
-    parts = []
+    phase = SignedSqrtRational(-1 if ((l1 + l2 - L) // 2) % 2 else 1, Fraction(2 * L + 1))
+    total = Fraction(0)
     for split in range(L + 1):
         binom = SignedSqrtRational(1, Fraction(math.comb(2 * L, 2 * split)))
-        momentum_pow = (k2 / k1) ** split
-        lo = max(abs(l1 - (L - split)), abs(l2 - split))
-        hi = min(l1 + L - split, l2 + split)
+        lo, hi = max(abs(l1 - (L - split)), abs(l2 - split)), min(l1 + L - split, l2 + split)
         for l in range(lo, hi + 1, 2):
-            exact = (
-                binom
+            weight = (
+                phase
+                * binom
                 * wigner_3j_zero(l1, L - split, l)
                 * wigner_3j_zero(l2, split, l)
                 * wigner_6j(l1, l2, L, split, L - split, l)
             ).scaled_by(2 * l + 1) / coupling
-            parts.append(exact.to_float() * momentum_pow * legendre_p(l, delta))
-    return prefactor * math.fsum(parts)
+            if not weight.is_zero:
+                root = weight.sign * _fraction_sqrt(weight.radicand)
+                total += root * (k2 / k1) ** split * legendre[l]
+    return total * (k1 / K) ** L / (4 * k1 * k2 * K)
 
 
-def test_triple_equals_the_reference_loop_bit_for_bit():
+def _forbid_exact_arithmetic(monkeypatch):
+    """Make every Fraction and SignedSqrtRational arithmetic operation raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction or SignedSqrtRational arithmetic")
+
+    for method in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Fraction, method, forbidden)
+        monkeypatch.setattr(Fraction, method.replace("__", "__r", 1), forbidden)
+    for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
+        monkeypatch.setattr(SignedSqrtRational, method, forbidden)
+
+
+def _assert_triple_is_exact(l1, l2, L, k1, k2, K, rel=1e-15):
+    value = triple_bessel_weighted(l1, l2, L, k1, k2, K)
+    exact = _reference_triple_over_pi(l1, l2, L, k1, k2, K)
+    if exact == 0:
+        assert value == 0.0, (l1, l2, L, k1, k2, K)
+    else:
+        assert value == pytest.approx(math.pi * float(exact), rel=rel), (l1, l2, L, k1, k2, K)
+    return value
+
+
+def test_triple_equals_the_exact_closed_form():
     compared = 0
     for l1, l2, bridge in itertools.product(range(6), repeat=3):
         if wigner_3j_zero(l1, l2, bridge).is_zero:
@@ -264,26 +297,80 @@ def test_triple_equals_the_reference_loop_bit_for_bit():
                 triple_bessel_weighted(l1, l2, bridge, 1.0, 2.0, 2.5)
             continue
         for momenta in ((1.0, 2.0, 2.5), (1.0, 1.0, 1.0), (0.3, 0.7, 0.9), (2.0, 3.0, 4.9)):
-            value = triple_bessel_weighted(l1, l2, bridge, *momenta)
-            reference = _reference_triple_bessel_weighted(l1, l2, bridge, *momenta)
-            assert value.hex() == reference.hex(), (l1, l2, bridge, momenta)
+            _assert_triple_is_exact(l1, l2, bridge, *momenta)
             compared += 1
     # 69 of the 216 triads have a nonzero coupling symbol
     assert compared == 4 * 69
 
 
+def test_triple_keeps_its_digits_where_the_float_sum_cancelled():
+    # the terms cancel by 16 digits: their float sum is -8127.509378915411
+    momenta = (1.0463778137460042, 0.9839313713105464, 0.0762094872929308)
+    value = _assert_triple_is_exact(8, 8, 14, *momenta)
+    assert value == pytest.approx(0.566674948971277, rel=1e-15)
+
+
+def test_triple_tests_its_support_exactly():
+    # K < k2 - k1 exactly, but the float Delta rounds to 1.0
+    momenta = (1.434352542334553, 1.612680483891094, 0.17832794155654105)
+    assert Fraction(momenta[2]) < Fraction(momenta[1]) - Fraction(momenta[0])
+    assert triple_bessel_weighted(0, 0, 0, *momenta) == 0.0
+
+
+def test_triple_answers_where_only_the_squared_momenta_overflow():
+    # k2^2 and K^2 overflow, but the value, about pi / (8 k2), is a normal float
+    value = _assert_triple_is_exact(2, 2, 2, 1e-300, 1e300, 1e300)
+    assert value == 3.926990816987241e-301
+
+
+def _sweep_triples(count, seed=20260):
+    """Valid triples of orders 0-15: k1, k2 log-uniform on e^(+-2), K uniform in the triangle."""
+    rng = random.Random(seed)
+    while count:
+        l1, l2, bridge = (rng.randint(0, 15) for _ in range(3))
+        if wigner_3j_zero(l1, l2, bridge).is_zero:
+            continue
+        k1, k2 = (math.exp(rng.uniform(-2.0, 2.0)) for _ in range(2))
+        count -= 1
+        yield l1, l2, bridge, k1, k2, rng.uniform(abs(k1 - k2), k1 + k2)
+
+
+def test_triple_seeded_sweep_matches_the_exact_closed_form():
+    for args in _sweep_triples(400):
+        _assert_triple_is_exact(*args)
+
+
+def test_triple_seeded_specs_agree_with_the_oracle():
+    for args in _sweep_triples(5):
+        numeric, estimate = triple_bessel_numeric(*args)
+        assert abs(triple_bessel_weighted(*args) - numeric) <= estimate, args
+
+
+def test_warm_triple_does_no_fraction_or_signed_sqrt_arithmetic(monkeypatch):
+    specs = [(2, 2, 2, 1.0, 2.0, 2.5), (8, 8, 14, 1.0, 1.0, 1.0), (15, 15, 30, 0.3, 0.7, 0.9)]
+    warm = [triple_bessel_weighted(*args) for args in specs]
+    _forbid_exact_arithmetic(monkeypatch)
+    assert [triple_bessel_weighted(*args) for args in specs] == warm
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        (0, 0, 0, 1e-110, 1e-110, 1e-110),  # pi / (4 k1 k2 K) divides by an underflowed 0
-        (2, 2, 2, 1e200, 1e200, 1e200),  # k^2 overflows: delta is nan
-        (0, 0, 0, 1.4e154, 6e153, 1.3e154),  # k1^2 overflows alone: delta is inf
+        (0, 0, 0, 1e-110, 1e-110, 1e-110),  # the value, about 1e330, overflows
+        (2, 2, 2, 1e200, 1e200, 1e200),  # the value, about 1e-600, underflows
+        (0, 0, 0, 1.4e154, 6e153, 1.3e154),  # the value, about 1e-462, underflows
     ],
 )
 def test_triple_out_of_range_momenta_raise_domain_error(args):
     named = re.escape(f"k1={args[3]!r}, k2={args[4]!r}, K={args[5]!r}")
     with pytest.raises(DomainError, match=named):
         triple_bessel_weighted(*args)
+
+
+def test_triple_subnormal_value_raises_domain_error():
+    # pi / (4 k^3) at k = 1e103 is about 8e-310, below the normal floats
+    with pytest.raises(DomainError, match="normal floats"):
+        triple_bessel_weighted(0, 0, 0, 1e103, 1e103, 1e103)
 
 
 def test_triple_scale_covariance():
@@ -965,13 +1052,11 @@ def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
     warm = [evaluate(spec).value for spec in specs]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("exact coupling or Legendre work on the warm path")
+        raise AssertionError("Legendre work on the warm path")
 
-    for method in ("__mul__", "__truediv__", "scaled_by", "to_float"):
-        monkeypatch.setattr(SignedSqrtRational, method, forbidden)
     monkeypatch.setattr(quadbessel, "bform_band_coeffs", forbidden)
     # the Taylor pass and the integer Horner run without Fraction
-    monkeypatch.setattr(quadbessel, "Fraction", forbidden)
+    _forbid_exact_arithmetic(monkeypatch)
     assert [evaluate(spec).value for spec in specs] == warm
 
 
