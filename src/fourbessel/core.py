@@ -88,7 +88,7 @@ class TermEntry:
     value: float
 
 
-@dataclass
+@dataclass(init=False)
 class EvaluationReport:
     """Result of evaluating an IntegralSpec.
 
@@ -100,6 +100,20 @@ class EvaluationReport:
     bridge_L: int
     terms: tuple[TermEntry, ...] | Callable[[], tuple[TermEntry, ...]] = ()
     method: str = "analytic"  # analytic | paired
+
+    # Hand-written so that terms is stored straight into _terms: the generated
+    # __init__ would go through the terms property's setter.
+    def __init__(
+        self,
+        value: float,
+        bridge_L: int,
+        terms: tuple[TermEntry, ...] | Callable[[], tuple[TermEntry, ...]] = (),
+        method: str = "analytic",
+    ) -> None:
+        self.value = value
+        self.bridge_L = bridge_L
+        self._terms = terms
+        self.method = method
 
     def as_dict(self, spec: IntegralSpec) -> dict:
         return {

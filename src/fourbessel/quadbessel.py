@@ -14,9 +14,10 @@ half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
 of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. The polynomial is
 K(t) = t^p0 P(u), u = t^2, stored dense in u. Every later call is a cached
-lookup plus one float Horner over P's coefficients, about centre 0 first
-and, where they cancel, about the nearest of 17 rational centres, and in
-exact integers only where both bounds fail.
+lookup plus one plain float Horner over P's coefficients about centre 0,
+accepted at once when the kernel's stored a-priori rounding bound holds;
+past that, the running bound decides, then a Horner about the nearest of
+17 rational centres, and exact integers only where both bounds fail.
 ``quad_bessel_paired`` reads the same kernel; ``triple_bessel_weighted``
 reads the kernel's exact weights, sums them in integers and rounds once.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -124,15 +125,23 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
 
 
 # Relative rounding bound of evaluate's two float passes, both one Horner
-# (_float_horner) over P's coefficients in w that accepts its value when
+# over P's coefficients in w that accepts its value when
 # (3 D + 2) 2^-53 sum|e_m| |w|^m / |P| is within this. The first pass runs
 # about centre 0 at w = t * t and treats t = k_lo/k_hi as an exact input: its
 # bound leaves out the rounding of t, for which 1e-12 leaves a wide margin
 # below perfbench's failure threshold of 1e-8 (the oracle's default rel_tol).
-# The second runs about the nearest centre at w from the momenta's exact
-# ratio, whose one rounding its bound counts. Past both, Horner is re-run in
-# exact integers.
+# There 0 <= w <= 1, and the bound's float sum is monotone in w, so the
+# kernel's bound at w = 1 (_Kernel.horner_bound) bounds it a priori: the
+# first pass is a plain Horner that computes the running bound
+# (_float_horner) only when the stored one fails. The second runs about the
+# nearest centre at w from the momenta's exact ratio, whose one rounding its
+# bound counts. Past both, Horner is re-run in exact integers.
 _EXACT_HORNER_BOUND = 1e-12
+# evaluate's scale pi / k_hi^3 is taken as it stands when it lies in
+# [_NORMAL_MIN, _SCALE_MAX): pi / x falls as x grows, so there both k_hi^3 and
+# the scale are normal floats.
+_NORMAL_MIN = sys.float_info.min
+_SCALE_MAX = math.pi / _NORMAL_MIN
 # The Taylor pass expands P(u) about the centre j / _CENTRES nearest u, j = 0 .. _CENTRES.
 _CENTRES = 16
 
@@ -227,13 +236,17 @@ class _Kernel(NamedTuple):
 
     The coefficient of u^i in P is kept once, exactly, as the integer
     ``numerators[i]`` over ``common``, a zero as 0; ``floats[i]`` is that
-    numerator / common, correctly rounded.
+    numerator / common, correctly rounded. ``horner_bound`` is
+    ``_float_horner(floats, 1.0)[1]``, the running rounding bound at w = 1.
+    Each float step of that bound, m * |w| + |e|, is monotone in m and |w|,
+    so at any 0 <= w <= 1 the computed bound is at most this one.
     """
 
     p0: int
     numerators: tuple[int, ...]
     common: int
     floats: tuple[float, ...]
+    horner_bound: float
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +291,8 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     if any(numerator[first + 1 : last : 2]):
         raise ArithmeticError("Laurent kernel numerator has powers of t of both parities")
     dense = tuple(numerator[first : last + 1 : 2])
-    return L, _Kernel(first - 1, dense, common, tuple(value / common for value in dense))
+    floats = tuple(value / common for value in dense)
+    return L, _Kernel(first - 1, dense, common, floats, _float_horner(floats, 1.0)[1])
 
 
 @lru_cache(maxsize=None)
@@ -338,24 +352,30 @@ def _horner_exact(kernel: _Kernel, a: int, b: int) -> tuple[int, int]:
     return total * a**p0, den * b**p0
 
 
+def _exact_ratio(k_lo: float, k_hi: float) -> tuple[int, int]:
+    """(a, b) with a / b = k_lo / k_hi exactly, from the two floats' integer ratios."""
+    lo_num, lo_den = k_lo.as_integer_ratio()
+    hi_num, hi_den = k_hi.as_integer_ratio()
+    return lo_num * hi_den, lo_den * hi_num
+
+
 def _kernel_value(
     orders: tuple[int, int, int, int], kernel: _Kernel, k_lo: float, k_hi: float, t: float
 ) -> float:
-    """K(t) at t = k_lo/k_hi <= 1: each pass runs when the one before fails its bound.
+    """K(t) at t = k_lo/k_hi <= 1 where the first pass's a-priori bound fails, or at t = 1.
 
-    First one float Horner over P's own coefficients at w = t * t; then one
-    about the centre j / _CENTRES nearest u = t^2, at w = u - c, one correctly
-    rounded integer division of the momenta's exact ratio a/b; last, the
-    integer Horner, correctly rounded. K(1) = P(1) is the constant of the
-    Taylor basis about u = 1, rounded once.
+    Each pass runs when the one before fails its bound. First one float
+    Horner over P's own coefficients at w = t * t with its running bound;
+    then one about the centre j / _CENTRES nearest u = t^2, at w = u - c, one
+    correctly rounded integer division of the momenta's exact ratio a/b;
+    last, the integer Horner, correctly rounded. K(1) = P(1) is the constant
+    of the Taylor basis about u = 1, rounded once.
     """
     if k_lo == k_hi:
         return _taylor_basis(orders, _CENTRES)[0]
     total, bound = _float_horner(kernel.floats, t * t)
     if bound > _EXACT_HORNER_BOUND * abs(total):
-        lo_num, lo_den = k_lo.as_integer_ratio()
-        hi_num, hi_den = k_hi.as_integer_ratio()
-        a, b = lo_num * hi_den, lo_den * hi_num
+        a, b = _exact_ratio(k_lo, k_hi)
         j = round(t * t * _CENTRES)
         b2 = b * b
         w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
@@ -367,53 +387,84 @@ def _kernel_value(
     return total * t**kernel.p0
 
 
+def _report_terms(kernel: _Kernel, t: float, scale: float, shift: int) -> tuple[TermEntry, ...]:
+    """The Laurent monomials of K at t, each times pi / k_hi^3 = scale * 2^shift."""
+    powers = range(kernel.p0, kernel.p0 + 2 * len(kernel.floats), 2)
+    return tuple(
+        TermEntry({"power": p}, math.ldexp(scale * coeff * t**p, shift))
+        for p, coeff in zip(powers, kernel.floats)
+        if coeff
+    )
+
+
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
     """Value of the integral from the order tuple's cached Laurent kernel.
 
     The first call per order tuple builds the kernel exactly; k1 < k2 reads
     the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
-    integral. Later calls run a float Horner over P's coefficients at
-    u = t^2, t = k_lo/k_hi. When the coefficients' cancellation bound says
-    that result could lose digits, the same Horner runs over P's Taylor
-    coefficients about the nearest centre instead, and an exact integer one
-    when its bound fails too. At k1 = k2 the value is K(1) rounded once, so it
-    is bit-identical for a tuple and its exchange.
+    integral. Later calls run a plain float Horner over P's coefficients at
+    u = t^2, t = k_lo/k_hi, and return it when the kernel's stored a-priori
+    bound holds. Otherwise the running bound decides; when the coefficients'
+    cancellation bound says that result could lose digits, the same Horner
+    runs over P's Taylor coefficients about the nearest centre instead, and
+    an exact integer one when its bound fails too. At k1 = k2 the value is
+    K(1) rounded once, so it is bit-identical for a tuple and its exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.
     Every bridge order is covered, and the kernel is finite at k1 = k2.
     DomainError is raised when the momenta are so far apart or so extreme
-    that the value or an intermediate leaves the float range.
+    that t = k_lo/k_hi or a nonzero value leaves the normal floats; an exact
+    zero is returned as 0.0.
     """
     k1, k2 = spec.k1, spec.k2
-    orders = spec.orders
+    l1, l2, l3, l4 = spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4
     if k1 < k2:
-        l1, l2, l3, l4 = orders
         orders = (l2, l1, l4, l3)
         k_lo, k_hi = k1, k2
     else:
+        orders = (l1, l2, l3, l4)
         k_lo, k_hi = k2, k1
     L, kernel = _laurent_kernel(*orders)
     t = k_lo / k_hi
     try:
-        total = _kernel_value(orders, kernel, k_lo, k_hi, t)
-        scale = math.pi / k_hi**3
-        value = scale * total
+        if k_lo == k_hi:
+            total = _kernel_value(orders, kernel, k_lo, k_hi, t)
+        else:
+            # the first pass, about centre 0 at w = t * t <= 1, where the
+            # stored bound at w = 1 bounds the running one
+            w = t * t
+            total = 0.0
+            for coeff in reversed(kernel.floats):
+                total = total * w + coeff
+            if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
+                total = _kernel_value(orders, kernel, k_lo, k_hi, t)
+            else:
+                total *= t**kernel.p0
     except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
+        total = math.inf
+    try:
+        scale = math.pi / k_hi**3
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if _NORMAL_MIN <= scale < _SCALE_MAX:
+        shift = 0
+        value = scale * total
+    else:
+        # k_hi^3 or pi / k_hi^3 leaves the normal floats where the value need
+        # not: k_hi = m 2^e with m in [0.5, 1), and 2^(-3e) is applied exactly
+        mantissa, exponent = math.frexp(k_hi)
+        scale, shift = math.pi / mantissa**3, -3 * exponent
+        try:
+            value = math.ldexp(scale * total, shift)
+        except OverflowError:
+            value = math.inf
+    if not _NORMAL_MIN <= abs(value) < math.inf and (
+        value or _horner_exact(kernel, *_exact_ratio(k_lo, k_hi))[0]
+    ):
         raise DomainError(
             f"momenta k1={k1!r}, k2={k2!r} are out of range for orders {spec.orders}: "
             "the value or t = k_lo/k_hi leaves the float range"
         )
-
-    def terms():
-        powers = range(kernel.p0, kernel.p0 + 2 * len(kernel.floats), 2)
-        return tuple(
-            TermEntry({"power": p}, scale * coeff * t**p)
-            for p, coeff in zip(powers, kernel.floats)
-            if coeff
-        )
-
-    method = "paired" if spec.is_order_paired() else "analytic"
-    return EvaluationReport(value=value, bridge_L=L, terms=terms, method=method)
+    method = "paired" if l1 == l2 and l3 == l4 else "analytic"
+    return EvaluationReport(value, L, partial(_report_terms, kernel, t, scale, shift), method)

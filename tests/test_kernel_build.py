@@ -18,7 +18,13 @@ import pytest
 from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
 from fourbessel.legendre import bform_band_coeffs
-from fourbessel.quadbessel import _divide_one_minus_u, _Kernel, _laurent_kernel, evaluate
+from fourbessel.quadbessel import (
+    _divide_one_minus_u,
+    _float_horner,
+    _Kernel,
+    _laurent_kernel,
+    evaluate,
+)
 from fourbessel import wigner
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
 
@@ -159,7 +165,8 @@ def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, 
     p0 = min(powers)
     assert all((p - p0) % 2 == 0 for p in powers)
     dense = tuple(powers.get(p, 0) for p in range(p0, max(powers) + 1, 2))
-    return L, _Kernel(p0, dense, common, tuple(float(Fraction(n, common)) for n in dense))
+    floats = tuple(float(Fraction(n, common)) for n in dense)
+    return L, _Kernel(p0, dense, common, floats, _float_horner(floats, 1.0)[1])
 
 
 def _assert_same_kernel(orders) -> bool:

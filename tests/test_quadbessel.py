@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import pickle
@@ -28,6 +29,8 @@ from fourbessel.errors import (
 from fourbessel.oracle import _gauss_rule, quad_bessel_numeric, triple_bessel_numeric
 from fourbessel.quadbessel import (
     _CENTRES,
+    _EXACT_HORNER_BOUND,
+    _Kernel,
     _band_series,
     _divide_one_minus_u,
     _exact_sqrt,
@@ -573,6 +576,57 @@ def test_in_range_extremes_keep_their_bits():
         assert evaluate(IntegralSpec(0, 0, 0, 0, k, k)).value == math.pi / k**3 * 0.25
 
 
+@pytest.mark.parametrize(
+    "orders, k1, k2",
+    [
+        # pi / k_hi^3 overflows or underflows while the value is a normal float
+        ((0, 1, 2, 1), 1e110, 1e-100),
+        ((1, 0, 1, 2), 1e-100, 1e110),
+        ((0, 0, 4, 4), 1e-104, 1e-110),
+        # pi / k_hi^3 is subnormal, next to the edge of the plain path
+        ((0, 1, 2, 1), 5.4e102, 1e-100),
+    ],
+)
+def test_values_whose_scale_leaves_the_float_range_are_answered(orders, k1, k2):
+    # (0, 1, 2, 1) at k1 >> k2 is -pi / (12 k1^2 k2) up to a relative t^2
+    value = evaluate(IntegralSpec(*orders, k1, k2)).value
+    kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+    exact = _reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi)) / Fraction(k_hi) ** 3
+    assert value == pytest.approx(math.pi * float(exact), rel=1e-15), (orders, k1, k2)
+    if orders == (0, 1, 2, 1):
+        assert value == pytest.approx(-math.pi / (12 * k1**2 * k2), rel=1e-15)
+
+
+def test_scaled_report_terms_sum_to_the_value():
+    # pi / k_hi^3 is about 3e312; the terms are scaled through the exponent too
+    report = evaluate(IntegralSpec(1, 1, 4, 4, 1e-104, 1e-106))
+    assert [term.indices for term in report.terms] == [{"power": 2}, {"power": 4}]
+    assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "orders, k1, k2",
+    [
+        ((1, 0, 1, 2), 1e100, 1e-100),  # about 5e-452
+        ((1, 0, 1, 2), 1e63, 1e-63),  # about 5e-317, subnormal
+        ((0, 0, 4, 4), 1.0, 1e-120),  # t^3 underflows to 0
+        ((0, 0, 0, 0), 1e300, 1e300),  # the scaled path underflows
+    ],
+)
+def test_underflowing_values_raise_domain_error(orders, k1, k2):
+    with pytest.raises(DomainError, match="float range"):
+        evaluate(IntegralSpec(*orders, k1, k2))
+
+
+def test_exact_zero_is_returned_at_extreme_momenta(monkeypatch):
+    # no kernel of {0..4}^4 vanishes at k1 = k2, so the zero kernel is put in;
+    # k1 != k2, since k1 = k2 reads the cached Taylor basis of the true kernel
+    zero = _Kernel(0, (0,), 1, (0.0,), 0.0)
+    monkeypatch.setattr(quadbessel, "_laurent_kernel", lambda *orders: (1, zero))
+    for k1, k2 in ((1.0, 2.0), (1e100, 1e-100), (3e300, 1e300), (1e-300, 2e-300)):
+        assert evaluate(IntegralSpec(1, 0, 1, 2, k1, k2)).value == 0.0
+
+
 def test_quad_no_valid_bridge():
     with pytest.raises(NoValidBridge):
         evaluate(IntegralSpec(0, 0, 0, 1, 1.0, 2.0))
@@ -982,6 +1036,101 @@ def test_shifted_bound_is_an_a_posteriori_bound():
     assert taken == 172
 
 
+def test_stored_bound_dominates_the_running_bound():
+    # the first pass runs at 0 <= w <= 1, where the running bound's float sum
+    # is monotone in w: the kernel's bound at w = 1 is never exceeded
+    from test_kernel_build import HIGH_BRIDGE_TUPLES
+
+    rng = random.Random("a-priori-bound")
+    points = [0.0, 2.0**-1074, 1.0 - 2.0**-53, 1.0]
+    points += [rng.random() for _ in range(40)] + [2.0 ** rng.uniform(-1074, 0) for _ in range(10)]
+    tuples = [*_bridge_valid_tuples(6), *(orders for orders, _ in HIGH_BRIDGE_TUPLES)]
+    checked = 0
+    for l1, l2, l3, l4 in tuples:
+        for orders in ((l1, l2, l3, l4), (l2, l1, l4, l3)):
+            kernel = _laurent_kernel(*orders)[1]
+            assert kernel.horner_bound == _float_horner(kernel.floats, 1.0)[1]
+            for w in points:
+                assert _float_horner(kernel.floats, w)[1] <= kernel.horner_bound, (orders, w)
+                checked += 1
+    assert checked == (1017 + 7) * 2 * 54
+
+
+def _two_pass_value(orders, k1, k2):
+    """evaluate's value with the running bound computed on every first pass, as it was before."""
+    kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+    read = _orders_read(orders, k1, k2)
+    t = k_lo / k_hi
+    if k_lo == k_hi:
+        return math.pi / k_hi**3 * _taylor_basis(read, _CENTRES)[0]
+    total, bound = _float_horner(kernel.floats, t * t)
+    if bound > _EXACT_HORNER_BOUND * abs(total):
+        lo_num, lo_den = k_lo.as_integer_ratio()
+        hi_num, hi_den = k_hi.as_integer_ratio()
+        a, b = lo_num * hi_den, lo_den * hi_num
+        j = round(t * t * _CENTRES)
+        w = (_CENTRES * a * a - j * b * b) / (_CENTRES * b * b)
+        total, bound = _float_horner(_taylor_basis(read, j), w)
+        if bound > _EXACT_HORNER_BOUND * abs(total):
+            num, den = _horner_exact(kernel, a, b)
+            return math.pi / k_hi**3 * (num / den)
+    return math.pi / k_hi**3 * (total * t**kernel.p0)
+
+
+def test_a_priori_accept_returns_the_two_pass_bits():
+    # every bridge-valid tuple of {0..4}^4 and the eval-kgrid tuples, at
+    # separated, exchanged, equal and near-equal momenta: the value's bits
+    # are those of the two-pass evaluation, on both sides of the stored bound
+    from test_kernel_build import EVAL_KGRID_TUPLES
+
+    momenta = [(1.0, 3.0), (3.0, 1.0), (2.0, 2.0), (0.7, 0.3)]
+    momenta += [(1.0, 1.0 + sign * 10.0**-u) for u in range(1, 16) for sign in (1, -1)]
+    momenta += [(1.1, 1.0), (1.0, 1.1)]
+    compared = a_priori = running = 0
+    for orders in [*_bridge_valid_tuples(4), *EVAL_KGRID_TUPLES]:
+        for k1, k2 in momenta:
+            value = evaluate(IntegralSpec(*orders, k1, k2)).value
+            assert value.hex() == _two_pass_value(orders, k1, k2).hex(), (orders, k1, k2)
+            kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            if k_lo != k_hi:
+                t = k_lo / k_hi
+                total = _float_horner(kernel.floats, t * t)[0]
+                if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
+                    running += 1
+                else:
+                    a_priori += 1
+            compared += 1
+    assert compared == (269 + 15) * 36
+    # the 284 equal pairs run no first pass
+    assert (a_priori, running) == (9664, 276)
+
+
+def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
+    spec = IntegralSpec(1, 0, 1, 2, 1.0, 2.0)
+    warm = evaluate(spec).value
+
+    def forbidden(*args):
+        raise AssertionError("running bound on an a-priori accept")
+
+    monkeypatch.setattr(quadbessel, "_float_horner", forbidden)
+    assert evaluate(spec).value == warm
+
+
+def test_cancelling_spec_still_reaches_the_taylor_pass(monkeypatch):
+    # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, the running
+    # bound fails too, and the Taylor basis about u = 13/16 answers
+    spec = IntegralSpec(13, 4, 11, 2, 1.1, 1.0)
+    warm = evaluate(spec).value
+    centres = []
+    monkeypatch.setattr(
+        quadbessel,
+        "_taylor_basis",
+        lambda orders, j: centres.append(j) or _taylor_basis(orders, j),
+    )
+    assert evaluate(spec).value == warm
+    assert centres == [13]
+
+
 def test_taylor_basis_is_rounded_once_on_wide_kernels():
     # the Taylor denominators of {0..4}^4 fit in under 60 bits; these two
     # eval-kgrid kernels pass 90, where rounding the integers before dividing
@@ -1115,6 +1264,28 @@ def test_report_with_given_terms_round_trips():
     assert EvaluationReport(0.0, 0).terms == ()
     lazy = evaluate(spec)
     assert lazy == EvaluationReport(lazy.value, lazy.bridge_L, tuple(lazy.terms), "analytic")
+
+
+def test_report_construction_is_that_of_the_generated_init():
+    fields = dataclasses.fields(EvaluationReport)
+    assert [(f.name, f.default) for f in fields] == [
+        ("value", dataclasses.MISSING), ("bridge_L", dataclasses.MISSING),
+        ("terms", ()), ("method", "analytic"),
+    ]
+    assert list(inspect.signature(EvaluationReport).parameters) == [
+        "value", "bridge_L", "terms", "method"
+    ]
+    terms = (TermEntry({"power": 0}, 0.5),)
+    by_keyword = EvaluationReport(value=0.5, bridge_L=2, terms=terms, method="paired")
+    by_position = EvaluationReport(0.5, 2, terms, "paired")
+    assert by_keyword == by_position and by_keyword.terms is terms
+    assert vars(by_position) == {"value": 0.5, "bridge_L": 2, "_terms": terms, "method": "paired"}
+    default = EvaluationReport(0.5, 2)
+    assert (default.terms, default.method) == ((), "analytic")
+    replaced = dataclasses.replace(EvaluationReport(0.5, 2, lambda: terms), value=0.25)
+    assert replaced == EvaluationReport(0.25, 2, terms, "analytic")
+    with pytest.raises(TypeError, match="bridge_L"):
+        EvaluationReport(0.5)
 
 
 RETIRED_NAMES = (
