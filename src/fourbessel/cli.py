@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -71,13 +70,6 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
@@ -137,14 +129,12 @@ def quad_bessel_numeric(spec: IntegralSpec, config=None) -> tuple[float, float]:
 
 
 def _quadrature_config(args):
-    """The oracle's QuadratureConfig from the flags given; each flag's dest is its field's name."""
+    """The oracle's QuadratureConfig, with ``--rel-tol`` when it is given."""
     from .oracle import QuadratureConfig
 
-    return QuadratureConfig(**{
-        field.name: value
-        for field in fields(QuadratureConfig)
-        if (value := getattr(args, field.name, None)) is not None
-    })
+    if args.rel_tol is None:
+        return QuadratureConfig()
+    return QuadratureConfig(rel_tol=args.rel_tol)
 
 
 def _relative_discrepancy(value: float, reference: float) -> float:
@@ -344,22 +334,12 @@ def _cmd_wigner_6j(args) -> int:
 
 
 def _cmd_legendre_p(args) -> int:
-    try:
-        value = legendre_p(args.l, args.x)
-    except DomainError as exc:
-        print(f"legendre p: {exc}", file=sys.stderr)
-        return 64
-    print(repr(value))
+    print(repr(legendre_p(args.l, args.x)))
     return 0
 
 
 def _cmd_legendre_assoc(args) -> int:
-    try:
-        value = assoc_legendre_gt1(args.l, args.m, args.x)
-    except DomainError as exc:
-        print(f"legendre assoc: {exc}", file=sys.stderr)
-        return 64
-    print(repr(value))
+    print(repr(assoc_legendre_gt1(args.l, args.m, args.x)))
     return 0
 
 
@@ -407,12 +387,9 @@ def _add_orders_and_momenta(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k2", type=_positive_float, required=True, help="second momentum")
 
 
-def _add_quadrature_flags(parser: argparse.ArgumentParser, full: bool = False) -> None:
+def _add_quadrature_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rel-tol", type=_positive_float, default=None,
                         help="oracle target relative tolerance (default 1e-8)")
-    if full:
-        parser.add_argument("--panels-per-period", type=_positive_int, default=None,
-                            help="head panels per oscillation period (default 4)")
 
 
 @lru_cache(maxsize=1)
@@ -468,7 +445,7 @@ def build_parser() -> _Parser:
     orc_kinds = orc.add_subparsers(dest="kind", required=True, parser_class=_Parser)
     cmd = orc_kinds.add_parser("quad", help="four-Bessel integrand")
     _add_orders_and_momenta(cmd)
-    _add_quadrature_flags(cmd, full=True)
+    _add_quadrature_flags(cmd)
     cmd.set_defaults(handler=_cmd_oracle_quad)
     cmd = orc_kinds.add_parser("triple", help="weighted triple-Bessel integrand")
     cmd.add_argument("--l1", type=_nonnegative_int, required=True)
@@ -477,7 +454,7 @@ def build_parser() -> _Parser:
     cmd.add_argument("--k1", type=_positive_float, required=True)
     cmd.add_argument("--k2", type=_positive_float, required=True)
     cmd.add_argument("--K", type=_positive_float, required=True)
-    _add_quadrature_flags(cmd, full=True)
+    _add_quadrature_flags(cmd)
     cmd.set_defaults(handler=_cmd_oracle_triple)
 
     return parser

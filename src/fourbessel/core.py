@@ -75,10 +75,6 @@ class IntegralSpec:
     def orders(self) -> tuple[int, int, int, int]:
         return (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
 
-    def is_order_paired(self) -> bool:
-        """True when the compact paired closed form applies (l2=l1, l4=l3)."""
-        return self.lambda2 == self.lambda1 and self.lambda4 == self.lambda3
-
 
 @dataclass(frozen=True)
 class TermEntry:

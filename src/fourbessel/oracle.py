@@ -73,6 +73,9 @@ _LENTZ_STEPS = 2000
 # rounding bound is at most _TAIL_CONDITION * rel_tol * |tail|
 _RUNGS = tuple(2.0**j for j in range(1, 13))
 _TAIL_CONDITION = 1e-3
+# Head Gauss panels per period of the fastest oscillation. The head's error
+# estimate is almost all rounding bound, so a denser grid certifies no more.
+_PANELS_PER_PERIOD = 4
 # Head panels per block: 512 panels of 20 nodes keep each temporary at 80 kB.
 _HEAD_BLOCK_PANELS = 512
 # Miller's recurrence scales a point by 2^-600 once it passes 2^600, which
@@ -82,21 +85,15 @@ _MILLER_LIMIT = 2.0**600
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls for the numerical oracle: the relative tolerance it certifies,
-    and the head's Gauss panels per period of its fastest oscillation."""
+    """Controls for the numerical oracle: the relative tolerance it certifies."""
 
     rel_tol: float = 1e-8
-    panels_per_period: int = 4
 
     def __post_init__(self) -> None:
         # an infinite tolerance would certify anything; a bool is no tolerance
         real = isinstance(self.rel_tol, (int, float)) and not isinstance(self.rel_tol, bool)
         if not (real and 0 < self.rel_tol < math.inf):
             raise DomainError(f"rel_tol must be a finite number > 0, got {self.rel_tol!r}")
-        if not (isinstance(self.panels_per_period, int) and self.panels_per_period >= 2):
-            raise DomainError(
-                f"panels_per_period must be an int >= 2, got {self.panels_per_period!r}"
-            )
 
 
 # --------------------------------------------------------------------------
@@ -653,7 +650,7 @@ class _TooManyPanels(Exception):
     """The head needs more panels than can be laid out or allocated."""
 
 
-def _head_grid(factors, radius: float, omega_max: float, panels_per_period: int) -> tuple[int, float]:
+def _head_grid(factors, radius: float, omega_max: float) -> tuple[int, float]:
     """(n_panels, width) of a head over about [0, radius], sized to the fastest oscillation.
 
     The width keeps only the bits that leave room for the panel index, so
@@ -662,7 +659,7 @@ def _head_grid(factors, radius: float, omega_max: float, panels_per_period: int)
     for _, k in factors:
         if not math.isfinite(k * radius):
             raise DomainError(f"head argument k*r = {k!r}*{radius!r} is not finite")
-    n_panels = max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * panels_per_period
+    n_panels = max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * _PANELS_PER_PERIOD
     bits = 53 - (2 * n_panels).bit_length()
     if bits < 1:
         raise _TooManyPanels
@@ -745,7 +742,7 @@ def _choose_split(components, factors, momenta, omega_max, cfg) -> tuple[int, fl
     """
     k_min = min(momenta)
     for rung in _RUNGS:
-        n_panels, width = _head_grid(factors, rung / k_min, omega_max, cfg.panels_per_period)
+        n_panels, width = _head_grid(factors, rung / k_min, omega_max)
         tail, bound = _integrate_tail(components, momenta, n_panels * width)
         if bound <= _TAIL_CONDITION * cfg.rel_tol * abs(tail):
             return n_panels, width, tail, bound
@@ -773,7 +770,7 @@ def _integrate(slots, momenta, char_momenta, cfg: QuadratureConfig) -> tuple[flo
     factors = [(n, scaled[slot]) for n, slot in slots]
     omega_max = math.fsum(k for _, k in factors)
     try:
-        _head_grid(factors, _RUNGS[0] / min(scaled), omega_max, cfg.panels_per_period)
+        _head_grid(factors, _RUNGS[0] / min(scaled), omega_max)
         with np.errstate(over="raise"):
             components = _decompose_weighted_product(slots, scaled)
             n_panels, width, tail, tail_err = _choose_split(components, factors, scaled, omega_max, cfg)
@@ -794,7 +791,7 @@ def _integrate(slots, momenta, char_momenta, cfg: QuadratureConfig) -> tuple[flo
     if estimate > cfg.rel_tol * max(abs(value), char_scale):
         raise NoConvergence(
             f"error estimate {estimate:.3e} exceeds rel_tol={cfg.rel_tol:.1e} "
-            f"at value {value:.6e}; increase panels_per_period or rel_tol",
+            f"at value {value:.6e}; increase rel_tol",
             value=value,
             error_estimate=estimate,
         )

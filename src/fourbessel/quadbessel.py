@@ -15,9 +15,9 @@ a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
 of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. The polynomial is
 K(t) = t^p0 P(u), u = t^2, stored dense in u. Every later call is a cached
 lookup plus one plain float Horner over P's coefficients about centre 0,
-accepted at once when the kernel's stored a-priori rounding bound holds;
-past that, the running bound decides, then a Horner about the nearest of
-17 rational centres, and exact integers only where both bounds fail.
+accepted when the kernel's stored a-priori rounding bound holds; past that,
+a Horner about the nearest of 17 rational centres, and exact integers only
+where its bound fails too.
 ``quad_bessel_paired`` reads the same kernel; ``triple_bessel_weighted``
 reads the kernel's exact weights, sums them in integers and rounds once.
 """
@@ -132,10 +132,10 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
 # below perfbench's failure threshold of 1e-8 (the oracle's default rel_tol).
 # There 0 <= w <= 1, and the bound's float sum is monotone in w, so the
 # kernel's bound at w = 1 (_Kernel.horner_bound) bounds it a priori: the
-# first pass is a plain Horner that computes the running bound
-# (_float_horner) only when the stored one fails. The second runs about the
-# nearest centre at w from the momenta's exact ratio, whose one rounding its
-# bound counts. Past both, Horner is re-run in exact integers.
+# first pass is a plain Horner, and where the stored bound fails the Taylor
+# pass runs. That one runs about the nearest centre at w from the momenta's
+# exact ratio, whose one rounding its running bound (_float_horner) counts.
+# Past both, Horner is re-run in exact integers.
 _EXACT_HORNER_BOUND = 1e-12
 # evaluate's scale pi / k_hi^3 is taken as it stands when it lies in
 # [_NORMAL_MIN, _SCALE_MAX): pi / x falls as x grows, so there both k_hi^3 and
@@ -362,28 +362,22 @@ def _exact_ratio(k_lo: float, k_hi: float) -> tuple[int, int]:
 def _kernel_value(
     orders: tuple[int, int, int, int], kernel: _Kernel, k_lo: float, k_hi: float, t: float
 ) -> float:
-    """K(t) at t = k_lo/k_hi <= 1 where the first pass's a-priori bound fails, or at t = 1.
+    """K(t) at t = k_lo/k_hi < 1 where the first pass's a-priori bound fails.
 
-    Each pass runs when the one before fails its bound. First one float
-    Horner over P's own coefficients at w = t * t with its running bound;
-    then one about the centre j / _CENTRES nearest u = t^2, at w = u - c, one
-    correctly rounded integer division of the momenta's exact ratio a/b;
-    last, the integer Horner, correctly rounded. K(1) = P(1) is the constant
-    of the Taylor basis about u = 1, rounded once.
+    One float Horner about the centre j / _CENTRES nearest u = t^2, at
+    w = u - c, one correctly rounded integer division of the momenta's exact
+    ratio a/b; where its running bound fails too, the integer Horner,
+    correctly rounded.
     """
-    if k_lo == k_hi:
-        return _taylor_basis(orders, _CENTRES)[0]
-    total, bound = _float_horner(kernel.floats, t * t)
+    a, b = _exact_ratio(k_lo, k_hi)
+    j = round(t * t * _CENTRES)
+    b2 = b * b
+    w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
+    total, bound = _float_horner(_taylor_basis(orders, j), w)
     if bound > _EXACT_HORNER_BOUND * abs(total):
-        a, b = _exact_ratio(k_lo, k_hi)
-        j = round(t * t * _CENTRES)
-        b2 = b * b
-        w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
-        total, bound = _float_horner(_taylor_basis(orders, j), w)
-        if bound > _EXACT_HORNER_BOUND * abs(total):
-            num, den = _horner_exact(kernel, a, b)
-            # int / int is correctly rounded, as float(Fraction(num, den)) is
-            return num / den
+        num, den = _horner_exact(kernel, a, b)
+        # int / int is correctly rounded, as float(Fraction(num, den)) is
+        return num / den
     return total * t**kernel.p0
 
 
@@ -404,11 +398,11 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
     integral. Later calls run a plain float Horner over P's coefficients at
     u = t^2, t = k_lo/k_hi, and return it when the kernel's stored a-priori
-    bound holds. Otherwise the running bound decides; when the coefficients'
-    cancellation bound says that result could lose digits, the same Horner
-    runs over P's Taylor coefficients about the nearest centre instead, and
-    an exact integer one when its bound fails too. At k1 = k2 the value is
-    K(1) rounded once, so it is bit-identical for a tuple and its exchange.
+    bound holds. Otherwise the same Horner runs over P's Taylor coefficients
+    about the nearest centre instead, and an exact integer one when its
+    running bound fails too. At k1 = k2 the value is K(1) = P(1), the
+    constant of the Taylor basis about u = 1, rounded once, so it is
+    bit-identical for a tuple and its exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.
@@ -429,7 +423,7 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     t = k_lo / k_hi
     try:
         if k_lo == k_hi:
-            total = _kernel_value(orders, kernel, k_lo, k_hi, t)
+            total = _taylor_basis(orders, _CENTRES)[0]
         else:
             # the first pass, about centre 0 at w = t * t <= 1, where the
             # stored bound at w = 1 bounds the running one

@@ -497,8 +497,15 @@ def test_legendre_subcommands():
     assert decimal_form.stdout == assoc.stdout
     plain = run_cli("legendre", "p", "--l", "2", "--x", "-0.5")
     assert float(plain.stdout) == pytest.approx(-0.125, abs=1e-15)
-    assert run_cli("legendre", "assoc", "--l", "0", "--m", "-1/2", "--x", "0.5").returncode == 64
-    assert run_cli("legendre", "p", "--l", "2", "--x", "1.5").returncode == 64
+    # a value outside the domain is a usage error, reported by main as for eval
+    for argv, message in (
+        (("assoc", "--l", "0", "--m", "-1/2", "--x", "0.5"), "must be > 1, got 0.5"),
+        (("p", "--l", "2", "--x", "1.5"), "must lie in [-1, 1], got 1.5"),
+    ):
+        result = run_cli("legendre", *argv)
+        assert result.returncode == 64, argv
+        assert result.stderr.startswith("fourbessel: error: ") and message in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
     assert run_cli("legendre", "assoc", "--l", "0", "--m", "1/3", "--x", "2").returncode == 0
 
 
@@ -546,19 +553,13 @@ def test_oracle_unallocatable_head_exit_64():
 
 def test_oracle_config_flags_round_trip():
     tight = run_cli("oracle", "quad", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
-                    "--k1", "1", "--k2", "2", "--rel-tol", "1e-9", "--panels-per-period", "5")
+                    "--k1", "1", "--k2", "2", "--rel-tol", "1e-9")
     assert tight.returncode == 0
     assert json.loads(tight.stdout)["value"] == pytest.approx(0.071994831644766095, rel=1e-7)
-    assert run_cli("oracle", "quad", "--l1", "0", "--l2", "0", "--l3", "0", "--l4", "0",
-                   "--k1", "1", "--k2", "2", "--panels-per-period", "1").returncode == 64
-    # each flag reaches its field; a flag left out keeps the field's default
+    # --rel-tol reaches its field; left out, the field keeps its default
     base = ["oracle", "quad", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
             "--k1", "1", "--k2", "2"]
     parser = cli.build_parser()
-    flags = ["--rel-tol", "1e-9", "--panels-per-period", "5"]
-    assert cli._quadrature_config(parser.parse_args(base + flags)) == QuadratureConfig(
-        rel_tol=1e-9, panels_per_period=5
-    )
     assert cli._quadrature_config(parser.parse_args(base)) == QuadratureConfig()
     assert cli._quadrature_config(parser.parse_args(base + ["--rel-tol", "1e-9"])) == (
         QuadratureConfig(rel_tol=1e-9)
@@ -570,9 +571,17 @@ def test_oracle_config_flags_round_trip():
         result = run_cli(*argv, "--rel-tol", "inf")
         assert result.returncode == 64, argv
         assert "rel_tol" in result.stderr and result.stdout == ""
-    # the truncation radius and the averaging depth are gone, flags and fields
-    for gone in (["--max-radius", "3000"], ["--acceleration-depth", "8"]):
-        result = run_cli(*base, *gone)
+    # the truncation radius, the averaging depth and the head's panel density
+    # are gone, flags and fields
+    triple = ["oracle", "triple", "--l1", "1", "--l2", "1", "--L", "0",
+              "--k1", "1", "--k2", "1", "--K", "1"]
+    for argv, gone in (
+        (base, ["--max-radius", "3000"]),
+        (base, ["--acceleration-depth", "8"]),
+        (base, ["--panels-per-period", "5"]),
+        (triple, ["--panels-per-period", "5"]),
+    ):
+        result = run_cli(*argv, *gone)
         assert result.returncode == 64, gone
         assert "unrecognized arguments" in result.stderr and result.stdout == ""
 

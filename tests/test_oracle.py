@@ -339,21 +339,27 @@ def test_oracle_equal_momentum_grid_matches_paired_path():
 def test_oracle_self_consistent_under_config_changes(monkeypatch):
     spec = IntegralSpec(2, 1, 1, 2, 1.0, 2.0)
     heads = []
+    panels = []
     head_integral = oracle._head_integral
 
     def recording(factors, n_panels, width):
         heads.append(n_panels * width)
+        panels.append(n_panels)
         return head_integral(factors, n_panels, width)
 
     monkeypatch.setattr(oracle, "_head_integral", recording)
     base, base_err = quad_bessel_numeric(spec)
     tight, tight_err = quad_bessel_numeric(spec, QuadratureConfig(rel_tol=1e-10))
-    denser, denser_err = quad_bessel_numeric(spec, QuadratureConfig(panels_per_period=7))
+    monkeypatch.setattr(oracle, "_PANELS_PER_PERIOD", 7)
+    denser, denser_err = quad_bessel_numeric(spec)
+    monkeypatch.setattr(oracle, "_PANELS_PER_PERIOD", 4)
     # a split radius forced to k_min R = 64, past the former fixed one
     monkeypatch.setattr(oracle, "_RUNGS", (64.0,))
     longer, longer_err = quad_bessel_numeric(spec)
     # the oracle scales the momenta to (0.5, 1.0), so k_min R = R / 2
     assert heads[0] / 2 <= 8.0 and heads[-1] / 2 == pytest.approx(64.0, rel=1e-12)
+    # the denser head is 7/4 as fine over the same split radius
+    assert heads[2] == pytest.approx(heads[0], rel=1e-12) and 4 * panels[2] == 7 * panels[0]
     assert tight == pytest.approx(base, abs=10 * (base_err + tight_err))
     assert denser == pytest.approx(base, abs=10 * (base_err + denser_err))
     assert longer == pytest.approx(base, abs=10 * (base_err + longer_err) + 1e-12)
@@ -386,20 +392,31 @@ def test_quadrature_config_validation():
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=bad)
     assert QuadratureConfig(rel_tol=1).rel_tol == 1
-    with pytest.raises(DomainError):
-        QuadratureConfig(panels_per_period=1)
-    with pytest.raises(DomainError):
-        QuadratureConfig(panels_per_period=4.0)
-    assert QuadratureConfig() == QuadratureConfig(1e-8, 4)
+    assert QuadratureConfig() == QuadratureConfig(1e-8)
     # the split radius is chosen by conditioning and the tails are exact:
-    # the truncation radius and the averaging depth are gone
-    assert [field.name for field in dataclasses.fields(QuadratureConfig)] == [
-        "rel_tol",
-        "panels_per_period",
-    ]
-    for gone in ("max_radius", "acceleration_depth"):
+    # the truncation radius and the averaging depth are gone, and the head's
+    # panel density is a module constant, since a denser head certifies no more
+    assert [field.name for field in dataclasses.fields(QuadratureConfig)] == ["rel_tol"]
+    for gone in ("max_radius", "acceleration_depth", "panels_per_period"):
         with pytest.raises(TypeError):
             QuadratureConfig(**{gone: 1})
+
+
+def test_estimate_failure_names_only_rel_tol(monkeypatch):
+    # a head estimate past rel_tol of the value: rel_tol is the one setting
+    # that can change the outcome, so the message advises nothing else
+    spec = IntegralSpec(1, 1, 1, 1, 1.0, 2.0)
+    value, _ = quad_bessel_numeric(spec)
+    head_integral = oracle._head_integral
+    monkeypatch.setattr(
+        oracle, "_head_integral", lambda *args: (head_integral(*args)[0], 1e-3 * value)
+    )
+    with pytest.raises(NoConvergence) as caught:
+        quad_bessel_numeric(spec)
+    message = str(caught.value)
+    assert "error estimate" in message and "rel_tol" in message
+    assert "panel" not in message
+    assert caught.value.value == value and caught.value.error_estimate > 1e-8 * value
 
 
 @settings(deadline=None, max_examples=25)
@@ -779,7 +796,7 @@ def _head_arguments(orders, momenta):
     lam = max(orders)
     radius = (40.0 + 0.5 * lam * (lam + 1)) / min(momenta)
     omega_max = math.fsum(k for _, k in factors)
-    return (factors, *oracle._head_grid(factors, radius, omega_max, 4))
+    return (factors, *oracle._head_grid(factors, radius, omega_max))
 
 
 def _momentum_groups(orders, momenta):

@@ -1057,7 +1057,11 @@ def test_stored_bound_dominates_the_running_bound():
 
 
 def _two_pass_value(orders, k1, k2):
-    """evaluate's value with the running bound computed on every first pass, as it was before."""
+    """The value with the first pass gated by its running bound, then the Taylor pass.
+
+    Where the stored bound holds, so does the running one, and evaluate's
+    value is this one.
+    """
     kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
     read = _orders_read(orders, k1, k2)
     t = k_lo / k_hi
@@ -1065,44 +1069,58 @@ def _two_pass_value(orders, k1, k2):
         return math.pi / k_hi**3 * _taylor_basis(read, _CENTRES)[0]
     total, bound = _float_horner(kernel.floats, t * t)
     if bound > _EXACT_HORNER_BOUND * abs(total):
+        return _taylor_pass_value(orders, k1, k2)
+    return math.pi / k_hi**3 * (total * t**kernel.p0)
+
+
+def _taylor_pass_value(orders, k1, k2):
+    """evaluate's value past the stored bound: the Taylor pass, or exact integers where it fails.
+
+    Each checks itself against _reference_horner_exact at the momenta's exact
+    ratio: the Taylor pass's P(u) lies within its running bound, and the
+    integer Horner's K(t) is the exact value correctly rounded.
+    """
+    kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+    p0, total, bound, exact = _shifted_pass(orders, k1, k2)
+    if bound > _EXACT_HORNER_BOUND * abs(total):
         lo_num, lo_den = k_lo.as_integer_ratio()
         hi_num, hi_den = k_hi.as_integer_ratio()
-        a, b = lo_num * hi_den, lo_den * hi_num
-        j = round(t * t * _CENTRES)
-        w = (_CENTRES * a * a - j * b * b) / (_CENTRES * b * b)
-        total, bound = _float_horner(_taylor_basis(read, j), w)
-        if bound > _EXACT_HORNER_BOUND * abs(total):
-            num, den = _horner_exact(kernel, a, b)
-            return math.pi / k_hi**3 * (num / den)
-    return math.pi / k_hi**3 * (total * t**kernel.p0)
+        num, den = _horner_exact(kernel, lo_num * hi_den, lo_den * hi_num)
+        assert num / den == float(_reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi)))
+        return math.pi / k_hi**3 * (num / den)
+    assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
+    return math.pi / k_hi**3 * (total * (k_lo / k_hi) ** p0)
 
 
 def test_a_priori_accept_returns_the_two_pass_bits():
     # every bridge-valid tuple of {0..4}^4 and the eval-kgrid tuples, at
-    # separated, exchanged, equal and near-equal momenta: the value's bits
-    # are those of the two-pass evaluation, on both sides of the stored bound
+    # separated, exchanged, equal and near-equal momenta: where the stored
+    # bound holds, the value's bits are those of the two-pass evaluation;
+    # where it fails, the Taylor pass answers at once, within its bound
     from test_kernel_build import EVAL_KGRID_TUPLES
 
     momenta = [(1.0, 3.0), (3.0, 1.0), (2.0, 2.0), (0.7, 0.3)]
     momenta += [(1.0, 1.0 + sign * 10.0**-u) for u in range(1, 16) for sign in (1, -1)]
     momenta += [(1.1, 1.0), (1.0, 1.1)]
-    compared = a_priori = running = 0
+    compared = a_priori = stored_fails = 0
     for orders in [*_bridge_valid_tuples(4), *EVAL_KGRID_TUPLES]:
         for k1, k2 in momenta:
             value = evaluate(IntegralSpec(*orders, k1, k2)).value
-            assert value.hex() == _two_pass_value(orders, k1, k2).hex(), (orders, k1, k2)
             kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            expected = _two_pass_value(orders, k1, k2)
             if k_lo != k_hi:
                 t = k_lo / k_hi
                 total = _float_horner(kernel.floats, t * t)[0]
                 if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
-                    running += 1
+                    stored_fails += 1
+                    expected = _taylor_pass_value(orders, k1, k2)
                 else:
                     a_priori += 1
+            assert value.hex() == expected.hex(), (orders, k1, k2)
             compared += 1
     assert compared == (269 + 15) * 36
     # the 284 equal pairs run no first pass
-    assert (a_priori, running) == (9664, 276)
+    assert (a_priori, stored_fails) == (9664, 276)
 
 
 def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
@@ -1117,18 +1135,26 @@ def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
 
 
 def test_cancelling_spec_still_reaches_the_taylor_pass(monkeypatch):
-    # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, the running
-    # bound fails too, and the Taylor basis about u = 13/16 answers
+    # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, and the
+    # Taylor basis about u = 13/16 answers, with the only running bound: the
+    # first pass's Horner is not run a second time
     spec = IntegralSpec(13, 4, 11, 2, 1.1, 1.0)
     warm = evaluate(spec).value
     centres = []
+    bounded = []
     monkeypatch.setattr(
         quadbessel,
         "_taylor_basis",
         lambda orders, j: centres.append(j) or _taylor_basis(orders, j),
     )
+    monkeypatch.setattr(
+        quadbessel,
+        "_float_horner",
+        lambda coeffs, w: bounded.append(coeffs) or _float_horner(coeffs, w),
+    )
     assert evaluate(spec).value == warm
     assert centres == [13]
+    assert bounded == [_taylor_basis((13, 4, 11, 2), 13)]
 
 
 def test_taylor_basis_is_rounded_once_on_wide_kernels():
