@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import os
@@ -48,6 +49,7 @@ _BATCH_COLUMNS = [
 _K1_COLUMN = _BATCH_COLUMNS.index("k1")
 _K2_COLUMN = _BATCH_COLUMNS.index("k2")
 _DISCREPANCY_COLUMN = _BATCH_COLUMNS.index("discrepancy")
+_CSV_HEADER = ",".join(_BATCH_COLUMNS) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -257,12 +259,46 @@ def _evaluate_row(spec: IntegralSpec, mode: str, config) -> tuple[list, bool]:
     return row, failed
 
 
+def _csv_text(text: str) -> str:
+    """A free-text CSV field, quoted by csv itself when it holds a special character."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text])
+        return buffer.getvalue()[:-1]
+    return text
+
+
+def _csv_line(row: list) -> str:
+    """One batch row as a CSV line, byte for byte what
+    ``csv.writer(..., lineterminator="\\n").writerow(row)`` writes.
+
+    The schema is fixed: the orders and L are ints, ``method`` is a word that
+    needs no quoting, each float is written as its repr and None as an empty
+    field, so only ``error`` can need quoting. ``k1`` and ``k2`` may also be
+    given as their text; written with str(), a float and its repr agree.
+    """
+    (l1, l2, l3, l4, k1, k2, bridge, method, value,
+     oracle_value, oracle_error, discrepancy, wall_time, error) = row
+    return (
+        f"{l1},{l2},{l3},{l4},{k1},{k2},"
+        f"{'' if bridge is None else bridge},{'' if method is None else method},"
+        f"{'' if value is None else f'{value!r}'},"
+        f"{'' if oracle_value is None else f'{oracle_value!r}'},"
+        f"{'' if oracle_error is None else f'{oracle_error!r}'},"
+        f"{'' if discrepancy is None else f'{discrepancy!r}'},"
+        f"{wall_time!r},{'' if error is None else _csv_text(error)}\n"
+    )
+
+
 def _cmd_batch(args) -> int:
     if (args.input is None) == (args.grid is None):
         print("batch: exactly one of --input or --grid is required", file=sys.stderr)
         return 64
     if args.grid is not None and args.k_pairs is None:
         print("batch: --grid requires --k-pairs", file=sys.stderr)
+        return 64
+    if args.grid is None and args.k_pairs is not None:
+        print("batch: --k-pairs requires --grid", file=sys.stderr)
         return 64
     try:
         if args.input is not None:
@@ -273,14 +309,14 @@ def _cmd_batch(args) -> int:
         print(f"batch: {exc}", file=sys.stderr)
         return 65
     config = None if args.mode == "analytic" else _quadrature_config(args)
-    # rows are written as they are computed; csv.writer writes None as ""
-    writer = None
+    # rows are written as they are computed
+    as_json = args.format == "json"
+    write = sys.stdout.write
     momentum_text = {}
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_BATCH_COLUMNS)
-        # csv writes a float as its repr; a grid repeats the few momenta of
-        # --k-pairs on every row, so each is formatted once
+    if not as_json:
+        write(_CSV_HEADER)
+        # a grid repeats the few momenta of --k-pairs on every row, so each
+        # is formatted once
         if args.grid is not None:
             momenta = set(itertools.chain.from_iterable(args.k_pairs))
             momentum_text = {k: repr(k) for k in momenta}
@@ -292,14 +328,14 @@ def _cmd_batch(args) -> int:
         discrepancy = row[_DISCREPANCY_COLUMN]
         if discrepancy is not None and (max_discrepancy is None or discrepancy > max_discrepancy):
             max_discrepancy = discrepancy
-        if writer is None:
+        if as_json:
             print(json.dumps(dict(zip(_BATCH_COLUMNS, row))))
         else:
             if momentum_text:
                 row[_K1_COLUMN] = momentum_text[spec.k1]
                 row[_K2_COLUMN] = momentum_text[spec.k2]
-            writer.writerow(row)
-    if writer is None:
+            write(_csv_line(row))
+    if as_json:
         print(json.dumps({"max_discrepancy": max_discrepancy}))
     else:
         footer = "n/a" if max_discrepancy is None else repr(max_discrepancy)

@@ -59,17 +59,20 @@ class IntegralSpec:
     k2: float
 
     # Hand-written so that each field is validated and set once: a generated
-    # __init__ followed by __post_init__ would set every field twice.
+    # __init__ followed by __post_init__ would set every field twice. The
+    # fields go into __dict__ in one update, in order, past the frozen
+    # __setattr__ that assignment still meets.
     def __init__(
         self, lambda1: int, lambda2: int, lambda3: int, lambda4: int, k1: float, k2: float
     ) -> None:
-        setter = object.__setattr__
-        setter(self, "lambda1", require_order(lambda1, "lambda1"))
-        setter(self, "lambda2", require_order(lambda2, "lambda2"))
-        setter(self, "lambda3", require_order(lambda3, "lambda3"))
-        setter(self, "lambda4", require_order(lambda4, "lambda4"))
-        setter(self, "k1", require_momentum(k1, "k1"))
-        setter(self, "k2", require_momentum(k2, "k2"))
+        self.__dict__.update(
+            lambda1=require_order(lambda1, "lambda1"),
+            lambda2=require_order(lambda2, "lambda2"),
+            lambda3=require_order(lambda3, "lambda3"),
+            lambda4=require_order(lambda4, "lambda4"),
+            k1=require_momentum(k1, "k1"),
+            k2=require_momentum(k2, "k2"),
+        )
 
     @property
     def orders(self) -> tuple[int, int, int, int]:

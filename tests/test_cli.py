@@ -282,6 +282,9 @@ def test_batch_source_flags_are_exclusive(tmp_path):
                    "--k-pairs", "1:2").returncode == 64
     assert run_cli("batch", "--grid", "1").returncode == 64
     assert run_cli("batch", "--grid", "1", "--k-pairs", "nope").returncode == 64
+    result = run_cli("batch", "--input", str(path), "--k-pairs", "3:4")
+    assert result.returncode == 64 and result.stdout == ""
+    assert result.stderr == "batch: --k-pairs requires --grid\n"
 
 
 def _reference_evaluate_row(spec, mode, config):
@@ -375,6 +378,47 @@ def _without_wall_time(text):
     return "".join(lines)
 
 
+def _csv_writer_line(row):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(row)
+    return out.getvalue()
+
+
+def test_csv_line_matches_csv_writer():
+    config = QuadratureConfig()
+    specs = [
+        IntegralSpec(1, 0, 1, 2, 1.0, 2.0),  # analytic
+        IntegralSpec(2, 0, 0, 2, 1.0, 1.0),  # paired, k1 = k2
+        IntegralSpec(0, 0, 0, 1, 1.0, 2.0),  # declined: parities
+        IntegralSpec(0, 0, 2, 0, 1.0, 2.0),  # declined: triangle windows, with commas
+        IntegralSpec(0, 0, 0, 0, 1e-300, 1e-300),  # DomainError with commas
+        IntegralSpec(1, 1, 1, 1, 1e-300, 1.0),  # analytic answers, the oracle refuses
+    ]
+    rows = [
+        cli._evaluate_row(spec, mode, None if mode == "analytic" else config)[0]
+        for mode in ("analytic", "oracle", "both")
+        for spec in specs
+    ]
+    errors = {row[-1].split(":")[0] for row in rows if row[-1] is not None}
+    assert errors == {"NoValidBridge", "DomainError"}
+    assert {row[7] for row in rows} == {"analytic", "paired", "oracle", None}
+    assert any(row[8] is not None and row[-1] is not None for row in rows)
+    texts = ["a, b", 'say "no"', "a\rb", "a\nb", "\r\n", " leading space",
+             "naïve ∫ r² dr = π/16", 'all, "of"\r\nthem', "", "plain"]
+    rows += [[0, 0, 0, 1, 1.0, 2.0, None, None, None, None, None, None, 1e-06, text]
+             for text in texts]
+    floats = [1e-05, -0.0, 5e-324, 1.7976931348623157e+308, 0.30000000000000004]
+    rows += [[2, 1, 1, 2, x, x, 3, "analytic", x, x, x, x, x, None] for x in floats]
+    for row in rows:
+        assert cli._csv_line(row) == _csv_writer_line(row), row
+    # a grid row carries its momenta as their text, written as they are
+    for x in floats:
+        row = [2, 1, 1, 2, x, x, 3, "analytic", x, None, None, None, x, None]
+        line = _csv_writer_line(row)
+        row[4] = row[5] = repr(x)
+        assert cli._csv_line(row) == line
+
+
 # pairs that share and swap momenta, one of them not the shortest decimal
 _SHARED_PAIRS = "0.1:0.30000000000000004,0.30000000000000004:0.1,2:2"
 
@@ -391,6 +435,10 @@ _SHARED_PAIRS = "0.1:0.30000000000000004,0.30000000000000004:0.1,2:2"
          "--format", "json"],
         ["batch", "--input", "{specs}"],
         ["batch", "--input", "{distinct}", "--mode", "analytic"],
+        ["batch", "--input", "{distinct}", "--mode", "oracle"],
+        # the declined rows carry both refusals, one of them with commas
+        ["batch", "--grid", "2", "--k-pairs", "2:5", "--mode", "both"],
+        ["batch", "--input", "{out_of_range}", "--mode", "both"],
     ],
 )
 def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
@@ -406,7 +454,15 @@ def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
         "1,0,1,2,7.25,12345.678\n0,0,0,0,3.3333333333333335,2.5E2\n",
         encoding="utf-8",
     )
-    tokens = {"{specs}": str(path), "{distinct}": str(distinct)}
+    # the first row's DomainError text holds commas; on the second the
+    # analytic value is answered and the oracle refuses
+    out_of_range = tmp_path / "out_of_range.csv"
+    out_of_range.write_text(
+        "l1,l2,l3,l4,k1,k2\n0,0,0,0,1e-300,1e-300\n1,1,1,1,1e-300,1\n0,0,0,0,1,2\n",
+        encoding="utf-8",
+    )
+    tokens = {"{specs}": str(path), "{distinct}": str(distinct),
+              "{out_of_range}": str(out_of_range)}
     argv = [tokens.get(token, token) for token in argv]
     code, text = _batch_in_process(argv)
     expected_code, expected = _reference_batch(argv)
@@ -422,6 +478,16 @@ def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
         rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
         assert code == 0 and rows[0]["error"] == ""
         assert float(rows[0]["value"]) == pytest.approx(math.pi / 20.0, rel=1e-14)
+    if "2:5" in argv:
+        assert "have different parities\n" in text
+        assert re.search(r',"NoValidBridge: [^"]* triangle windows \[\d+,\d+\] and', text)
+    if str(out_of_range) in argv:
+        rows = list(csv.DictReader(io.StringIO(text.rsplit("#", 1)[0])))
+        assert code == 1 and [row["error"][:13] for row in rows] == [
+            "DomainError: ", "DomainError: ", "",
+        ]
+        assert "," in rows[0]["error"] and "," in rows[1]["error"]
+        assert rows[1]["value"] and not rows[1]["oracle_value"]
 
 
 def test_grid_formats_each_distinct_momentum_once(monkeypatch, tmp_path):
