@@ -27,10 +27,11 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import IntegralSpec
+from .core import IntegralSpec, require_momentum
 from .errors import (
     DomainError,
     FourBesselError,
@@ -38,7 +39,7 @@ from .errors import (
     NoValidBridge,
 )
 from .legendre import assoc_legendre_gt1, legendre_p
-from .quadbessel import evaluate
+from .quadbessel import _evaluate, evaluate
 from .wigner import wigner_3j_zero, wigner_6j
 
 _BATCH_COLUMNS = [
@@ -185,7 +186,8 @@ def _cmd_eval(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _load_input_specs(path: str) -> list[IntegralSpec]:
+def _load_input_rows(path: str) -> list[tuple]:
+    """The (l1, l2, l3, l4, k1, k2) rows of a batch input file, each checked by an IntegralSpec."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheets write
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -200,43 +202,54 @@ def _load_input_specs(path: str) -> list[IntegralSpec]:
         missing = [name for name in required if name not in header]
         if missing:
             raise _MalformedInput(f"{path!r} is missing columns {missing}")
-        specs = []
+        rows = []
         for line_number, row in enumerate(reader, start=2):
             try:
-                specs.append(
-                    IntegralSpec(
-                        int(row["l1"]), int(row["l2"]),
-                        int(row["l3"]), int(row["l4"]),
-                        float(row["k1"]), float(row["k2"]),
-                    )
+                values = (
+                    int(row["l1"]), int(row["l2"]),
+                    int(row["l3"]), int(row["l4"]),
+                    float(row["k1"]), float(row["k2"]),
                 )
+                # the spec's fields are these values once it has accepted them
+                IntegralSpec(*values)
             except (TypeError, ValueError, DomainError) as exc:
                 raise _MalformedInput(f"{path!r} line {line_number}: {exc}") from None
-    if not specs:
+            rows.append(values)
+    if not rows:
         raise _MalformedInput(f"{path!r} contains no integral specs")
-    return specs
+    return rows
 
 
-def _grid_specs(order_max: int, momentum_pairs: list[tuple[float, float]]) -> list[IntegralSpec]:
-    return [
-        IntegralSpec(*orders, k1, k2)
+def _grid_rows(order_max: int, momentum_pairs: list[tuple[float, float]]) -> Iterator[tuple]:
+    """The (l1, l2, l3, l4, k1, k2) rows of {0..order_max}^4 times the pairs, yielded lazily.
+
+    The momenta are validated here, before the first row, in the order the
+    rows would meet them; the orders are valid by construction.
+    """
+    for k1, k2 in momentum_pairs:
+        require_momentum(k1, "k1")
+        require_momentum(k2, "k2")
+    return (
+        (*orders, k1, k2)
         for orders in itertools.product(range(order_max + 1), repeat=4)
         for k1, k2 in momentum_pairs
-    ]
+    )
 
 
-def _evaluate_row(spec: IntegralSpec, mode: str, config) -> tuple[list, bool]:
+def _evaluate_row(values: tuple, mode: str, config) -> tuple[list, bool]:
     """One batch row, in _BATCH_COLUMNS order, and whether the row failed.
 
-    ``config`` is the oracle's QuadratureConfig, None in analytic mode.
+    ``values`` is a valid (l1, l2, l3, l4, k1, k2). ``config`` is the oracle's
+    QuadratureConfig, None in analytic mode, which builds no IntegralSpec.
     """
     bridge = method = value = oracle_value = oracle_error = discrepancy = error = None
     failed = False
+    if mode != "analytic":
+        spec = IntegralSpec(*values)
     start = time.perf_counter()
     try:
         if mode in ("analytic", "both"):
-            report = evaluate(spec)
-            bridge, method, value = report.bridge_L, report.method, report.value
+            value, bridge, method = _evaluate(*values)[:3]
         if mode in ("oracle", "both"):
             oracle_value, oracle_error = quad_bessel_numeric(spec, config)
             if mode == "oracle":
@@ -252,19 +265,22 @@ def _evaluate_row(spec: IntegralSpec, mode: str, config) -> tuple[list, bool]:
         failed = True
     wall_time = round(time.perf_counter() - start, 6)
     row = [
-        spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4, spec.k1, spec.k2,
-        bridge, method, value, oracle_value, oracle_error,
+        *values, bridge, method, value, oracle_value, oracle_error,
         discrepancy, wall_time, error,
     ]
     return row, failed
 
 
 def _csv_text(text: str) -> str:
-    """A free-text CSV field, quoted by csv itself when it holds a special character."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
+    """A free-text CSV field, quoted as ``csv.writer(..., lineterminator="\\n")`` quotes it."""
+    if "\r" in text:
+        # csv quotes a lone \r on CPython 3.13 and leaves it bare before, so
+        # csv itself decides
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerow([text])
         return buffer.getvalue()[:-1]
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
     return text
 
 
@@ -302,9 +318,9 @@ def _cmd_batch(args) -> int:
         return 64
     try:
         if args.input is not None:
-            specs = _load_input_specs(args.input)
+            rows = _load_input_rows(args.input)
         else:
-            specs = _grid_specs(args.grid, args.k_pairs)
+            rows = _grid_rows(args.grid, args.k_pairs)
     except _MalformedInput as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return 65
@@ -322,8 +338,8 @@ def _cmd_batch(args) -> int:
             momentum_text = {k: repr(k) for k in momenta}
     any_failed = False
     max_discrepancy = None
-    for spec in specs:
-        row, failed = _evaluate_row(spec, args.mode, config)
+    for values in rows:
+        row, failed = _evaluate_row(values, args.mode, config)
         any_failed = any_failed or failed
         discrepancy = row[_DISCREPANCY_COLUMN]
         if discrepancy is not None and (max_discrepancy is None or discrepancy > max_discrepancy):
@@ -332,8 +348,8 @@ def _cmd_batch(args) -> int:
             print(json.dumps(dict(zip(_BATCH_COLUMNS, row))))
         else:
             if momentum_text:
-                row[_K1_COLUMN] = momentum_text[spec.k1]
-                row[_K2_COLUMN] = momentum_text[spec.k2]
+                row[_K1_COLUMN] = momentum_text[row[_K1_COLUMN]]
+                row[_K2_COLUMN] = momentum_text[row[_K2_COLUMN]]
             write(_csv_line(row))
     if as_json:
         print(json.dumps({"max_discrepancy": max_discrepancy}))

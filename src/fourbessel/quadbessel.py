@@ -391,28 +391,15 @@ def _report_terms(kernel: _Kernel, t: float, scale: float, shift: int) -> tuple[
     )
 
 
-def evaluate(spec: IntegralSpec) -> EvaluationReport:
-    """Value of the integral from the order tuple's cached Laurent kernel.
+def _evaluate(
+    l1: int, l2: int, l3: int, l4: int, k1: float, k2: float
+) -> tuple[float, int, str, _Kernel, float, float, int]:
+    """``evaluate`` on already-validated orders and momenta, without a report.
 
-    The first call per order tuple builds the kernel exactly; k1 < k2 reads
-    the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
-    integral. Later calls run a plain float Horner over P's coefficients at
-    u = t^2, t = k_lo/k_hi, and return it when the kernel's stored a-priori
-    bound holds. Otherwise the same Horner runs over P's Taylor coefficients
-    about the nearest centre instead, and an exact integer one when its
-    running bound fails too. At k1 = k2 the value is K(1) = P(1), the
-    constant of the Taylor basis about u = 1, rounded once, so it is
-    bit-identical for a tuple and its exchange.
-    ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
-    closed form, and "analytic" otherwise; ``terms`` are the Laurent
-    monomials, indexed by their power of t, and are built on their first read.
-    Every bridge order is covered, and the kernel is finite at k1 = k2.
-    DomainError is raised when the momenta are so far apart or so extreme
-    that t = k_lo/k_hi or a nonzero value leaves the normal floats; an exact
-    zero is returned as 0.0.
+    Returns (value, L, method, kernel, t, scale, shift): the report's value,
+    bridge order and method, then the inputs of its lazy ``_report_terms``.
+    Raises as ``evaluate`` does.
     """
-    k1, k2 = spec.k1, spec.k2
-    l1, l2, l3, l4 = spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4
     if k1 < k2:
         orders = (l2, l1, l4, l3)
         k_lo, k_hi = k1, k2
@@ -457,8 +444,34 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
         value or _horner_exact(kernel, *_exact_ratio(k_lo, k_hi))[0]
     ):
         raise DomainError(
-            f"momenta k1={k1!r}, k2={k2!r} are out of range for orders {spec.orders}: "
+            f"momenta k1={k1!r}, k2={k2!r} are out of range for orders {(l1, l2, l3, l4)}: "
             "the value or t = k_lo/k_hi leaves the float range"
         )
     method = "paired" if l1 == l2 and l3 == l4 else "analytic"
+    return value, L, method, kernel, t, scale, shift
+
+
+def evaluate(spec: IntegralSpec) -> EvaluationReport:
+    """Value of the integral from the order tuple's cached Laurent kernel.
+
+    The first call per order tuple builds the kernel exactly; k1 < k2 reads
+    the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
+    integral. Later calls run a plain float Horner over P's coefficients at
+    u = t^2, t = k_lo/k_hi, and return it when the kernel's stored a-priori
+    bound holds. Otherwise the same Horner runs over P's Taylor coefficients
+    about the nearest centre instead, and an exact integer one when its
+    running bound fails too. At k1 = k2 the value is K(1) = P(1), the
+    constant of the Taylor basis about u = 1, rounded once, so it is
+    bit-identical for a tuple and its exchange.
+    ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
+    closed form, and "analytic" otherwise; ``terms`` are the Laurent
+    monomials, indexed by their power of t, and are built on their first read.
+    Every bridge order is covered, and the kernel is finite at k1 = k2.
+    DomainError is raised when the momenta are so far apart or so extreme
+    that t = k_lo/k_hi or a nonzero value leaves the normal floats; an exact
+    zero is returned as 0.0.
+    """
+    value, L, method, kernel, t, scale, shift = _evaluate(
+        spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4, spec.k1, spec.k2
+    )
     return EvaluationReport(value, L, partial(_report_terms, kernel, t, scale, shift), method)

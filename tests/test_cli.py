@@ -18,7 +18,7 @@ import time
 import pytest
 
 from fourbessel import EvaluationReport, IntegralSpec, QuadratureConfig, evaluate
-from fourbessel import cli
+from fourbessel import cli, quadbessel
 from fourbessel.errors import FourBesselError, NoValidBridge
 from fourbessel.oracle import quad_bessel_numeric
 
@@ -287,6 +287,51 @@ def test_batch_source_flags_are_exclusive(tmp_path):
     assert result.stderr == "batch: --k-pairs requires --grid\n"
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("slot", ["k1", "k2"])
+def test_batch_refuses_a_bad_grid_momentum_before_any_output(text, slot, capsys):
+    # the bad momentum sits in the second pair: the grid streams its rows,
+    # so every pair must be checked before the header is written
+    bad = f"{text}:3" if slot == "k1" else f"3:{text}"
+    for output in ("csv", "json"):
+        code = cli.main(["batch", "--grid", "1", "--k-pairs", f"1:2,{bad}",
+                         "--mode", "analytic", "--format", output])
+        out, err = capsys.readouterr()
+        assert code == 64 and out == ""
+        assert err == (f"fourbessel: error: {slot} must be positive and finite, "
+                       f"got {float(text)!r}\n")
+
+
+def test_analytic_batch_rows_build_no_per_row_objects(monkeypatch, tmp_path):
+    built = {"IntegralSpec": 0, "EvaluationReport": 0}
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built[cls.__name__] += 1
+            return cls(*args, **kwargs)
+        return build
+
+    for module, cls in ((cli, IntegralSpec), (quadbessel, IntegralSpec),
+                        (quadbessel, EvaluationReport)):
+        monkeypatch.setattr(module, cls.__name__, counting(cls))
+    for output in ("csv", "json"):
+        code, text = _batch_in_process(["batch", "--grid", "2", "--k-pairs", "1:2,3:1",
+                                        "--mode", "analytic", "--format", output])
+        assert code == 0 and text.count("\n") == 81 * 2 + 1 + (output == "csv")
+        assert built == {"IntegralSpec": 0, "EvaluationReport": 0}, output
+    path = tmp_path / "specs.csv"
+    path.write_text("l1,l2,l3,l4,k1,k2\n1,1,1,1,1,2\n0,0,0,0,3,4\n1,0,1,2,2,1\n",
+                    encoding="utf-8")
+    code, text = _batch_in_process(["batch", "--input", str(path), "--mode", "analytic"])
+    # the three specs validate the file's rows as it is read
+    assert code == 0 and built == {"IntegralSpec": 3, "EvaluationReport": 0}
+    built.update(IntegralSpec=0)
+    code, text = _batch_in_process(["batch", "--grid", "1", "--k-pairs", "1:2,3:3",
+                                    "--mode", "both"])
+    # one spec per row, for the oracle
+    assert code == 0 and built == {"IntegralSpec": 16 * 2, "EvaluationReport": 0}
+
+
 def _reference_evaluate_row(spec, mode, config):
     """The batch row as a dict, computed as batch did before it streamed its rows."""
     row = dict.fromkeys(cli._BATCH_COLUMNS)
@@ -324,9 +369,10 @@ def _reference_batch(argv):
     """(exit code, stdout) of a batch run that collects its rows, then writes them."""
     args = cli.build_parser().parse_args(argv)
     if args.input is not None:
-        specs = cli._load_input_specs(args.input)
+        loaded = cli._load_input_rows(args.input)
     else:
-        specs = cli._grid_specs(args.grid, args.k_pairs)
+        loaded = cli._grid_rows(args.grid, args.k_pairs)
+    specs = [IntegralSpec(*values) for values in loaded]
     config = cli._quadrature_config(args)
     out = io.StringIO()
     rows = []
@@ -395,7 +441,8 @@ def test_csv_line_matches_csv_writer():
         IntegralSpec(1, 1, 1, 1, 1e-300, 1.0),  # analytic answers, the oracle refuses
     ]
     rows = [
-        cli._evaluate_row(spec, mode, None if mode == "analytic" else config)[0]
+        cli._evaluate_row((*spec.orders, spec.k1, spec.k2), mode,
+                          None if mode == "analytic" else config)[0]
         for mode in ("analytic", "oracle", "both")
         for spec in specs
     ]
@@ -421,6 +468,7 @@ def test_csv_line_matches_csv_writer():
 
 # pairs that share and swap momenta, one of them not the shortest decimal
 _SHARED_PAIRS = "0.1:0.30000000000000004,0.30000000000000004:0.1,2:2"
+_OUT_OF_RANGE_PAIRS = "1e-300:1e-300,1e300:1"
 
 
 @pytest.mark.parametrize(
@@ -439,6 +487,10 @@ _SHARED_PAIRS = "0.1:0.30000000000000004,0.30000000000000004:0.1,2:2"
         # the declined rows carry both refusals, one of them with commas
         ["batch", "--grid", "2", "--k-pairs", "2:5", "--mode", "both"],
         ["batch", "--input", "{out_of_range}", "--mode", "both"],
+        # every row's value, or t = k_lo/k_hi, leaves the float range
+        ["batch", "--grid", "2", "--k-pairs", _OUT_OF_RANGE_PAIRS, "--mode", "analytic"],
+        ["batch", "--grid", "2", "--k-pairs", _OUT_OF_RANGE_PAIRS, "--mode", "analytic",
+         "--format", "json"],
     ],
 )
 def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
@@ -488,6 +540,11 @@ def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
         ]
         assert "," in rows[0]["error"] and "," in rows[1]["error"]
         assert rows[1]["value"] and not rows[1]["oracle_value"]
+    if _OUT_OF_RANGE_PAIRS in argv:
+        assert code == 1
+        assert ("DomainError: momenta k1=1e-300, k2=1e-300 are out of range for orders "
+                "(0, 0, 0, 0): ") in text
+        assert "k1=1e+300, k2=1.0 are out of range for orders (2, 2, 2, 2): " in text
 
 
 def test_grid_formats_each_distinct_momentum_once(monkeypatch, tmp_path):
