@@ -40,16 +40,13 @@ from .errors import (
 )
 from .legendre import assoc_legendre_gt1, legendre_p
 from .quadbessel import _evaluate, evaluate
-from .wigner import wigner_3j_zero, wigner_6j
+from .wigner import _bridge_verdict, wigner_3j_zero, wigner_6j
 
 _BATCH_COLUMNS = [
     "l1", "l2", "l3", "l4", "k1", "k2",
     "L", "method", "value", "oracle_value", "oracle_error",
     "discrepancy", "wall_time_s", "error",
 ]
-_K1_COLUMN = _BATCH_COLUMNS.index("k1")
-_K2_COLUMN = _BATCH_COLUMNS.index("k2")
-_DISCREPANCY_COLUMN = _BATCH_COLUMNS.index("discrepancy")
 _CSV_HEADER = ",".join(_BATCH_COLUMNS) + "\n"
 
 
@@ -236,41 +233,6 @@ def _grid_rows(order_max: int, momentum_pairs: list[tuple[float, float]]) -> Ite
     )
 
 
-def _evaluate_row(values: tuple, mode: str, config) -> tuple[list, bool]:
-    """One batch row, in _BATCH_COLUMNS order, and whether the row failed.
-
-    ``values`` is a valid (l1, l2, l3, l4, k1, k2). ``config`` is the oracle's
-    QuadratureConfig, None in analytic mode, which builds no IntegralSpec.
-    """
-    bridge = method = value = oracle_value = oracle_error = discrepancy = error = None
-    failed = False
-    if mode != "analytic":
-        spec = IntegralSpec(*values)
-    start = time.perf_counter()
-    try:
-        if mode in ("analytic", "both"):
-            value, bridge, method = _evaluate(*values)[:3]
-        if mode in ("oracle", "both"):
-            oracle_value, oracle_error = quad_bessel_numeric(spec, config)
-            if mode == "oracle":
-                method, value = "oracle", oracle_value
-        if mode == "both":
-            discrepancy = _relative_discrepancy(value, oracle_value)
-    except NoValidBridge as exc:
-        # inapplicable rather than failed: the analytic method does not cover
-        # parity-mismatched order sets
-        error = f"NoValidBridge: {exc}"
-    except FourBesselError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        failed = True
-    wall_time = round(time.perf_counter() - start, 6)
-    row = [
-        *values, bridge, method, value, oracle_value, oracle_error,
-        discrepancy, wall_time, error,
-    ]
-    return row, failed
-
-
 def _csv_text(text: str) -> str:
     """A free-text CSV field, quoted as ``csv.writer(..., lineterminator="\\n")`` quotes it."""
     if "\r" in text:
@@ -284,17 +246,18 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _csv_line(row: list) -> str:
-    """One batch row as a CSV line, byte for byte what
-    ``csv.writer(..., lineterminator="\\n").writerow(row)`` writes.
+def _csv_line(
+    l1, l2, l3, l4, k1, k2, bridge, method, value,
+    oracle_value, oracle_error, discrepancy, wall_time, error,
+) -> str:
+    """One batch row, given as its fields in _BATCH_COLUMNS order, as a CSV line:
+    byte for byte what ``csv.writer(..., lineterminator="\\n")`` writes for them.
 
     The schema is fixed: the orders and L are ints, ``method`` is a word that
     needs no quoting, each float is written as its repr and None as an empty
     field, so only ``error`` can need quoting. ``k1`` and ``k2`` may also be
     given as their text; written with str(), a float and its repr agree.
     """
-    (l1, l2, l3, l4, k1, k2, bridge, method, value,
-     oracle_value, oracle_error, discrepancy, wall_time, error) = row
     return (
         f"{l1},{l2},{l3},{l4},{k1},{k2},"
         f"{'' if bridge is None else bridge},{'' if method is None else method},"
@@ -336,21 +299,47 @@ def _cmd_batch(args) -> int:
         if args.grid is not None:
             momenta = set(itertools.chain.from_iterable(args.k_pairs))
             momentum_text = {k: repr(k) for k in momenta}
+    analytic, oracle = args.mode != "oracle", args.mode != "analytic"
     any_failed = False
     max_discrepancy = None
-    for values in rows:
-        row, failed = _evaluate_row(values, args.mode, config)
-        any_failed = any_failed or failed
-        discrepancy = row[_DISCREPANCY_COLUMN]
-        if discrepancy is not None and (max_discrepancy is None or discrepancy > max_discrepancy):
-            max_discrepancy = discrepancy
+    for l1, l2, l3, l4, k1, k2 in rows:
+        bridge = method = value = oracle_value = oracle_error = discrepancy = error = None
+        if oracle:
+            spec = IntegralSpec(l1, l2, l3, l4, k1, k2)
+        start = time.perf_counter()
+        try:
+            if analytic and type(verdict := _bridge_verdict(l1, l2, l3, l4)) is str:
+                # inapplicable rather than failed: the closed form covers only
+                # tuples with a bridge order. The cached refusal is the text a
+                # NoValidBridge would carry, so none is raised per row.
+                error = f"NoValidBridge: {verdict}"
+            else:
+                if analytic:
+                    value, bridge, method = _evaluate(l1, l2, l3, l4, k1, k2)[:3]
+                if oracle:
+                    oracle_value, oracle_error = quad_bessel_numeric(spec, config)
+                    if analytic:
+                        discrepancy = _relative_discrepancy(value, oracle_value)
+                        if max_discrepancy is None or discrepancy > max_discrepancy:
+                            max_discrepancy = discrepancy
+                    else:
+                        method, value = "oracle", oracle_value
+        except FourBesselError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            any_failed = True
+        wall_time = round(time.perf_counter() - start, 6)
         if as_json:
-            print(json.dumps(dict(zip(_BATCH_COLUMNS, row))))
+            print(json.dumps(dict(zip(_BATCH_COLUMNS, (
+                l1, l2, l3, l4, k1, k2, bridge, method, value,
+                oracle_value, oracle_error, discrepancy, wall_time, error,
+            )))))
         else:
             if momentum_text:
-                row[_K1_COLUMN] = momentum_text[row[_K1_COLUMN]]
-                row[_K2_COLUMN] = momentum_text[row[_K2_COLUMN]]
-            write(_csv_line(row))
+                k1, k2 = momentum_text[k1], momentum_text[k2]
+            write(_csv_line(
+                l1, l2, l3, l4, k1, k2, bridge, method, value,
+                oracle_value, oracle_error, discrepancy, wall_time, error,
+            ))
     if as_json:
         print(json.dumps({"max_discrepancy": max_discrepancy}))
     else:

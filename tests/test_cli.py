@@ -18,7 +18,7 @@ import time
 import pytest
 
 from fourbessel import EvaluationReport, IntegralSpec, QuadratureConfig, evaluate
-from fourbessel import cli, quadbessel
+from fourbessel import cli, quadbessel, wigner
 from fourbessel.errors import FourBesselError, NoValidBridge
 from fourbessel.oracle import quad_bessel_numeric
 
@@ -303,7 +303,7 @@ def test_batch_refuses_a_bad_grid_momentum_before_any_output(text, slot, capsys)
 
 
 def test_analytic_batch_rows_build_no_per_row_objects(monkeypatch, tmp_path):
-    built = {"IntegralSpec": 0, "EvaluationReport": 0}
+    built = {"IntegralSpec": 0, "EvaluationReport": 0, "NoValidBridge": 0}
 
     def counting(cls):
         def build(*args, **kwargs):
@@ -311,25 +311,41 @@ def test_analytic_batch_rows_build_no_per_row_objects(monkeypatch, tmp_path):
             return cls(*args, **kwargs)
         return build
 
+    class CountedRefusal(NoValidBridge):
+        def __init__(self, *args):
+            built["NoValidBridge"] += 1
+            super().__init__(*args)
+
     for module, cls in ((cli, IntegralSpec), (quadbessel, IntegralSpec),
                         (quadbessel, EvaluationReport)):
         monkeypatch.setattr(module, cls.__name__, counting(cls))
+    monkeypatch.setattr(wigner, "NoValidBridge", CountedRefusal)
     for output in ("csv", "json"):
         code, text = _batch_in_process(["batch", "--grid", "2", "--k-pairs", "1:2,3:1",
                                         "--mode", "analytic", "--format", output])
         assert code == 0 and text.count("\n") == 81 * 2 + 1 + (output == "csv")
-        assert built == {"IntegralSpec": 0, "EvaluationReport": 0}, output
+        # the declined rows read the cached refusal: no exception is made
+        assert text.count("NoValidBridge: ") == 44 * 2
+        assert built == {"IntegralSpec": 0, "EvaluationReport": 0, "NoValidBridge": 0}, output
+    # eval still raises its refusal, and exits 2
+    code, text = _batch_in_process(["eval", "--l1", "0", "--l2", "0", "--l3", "0",
+                                    "--l4", "1", "--k1", "1", "--k2", "2"])
+    assert code == 2 and json.loads(text)["error"]["type"] == "CountedRefusal"
+    assert built["NoValidBridge"] == 1
+    built.update(IntegralSpec=0, NoValidBridge=0)
     path = tmp_path / "specs.csv"
     path.write_text("l1,l2,l3,l4,k1,k2\n1,1,1,1,1,2\n0,0,0,0,3,4\n1,0,1,2,2,1\n",
                     encoding="utf-8")
     code, text = _batch_in_process(["batch", "--input", str(path), "--mode", "analytic"])
     # the three specs validate the file's rows as it is read
-    assert code == 0 and built == {"IntegralSpec": 3, "EvaluationReport": 0}
+    assert code == 0 and built == {"IntegralSpec": 3, "EvaluationReport": 0, "NoValidBridge": 0}
     built.update(IntegralSpec=0)
     code, text = _batch_in_process(["batch", "--grid", "1", "--k-pairs", "1:2,3:3",
                                     "--mode", "both"])
     # one spec per row, for the oracle
-    assert code == 0 and built == {"IntegralSpec": 16 * 2, "EvaluationReport": 0}
+    assert code == 0 and built == {
+        "IntegralSpec": 16 * 2, "EvaluationReport": 0, "NoValidBridge": 0,
+    }
 
 
 def _reference_evaluate_row(spec, mode, config):
@@ -441,8 +457,7 @@ def test_csv_line_matches_csv_writer():
         IntegralSpec(1, 1, 1, 1, 1e-300, 1.0),  # analytic answers, the oracle refuses
     ]
     rows = [
-        cli._evaluate_row((*spec.orders, spec.k1, spec.k2), mode,
-                          None if mode == "analytic" else config)[0]
+        list(_reference_evaluate_row(spec, mode, config)[0].values())
         for mode in ("analytic", "oracle", "both")
         for spec in specs
     ]
@@ -457,13 +472,13 @@ def test_csv_line_matches_csv_writer():
     floats = [1e-05, -0.0, 5e-324, 1.7976931348623157e+308, 0.30000000000000004]
     rows += [[2, 1, 1, 2, x, x, 3, "analytic", x, x, x, x, x, None] for x in floats]
     for row in rows:
-        assert cli._csv_line(row) == _csv_writer_line(row), row
+        assert cli._csv_line(*row) == _csv_writer_line(row), row
     # a grid row carries its momenta as their text, written as they are
     for x in floats:
         row = [2, 1, 1, 2, x, x, 3, "analytic", x, None, None, None, x, None]
         line = _csv_writer_line(row)
         row[4] = row[5] = repr(x)
-        assert cli._csv_line(row) == line
+        assert cli._csv_line(*row) == line
 
 
 # pairs that share and swap momenta, one of them not the shortest decimal

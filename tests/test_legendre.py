@@ -275,6 +275,17 @@ def test_assoc_far_below_the_float_range_is_zero():
     # huge argument is built on the way
     assert assoc_legendre_gt1(0, 10**7, 2.0) == 0.0
     assert assoc_legendre_gt1(0, -1e300, 2.0) == 0.0
+    # orders where a float estimate of log|P| itself overflows
+    for degree, order, x in [(0, 1e308, 1.0000001), (0, -1e308, 1.0000001),
+                             (0, 10**400, 2.0), (0, -10**400, 2.0), (0, 1e200, 1.0000001),
+                             (3, 10**400 + 1, 2.0)]:
+        num, _ = _poly_part_ratio(degree, Fraction(order), Fraction(x))
+        value = assoc_legendre_gt1(degree, order, x)
+        assert value == 0.0 and math.copysign(1.0, value) == (1.0 if num > 0 else -1.0)
+    assert math.copysign(1.0, assoc_legendre_gt1(3, 10**400 + 1, 2.0)) == -1.0
+    # ((x+1)/(x-1))^100 / 200! is about 1e355
+    with pytest.raises(DomainError, match="float range"):
+        assoc_legendre_gt1(0, 200, 1.0000001)
     with pytest.raises(DomainError):
         assoc_legendre_gt1(0, Fraction(1, 3), math.inf)
 
