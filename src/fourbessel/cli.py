@@ -217,20 +217,20 @@ def _load_input_rows(path: str) -> list[tuple]:
     return rows
 
 
-def _grid_rows(order_max: int, momentum_pairs: list[tuple[float, float]]) -> Iterator[tuple]:
-    """The (l1, l2, l3, l4, k1, k2) rows of {0..order_max}^4 times the pairs, yielded lazily.
+def _grid_rows(
+    order_max: int, momentum_pairs: list[tuple[float, float]], momenta_format: str
+) -> Iterator[tuple]:
+    """Each order tuple of {0..order_max}^4, lazily, with every pair as (its text, k1, k2).
 
-    The momenta are validated here, before the first row, in the order the
-    rows would meet them; the orders are valid by construction.
+    The momenta are validated before the first row, in the order the rows meet
+    them; each distinct one is formatted once, with repr, into momenta_format.
     """
     for k1, k2 in momentum_pairs:
         require_momentum(k1, "k1")
         require_momentum(k2, "k2")
-    return (
-        (*orders, k1, k2)
-        for orders in itertools.product(range(order_max + 1), repeat=4)
-        for k1, k2 in momentum_pairs
-    )
+    text = {k: repr(k) for k in set(itertools.chain.from_iterable(momentum_pairs))}
+    pairs = [(momenta_format.format(text[k1], text[k2]), k1, k2) for k1, k2 in momentum_pairs]
+    return ((orders, pairs) for orders in itertools.product(range(order_max + 1), repeat=4))
 
 
 def _csv_text(text: str) -> str:
@@ -246,27 +246,62 @@ def _csv_text(text: str) -> str:
     return text
 
 
-def _csv_line(
-    l1, l2, l3, l4, k1, k2, bridge, method, value,
-    oracle_value, oracle_error, discrepancy, wall_time, error,
-) -> str:
-    """One batch row, given as its fields in _BATCH_COLUMNS order, as a CSV line:
-    byte for byte what ``csv.writer(..., lineterminator="\\n")`` writes for them.
+def _csv_line(orders, momenta, bridge, method, value, oracle_value, oracle_error,
+              discrepancy, wall_time, error) -> str:
+    """One batch row as a CSV line: byte for byte what ``csv.writer(...,
+    lineterminator="\\n")`` writes for its fields in _BATCH_COLUMNS order.
 
-    The schema is fixed: the orders and L are ints, ``method`` is a word that
-    needs no quoting, each float is written as its repr and None as an empty
-    field, so only ``error`` can need quoting. ``k1`` and ``k2`` may also be
-    given as their text; written with str(), a float and its repr agree.
+    ``orders`` is "l1,l2,l3,l4,", ``momenta`` "k1,k2,", ``wall_time`` its text and
+    ``error`` its text from _csv_text or None. L is an int, ``method`` a word that
+    needs no quoting, each float is written as its repr and None as an empty field.
     """
     return (
-        f"{l1},{l2},{l3},{l4},{k1},{k2},"
+        f"{orders}{momenta}"
         f"{'' if bridge is None else bridge},{'' if method is None else method},"
         f"{'' if value is None else f'{value!r}'},"
         f"{'' if oracle_value is None else f'{oracle_value!r}'},"
         f"{'' if oracle_error is None else f'{oracle_error!r}'},"
         f"{'' if discrepancy is None else f'{discrepancy!r}'},"
-        f"{wall_time!r},{'' if error is None else _csv_text(error)}\n"
+        f"{wall_time},{'' if error is None else error}\n"
     )
+
+
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_number(value) -> str:
+    """A float or None as ``json.dumps`` writes it."""
+    text = "null" if value is None else f"{value!r}"
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _json_line(orders, momenta, bridge, method, value, oracle_value, oracle_error,
+               discrepancy, wall_time, error) -> str:
+    """_csv_line's row as a JSON line: byte for byte ``json.dumps(dict(zip(_BATCH_COLUMNS,
+    fields)))`` and a newline. Its pieces are in JSON: ``orders`` is '{"l1": 0, "l2": 1,
+    "l3": 1, "l4": 0, ', ``momenta`` '"k1": 1.0, "k2": 2.0, ' and ``error`` from json.dumps.
+    """
+    method = "null" if method is None else f'"{method}"'
+    return (
+        f'{orders}{momenta}"L": {"null" if bridge is None else bridge}, "method": {method}, '
+        f'"value": {_json_number(value)}, "oracle_value": {_json_number(oracle_value)}, '
+        f'"oracle_error": {_json_number(oracle_error)}, '
+        f'"discrepancy": {_json_number(discrepancy)}, '
+        f'"wall_time_s": {wall_time}, "error": {"null" if error is None else error}}}\n'
+    )
+
+
+# per --format: the header, the orders' and the momenta's text as format
+# strings, the text of a free-text field, and the row's line
+_BATCH_FORMATS = {
+    "csv": (_CSV_HEADER, "{},{},{},{},", "{},{},", _csv_text, _csv_line),
+    "json": ("", '{{"l1": {}, "l2": {}, "l3": {}, "l4": {}, ', '"k1": {}, "k2": {}, ',
+             json.dumps, _json_line),
+}
+
+# wall_time_s below a millisecond, in whole microseconds: for each of them
+# repr(n / 1e6) is also repr(round(n / 1e6, 6))
+_WALL_TIME_TEXT = [repr(n / 1e6) for n in range(1000)]
 
 
 def _cmd_batch(args) -> int:
@@ -279,68 +314,62 @@ def _cmd_batch(args) -> int:
     if args.grid is None and args.k_pairs is not None:
         print("batch: --k-pairs requires --grid", file=sys.stderr)
         return 64
+    header, orders_format, momenta_format, field_text, line = _BATCH_FORMATS[args.format]
     try:
         if args.input is not None:
             rows = _load_input_rows(args.input)
+            # consecutive rows with the same orders share their tuple's work
+            groups = (
+                (orders, [(momenta_format.format(k1, k2), k1, k2) for *_, k1, k2 in group])
+                for orders, group in itertools.groupby(rows, key=lambda row: row[:4])
+            )
         else:
-            rows = _grid_rows(args.grid, args.k_pairs)
+            groups = _grid_rows(args.grid, args.k_pairs, momenta_format)
     except _MalformedInput as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return 65
     config = None if args.mode == "analytic" else _quadrature_config(args)
     # rows are written as they are computed
-    as_json = args.format == "json"
-    write = sys.stdout.write
-    momentum_text = {}
-    if not as_json:
-        write(_CSV_HEADER)
-        # a grid repeats the few momenta of --k-pairs on every row, so each
-        # is formatted once
-        if args.grid is not None:
-            momenta = set(itertools.chain.from_iterable(args.k_pairs))
-            momentum_text = {k: repr(k) for k in momenta}
+    write, clock = sys.stdout.write, time.perf_counter_ns
+    write(header)
     analytic, oracle = args.mode != "oracle", args.mode != "analytic"
     any_failed = False
     max_discrepancy = None
-    for l1, l2, l3, l4, k1, k2 in rows:
-        bridge = method = value = oracle_value = oracle_error = discrepancy = error = None
-        if oracle:
-            spec = IntegralSpec(l1, l2, l3, l4, k1, k2)
-        start = time.perf_counter()
-        try:
-            if analytic and type(verdict := _bridge_verdict(l1, l2, l3, l4)) is str:
-                # inapplicable rather than failed: the closed form covers only
-                # tuples with a bridge order. The cached refusal is the text a
-                # NoValidBridge would carry, so none is raised per row.
-                error = f"NoValidBridge: {verdict}"
-            else:
-                if analytic:
-                    value, bridge, method = _evaluate(l1, l2, l3, l4, k1, k2)[:3]
-                if oracle:
-                    oracle_value, oracle_error = quad_bessel_numeric(spec, config)
+    # a tuple's text and bridge verdict are made once and timed in no row
+    for (l1, l2, l3, l4), pairs in groups:
+        orders = orders_format.format(l1, l2, l3, l4)
+        refusal = None
+        if analytic and type(verdict := _bridge_verdict(l1, l2, l3, l4)) is str:
+            # inapplicable rather than failed: the closed form covers only tuples
+            # with a bridge order, and the cached refusal is the text a
+            # NoValidBridge would carry. Neither engine runs on its rows.
+            refusal = field_text(f"NoValidBridge: {verdict}")
+        for momenta, k1, k2 in pairs:
+            bridge = method = value = oracle_value = oracle_error = discrepancy = None
+            error = refusal
+            start = clock()
+            if refusal is None:
+                try:
                     if analytic:
-                        discrepancy = _relative_discrepancy(value, oracle_value)
-                        if max_discrepancy is None or discrepancy > max_discrepancy:
-                            max_discrepancy = discrepancy
-                    else:
-                        method, value = "oracle", oracle_value
-        except FourBesselError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            any_failed = True
-        wall_time = round(time.perf_counter() - start, 6)
-        if as_json:
-            print(json.dumps(dict(zip(_BATCH_COLUMNS, (
-                l1, l2, l3, l4, k1, k2, bridge, method, value,
-                oracle_value, oracle_error, discrepancy, wall_time, error,
-            )))))
-        else:
-            if momentum_text:
-                k1, k2 = momentum_text[k1], momentum_text[k2]
-            write(_csv_line(
-                l1, l2, l3, l4, k1, k2, bridge, method, value,
-                oracle_value, oracle_error, discrepancy, wall_time, error,
+                        value, bridge, method = _evaluate(l1, l2, l3, l4, k1, k2)[:3]
+                    if oracle:
+                        spec = IntegralSpec(l1, l2, l3, l4, k1, k2)
+                        oracle_value, oracle_error = quad_bessel_numeric(spec, config)
+                        if analytic:
+                            discrepancy = _relative_discrepancy(value, oracle_value)
+                            if max_discrepancy is None or discrepancy > max_discrepancy:
+                                max_discrepancy = discrepancy
+                        else:
+                            method, value = "oracle", oracle_value
+                except FourBesselError as exc:
+                    error = field_text(f"{type(exc).__name__}: {exc}")
+                    any_failed = True
+            micros = (clock() - start + 500) // 1000  # rounded half up
+            write(line(
+                orders, momenta, bridge, method, value, oracle_value, oracle_error, discrepancy,
+                _WALL_TIME_TEXT[micros] if micros < 1000 else f"{micros / 1e6!r}", error,
             ))
-    if as_json:
+    if args.format == "json":
         print(json.dumps({"max_discrepancy": max_discrepancy}))
     else:
         footer = "n/a" if max_discrepancy is None else repr(max_discrepancy)

@@ -1,16 +1,23 @@
-"""Seeded accuracy sweeps of legendre_p and spherical_bessel_j against mpmath.
+"""Seeded accuracy sweeps of evaluate, legendre_p and spherical_bessel_j.
 
 Each value is held to the accuracy the README states for it, against a
-reference that shares no code with the function. The sweeps of
-assoc_legendre_gt1 and triple_bessel_weighted live beside their other tests.
+reference that shares no code with the function: the exact Mellin finite
+part of the oracle's decomposition for evaluate, mpmath for the others. The
+sweeps of assoc_legendre_gt1 and triple_bessel_weighted live beside their
+other tests.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fourbessel import legendre_p
+from fourbessel import IntegralSpec, evaluate, legendre_p
+from fourbessel.errors import NoValidBridge
 from fourbessel.oracle import spherical_bessel_j
+
+from test_oracle import _PI, _mellin_finite_part_over_pi
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -70,3 +77,48 @@ def test_spherical_bessel_j_seeded_sweep_matches_mpmath():
                 assert error <= 1e-13 * abs(exact), (order, x, got)
                 counted["relative"] += 1
     assert min(counted.values()) > 100, counted
+
+
+def _has_bridge_order(l1, l2, l3, l4):
+    """The rule evaluate states: an even order sum and overlapping triangle windows."""
+    return (l1 + l2 + l3 + l4) % 2 == 0 and max(abs(l1 - l2), abs(l3 - l4)) <= min(
+        l1 + l2, l3 + l4
+    )
+
+
+def test_evaluate_seeded_sweep_matches_the_mellin_finite_part():
+    # orders 0-15 at momenta log-uniform on [0.01, 100]^2, a third of them
+    # with k2 = k1 (1 +- 10^-u), u in [1, 12]; then both orientations of two
+    # tuples above bridge order 13. Every value is within the README's 1e-12
+    # relative of pi times the exact finite part at the same float momenta,
+    # and evaluate refuses exactly the tuples without a bridge order.
+    rng = np.random.default_rng(SEED + 2)
+    specs, refused = [], 0
+    while len(specs) < 150:
+        orders = tuple(int(order) for order in rng.integers(0, 16, size=4))
+        k1 = float(10.0 ** rng.uniform(-2.0, 2.0))
+        if len(specs) % 3 == 2:
+            k2 = float(k1 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 12.0)))
+        else:
+            k2 = float(10.0 ** rng.uniform(-2.0, 2.0))
+        if _has_bridge_order(*orders):
+            specs.append((orders, k1, k2))
+        else:
+            with pytest.raises(NoValidBridge):
+                evaluate(IntegralSpec(*orders, k1, k2))
+            refused += 1
+    for orders in ((14, 0, 14, 0), (17, 3, 16, 4)):
+        for _ in range(6):
+            high, low = sorted(float(10.0 ** x) for x in rng.uniform(-2.0, 2.0, size=2))[::-1]
+            specs += [(orders, high, low), (orders, low, high)]
+    worst = 0.0
+    for orders, k1, k2 in specs:
+        value = evaluate(IntegralSpec(*orders, k1, k2)).value
+        exact = _PI * _mellin_finite_part_over_pi(orders, Fraction(k1), Fraction(k2))
+        if exact == 0:
+            assert value == 0.0, (orders, k1, k2)
+            continue
+        error = float(abs(Fraction(value) - exact) / abs(exact))
+        assert error <= 1e-12, (orders, k1, k2, value, error)
+        worst = max(worst, error)
+    assert refused > 100 and 0.0 < worst

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import types
 
 import pytest
 
@@ -304,6 +305,11 @@ def test_batch_refuses_a_bad_grid_momentum_before_any_output(text, slot, capsys)
 
 def test_analytic_batch_rows_build_no_per_row_objects(monkeypatch, tmp_path):
     built = {"IntegralSpec": 0, "EvaluationReport": 0, "NoValidBridge": 0}
+    verdicts = []
+
+    def counting_verdict(*orders):
+        verdicts.append(orders)
+        return wigner._bridge_verdict(*orders)
 
     def counting(cls):
         def build(*args, **kwargs):
@@ -320,13 +326,17 @@ def test_analytic_batch_rows_build_no_per_row_objects(monkeypatch, tmp_path):
                         (quadbessel, EvaluationReport)):
         monkeypatch.setattr(module, cls.__name__, counting(cls))
     monkeypatch.setattr(wigner, "NoValidBridge", CountedRefusal)
+    monkeypatch.setattr(cli, "_bridge_verdict", counting_verdict)
     for output in ("csv", "json"):
+        verdicts.clear()
         code, text = _batch_in_process(["batch", "--grid", "2", "--k-pairs", "1:2,3:1",
                                         "--mode", "analytic", "--format", output])
         assert code == 0 and text.count("\n") == 81 * 2 + 1 + (output == "csv")
         # the declined rows read the cached refusal: no exception is made
         assert text.count("NoValidBridge: ") == 44 * 2
         assert built == {"IntegralSpec": 0, "EvaluationReport": 0, "NoValidBridge": 0}, output
+        # one verdict per order tuple, read before its two rows
+        assert verdicts == list(itertools.product(range(3), repeat=4)), output
     # eval still raises its refusal, and exits 2
     code, text = _batch_in_process(["eval", "--l1", "0", "--l2", "0", "--l3", "0",
                                     "--l4", "1", "--k1", "1", "--k2", "2"])
@@ -342,10 +352,9 @@ def test_analytic_batch_rows_build_no_per_row_objects(monkeypatch, tmp_path):
     built.update(IntegralSpec=0)
     code, text = _batch_in_process(["batch", "--grid", "1", "--k-pairs", "1:2,3:3",
                                     "--mode", "both"])
-    # one spec per row, for the oracle
-    assert code == 0 and built == {
-        "IntegralSpec": 16 * 2, "EvaluationReport": 0, "NoValidBridge": 0,
-    }
+    # one spec per row that reaches the oracle: the declined rows run neither engine
+    assert code == 0 and text.count("NoValidBridge: ") == 8 * 2
+    assert built == {"IntegralSpec": 8 * 2, "EvaluationReport": 0, "NoValidBridge": 0}
 
 
 def _reference_evaluate_row(spec, mode, config):
@@ -387,7 +396,12 @@ def _reference_batch(argv):
     if args.input is not None:
         loaded = cli._load_input_rows(args.input)
     else:
-        loaded = cli._grid_rows(args.grid, args.k_pairs)
+        # orders outer, pairs inner
+        loaded = [
+            (*orders, k1, k2)
+            for orders in itertools.product(range(args.grid + 1), repeat=4)
+            for k1, k2 in args.k_pairs
+        ]
     specs = [IntegralSpec(*values) for values in loaded]
     config = cli._quadrature_config(args)
     out = io.StringIO()
@@ -446,7 +460,8 @@ def _csv_writer_line(row):
     return out.getvalue()
 
 
-def test_csv_line_matches_csv_writer():
+def _formatter_rows():
+    """Batch rows as their 14 fields: every mode's outcomes, free texts and extreme floats."""
     config = QuadratureConfig()
     specs = [
         IntegralSpec(1, 0, 1, 2, 1.0, 2.0),  # analytic
@@ -471,14 +486,58 @@ def test_csv_line_matches_csv_writer():
              for text in texts]
     floats = [1e-05, -0.0, 5e-324, 1.7976931348623157e+308, 0.30000000000000004]
     rows += [[2, 1, 1, 2, x, x, 3, "analytic", x, x, x, x, x, None] for x in floats]
+    return rows
+
+
+def _formatted_line(output, row):
+    """cli's line for one row, from the per-tuple and per-row pieces batch makes."""
+    _, orders_format, momenta_format, field_text, line = cli._BATCH_FORMATS[output]
+    l1, l2, l3, l4, k1, k2, *middle, wall_time, error = row
+    return line(
+        orders_format.format(l1, l2, l3, l4), momenta_format.format(repr(k1), repr(k2)),
+        *middle, repr(wall_time), None if error is None else field_text(error),
+    )
+
+
+def test_csv_line_matches_csv_writer():
+    for row in _formatter_rows():
+        assert _formatted_line("csv", row) == _csv_writer_line(row), row
+
+
+def test_json_line_matches_json_dumps():
+    rows = _formatter_rows()
+    # json.dumps writes the floats that have no repr in JSON by their own names
+    rows += [[0, 3, 3, 0, 1.5, 0.5, 3, "oracle", x, x, x, x, 0.25, None]
+             for x in (math.inf, -math.inf, math.nan)]
     for row in rows:
-        assert cli._csv_line(*row) == _csv_writer_line(row), row
-    # a grid row carries its momenta as their text, written as they are
-    for x in floats:
-        row = [2, 1, 1, 2, x, x, 3, "analytic", x, None, None, None, x, None]
-        line = _csv_writer_line(row)
-        row[4] = row[5] = repr(x)
-        assert cli._csv_line(*row) == line
+        expected = json.dumps(dict(zip(cli._BATCH_COLUMNS, row))) + "\n"
+        assert _formatted_line("json", row) == expected, row
+
+
+def test_wall_time_is_whole_microseconds_rounded_half_up(monkeypatch):
+    # below a millisecond each text is read from the table, and above it is
+    # made as it would have been from the rounded seconds
+    assert len(cli._WALL_TIME_TEXT) == 1000
+    for n, text in enumerate(cli._WALL_TIME_TEXT):
+        assert text == repr(round(n / 1e6, 6)), n
+    expected = {
+        0: "0.0", 499: "0.0", 500: "1e-06", 2_500: "3e-06", 999_499: "0.000999",
+        999_500: "0.001", 1_234_567: "0.001235", 12_345_678_901_234: "12345.678901",
+    }
+    for step, text in expected.items():
+        # a clock that advances by step on every read: each row takes step ns
+        ticks = itertools.count(start=10**12, step=step)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter_ns=ticks.__next__))
+        code, text_csv = _batch_in_process(["batch", "--grid", "1", "--k-pairs", "1:2",
+                                            "--mode", "analytic"])
+        rows = list(csv.DictReader(io.StringIO(text_csv.rsplit("#", 1)[0])))
+        assert code == 0 and {row["wall_time_s"] for row in rows} == {text}, step
+        assert len(rows) == 16 and text == repr(round((step + 500) // 1000 / 1e6, 6))
+        code, text_json = _batch_in_process(["batch", "--grid", "1", "--k-pairs", "1:2",
+                                             "--mode", "analytic", "--format", "json"])
+        lines = text_json.splitlines()[:-1]
+        assert code == 0 and all(f'"wall_time_s": {text}, ' in line for line in lines), step
+        assert {json.loads(line)["wall_time_s"] for line in lines} == {float(text)}
 
 
 # pairs that share and swap momenta, one of them not the shortest decimal
@@ -560,6 +619,34 @@ def test_streamed_batch_matches_collected_rendering(argv, tmp_path):
         assert ("DomainError: momenta k1=1e-300, k2=1e-300 are out of range for orders "
                 "(0, 0, 0, 0): ") in text
         assert "k1=1e+300, k2=1.0 are out of range for orders (2, 2, 2, 2): " in text
+
+
+def test_consecutive_input_rows_with_the_same_orders_share_one_verdict(monkeypatch, tmp_path):
+    # runs of equal orders, a tuple that comes back after another, and
+    # neighbours that differ only in l4
+    path = tmp_path / "specs.csv"
+    path.write_text(
+        "l1,l2,l3,l4,k1,k2\n0,0,0,1,1,2\n0,0,0,1,3,4\n0,0,0,0,1,2\n0,0,0,0,2,1\n"
+        "0,0,0,1,1,1\n1,0,1,2,2,1\n1,0,1,3,2,1\n1,0,1,2,1,2\n1,0,1,2,1,1\n",
+        encoding="utf-8",
+    )
+    verdicts = []
+
+    def counting_verdict(*orders):
+        verdicts.append(orders)
+        return wigner._bridge_verdict(*orders)
+
+    monkeypatch.setattr(cli, "_bridge_verdict", counting_verdict)
+    for mode, output in (("analytic", "csv"), ("both", "json"), ("oracle", "csv")):
+        verdicts.clear()
+        argv = ["batch", "--input", str(path), "--mode", mode, "--format", output]
+        code, text = _batch_in_process(argv)
+        expected_code, expected = _reference_batch(argv)
+        assert code == expected_code == 0
+        assert _without_wall_time(text) == _without_wall_time(expected), mode
+        assert verdicts == ([] if mode == "oracle" else [
+            (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 1, 2), (1, 0, 1, 3), (1, 0, 1, 2),
+        ]), mode
 
 
 def test_grid_formats_each_distinct_momentum_once(monkeypatch, tmp_path):
