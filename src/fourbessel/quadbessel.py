@@ -39,9 +39,9 @@ from .core import (
 from .errors import DomainError, PrefactorZero
 from .legendre import _linearization_weights, bform_band_coeffs
 from .wigner import (
-    _bridge_order,
     _three_j_square,
     gamma_half,
+    select_bridge_order,
     wigner_3j_zero,
     wigner_6j,
 )
@@ -262,7 +262,7 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     assembled numerator with zero remainder, and the quotient's powers of t
     share one parity. Any of these failing raises ArithmeticError.
     """
-    L = _bridge_order(l1, l2, l3, l4)
+    L = select_bridge_order(l1, l2, l3, l4)
     left_den, left = _side_factors(l1, l2, L)
     right_den, right = _side_factors(l3, l4, L)
     # sum of pair products per (min(l,lp), max(l,lp), s+s'), over left_den*right_den

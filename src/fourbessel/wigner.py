@@ -79,24 +79,16 @@ class SignedSqrtRational:
         return self * SignedSqrtRational.from_rational(value)
 
     def to_float(self) -> float:
+        """s*sqrt(p/q), rounding one quotient and its root; +-inf past the float range."""
         if self.sign == 0:
             return 0.0
         num, den = self.radicand.numerator, self.radicand.denominator
+        # p/q = r * 4^k with r in (1/2, 4), so the quotient r and its root are
+        # normal floats and the power of two is exact wherever the root is normal
+        k = (num.bit_length() - den.bit_length()) // 2
+        r = num / (den << 2 * k) if k >= 0 else (num << -2 * k) / den
         try:
-            quotient = num / den
-        except OverflowError:
-            quotient = math.inf
-        if 0.0 < quotient < math.inf:
-            return self.sign * math.sqrt(quotient)
-        # quotient left float range: scale by an even power of two so the
-        # square root is taken on a mantissa near 1
-        shift = num.bit_length() - den.bit_length()
-        mantissa = Fraction(num, den) / Fraction(2) ** shift
-        root = math.sqrt(float(mantissa))
-        if shift % 2:
-            root *= math.sqrt(2.0)
-        try:
-            return self.sign * math.ldexp(root, shift // 2)
+            return self.sign * math.ldexp(math.sqrt(r), k)
         except OverflowError:
             return self.sign * math.inf
 
@@ -209,14 +201,9 @@ def select_bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:
     parity constraints L = l1+l2 = l3+l4 (mod 2). Raises NoValidBridge when
     the parities disagree or the windows do not intersect.
     """
-    return _bridge_order(
+    verdict = _bridge_verdict(
         *(require_order(value, f"l{index}") for index, value in enumerate((l1, l2, l3, l4), 1))
     )
-
-
-def _bridge_order(l1: int, l2: int, l3: int, l4: int) -> int:
-    """select_bridge_order on validated orders: each refusal is a fresh NoValidBridge."""
-    verdict = _bridge_verdict(l1, l2, l3, l4)
     if type(verdict) is str:
         raise NoValidBridge(verdict)
     return verdict

@@ -1,10 +1,11 @@
-"""Seeded accuracy sweeps of evaluate, legendre_p and spherical_bessel_j.
+"""Seeded accuracy sweeps of evaluate, the oracle, legendre_p and spherical_bessel_j.
 
 Each value is held to the accuracy the README states for it, against a
 reference that shares no code with the function: the exact Mellin finite
-part of the oracle's decomposition for evaluate, mpmath for the others. The
-sweeps of assoc_legendre_gt1 and triple_bessel_weighted live beside their
-other tests.
+part of the oracle's decomposition for evaluate, mpmath for legendre_p and
+spherical_bessel_j. The oracle's own estimate must bound its error against
+the exact closed forms. The sweeps of assoc_legendre_gt1 and
+triple_bessel_weighted live beside their other tests.
 """
 from __future__ import annotations
 
@@ -14,10 +15,17 @@ import numpy as np
 import pytest
 
 from fourbessel import IntegralSpec, evaluate, legendre_p
-from fourbessel.errors import NoValidBridge
-from fourbessel.oracle import spherical_bessel_j
+from fourbessel.errors import DomainError, NoConvergence, NoValidBridge
+from fourbessel.oracle import (
+    QuadratureConfig,
+    quad_bessel_numeric,
+    spherical_bessel_j,
+    triple_bessel_numeric,
+)
+from fourbessel.wigner import wigner_3j_zero
 
 from test_oracle import _PI, _mellin_finite_part_over_pi
+from test_quadbessel import _reference_triple_over_pi
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -122,3 +130,85 @@ def test_evaluate_seeded_sweep_matches_the_mellin_finite_part():
         assert error <= 1e-12, (orders, k1, k2, value, error)
         worst = max(worst, error)
     assert refused > 100 and 0.0 < worst
+
+
+def _oracle_sweep(cases, run, exact_over_pi):
+    """(answered, refused, zeros, off) over the cases; every estimate must bound its error.
+
+    A NoConvergence or DomainError is a refusal. ``zeros`` counts the answered
+    cases whose exact value is zero, and ``off`` the others that are more than
+    rel_tol off in relative terms.
+    """
+    rel_tol = QuadratureConfig().rel_tol
+    answered = refused = zeros = off = 0
+    for case in cases:
+        try:
+            value, estimate = run(*case)
+        except (NoConvergence, DomainError):
+            refused += 1
+            continue
+        answered += 1
+        exact = _PI * exact_over_pi(*case)
+        error = abs(Fraction(value) - exact)
+        assert error <= estimate, (case, value, estimate, float(error))
+        if exact == 0:
+            zeros += 1
+        elif error > rel_tol * abs(exact):
+            off += 1
+    return answered, refused, zeros, off
+
+
+def test_quad_bessel_numeric_seeded_sweep_estimate_bounds_the_error():
+    # even order sums of orders 0-8, k1 log-uniform on [0.01, 100]: half with
+    # k2/k1 log-uniform up to 10^+-2.5, a quarter equal and a quarter with
+    # k2 = k1 (1 +- 10^-u), u in [1, 12], against pi times the exact finite part
+    rng = np.random.default_rng(SEED + 3)
+    cases = []
+    while len(cases) < 150:
+        orders = tuple(int(order) for order in rng.integers(0, 9, size=4))
+        if sum(orders) % 2:
+            continue
+        k1 = float(10.0 ** rng.uniform(-2.0, 2.0))
+        slot = len(cases) % 4
+        if slot == 2:
+            k2 = k1
+        elif slot == 3:
+            k2 = float(k1 * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.uniform(1.0, 12.0)))
+        else:
+            k2 = float(k1 * 10.0 ** rng.uniform(-2.5, 2.5))
+        cases.append((IntegralSpec(*orders, k1, k2),))
+    counts = _oracle_sweep(
+        cases,
+        quad_bessel_numeric,
+        lambda spec: _mellin_finite_part_over_pi(spec.orders, Fraction(spec.k1), Fraction(spec.k2)),
+    )
+    # All 150 are answered; 11 are zero by structure. The oracle certifies
+    # against rel_tol * max(|value|, pi / (4 k1 k2 max k)), so a value far below
+    # that floor passes more than rel_tol off while its estimate still bounds
+    # the absolute error: 5 do, the worst 7.5e-6 relative at (0, 2, 4, 2).
+    # ROADMAP item 4 (certify relative to |value|) must bring that 5 down to 0.
+    assert counts == (150, 0, 11, 5)
+
+
+def test_triple_bessel_numeric_seeded_sweep_estimate_bounds_the_error():
+    # orders 0-8 with a nonzero 3j(l1, l2, L), k1 log-uniform on [0.01, 100],
+    # k2/k1 log-uniform up to 10^+-2.5; K uniform inside the triangle
+    # |k1 - k2| < K < k1 + k2 for three cases in four, else log-uniform on
+    # [0.01, 100], mostly outside it, where the integral is zero
+    rng = np.random.default_rng(SEED + 4)
+    cases = []
+    while len(cases) < 100:
+        l1, l2, bridge = (int(order) for order in rng.integers(0, 9, size=3))
+        if wigner_3j_zero(l1, l2, bridge).is_zero:
+            continue
+        k1 = float(10.0 ** rng.uniform(-2.0, 2.0))
+        k2 = float(k1 * 10.0 ** rng.uniform(-2.5, 2.5))
+        if len(cases) % 4:
+            big_k = float(rng.uniform(abs(k1 - k2), k1 + k2))
+        else:
+            big_k = float(10.0 ** rng.uniform(-2.0, 2.0))
+        cases.append((l1, l2, bridge, k1, k2, big_k))
+    counts = _oracle_sweep(cases, triple_bessel_numeric, _reference_triple_over_pi)
+    # all answered, 24 zero outside the triangle, and no nonzero value more
+    # than rel_tol off; ROADMAP item 4 must keep the last count at 0
+    assert counts == (100, 0, 24, 0)

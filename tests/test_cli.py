@@ -843,6 +843,33 @@ def test_commands_without_the_oracle_do_not_load_it():
     assert json.loads(result.stdout) == {"codes": [0, 0, 0, 0], "lines": 167, "loaded": []}
 
 
+@pytest.mark.parametrize("mode", ("both", "oracle"))
+def test_oracle_batch_loads_numpy_before_its_first_row(mode):
+    # numpy's import is timed in no row's wall_time_s: it is loaded before the
+    # first oracle run, which times the first row
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, json, sys
+        sys.modules.update(dict.fromkeys(("mpmath", "scipy", "hypothesis")))
+        from fourbessel import cli
+        numeric, seen = cli.quad_bessel_numeric, []
+
+        def recording(spec, config=None):
+            if not seen:
+                seen.extend(name in sys.modules for name in ("numpy", "numpy.polynomial.legendre"))
+            return numeric(spec, config)
+
+        cli.quad_bessel_numeric = recording
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["batch", "--grid", "1", "--k-pairs", "1:2", "--mode", "{mode}"])
+        print(json.dumps({{"code": code, "loaded": seen}}))
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"code": 0, "loaded": [True, True]}
+
+
 def test_every_oracle_run_goes_through_the_module_name(capsys, monkeypatch):
     # replacing cli.quad_bessel_numeric (as the benchmark's tracer does) sees
     # every oracle evaluation of every command, once each

@@ -352,13 +352,42 @@ def test_ssr_str_and_float():
     assert value == pytest.approx(-math.sqrt(2 / 15), rel=1e-15)
 
 
+_EDGE_RADICANDS = (
+    Fraction(10) ** 600,
+    Fraction(1, 10 ** 600),
+    # below 2^-1022, not dyadic: the quotient itself is subnormal
+    Fraction(1, 10 ** 320),
+    Fraction(3, 10 ** 323),
+    Fraction(2, 3) * Fraction(1, 2 ** 1100),
+    # above the float max, with odd and even binary exponents
+    3 * Fraction(2) ** 1025,
+    Fraction(10) ** 401,
+    Fraction(7, 3) * Fraction(2) ** 1501,
+    Fraction(2) ** 2047,
+    Fraction(sys.float_info.max) ** 2,
+)
+
+
 def test_ssr_to_float_survives_huge_radicands():
-    huge = SignedSqrtRational(1, Fraction(10) ** 600)
-    assert huge.to_float() == pytest.approx(1e300, rel=1e-12)
-    tiny = SignedSqrtRational(-1, Fraction(1, 10 ** 600))
-    assert tiny.to_float() == pytest.approx(-1e-300, rel=1e-12)
-    beyond = SignedSqrtRational(-1, Fraction(10) ** 700)
-    assert beyond.to_float() == -math.inf
+    # one rounding of the quotient and one of its root: the square is within
+    # three units of the radicand wherever the root is a normal float
+    for radicand in _EDGE_RADICANDS:
+        for sign in (-1, 1):
+            value = SignedSqrtRational(sign, radicand).to_float()
+            assert math.copysign(1.0, value) == sign, radicand
+            assert sys.float_info.min <= abs(value) <= sys.float_info.max, radicand
+            assert abs(Fraction(value) ** 2 / radicand - 1) <= 4.5e-16, radicand
+
+
+def test_ssr_to_float_keeps_zero_and_infinity():
+    zero = SignedSqrtRational.zero().to_float()
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    for sign in (-1, 1):
+        for radicand in (Fraction(10) ** 700, 4 * Fraction(sys.float_info.max) ** 2):
+            assert SignedSqrtRational(sign, radicand).to_float() == sign * math.inf
+        # a root below the subnormal range rounds to zero and keeps its sign
+        vanished = SignedSqrtRational(sign, Fraction(1, 2 ** 2400)).to_float()
+        assert vanished == 0.0 and math.copysign(1.0, vanished) == sign
 
 
 @given(
