@@ -158,6 +158,9 @@ def _error_document(exc: Exception, **context) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    if args.rel_tol is not None and not args.check:
+        print("eval: --rel-tol requires --check", file=sys.stderr)
+        return 64
     spec = IntegralSpec(args.l1, args.l2, args.l3, args.l4, args.k1, args.k2)
     context = {"lambda": list(spec.orders), "k1": spec.k1, "k2": spec.k2}
     try:
@@ -313,6 +316,9 @@ def _cmd_batch(args) -> int:
         return 64
     if args.grid is None and args.k_pairs is not None:
         print("batch: --k-pairs requires --grid", file=sys.stderr)
+        return 64
+    if args.rel_tol is not None and args.mode == "analytic":
+        print("batch: --rel-tol requires --mode both or oracle", file=sys.stderr)
         return 64
     header, orders_format, momenta_format, field_text, line = _BATCH_FORMATS[args.format]
     try:

@@ -13,11 +13,11 @@ half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
 ``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
 of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. The polynomial is
-K(t) = t^p0 P(u), u = t^2, stored dense in u. Every later call is a cached
-lookup plus one plain float Horner over P's coefficients about centre 0,
-accepted when the kernel's stored a-priori rounding bound holds; past that,
-a Horner about the nearest of 17 rational centres, and exact integers only
-where its bound fails too.
+K(t) = t^p0 P(u), u = t^2, stored dense in u and in lowest terms. Every
+later call is a cached lookup plus one plain float Horner over P's
+coefficients, accepted when the kernel's stored a-priori rounding bound
+holds; past that, a truncated fixed-point Horner at the momenta's exact
+ratio, correctly rounded. At k1 = k2 the value is the stored K(1).
 ``quad_bessel_paired`` reads the same kernel; ``triple_bessel_weighted``
 reads the kernel's exact weights, sums them in integers and rounds once.
 """
@@ -124,26 +124,24 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
     return evaluate(IntegralSpec(l1, l1, l2, l2, k1, k2))
 
 
-# Relative rounding bound of evaluate's two float passes, both one Horner
-# over P's coefficients in w that accepts its value when
-# (3 D + 2) 2^-53 sum|e_m| |w|^m / |P| is within this. The first pass runs
-# about centre 0 at w = t * t and treats t = k_lo/k_hi as an exact input: its
-# bound leaves out the rounding of t, for which 1e-12 leaves a wide margin
-# below perfbench's failure threshold of 1e-8 (the oracle's default rel_tol).
-# There 0 <= w <= 1, and the bound's float sum is monotone in w, so the
-# kernel's bound at w = 1 (_Kernel.horner_bound) bounds it a priori: the
-# first pass is a plain Horner, and where the stored bound fails the Taylor
-# pass runs. That one runs about the nearest centre at w from the momenta's
-# exact ratio, whose one rounding its running bound (_float_horner) counts.
-# Past both, Horner is re-run in exact integers.
+# Relative rounding bound of evaluate's float pass, one Horner over P's
+# coefficients at w = t * t that accepts its value when
+# (3 D + 2) 2^-53 sum|e_m| |w|^m / |P| is within this. It treats
+# t = k_lo/k_hi as an exact input: the bound leaves out the rounding of t, for
+# which 1e-12 leaves a wide margin below perfbench's failure threshold of 1e-8
+# (the oracle's default rel_tol). There 0 <= w <= 1, and the bound's float sum
+# is monotone in w, so the kernel's bound at w = 1 (_Kernel.horner_bound)
+# bounds it a priori: the pass is a plain Horner, and where the stored bound
+# fails, _kernel_value returns K correctly rounded from the momenta's exact
+# ratio.
 _EXACT_HORNER_BOUND = 1e-12
 # evaluate's scale pi / k_hi^3 is taken as it stands when it lies in
 # [_NORMAL_MIN, _SCALE_MAX): pi / x falls as x grows, so there both k_hi^3 and
 # the scale are normal floats.
 _NORMAL_MIN = sys.float_info.min
 _SCALE_MAX = math.pi / _NORMAL_MIN
-# The Taylor pass expands P(u) about the centre j / _CENTRES nearest u, j = 0 .. _CENTRES.
-_CENTRES = 16
+# The fixed-point pass starts with this many bits in all, integer part and fraction.
+_FIXED_POINT_BITS = 112
 
 
 def _exact_sqrt(num: int, den: int) -> tuple[int, int]:
@@ -235,11 +233,13 @@ class _Kernel(NamedTuple):
     """A Laurent kernel K(t) = t^p0 P(u), u = t^2, with P dense in u.
 
     The coefficient of u^i in P is kept once, exactly, as the integer
-    ``numerators[i]`` over ``common``, a zero as 0; ``floats[i]`` is that
-    numerator / common, correctly rounded. ``horner_bound`` is
-    ``_float_horner(floats, 1.0)[1]``, the running rounding bound at w = 1.
-    Each float step of that bound, m * |w| + |e|, is monotone in m and |w|,
-    so at any 0 <= w <= 1 the computed bound is at most this one.
+    ``numerators[i]`` over ``common``, in lowest terms, a zero as 0;
+    ``floats[i]`` is that numerator / common, correctly rounded, and
+    ``at_one`` is K(1) = sum(numerators) / common, correctly rounded.
+    ``horner_bound`` is ``_float_horner(floats, 1.0)[1]``, the running
+    rounding bound at w = 1. Each float step of that bound, m * |w| + |e|, is
+    monotone in m and |w|, so at any 0 <= w <= 1 the computed bound is at most
+    this one. ``width`` is the bit length of sum |numerators|.
     """
 
     p0: int
@@ -247,6 +247,8 @@ class _Kernel(NamedTuple):
     common: int
     floats: tuple[float, ...]
     horner_bound: float
+    at_one: float
+    width: int
 
 
 @lru_cache(maxsize=None)
@@ -290,30 +292,12 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     first, last = nonzero[0], nonzero[-1]
     if any(numerator[first + 1 : last : 2]):
         raise ArithmeticError("Laurent kernel numerator has powers of t of both parities")
-    dense = tuple(numerator[first : last + 1 : 2])
+    dense = numerator[first : last + 1 : 2]
+    divisor = math.gcd(common, *dense)
+    dense, common = tuple(value // divisor for value in dense), common // divisor
     floats = tuple(value / common for value in dense)
-    return L, _Kernel(first - 1, dense, common, floats, _float_horner(floats, 1.0)[1])
-
-
-@lru_cache(maxsize=None)
-def _taylor_basis(orders: tuple[int, int, int, int], j: int) -> tuple[float, ...]:
-    """The coefficients of P(u) in powers of w = u - c, c = j / _CENTRES, K(t) = t^p0 P(t^2).
-
-    One float per power 0 .. D, each correctly rounded once, a zero as 0.0.
-    With n_i the kernel's numerator of u^i over d and D the degree of P, the
-    polynomial sum n_i C^(D-i) (C u)^i = C^D d P(u), C = _CENTRES, has
-    integer coefficients; the shift C u = j + C w by the integer j keeps them
-    integers s_m, so P(u) = sum s_m C^m w^m / (C^D d), exactly. Built on
-    first use per (orders, centre).
-    """
-    _, kernel = _laurent_kernel(*orders)
-    degree = len(kernel.numerators) - 1
-    coeffs = [n * _CENTRES ** (degree - i) for i, n in enumerate(kernel.numerators)]
-    for low in range(degree):
-        for i in range(degree - 1, low - 1, -1):
-            coeffs[i] += j * coeffs[i + 1]
-    common = _CENTRES**degree * kernel.common
-    return tuple(s * _CENTRES**m / common for m, s in enumerate(coeffs))
+    bound, width = _float_horner(floats, 1.0)[1], sum(map(abs, dense)).bit_length()
+    return L, _Kernel(first - 1, dense, common, floats, bound, sum(dense) / common, width)
 
 
 def _float_horner(coeffs: tuple[float, ...], w: float) -> tuple[float, float]:
@@ -353,32 +337,47 @@ def _horner_exact(kernel: _Kernel, a: int, b: int) -> tuple[int, int]:
 
 
 def _exact_ratio(k_lo: float, k_hi: float) -> tuple[int, int]:
-    """(a, b) with a / b = k_lo / k_hi exactly, from the two floats' integer ratios."""
+    """(a, b), not both even, with a / b = k_lo / k_hi exactly, from the floats' integer ratios."""
     lo_num, lo_den = k_lo.as_integer_ratio()
     hi_num, hi_den = k_hi.as_integer_ratio()
-    return lo_num * hi_den, lo_den * hi_num
+    a, b = lo_num * hi_den, lo_den * hi_num
+    # both denominators are powers of two: drop the power of two a and b share
+    shift = ((a | b) & -(a | b)).bit_length() - 1
+    return a >> shift, b >> shift
 
 
-def _kernel_value(
-    orders: tuple[int, int, int, int], kernel: _Kernel, k_lo: float, k_hi: float, t: float
-) -> float:
-    """K(t) at t = k_lo/k_hi < 1 where the first pass's a-priori bound fails.
+def _kernel_value(kernel: _Kernel, a: int, b: int) -> float:
+    """K(t) at t = a/b, 0 < a < b, correctly rounded, by a truncated fixed-point Horner.
 
-    One float Horner about the centre j / _CENTRES nearest u = t^2, at
-    w = u - c, one correctly rounded integer division of the momenta's exact
-    ratio a/b; where its running bound fails too, the integer Horner,
-    correctly rounded.
+    With F fraction bits and s = F + kernel.width + 2, W = floor(a^2 2^s / b^2)
+    and A <- floor(A W / 2^s) + n_i 2^F over the numerators n_i. As
+    0 <= W / 2^s <= 1, each step adds under 1 + 1/4 to |A - 2^F sum n_i u^i|,
+    so K(t) lies strictly between (A -+ 2 (D + 1)) t^p0 / (2^F common). Where
+    both ends give the same nonzero float (two correctly rounded int / int
+    divisions), that is K(t) correctly rounded; otherwise F doubles. Once F
+    passes the bits of b^2D, the exact Horner is no dearer, and it settles
+    exact zeros and ties.
     """
-    a, b = _exact_ratio(k_lo, k_hi)
-    j = round(t * t * _CENTRES)
-    b2 = b * b
-    w = (_CENTRES * a * a - j * b2) / (_CENTRES * b2)
-    total, bound = _float_horner(_taylor_basis(orders, j), w)
-    if bound > _EXACT_HORNER_BOUND * abs(total):
-        num, den = _horner_exact(kernel, a, b)
-        # int / int is correctly rounded, as float(Fraction(num, den)) is
-        return num / den
-    return total * t**kernel.p0
+    numerators, width = kernel.numerators, kernel.width
+    degree = len(numerators) - 1
+    slack = 2 * (degree + 1)
+    # t^p0 = top / bottom; p0 is -1 when the kernel has a t^-1 term
+    top, bottom = (b, a) if kernel.p0 < 0 else (a**kernel.p0, b**kernel.p0)
+    fraction = max(0, _FIXED_POINT_BITS - width)
+    while fraction <= 2 * degree * b.bit_length():
+        shift = fraction + width + 2
+        w = (a * a << shift) // (b * b)
+        total = 0
+        for n in reversed(numerators):
+            total = (total * w >> shift) + (n << fraction)
+        den = kernel.common * bottom << fraction
+        lo, hi = (total - slack) * top / den, (total + slack) * top / den
+        if lo == hi and lo:
+            return lo
+        fraction = 2 * fraction + 64
+    num, den = _horner_exact(kernel, a, b)
+    # int / int is correctly rounded, as float(Fraction(num, den)) is
+    return num / den
 
 
 def _report_terms(kernel: _Kernel, t: float, scale: float, shift: int) -> tuple[TermEntry, ...]:
@@ -410,16 +409,16 @@ def _evaluate(
     t = k_lo / k_hi
     try:
         if k_lo == k_hi:
-            total = _taylor_basis(orders, _CENTRES)[0]
+            total = kernel.at_one
         else:
-            # the first pass, about centre 0 at w = t * t <= 1, where the
-            # stored bound at w = 1 bounds the running one
+            # the float pass at w = t * t <= 1, where the stored bound at
+            # w = 1 bounds the running one
             w = t * t
             total = 0.0
             for coeff in reversed(kernel.floats):
                 total = total * w + coeff
             if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
-                total = _kernel_value(orders, kernel, k_lo, k_hi, t)
+                total = _kernel_value(kernel, *_exact_ratio(k_lo, k_hi))
             else:
                 total *= t**kernel.p0
     except (OverflowError, ZeroDivisionError):
@@ -458,11 +457,10 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
     integral. Later calls run a plain float Horner over P's coefficients at
     u = t^2, t = k_lo/k_hi, and return it when the kernel's stored a-priori
-    bound holds. Otherwise the same Horner runs over P's Taylor coefficients
-    about the nearest centre instead, and an exact integer one when its
-    running bound fails too. At k1 = k2 the value is K(1) = P(1), the
-    constant of the Taylor basis about u = 1, rounded once, so it is
-    bit-identical for a tuple and its exchange.
+    bound holds. Otherwise K(t) comes from a truncated fixed-point Horner at
+    the momenta's exact ratio, correctly rounded. At k1 = k2 the value is the
+    kernel's stored K(1) = P(1), rounded once, so it is bit-identical for a
+    tuple and its exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.

@@ -288,6 +288,29 @@ def test_batch_source_flags_are_exclusive(tmp_path):
     assert result.stderr == "batch: --k-pairs requires --grid\n"
 
 
+def test_rel_tol_without_an_oracle_run_is_a_usage_error(capsys):
+    # the tolerance reaches only the oracle; without an oracle run it was
+    # once accepted and ignored
+    eval_argv = ["eval", "--l1", "1", "--l2", "1", "--l3", "1", "--l4", "1",
+                 "--k1", "1", "--k2", "2"]
+    batch_argv = ["batch", "--grid", "1", "--k-pairs", "1:2"]
+    for argv, message in (
+        ([*eval_argv, "--rel-tol", "1e-9"], "eval: --rel-tol requires --check\n"),
+        ([*batch_argv, "--mode", "analytic", "--rel-tol", "1e-9"],
+         "batch: --rel-tol requires --mode both or oracle\n"),
+    ):
+        assert cli.main(argv) == 64, argv
+        assert capsys.readouterr() == ("", message), argv
+    for argv in (
+        [*eval_argv, "--check", "--rel-tol", "1e-9"],
+        [*batch_argv, "--mode", "oracle", "--rel-tol", "1e-9"],
+        [*batch_argv, "--rel-tol", "1e-9"],
+    ):
+        assert cli.main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        assert out and not err, argv
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
 @pytest.mark.parametrize("slot", ["k1", "k2"])
 def test_batch_refuses_a_bad_grid_momentum_before_any_output(text, slot, capsys):

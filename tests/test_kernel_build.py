@@ -164,9 +164,14 @@ def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, 
     powers = {index - 1: value for index, value in enumerate(numerator) if value}
     p0 = min(powers)
     assert all((p - p0) % 2 == 0 for p in powers)
-    dense = tuple(powers.get(p, 0) for p in range(p0, max(powers) + 1, 2))
-    floats = tuple(float(Fraction(n, common)) for n in dense)
-    return L, _Kernel(p0, dense, common, floats, _float_horner(floats, 1.0)[1])
+    coeffs = [Fraction(powers.get(p, 0), common) for p in range(p0, max(powers) + 1, 2)]
+    # lowest terms: the least common denominator of the coefficients
+    common = math.lcm(*(c.denominator for c in coeffs))
+    dense = tuple(int(c * common) for c in coeffs)
+    floats = tuple(float(c) for c in coeffs)
+    at_one = float(sum(coeffs, Fraction(0)))
+    width = sum(abs(n) for n in dense).bit_length()
+    return L, _Kernel(p0, dense, common, floats, _float_horner(floats, 1.0)[1], at_one, width)
 
 
 def _assert_same_kernel(orders) -> bool:
@@ -179,11 +184,8 @@ def _assert_same_kernel(orders) -> bool:
         return False
     L, kernel = _laurent_kernel(*orders)
     assert L == bridge, orders
-    assert kernel.p0 == expected.p0, orders
-    # the two builds reach different common denominators: compare the exact ratios
-    assert [Fraction(n, kernel.common) for n in kernel.numerators] == [
-        Fraction(n, expected.common) for n in expected.numerators
-    ], orders
+    # both builds are in lowest terms, so they agree field for field
+    assert kernel == expected, orders
     assert [c.hex() for c in kernel.floats] == [c.hex() for c in expected.floats], orders
     return True
 

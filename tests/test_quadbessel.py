@@ -28,16 +28,16 @@ from fourbessel.errors import (
 )
 from fourbessel.oracle import _gauss_rule, quad_bessel_numeric, triple_bessel_numeric
 from fourbessel.quadbessel import (
-    _CENTRES,
     _EXACT_HORNER_BOUND,
     _Kernel,
     _band_series,
     _divide_one_minus_u,
+    _exact_ratio,
     _exact_sqrt,
     _float_horner,
     _horner_exact,
+    _kernel_value,
     _laurent_kernel,
-    _taylor_basis,
     evaluate,
     quad_bessel_paired,
     triple_bessel_weighted,
@@ -619,11 +619,10 @@ def test_underflowing_values_raise_domain_error(orders, k1, k2):
 
 
 def test_exact_zero_is_returned_at_extreme_momenta(monkeypatch):
-    # no kernel of {0..4}^4 vanishes at k1 = k2, so the zero kernel is put in;
-    # k1 != k2, since k1 = k2 reads the cached Taylor basis of the true kernel
-    zero = _Kernel(0, (0,), 1, (0.0,), 0.0)
+    # no kernel of {0..4}^4 vanishes at k1 = k2, so the zero kernel is put in
+    zero = _Kernel(0, (0,), 1, (0.0,), 0.0, 0.0, 0)
     monkeypatch.setattr(quadbessel, "_laurent_kernel", lambda *orders: (1, zero))
-    for k1, k2 in ((1.0, 2.0), (1e100, 1e-100), (3e300, 1e300), (1e-300, 2e-300)):
+    for k1, k2 in ((1.0, 2.0), (1e100, 1e-100), (3e300, 1e300), (1e-300, 2e-300), (2.0, 2.0)):
         assert evaluate(IntegralSpec(1, 0, 1, 2, k1, k2)).value == 0.0
 
 
@@ -838,7 +837,7 @@ def test_evaluate_terms_are_laurent_monomials():
 def test_cancelling_kernels_keep_their_digits():
     # the kernel of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the float
     # Horner over P's own coefficients alone is off by ~2e-8 there, and the
-    # Taylor basis about u = 13/16 keeps every digit
+    # fixed-point pass returns K correctly rounded
     k1, k2 = 1.1, 1.0
     _, kernel = _laurent_kernel(13, 4, 11, 2)
     t = k2 / k1
@@ -846,7 +845,7 @@ def test_cancelling_kernels_keep_their_digits():
     float_only = _float_horner(kernel.floats, t * t)[0] * t**kernel.p0
     assert abs(float_only - float(exact)) > 1e-9 * abs(float(exact))
     value = evaluate(IntegralSpec(13, 4, 11, 2, k1, k2)).value
-    assert value == pytest.approx(math.pi / k1**3 * float(exact), rel=1e-15)
+    assert value == math.pi / k1**3 * float(exact)
 
 
 def _integer_horner_cases():
@@ -887,41 +886,27 @@ def _first_bound_fails(kernel, t):
     return bound > 1e-12 * abs(total)
 
 
-def _shifted_pass(orders, k1, k2):
-    """(p0, P, bound, exact P): the Taylor pass for the spec, and P(t^2) at the exact t.
-
-    The pass runs about the centre j/16 nearest the float t^2, at w = u - j/16
-    from the exact u, correctly rounded.
-    """
+def _rounded_value(orders, k1, k2):
+    """pi / k_hi^3 times K(k_lo/k_hi), K correctly rounded at the momenta's exact ratio."""
     kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-    t = Fraction(k_lo) / Fraction(k_hi)
-    j = round((k_lo / k_hi) ** 2 * _CENTRES)
-    w = float(t * t - Fraction(j, _CENTRES))
-    total, bound = _float_horner(_taylor_basis(_orders_read(orders, k1, k2), j), w)
-    return kernel.p0, total, bound, _reference_horner_exact(kernel, t) / t**kernel.p0
+    exact = _reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi))
+    return math.pi / k_hi**3 * float(exact)
 
 
-def test_shifted_pass_returns_the_fraction_value():
+def test_fixed_point_pass_returns_the_fraction_value():
     # the gap sweep of (13, 4, 11, 2) and (13, 0, 13, 0) includes cancelling
-    # specs whose first bound fails; the Taylor pass answers every one of
-    # them within its bound, and within 1e-15 of the rounded Fraction
-    shifted = 0
+    # specs whose first bound fails; the fixed-point pass answers every one of
+    # them with K correctly rounded
+    fixed = 0
     for orders, k1, k2 in _integer_horner_cases():
         if isinstance(k1, Fraction):
             continue
         kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-        t = k_lo / k_hi
-        if not _first_bound_fails(kernel, t):
+        if not _first_bound_fails(kernel, k_lo / k_hi):
             continue
-        p0, total, bound, exact = _shifted_pass(orders, k1, k2)
-        assert bound <= 1e-12 * abs(total), (orders, k1, k2)
-        assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
-        value = evaluate(IntegralSpec(*orders, k1, k2)).value
-        assert value == math.pi / k_hi**3 * (total * t**p0), (orders, k1, k2)
-        kernel = float(exact * (Fraction(k_lo) / Fraction(k_hi)) ** p0)
-        assert value == pytest.approx(math.pi / k_hi**3 * kernel, rel=1e-15), (orders, k1, k2)
-        shifted += 1
-    assert shifted == 16
+        assert evaluate(IntegralSpec(*orders, k1, k2)).value == _rounded_value(orders, k1, k2)
+        fixed += 1
+    assert fixed == 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -957,8 +942,10 @@ def _root_adjacent_specs():
 
 
 def test_exact_horner_runs_next_to_roots_and_returns_the_fraction_value(monkeypatch):
-    # next to a real root of K no float basis keeps digits: both bounds fail
-    # and the integer Horner gives the correctly rounded value
+    # next to a real root of K the float pass keeps no digits and the
+    # fixed-point pass doubles its precision; past the bits of b^2D the
+    # integer Horner gives the correctly rounded value. It does so on the 6
+    # specs of the two roots of (2, 1, 3, 0), whose kernel has degree 2
     specs, roots = _root_adjacent_specs()
     assert roots == {(2, 1, 3, 0): 2, (13, 4, 11, 2): 8, (8, 3, 13, 10): 1}
     calls = []
@@ -970,20 +957,73 @@ def test_exact_horner_runs_next_to_roots_and_returns_the_fraction_value(monkeypa
         exact = _reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi))
         value = evaluate(IntegralSpec(*orders, k1, k2)).value
         assert value == math.pi / k_hi**3 * float(exact), (orders, k1, k2)
-    assert len(calls) == len(specs) == 3 * 11
+    assert len(specs) == 3 * 11
+    assert len(calls) == 6 and {call[0] for call in calls} == {_laurent_kernel(2, 1, 3, 0)[1]}
+
+
+def test_fixed_point_pass_doubles_its_precision_from_a_tiny_start(monkeypatch):
+    # started at 0 fraction bits, the pass cannot answer the gap sweep's
+    # fallback specs: its two ends lie more than two ulps apart. It doubles its
+    # precision until they round alike, and never reaches the integer Horner
+    def forbidden(*args):
+        raise AssertionError("integer Horner")
+
+    monkeypatch.setattr(quadbessel, "_FIXED_POINT_BITS", 0)
+    monkeypatch.setattr(quadbessel, "_horner_exact", forbidden)
+    doubled = 0
+    for orders, k1, k2 in _integer_horner_cases():
+        if isinstance(k1, Fraction):
+            continue
+        kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+        if not _first_bound_fails(kernel, k_lo / k_hi):
+            continue
+        t = Fraction(k_lo) / Fraction(k_hi)
+        # A is common * P(u) at no fraction bits, within 2 (D + 1) either way
+        scaled = abs(_reference_horner_exact(kernel, t) / t**kernel.p0 * kernel.common)
+        assert scaled < 2 * len(kernel.numerators) * 2**52, (orders, k1, k2)
+        assert evaluate(IntegralSpec(*orders, k1, k2)).value == _rounded_value(orders, k1, k2)
+        doubled += 1
+    assert doubled == 16
+
+
+def test_exact_rational_root_returns_zero_without_looping(monkeypatch):
+    # K(t) = 2^106 t^2 - m^2 vanishes at the float t = m / 2^53: the float
+    # pass cancels to 0.0, the fixed-point ends straddle 0 at every precision,
+    # and once the precision passes the bits of b^2 the integer Horner returns
+    # the exact zero; the range check reads it once more
+    m, b = 0.6123456789.as_integer_ratio()
+    numerators = (-m * m, b * b)
+    floats = tuple(map(float, numerators))
+    kernel = _Kernel(
+        0, numerators, 1, floats, _float_horner(floats, 1.0)[1], float(sum(numerators)),
+        sum(map(abs, numerators)).bit_length(),
+    )
+    monkeypatch.setattr(quadbessel, "_laurent_kernel", lambda *orders: (1, kernel))
+    calls = []
+    monkeypatch.setattr(
+        quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
+    )
+    t = m / b
+    assert _float_horner(kernel.floats, t * t)[0] == 0.0
+    assert evaluate(IntegralSpec(1, 0, 1, 2, 1.0, t)).value == 0.0
+    assert calls == [(kernel, m, b)] * 2
 
 
 def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
-    # 1500 momentum pairs log-uniform on [0.1, 10]^2: the first bound fails
-    # on 277 of them for (13, 4, 11, 2) and on 368 for (13, 0, 13, 0); the
-    # Taylor pass leaves 1 and 0 of them to the integer Horner
+    # 1500 momentum pairs log-uniform on [0.1, 10]^2, in both orientations:
+    # the first bound fails on 277 of them for (13, 4, 11, 2), on 368 for
+    # (13, 0, 13, 0) and on 594-652 at bridge orders 30-50; the fixed-point
+    # pass leaves none of them to the integer Horner
     rng = random.Random("exact-fallback-rate")
     pairs = [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(1500)]
     calls = []
     monkeypatch.setattr(
         quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
     )
-    for orders, limit, first_floor in (((13, 4, 11, 2), 15, 150), ((13, 0, 13, 0), 0, 150)):
+    for orders, first_floor in (
+        ((13, 4, 11, 2), 150), ((13, 0, 13, 0), 150),
+        ((0, 30, 60, 30), 500), ((40, 0, 40, 0), 500), ((50, 0, 50, 0), 500),
+    ):
         calls.clear()
         first_fails = 0
         for k1, k2 in pairs:
@@ -991,49 +1031,31 @@ def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
             kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
             first_fails += _first_bound_fails(kernel, k_lo / k_hi)
         assert first_fails > first_floor, orders
-        assert len(calls) <= limit, orders
+        assert not calls, orders
 
 
-def _assert_taylor_basis_is_exact(orders, j):
-    """The basis about c = j/16 is P(c + w) coefficient by coefficient, each rounded once."""
-    dense = _taylor_basis(orders, j)
-    kernel = _laurent_kernel(*orders)[1]
-    # about c = 0 the basis is the kernel's own floats, which the first pass reads
-    assert j != 0 or dense == kernel.floats
-    # P(u) = sum_i e_i u^i; the w^m coefficient of P(c + w) is sum_i e_i C(i, m) c^(i-m)
-    by_power = {i: Fraction(n, kernel.common) for i, n in enumerate(kernel.numerators)}
-    degree = max(by_power)
-    c = Fraction(j, _CENTRES)
-    exact = [
-        sum(e * math.comb(i, m) * c ** (i - m) for i, e in by_power.items() if i >= m)
-        for m in range(degree + 1)
-    ]
-    assert [x.hex() for x in dense] == [float(e).hex() for e in exact], (orders, j)
+def test_fallback_is_correctly_rounded_wherever_the_stored_bound_fails():
+    # every bridge-valid tuple of {0..4}^4, the eval-kgrid tuples and bridge
+    # orders 20 to 50, both orientations, at the gap sweep and at log-uniform
+    # momenta: wherever the stored bound fails, the value is pi / k_hi^3 times
+    # K correctly rounded at the momenta's exact ratio
+    from test_kernel_build import EVAL_KGRID_TUPLES
 
-
-def test_shifted_bound_is_an_a_posteriori_bound():
-    # every bridge-valid tuple of {0..4}^4, at the gap sweep and at log-uniform
-    # momenta: the Taylor pass lies within its bound of the exact P(t^2), and
-    # evaluate returns it wherever the first bound fails and its own holds
-    rng = random.Random("shifted-bound")
+    rng = random.Random("fixed-point-pass")
     momenta = [(1.0, 1.0 + sign * 10.0**-u) for u in range(1, 16) for sign in (1, -1)]
     momenta += [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(10)]
-    checked = taken = 0
-    for orders in _bridge_valid_tuples(4):
-        for j in range(_CENTRES + 1):
-            _assert_taylor_basis_is_exact(orders, j)
-        for k1, k2 in momenta:
-            p0, total, bound, exact = _shifted_pass(orders, k1, k2)
-            assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
+    high = ((20, 0, 20, 0), (30, 1, 29, 4), (0, 30, 60, 30), (40, 0, 40, 0), (50, 0, 50, 0))
+    checked = fixed = 0
+    for orders in [*_bridge_valid_tuples(4), *EVAL_KGRID_TUPLES, *high]:
+        for k1, k2 in momenta + [(k2, k1) for k1, k2 in momenta]:
             kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-            t = k_lo / k_hi
-            if _first_bound_fails(kernel, t) and bound <= 1e-12 * abs(total):
+            if _first_bound_fails(kernel, k_lo / k_hi):
                 value = evaluate(IntegralSpec(*orders, k1, k2)).value
-                assert value == math.pi / k_hi**3 * (total * t**p0), (orders, k1, k2)
-                taken += 1
+                assert value == _rounded_value(orders, k1, k2), (orders, k1, k2)
+                fixed += 1
             checked += 1
-    assert checked == 269 * 40
-    assert taken == 172
+    assert checked == (269 + 15 + 5) * 80
+    assert fixed == 709
 
 
 def test_stored_bound_dominates_the_running_bound():
@@ -1057,46 +1079,25 @@ def test_stored_bound_dominates_the_running_bound():
 
 
 def _two_pass_value(orders, k1, k2):
-    """The value with the first pass gated by its running bound, then the Taylor pass.
+    """The value with the first pass gated by its running bound, then K correctly rounded.
 
     Where the stored bound holds, so does the running one, and evaluate's
-    value is this one.
+    value is this one. At k1 = k2 it is K(1) correctly rounded.
     """
     kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-    read = _orders_read(orders, k1, k2)
     t = k_lo / k_hi
-    if k_lo == k_hi:
-        return math.pi / k_hi**3 * _taylor_basis(read, _CENTRES)[0]
-    total, bound = _float_horner(kernel.floats, t * t)
-    if bound > _EXACT_HORNER_BOUND * abs(total):
-        return _taylor_pass_value(orders, k1, k2)
-    return math.pi / k_hi**3 * (total * t**kernel.p0)
-
-
-def _taylor_pass_value(orders, k1, k2):
-    """evaluate's value past the stored bound: the Taylor pass, or exact integers where it fails.
-
-    Each checks itself against _reference_horner_exact at the momenta's exact
-    ratio: the Taylor pass's P(u) lies within its running bound, and the
-    integer Horner's K(t) is the exact value correctly rounded.
-    """
-    kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-    p0, total, bound, exact = _shifted_pass(orders, k1, k2)
-    if bound > _EXACT_HORNER_BOUND * abs(total):
-        lo_num, lo_den = k_lo.as_integer_ratio()
-        hi_num, hi_den = k_hi.as_integer_ratio()
-        num, den = _horner_exact(kernel, lo_num * hi_den, lo_den * hi_num)
-        assert num / den == float(_reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi)))
-        return math.pi / k_hi**3 * (num / den)
-    assert abs(Fraction(total) - exact) <= bound, (orders, k1, k2)
-    return math.pi / k_hi**3 * (total * (k_lo / k_hi) ** p0)
+    if k_lo != k_hi:
+        total, bound = _float_horner(kernel.floats, t * t)
+        if bound <= _EXACT_HORNER_BOUND * abs(total):
+            return math.pi / k_hi**3 * (total * t**kernel.p0)
+    return _rounded_value(orders, k1, k2)
 
 
 def test_a_priori_accept_returns_the_two_pass_bits():
     # every bridge-valid tuple of {0..4}^4 and the eval-kgrid tuples, at
     # separated, exchanged, equal and near-equal momenta: where the stored
     # bound holds, the value's bits are those of the two-pass evaluation;
-    # where it fails, the Taylor pass answers at once, within its bound
+    # where it fails, and at k1 = k2, the value is K correctly rounded
     from test_kernel_build import EVAL_KGRID_TUPLES
 
     momenta = [(1.0, 3.0), (3.0, 1.0), (2.0, 2.0), (0.7, 0.3)]
@@ -1113,7 +1114,7 @@ def test_a_priori_accept_returns_the_two_pass_bits():
                 total = _float_horner(kernel.floats, t * t)[0]
                 if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
                     stored_fails += 1
-                    expected = _taylor_pass_value(orders, k1, k2)
+                    expected = _rounded_value(orders, k1, k2)
                 else:
                     a_priori += 1
             assert value.hex() == expected.hex(), (orders, k1, k2)
@@ -1134,37 +1135,64 @@ def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
     assert evaluate(spec).value == warm
 
 
-def test_cancelling_spec_still_reaches_the_taylor_pass(monkeypatch):
+def test_cancelling_spec_reaches_the_fixed_point_pass(monkeypatch):
     # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, and the
-    # Taylor basis about u = 13/16 answers, with the only running bound: the
-    # first pass's Horner is not run a second time
+    # fixed-point pass answers at the momenta's exact ratio, with no running
+    # bound and no integer Horner
     spec = IntegralSpec(13, 4, 11, 2, 1.1, 1.0)
     warm = evaluate(spec).value
-    centres = []
-    bounded = []
+    calls = []
     monkeypatch.setattr(
-        quadbessel,
-        "_taylor_basis",
-        lambda orders, j: centres.append(j) or _taylor_basis(orders, j),
+        quadbessel, "_kernel_value", lambda *args: calls.append(args) or _kernel_value(*args)
     )
-    monkeypatch.setattr(
-        quadbessel,
-        "_float_horner",
-        lambda coeffs, w: bounded.append(coeffs) or _float_horner(coeffs, w),
-    )
+
+    def forbidden(*args):
+        raise AssertionError("running bound or integer Horner on the fixed-point pass")
+
+    monkeypatch.setattr(quadbessel, "_float_horner", forbidden)
+    monkeypatch.setattr(quadbessel, "_horner_exact", forbidden)
     assert evaluate(spec).value == warm
-    assert centres == [13]
-    assert bounded == [_taylor_basis((13, 4, 11, 2), 13)]
+    assert calls == [(_laurent_kernel(13, 4, 11, 2)[1], *_exact_ratio(1.0, 1.1))]
 
 
-def test_taylor_basis_is_rounded_once_on_wide_kernels():
-    # the Taylor denominators of {0..4}^4 fit in under 60 bits; these two
-    # eval-kgrid kernels pass 90, where rounding the integers before dividing
-    # would differ from rounding the quotient once
-    for orders in ((13, 4, 11, 2), (8, 3, 13, 10)):
-        assert _laurent_kernel(*orders)[1].common.bit_length() > 90
-        for j in range(_CENTRES + 1):
-            _assert_taylor_basis_is_exact(orders, j)
+def test_stored_floats_are_rounded_once_on_wide_kernels():
+    # the kernel's floats and K(1) are each its exact ratio rounded once, where
+    # numerators pass 53 bits and rounding them before dividing would differ;
+    # each kernel is in lowest terms and stores the bits of sum |numerators|
+    from test_kernel_build import EVAL_KGRID_TUPLES, HIGH_BRIDGE_TUPLES
+
+    wide = 0
+    for l1, l2, l3, l4 in [*EVAL_KGRID_TUPLES, *(orders for orders, _ in HIGH_BRIDGE_TUPLES)]:
+        for orders in ((l1, l2, l3, l4), (l2, l1, l4, l3)):
+            kernel = _laurent_kernel(*orders)[1]
+            numerators, common = kernel.numerators, kernel.common
+            assert math.gcd(common, *numerators) == 1, orders
+            assert [x.hex() for x in kernel.floats] == [
+                float(Fraction(n, common)).hex() for n in numerators
+            ], orders
+            assert kernel.at_one == float(Fraction(sum(numerators), common)), orders
+            assert kernel.width == sum(map(abs, numerators)).bit_length(), orders
+            wide += max(map(abs, numerators)).bit_length() > 53
+    assert wide == 6
+
+
+def test_exact_ratio_is_exact_with_one_odd_part():
+    # both floats' denominators are powers of two: a / b is the exact ratio,
+    # and a and b share no factor of 2, down to subnormal momenta and across
+    # exponent gaps over 1000
+    rng = random.Random("exact-ratio")
+    pairs = [(10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)) for _ in range(20000)]
+    pairs += [(2.0 ** rng.uniform(-1074, 1023), 2.0 ** rng.uniform(-1074, 1023)) for _ in range(200)]
+    pairs += [
+        (5e-324, 1.0), (5e-324, 1.5e-323), (3e-310, 2.2e-308), (1e-300, 1e300),
+        (5e-324, 1.7976931348623157e308), (2.0, 4.0), (6.0, 6.0), (0.75, 0.25), (1e300, 3e300),
+    ]
+    for k1, k2 in pairs:
+        k_lo, k_hi = min(k1, k2), max(k1, k2)
+        a, b = _exact_ratio(k_lo, k_hi)
+        assert Fraction(a, b) == Fraction(k_lo) / Fraction(k_hi), (k1, k2)
+        assert a > 0 and b > 0 and (a | b) & 1, (k1, k2)
+    assert max(abs(math.frexp(k1)[1] - math.frexp(k2)[1]) for k1, k2 in pairs) > 2000
 
 
 def test_kernel_build_refuses_instead_of_rounding():
@@ -1198,6 +1226,7 @@ def test_zero_kernel_needs_no_branch_of_its_own(monkeypatch):
     monkeypatch.setattr(quadbessel, "_divide_one_minus_u", lambda coeffs: [0] * len(coeffs))
     _, kernel = _laurent_kernel.__wrapped__(0, 1, 2, 1)
     assert kernel.p0 == 0 and kernel.numerators == (0,) and kernel.floats == (0.0,)
+    assert kernel.common == 1 and kernel.at_one == 0.0 and kernel.width == 0
     assert _float_horner(kernel.floats, 0.81) == (0.0, 0.0)
     assert Fraction(*_horner_exact(kernel, 9, 10)) == 0
 
@@ -1216,7 +1245,8 @@ def test_evaluate_past_the_legendre_degree_limit(orders):
 
 
 def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
-    # one spec per pass: about centre 0, Taylor (two; the second at k1 = k2), integer
+    # one spec per pass: the float pass, the fixed-point pass, K(1) at k1 = k2,
+    # and the integer Horner
     root_orders, root_k1, root_k2 = _root_adjacent_specs()[0][0]
     specs = [
         IntegralSpec(2, 1, 3, 0, 1.0, 1.5),
@@ -1230,7 +1260,7 @@ def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
         raise AssertionError("Legendre work on the warm path")
 
     monkeypatch.setattr(quadbessel, "bform_band_coeffs", forbidden)
-    # the Taylor pass and the integer Horner run without Fraction
+    # the fixed-point pass and the integer Horner run without Fraction
     _forbid_exact_arithmetic(monkeypatch)
     assert [evaluate(spec).value for spec in specs] == warm
 
