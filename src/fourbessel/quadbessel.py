@@ -8,7 +8,10 @@ The two legs sharing momentum k1 (and likewise k2) make the integral
 expressible as a finite sum: a bridge order L splits the product into two
 weighted triple-Bessel integrals, and the leftover radial integral over the
 momentum band [|k1-k2|, k1+k2] reduces to associated Legendre functions of
-half-integer order evaluated at (k1^2+k2^2)/|k1^2-k2^2|.
+half-integer order -mu-1/2 evaluated at (k1^2+k2^2)/|k1^2-k2^2|. Every pair
+of inner degrees that reaches mu shares that function, so the kernel build
+sums the pairs' weights by mu and expands each function's band polynomial
+once.
 
 ``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
@@ -191,30 +194,6 @@ def _side_factors(la: int, lb: int, L: int) -> tuple[int, tuple[tuple[int, int, 
     return common, tuple((split, l, num * (common // den)) for split, l, num, den in roots)
 
 
-@lru_cache(maxsize=None)
-def _band_series(l: int, lp: int, L: int) -> tuple[int, tuple[int, ...]]:
-    """The band integral's mu-sum as an integer polynomial in t over a denominator.
-
-    Returns (d, g) with sum_mu c_mu t^mu 4^(L-1) (1-u)^(L-1) b_(L-1)(x, -mu-1/2)
-    = (1/d) sum_p g[p] t^p, where u = t^2 and x = (1+u)/(1-u); at L = 0 the
-    Legendre factor is 1 and the sum is plain sum_mu c_mu t^mu. Each weight
-    c_mu = (2mu+1) 3j(l,lp,mu)^2 gh(L+mu) / (gh(L) gh(D+mu+1)), with
-    gh = gamma_half and D = max(L-1, 0), combines the P_l*P_lp linearization
-    coefficient with the Gamma ratio of the order -mu-1/2 Legendre factor, so
-    every sqrt(pi) cancels. That ratio is 1 / gh(L) for L >= 1 and
-    2 / (2mu+1) at L = 0.
-    """
-    scale = gamma_half(L)
-    den, weights = _linearization_weights(l, lp)
-    out = [0] * (l + lp + 2 * max(L - 1, 0) + 1)
-    for mu, num in weights:
-        scaled = num * scale.denominator if L else 2 * num // (2 * mu + 1)
-        band = bform_band_coeffs(L - 1, -2 * mu - 1) if L >= 1 else (1,)
-        for k, value in enumerate(band):
-            out[mu + 2 * k] += scaled * value
-    return den * scale.numerator, tuple(out)
-
-
 def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
     """Exact quotient of a polynomial in t (dense, ascending) by 1 - t^2.
 
@@ -259,10 +238,13 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     t = k2/k1. The case k1 < k2 is the kernel of the exchanged tuple
     (l2, l1, l4, l3), since trading the momenta together with their orders
     leaves the integral unchanged. Built once, in integers, from the paper's
-    bridge recoupling (_side_factors) and band integral (_band_series): every
-    squared weight is a perfect square, (1 - t^2)^(2L-1) divides the
-    assembled numerator with zero remainder, and the quotient's powers of t
-    share one parity. Any of these failing raises ArithmeticError.
+    bridge recoupling (_side_factors) and band integral. The band integral is
+    summed by Legendre order mu: every (l, lp) pair that reaches mu shares
+    the band polynomial of order -mu-1/2 (bform_band_coeffs), so the pairs'
+    weights are summed first and that polynomial is multiplied in once per
+    mu. Every squared weight is a perfect square, (1 - t^2)^(2L-1) divides
+    the assembled numerator with zero remainder, and the quotient's powers of
+    t share one parity. Any of these failing raises ArithmeticError.
     """
     L = select_bridge_order(l1, l2, l3, l4)
     left_den, left = _side_factors(l1, l2, L)
@@ -273,20 +255,45 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
         for sp, lp, b in right:
             key = (l, lp, s + sp) if l <= lp else (lp, l, s + sp)
             grouped[key] = grouped.get(key, 0) + a * b
-    series = {key[:2]: _band_series(key[0], key[1], L) for key in grouped}
-    series_den = math.lcm(*(den for den, _ in series.values()))
-    # I k1^3 / pi = (1/8) sum W t^(s+s'-1) G(t) / (d 4^(L-1) (1-u)^(2L-1)).
-    # Index i of the numerator holds the power i - 1, the lowest being t^-1.
-    numerator = [0] * (2 * L + 1 + max(len(g) for _, g in series.values()))
+    # I k1^3 / pi = (1/8) sum W t^(s+s'-1) G(t) / (4^D (1-u)^(2L-1)) over the
+    # pair products W, with u = t^2 and D = max(L-1, 0). The band integral's
+    # G(t) = sum_mu c_mu t^mu b_mu(u) weighs the P_l*P_lp linearization
+    # coefficient (2mu+1) 3j(l,lp,mu)^2 by the Gamma ratio
+    # gh(L+mu) / (gh(L) gh(D+mu+1)), gh = gamma_half, which cancels every
+    # sqrt(pi): it is 1 / gh(L) for L >= 1 and 2 / (2mu+1) at L = 0. The band
+    # polynomial b_mu = 4^D (1-u)^D b_D(x, -mu-1/2), x = (1+u)/(1-u), is the
+    # same for every pair, so the sum runs by mu: first
+    # V_mu(t) = sum W c_mu t^(s+s'), then one product V_mu t^mu b_mu per mu.
+    pairs = {key[:2]: _linearization_weights(*key[:2]) for key in grouped}
+    lin_den = math.lcm(*(den for den, _ in pairs.values()))
+    scale = gamma_half(L)
+    # rows[mu][s+s'] = V_mu's coefficients over lin_den * gh(L).numerator
+    unit = lin_den * scale.denominator
+    rows: dict[int, list[int]] = {}
     for (lo, hi, total), weight in grouped.items():
-        den, g = series[(lo, hi)]
-        factor = weight * (series_den // den)
-        for index, value in enumerate(g):
-            if value:
-                numerator[total + index] += factor * value
+        den, weights = pairs[lo, hi]
+        factor = weight * (unit // den)
+        for mu, num in weights:
+            row = rows.get(mu)
+            if row is None:
+                row = rows[mu] = [0] * (2 * L + 1)
+            row[total] += factor * num
+    # Index i of the numerator holds the power i - 1, the lowest being t^-1.
+    numerator = [0] * (4 * L + max(rows) + 1)
+    for mu, row in rows.items():
+        if L:
+            band = bform_band_coeffs(L - 1, -2 * mu - 1)
+        else:
+            band, row = (1,), [2 * row[0] // (2 * mu + 1)]
+        for start, part in enumerate(row, mu):
+            if part:
+                # b_mu's u^k term lands 2k past t^(s+s'+mu)
+                for coeff in band:
+                    numerator[start] += part * coeff
+                    start += 2
     for _ in range(2 * L - 1):
         numerator = _divide_one_minus_u(numerator)
-    common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
+    common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * lin_den * scale.numerator
     # a zero numerator is the kernel P = 0 at p0 = 0
     nonzero = [index for index, value in enumerate(numerator) if value] or [1]
     first, last = nonzero[0], nonzero[-1]

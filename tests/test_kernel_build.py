@@ -25,7 +25,7 @@ from fourbessel.quadbessel import (
     _laurent_kernel,
     evaluate,
 )
-from fourbessel import wigner
+from fourbessel import quadbessel, wigner
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
 
 from test_legendre import _reference_poly_coeffs
@@ -197,10 +197,12 @@ def test_build_equals_the_fraction_build_on_orders_up_to_6():
     assert declined == 1384
 
 
-# order tuples at bridge orders 14 to 30, with their bridge order
+# order tuples at bridge orders 14 to 50, with their bridge order; the last two
+# are where the cold builds of high bridge orders are timed
 HIGH_BRIDGE_TUPLES = (
     ((14, 0, 14, 0), 14), ((17, 3, 16, 4), 14), ((22, 4, 21, 3), 18), ((20, 0, 20, 0), 20),
     ((25, 5, 25, 45), 20), ((26, 1, 27, 52), 25), ((30, 0, 30, 60), 30),
+    ((40, 0, 40, 80), 40), ((50, 0, 50, 0), 50),
 )
 
 
@@ -210,8 +212,24 @@ def test_build_equals_the_fraction_build_at_bridge_orders_14_to_30(orders, bridg
     assert _laurent_kernel(*orders)[0] == bridge
 
 
+def test_cold_build_reads_each_band_polynomial_once_per_mu(monkeypatch, cold_caches):
+    # every (l, lp) pair that reaches mu shares b_29(x, -mu-1/2): (30, 0, 30, 60)
+    # reaches 91 distinct mu, and one read per pair and mu made 15,376 reads
+    calls = []
+
+    def counted(degree, twice_m):
+        calls.append((degree, twice_m))
+        return bform_band_coeffs(degree, twice_m)
+
+    monkeypatch.setattr(quadbessel, "bform_band_coeffs", counted)
+    assert _laurent_kernel(30, 0, 30, 60)[0] == 30
+    assert len(calls) == len(set(calls)) == 91
+    assert {degree for degree, _ in calls} == {29}
+    assert not hasattr(quadbessel, "_band_series")
+
+
 def test_band_coeffs_equal_the_reference_up_to_bridge_order_30():
-    # b_(L-1) at the orders -mu-1/2 that _band_series reads, degree 29 being
+    # b_(L-1) at the orders -mu-1/2 that the kernel build reads, degree 29 being
     # bridge order 30's; mu = 60 is the top of the (30, 0, 30, 60) kernel
     checked = 0
     for degree in range(30):
@@ -231,7 +249,7 @@ def test_cold_build_does_no_fraction_or_signed_sqrt_arithmetic(monkeypatch, cold
     built += [_laurent_kernel(*orders) for orders in EVAL_KGRID_TUPLES]
     built += [_laurent_kernel(*orders) for orders, _ in HIGH_BRIDGE_TUPLES]
     monkeypatch.undo()
-    assert len(built) == 269 + 15 + 7
+    assert len(built) == 269 + 15 + len(HIGH_BRIDGE_TUPLES)
     assert all(math.isfinite(value) for value in values)
 
 

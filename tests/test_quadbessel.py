@@ -30,7 +30,6 @@ from fourbessel.oracle import _gauss_rule, quad_bessel_numeric, triple_bessel_nu
 from fourbessel.quadbessel import (
     _EXACT_HORNER_BOUND,
     _Kernel,
-    _band_series,
     _divide_one_minus_u,
     _exact_ratio,
     _exact_sqrt,
@@ -85,6 +84,19 @@ TRIPLE_REFERENCES = {
 # --------------------------------------------------------------------------
 
 
+def _reference_band_series(l, lp, L):
+    """(den, g): the band integral's mu-sum as an integer polynomial in t over den.
+
+    sum_mu c_mu t^mu 4^D (1-u)^D b_D(x, -mu-1/2) = (1/den) sum_p g[p] t^p, with
+    u = t^2, x = (1+u)/(1-u) and D = max(L-1, 0); the kernel build sums the
+    same terms by mu across its pairs. Read from test_kernel_build's Fraction
+    reference, imported on call because that module imports this one.
+    """
+    from test_kernel_build import _reference_band_series
+
+    return _reference_band_series(l, lp, L)
+
+
 def test_band_integral_reference_values():
     # at L = 0 the band integral is k_lo sum_mu c_mu t^mu with t = k_lo/k_hi:
     # exact values at k = (1, 2), (3, 3) and (1, 2)
@@ -93,7 +105,7 @@ def test_band_integral_reference_values():
         ((0, 0, 3, 3), Fraction(6)),
         ((1, 1, 1, 2), Fraction(11, 15)),
     ):
-        den, g = _band_series(l, lp, 0)
+        den, g = _reference_band_series(l, lp, 0)
         k_lo, k_hi = Fraction(min(k1, k2)), Fraction(max(k1, k2))
         t = k_lo / k_hi
         assert k_lo * sum(c * t**p for p, c in enumerate(g)) / den == expected, (l, lp, k1, k2)
@@ -102,11 +114,11 @@ def test_band_integral_reference_values():
 def _band_integral(l, lp, L, k1, k2):
     """k1 k2 integral_{-1}^{1} P_l(u) P_lp(u) / (k1^2 + k2^2 - 2 k1 k2 u)^(L+1/2) du.
 
-    From the kernel's exact band series in t = k_lo/k_hi, never forming
+    From the reference's exact band series in t = k_lo/k_hi, never forming
     y = (k1^2 + k2^2) / (2 k1 k2): k_lo k_hi^(-2L) (1/den) sum g_p t^p
     divided by 4^d (1-t^2)^(L+d), with d = max(L-1, 0).
     """
-    den, g = _band_series(l, lp, L)
+    den, g = _reference_band_series(l, lp, L)
     k_lo, k_hi = min(k1, k2), max(k1, k2)
     t = k_lo / k_hi
     d = max(L - 1, 0)
@@ -157,11 +169,11 @@ def test_band_integral_matches_direct_quadrature():
 def _ratio_integral(l, lp, L, y):
     """integral_{-1}^{1} P_l(u) P_lp(u) / (y - u)^(L+1/2) du for y > 1.
 
-    Built from the kernel's exact band series: with t = y - sqrt(y^2 - 1) and
+    Built from the reference's exact band series: with t = y - sqrt(y^2 - 1) and
     d = max(L-1, 0), the band integral's mu-sum is (1/den) sum g_p t^p divided
     by 4^d (1-t^2)^d, and the ratio form is sqrt(2t) (2t/(1-t^2))^L times it.
     """
-    den, g = _band_series(l, lp, L)
+    den, g = _reference_band_series(l, lp, L)
     # 1/(y + sqrt(y^2 - 1)) equals y - sqrt(y^2 - 1) without cancellation
     t = 1.0 / (y + math.sqrt(y * y - 1.0))
     d = max(L - 1, 0)
@@ -1075,7 +1087,7 @@ def test_stored_bound_dominates_the_running_bound():
             for w in points:
                 assert _float_horner(kernel.floats, w)[1] <= kernel.horner_bound, (orders, w)
                 checked += 1
-    assert checked == (1017 + 7) * 2 * 54
+    assert checked == (1017 + len(HIGH_BRIDGE_TUPLES)) * 2 * 54
 
 
 def _two_pass_value(orders, k1, k2):
@@ -1173,7 +1185,8 @@ def test_stored_floats_are_rounded_once_on_wide_kernels():
             assert kernel.at_one == float(Fraction(sum(numerators), common)), orders
             assert kernel.width == sum(map(abs, numerators)).bit_length(), orders
             wide += max(map(abs, numerators)).bit_length() > 53
-    assert wide == 6
+    # six up to bridge order 30, then (0, 40, 80, 40) and (50, 0, 50, 0)
+    assert wide == 8
 
 
 def test_exact_ratio_is_exact_with_one_odd_part():
