@@ -15,14 +15,16 @@ once.
 
 ``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
-of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. The polynomial is
-K(t) = t^p0 P(u), u = t^2, stored dense in u and in lowest terms. Every
-later call is a cached lookup plus one plain float Horner over P's
-coefficients, accepted when the kernel's stored a-priori rounding bound
-holds; past that, a truncated fixed-point Horner at the momenta's exact
-ratio, correctly rounded. At k1 = k2 the value is the stored K(1).
-``quad_bessel_paired`` reads the same kernel; ``triple_bessel_weighted``
-reads the kernel's exact weights, sums them in integers and rounds once.
+of the exchanged tuple (l2, l1, l4, l3) at t = k1/k2. The tuples that
+exchange l1 with l3, or l2 with l4, share one polynomial, built at the least
+bridge order among them. The polynomial is K(t) = t^p0 P(u), u = t^2,
+stored dense in u and in lowest terms. Every later call is a cached lookup
+plus one plain float Horner over P's coefficients, accepted when the
+kernel's stored a-priori rounding bound holds; past that, a truncated
+fixed-point Horner at the momenta's exact ratio, correctly rounded. At
+k1 = k2 the value is the stored K(1). ``quad_bessel_paired`` reads the same
+kernel; ``triple_bessel_weighted`` reads the kernel's exact weights, sums
+them in integers and rounds once.
 """
 from __future__ import annotations
 
@@ -231,14 +233,35 @@ class _Kernel(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
+def _laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, _Kernel]:
     """Compile one order tuple into I * k1^3 / pi for k1 >= k2, an exact Laurent polynomial.
 
-    Returns (L, kernel): the bridge order and the _Kernel in powers of
-    t = k2/k1. The case k1 < k2 is the kernel of the exchanged tuple
-    (l2, l1, l4, l3), since trading the momenta together with their orders
-    leaves the integral unchanged. Built once, in integers, from the paper's
-    bridge recoupling (_side_factors) and band integral. The band integral is
+    Returns (L, kernel): the tuple's own bridge order, or NoValidBridge, and
+    the _Kernel in powers of t = k2/k1. The case k1 < k2 is the kernel of the
+    exchanged tuple (l2, l1, l4, l3), since trading the momenta together with
+    their orders leaves the integral unchanged.
+
+    The integrand is also unchanged when l1 and l3 are exchanged, or l2 and
+    l4, and the kernel is in lowest terms, so the up to four members of that
+    class share one kernel. It is built once, by _class_kernel, for the member
+    (a, b, c, d) = (min(l1,l3), min(l2,l4), max(l1,l3), max(l2,l4)), which
+    pairs the smaller orders together. Its bridge order max(|a-b|, |c-d|) is
+    the least in the class: |a-b| and |c-d| are each at most c-b or d-a, so
+    at most the other pairing's max(|a-d|, |c-b|). It has a bridge order
+    whenever a member does, as the parity is the class's and its windows'
+    lesser top is a+b: the other pairing's windows give |c-b| <= a+d and
+    |a-d| <= c+b, so c-d <= (a+d) - (d-b) = a+b and d-c <= (c+b) - (c-a) = a+b.
+    """
+    L = select_bridge_order(l1, l2, l3, l4)
+    return L, _class_kernel(min(l1, l3), min(l2, l4), max(l1, l3), max(l2, l4))
+
+
+@lru_cache(maxsize=None)
+def _class_kernel(l1: int, l2: int, l3: int, l4: int) -> _Kernel:
+    """The _Kernel of one order tuple in powers of t = k2/k1, built at its bridge order.
+
+    Built once, in integers, from the paper's bridge recoupling
+    (_side_factors) and band integral. The band integral is
     summed by Legendre order mu: every (l, lp) pair that reaches mu shares
     the band polynomial of order -mu-1/2 (bform_band_coeffs), so the pairs'
     weights are summed first and that polynomial is multiplied in once per
@@ -304,7 +327,7 @@ def _laurent_kernel(l1: int, l2: int, l3: int, l4: int):
     dense, common = tuple(value // divisor for value in dense), common // divisor
     floats = tuple(value / common for value in dense)
     bound, width = _float_horner(floats, 1.0)[1], sum(map(abs, dense)).bit_length()
-    return L, _Kernel(first - 1, dense, common, floats, bound, sum(dense) / common, width)
+    return _Kernel(first - 1, dense, common, floats, bound, sum(dense) / common, width)
 
 
 def _float_horner(coeffs: tuple[float, ...], w: float) -> tuple[float, float]:
@@ -460,14 +483,16 @@ def _evaluate(
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
     """Value of the integral from the order tuple's cached Laurent kernel.
 
-    The first call per order tuple builds the kernel exactly; k1 < k2 reads
-    the kernel of the exchanged tuple (l2, l1, l4, l3), which gives the same
-    integral. Later calls run a plain float Horner over P's coefficients at
-    u = t^2, t = k_lo/k_hi, and return it when the kernel's stored a-priori
-    bound holds. Otherwise K(t) comes from a truncated fixed-point Horner at
-    the momenta's exact ratio, correctly rounded. At k1 = k2 the value is the
-    kernel's stored K(1) = P(1), rounded once, so it is bit-identical for a
-    tuple and its exchange.
+    The first call per order tuple looks up its kernel, built exactly once
+    per symmetry class (see _laurent_kernel); k1 < k2 reads the kernel of the
+    exchanged tuple (l2, l1, l4, l3), which gives the same integral. The
+    report's ``bridge_L`` is the tuple's own bridge order. Later calls run a
+    plain float Horner over P's coefficients at u = t^2, t = k_lo/k_hi, and
+    return it when the kernel's stored a-priori bound holds. Otherwise K(t)
+    comes from a truncated fixed-point Horner at the momenta's exact ratio,
+    correctly rounded. At k1 = k2 the value is the kernel's stored
+    K(1) = P(1), rounded once, so it is bit-identical for a tuple and its
+    exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read.

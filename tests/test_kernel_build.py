@@ -7,7 +7,10 @@ b-form coefficients of the raising recurrence, never the library's.
 """
 from __future__ import annotations
 
+import contextlib
+import csv
 import functools
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -19,13 +22,14 @@ from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
 from fourbessel.legendre import bform_band_coeffs
 from fourbessel.quadbessel import (
+    _class_kernel,
     _divide_one_minus_u,
     _float_horner,
     _Kernel,
     _laurent_kernel,
     evaluate,
 )
-from fourbessel import quadbessel, wigner
+from fourbessel import cli, quadbessel, wigner
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
 
 from test_legendre import _reference_poly_coeffs
@@ -261,3 +265,90 @@ def test_cold_build_builds_no_3j_symbol(cold_caches):
         _laurent_kernel(*orders)
     assert wigner_3j_zero.cache_info().misses == 0
     assert wigner._three_j_square.cache_info().misses > 15000
+
+
+# ---------------------------------------------------------------------------
+# One kernel per symmetry class: l1 <-> l3 and l2 <-> l4 leave the integrand as it is
+# ---------------------------------------------------------------------------
+
+
+def _class_members(l1, l2, l3, l4):
+    return {(l1, l2, l3, l4), (l3, l2, l1, l4), (l1, l4, l3, l2), (l3, l4, l1, l2)}
+
+
+def _built_member(l1, l2, l3, l4):
+    """The member of the class whose kernel _class_kernel builds."""
+    return min(l1, l3), min(l2, l4), max(l1, l3), max(l2, l4)
+
+
+def test_class_member_pairing_the_smaller_orders_has_the_least_bridge_order():
+    # verdicts only, no builds, on {0..10}^4
+    lowered = 0
+    for orders in itertools.product(range(11), repeat=4):
+        verdicts = {member: wigner._bridge_verdict(*member) for member in _class_members(*orders)}
+        bridges = [L for L in verdicts.values() if type(L) is int]
+        # a class is refused whole or not at all, so the built member has a
+        # bridge order exactly when some member has one
+        assert len(bridges) in (0, len(verdicts)), orders
+        if bridges:
+            built = verdicts[_built_member(*orders)]
+            assert built == min(bridges), orders
+            lowered += built < verdicts[orders]
+    assert lowered > 0
+
+
+def _analytic_grid_rows(grid, pair):
+    """The rows of ``batch --grid grid --k-pairs pair --mode analytic``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["batch", "--grid", str(grid), "--k-pairs", pair, "--mode", "analytic"])
+    assert code == 0
+    # the table, then one "# max_discrepancy" line
+    return list(csv.DictReader(io.StringIO(out.getvalue().rsplit("#", 1)[0])))
+
+
+@pytest.mark.parametrize("pair", ["1.0:2.0", "2.0:1.0"])
+def test_cold_grid_batch_builds_one_kernel_per_class(pair, cold_caches, monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        quadbessel, "_class_kernel", lambda *orders: built.append(orders) or _class_kernel(*orders)
+    )
+    assert len(_analytic_grid_rows(4, pair)) == 625
+    assert _class_kernel.cache_info().misses == 101
+    assert _laurent_kernel.cache_info().misses == len(built) == 269
+    # each class is built once, for the member with its least bridge order
+    assert len(set(built)) == 101 and all(orders == _built_member(*orders) for orders in built)
+
+
+def test_every_member_of_a_class_receives_the_same_kernel_object():
+    classes = 0
+    for orders in _bridge_valid_tuples(4):
+        built = _laurent_kernel(*_built_member(*orders))[1]
+        for member in _class_members(*orders):
+            assert _laurent_kernel(*member)[1] is built, (orders, member)
+        classes += orders == _built_member(*orders)
+    assert classes == 101
+
+
+@pytest.mark.parametrize("orders", [(13, 0, 0, 13), (2, 11, 13, 4), (8, 5, 6, 11), (30, 0, 0, 30)])
+def test_kernel_built_below_the_tuples_bridge_order_equals_the_fraction_build(orders):
+    # the reference builds every member and its momentum exchange at that
+    # tuple's own bridge order, the library at its class's least
+    own = set()
+    for l1, l2, l3, l4 in _class_members(*orders):
+        for member in ((l1, l2, l3, l4), (l2, l1, l4, l3)):
+            assert _assert_same_kernel(member)
+            own.add(select_bridge_order(*member))
+    assert len(own) > 1
+
+
+def test_reported_bridge_order_is_the_tuples_own():
+    assert evaluate(IntegralSpec(13, 0, 0, 13, 1.0, 2.0)).bridge_L == 13
+    assert evaluate(IntegralSpec(0, 0, 13, 13, 1.0, 2.0)).bridge_L == 0
+    rows = {
+        tuple(int(row[name]) for name in ("l1", "l2", "l3", "l4")): row
+        for row in _analytic_grid_rows(2, "1.0:2.0")
+    }
+    # (0, 2, 2, 0) reads the kernel of (0, 0, 2, 2), built at L = 0
+    assert rows[0, 2, 2, 0]["L"] == "2" and rows[0, 0, 2, 2]["L"] == "0"
+    assert rows[0, 2, 2, 0]["value"] == rows[0, 0, 2, 2]["value"]

@@ -30,6 +30,7 @@ from fourbessel.oracle import _gauss_rule, quad_bessel_numeric, triple_bessel_nu
 from fourbessel.quadbessel import (
     _EXACT_HORNER_BOUND,
     _Kernel,
+    _class_kernel,
     _divide_one_minus_u,
     _exact_ratio,
     _exact_sqrt,
@@ -1232,12 +1233,12 @@ def test_kernel_build_refuses_a_numerator_of_mixed_parity(monkeypatch):
 
     monkeypatch.setattr(quadbessel, "_divide_one_minus_u", with_even_power)
     with pytest.raises(ArithmeticError, match="parit"):
-        _laurent_kernel.__wrapped__(0, 1, 2, 1)
+        _class_kernel.__wrapped__(0, 1, 2, 1)
 
 
 def test_zero_kernel_needs_no_branch_of_its_own(monkeypatch):
     monkeypatch.setattr(quadbessel, "_divide_one_minus_u", lambda coeffs: [0] * len(coeffs))
-    _, kernel = _laurent_kernel.__wrapped__(0, 1, 2, 1)
+    kernel = _class_kernel.__wrapped__(0, 1, 2, 1)
     assert kernel.p0 == 0 and kernel.numerators == (0,) and kernel.floats == (0.0,)
     assert kernel.common == 1 and kernel.at_one == 0.0 and kernel.width == 0
     assert _float_horner(kernel.floats, 0.81) == (0.0, 0.0)
