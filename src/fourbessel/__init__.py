@@ -10,12 +10,15 @@ coefficients (3j/6j symbols), binomial weights, and associated Legendre
 functions of half-integer order, and certifies against an independent
 numerical quadrature oracle.
 
-The oracle and numpy load on first use: ``import fourbessel`` brings in the
-closed form alone, and the first read of ``QuadratureConfig``,
-``quad_bessel_numeric``, ``spherical_bessel_j`` or
-``triple_bessel_numeric`` imports ``fourbessel.oracle``.
+The oracle, numpy and the Legendre functions load on first use:
+``import fourbessel`` brings in the closed-form engine alone. The first read
+of ``QuadratureConfig``, ``quad_bessel_numeric``, ``spherical_bessel_j`` or
+``triple_bessel_numeric`` imports ``fourbessel.oracle``, and the first read
+of ``legendre_p`` or ``assoc_legendre_gt1`` imports ``fourbessel.legendre``.
 """
 from __future__ import annotations
+
+import importlib
 
 from .core import (
     EvaluationReport,
@@ -28,10 +31,6 @@ from .errors import (
     NoConvergence,
     NoValidBridge,
     PrefactorZero,
-)
-from .legendre import (
-    assoc_legendre_gt1,
-    legendre_p,
 )
 from .quadbessel import (
     evaluate,
@@ -74,20 +73,25 @@ __all__ = [
     "__version__",
 ]
 
-_ORACLE_NAMES = frozenset(
-    ("QuadratureConfig", "quad_bessel_numeric", "spherical_bessel_j", "triple_bessel_numeric")
-)
+# name -> submodule that defines it, imported on the name's first read
+_LAZY_NAMES = {
+    "QuadratureConfig": "oracle",
+    "quad_bessel_numeric": "oracle",
+    "spherical_bessel_j": "oracle",
+    "triple_bessel_numeric": "oracle",
+    "assoc_legendre_gt1": "legendre",
+    "legendre_p": "legendre",
+}
 
 
 def __getattr__(name: str):
     # PEP 562: reached only for names not yet in the namespace
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        value = globals()[name] = getattr(oracle, name)
+    if name in _LAZY_NAMES:
+        module = importlib.import_module(f".{_LAZY_NAMES[name]}", __name__)
+        value = globals()[name] = getattr(module, name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _ORACLE_NAMES)
+    return sorted(globals().keys() | _LAZY_NAMES.keys())

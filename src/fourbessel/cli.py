@@ -15,7 +15,8 @@ including momenta whose value leaves the float range; 65 malformed batch input;
 
 The numerical oracle is imported by the handlers that run it, on their first
 call: ``eval`` without ``--check``, ``batch --mode analytic`` and the
-``wigner`` and ``legendre`` commands never load it or numpy.
+``wigner`` and ``legendre`` commands never load it or numpy. Likewise only
+the ``legendre`` handlers import ``fourbessel.legendre``.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from .errors import (
     NoConvergence,
     NoValidBridge,
 )
-from .legendre import assoc_legendre_gt1, legendre_p
 from .quadbessel import _evaluate, evaluate
 from .wigner import _bridge_verdict, wigner_3j_zero, wigner_6j
 
@@ -415,11 +415,15 @@ def _cmd_wigner_6j(args) -> int:
 
 
 def _cmd_legendre_p(args) -> int:
+    from .legendre import legendre_p
+
     print(repr(legendre_p(args.l, args.x)))
     return 0
 
 
 def _cmd_legendre_assoc(args) -> int:
+    from .legendre import assoc_legendre_gt1
+
     print(repr(assoc_legendre_gt1(args.l, args.m, args.x)))
     return 0
 

@@ -6,12 +6,16 @@ For integer degree l and any rational order m = a/b (half-integers included),
     b_l(x, m) = (1-m)_l 2F1(-l, l+1; 1-m; (1-x)/2)        (DLMF §14.3).
 
 The Pfaff transform (DLMF 15.8.1) at x = (1+u)/(1-u) gives 4^l (1-u)^l b_l =
-4^l (1-m)_l 2F1(-l, -m-l; 1-m; u), (4/b)^l times an integer polynomial in u
-(`_band_products`). The kernel reads it at half-integer m (`bform_band_coeffs`);
-the full function sums the same integers exactly at the rational x, so no
-degree is too large and no cancellation near x = 1 costs digits. The power and
-Gamma factors come from one logarithm in decimal, to within 2^-70 at every
+4^l (1-m)_l 2F1(-l, -m-l; 1-m; u), (4/b)^l times an integer polynomial in u.
+Its coefficients come from the closed-form engine's `_band_products`, which
+the kernel build reads at half-integer m, so both take one route; here the
+full function sums the same integers exactly at the rational x, so no degree
+is too large and no cancellation near x = 1 costs digits. The power and Gamma
+factors come from one logarithm in decimal, to within 2^-70 at every
 rational order, and the result is rounded once.
+
+``import fourbessel`` does not load this module: the package resolves
+``legendre_p`` and ``assoc_legendre_gt1`` on their first read.
 """
 from __future__ import annotations
 
@@ -19,12 +23,11 @@ import math
 import numbers
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .core import require_order
 from .errors import DomainError
-from .wigner import _three_j_square
+from .quadbessel import _band_products
 
 # Not read here. The benchmark's tracer hooks fourbessel.legendre.wigner_3j_zero,
 # and the set of hooks whose name is gone may only shrink.
@@ -43,36 +46,6 @@ def _as_fraction(value: OrderLike, name: str) -> Fraction:
             raise DomainError(f"{name} must be finite, got {value!r}")
         return Fraction(value)
     raise DomainError(f"{name} must be numeric, got {value!r}")
-
-
-def _band_products(degree: int, a: int, b: int, lead: int) -> tuple[int, ...]:
-    """lead c_k for k = 0 .. l, where 4^l (1-u)^l b_l(x, a/b) = (4/b)^l sum_k c_k u^k.
-
-    With l = degree, x = (1+u)/(1-u) and b > 0, c_k is
-    C(l, k) prod_(i<k) (b(l-i) + a) prod_(k<j<=l) (bj - a): each factor is b
-    times its factor of (-1)^k (-m-l)_k or of (1-m)_l / (1-m)_k in the u^k term.
-    """
-    # upper[k] = prod_(k<j<=degree) (bj - a)
-    upper = [1] * (degree + 1)
-    for k in range(degree, 0, -1):
-        upper[k - 1] = upper[k] * (b * k - a)
-    # lower = lead prod_(i<k) (b(degree-i) + a)
-    out, lower = [], lead
-    for k in range(degree + 1):
-        out.append(math.comb(degree, k) * lower * upper[k])
-        lower *= b * (degree - k) + a
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
-    """Integer coefficients in u of 4^degree (1-u)^degree b_degree(x, m).
-
-    Here x = (1+u)/(1-u) and m = twice_m/2: `_band_products` at b = 2, its
-    running product started at 2^degree to clear the (4/2)^degree.
-    """
-    degree = require_order(degree, "degree")
-    return _band_products(degree, twice_m, 2, 1 << degree)
 
 
 def _poly_part_ratio(degree: int, m: Fraction, x: Fraction) -> tuple[int, int]:
@@ -212,19 +185,3 @@ def legendre_p(degree: int, x: float) -> float:
         step = ((2 * n + 1) * u * cur + n * step) / (n + 1)
         cur += step
     return -cur if x < 0 and degree % 2 else cur
-
-
-@lru_cache(maxsize=None)
-def _linearization_weights(l: int, lp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(den, ((mu, num), ...)): the coefficients c_mu = num / den of P_l * P_lp in integers.
-
-    c_mu = (2 mu + 1) * (three-j with zero projections)^2 over the lcm of the
-    squares' denominators, for mu = |l - lp|, |l - lp| + 2, ..., l + lp.
-    """
-    window = range(abs(l - lp), l + lp + 1, 2)
-    squares = [_three_j_square(l, lp, mu) for mu in window]
-    den = math.lcm(*(square_den for _, _, square_den in squares))
-    return den, tuple(
-        (mu, (2 * mu + 1) * num * (den // square_den))
-        for mu, (_, num, square_den) in zip(window, squares)
-    )

@@ -11,7 +11,9 @@ momentum band [|k1-k2|, k1+k2] reduces to associated Legendre functions of
 half-integer order -mu-1/2 evaluated at (k1^2+k2^2)/|k1^2-k2^2|. Every pair
 of inner degrees that reaches mu shares that function, so the kernel build
 sums the pairs' weights by mu and expands each function's band polynomial
-once.
+once. The band polynomials' integer coefficients and the linearization
+weights are built here, so the engine never loads ``fourbessel.legendre``,
+whose full Legendre functions read the same ``_band_products``.
 
 ``evaluate`` compiles each order tuple once, exactly, into I * k1^3 / pi as
 a Laurent polynomial in t = k2/k1 for k1 >= k2; k1 < k2 reads the polynomial
@@ -42,14 +44,17 @@ from .core import (
     require_order,
 )
 from .errors import DomainError, PrefactorZero
-from .legendre import _linearization_weights, bform_band_coeffs
 from .wigner import (
+    _six_j_square,
     _three_j_square,
     gamma_half,
     select_bridge_order,
     wigner_3j_zero,
-    wigner_6j,
 )
+
+# Not read here. The benchmark's tracer hooks fourbessel.quadbessel.wigner_6j,
+# and the set of hooks whose name is gone may only shrink.
+from .wigner import wigner_6j  # noqa: F401
 
 __all__ = [
     "triple_bessel_weighted",
@@ -159,6 +164,59 @@ def _exact_sqrt(num: int, den: int) -> tuple[int, int]:
     return root_num, root_den
 
 
+def _band_products(degree: int, a: int, b: int, lead: int) -> tuple[int, ...]:
+    """lead c_k for k = 0 .. l, where 4^l (1-u)^l b_l(x, a/b) = (4/b)^l sum_k c_k u^k.
+
+    b_l(x, m) = (1-m)_l 2F1(-l, l+1; 1-m; (1-x)/2) is the polynomial part of
+    the associated Legendre function P_l^m (DLMF §14.3), whose Pfaff
+    transform (DLMF 15.8.1) at x = (1+u)/(1-u) gives the left side as
+    4^l (1-m)_l 2F1(-l, -m-l; 1-m; u). fourbessel.legendre sums the same
+    integers at any rational order; the kernel build reads them at
+    half-integer orders (bform_band_coeffs).
+
+    With l = degree, x = (1+u)/(1-u) and b > 0, c_k is
+    C(l, k) prod_(i<k) (b(l-i) + a) prod_(k<j<=l) (bj - a): each factor is b
+    times its factor of (-1)^k (-m-l)_k or of (1-m)_l / (1-m)_k in the u^k term.
+    """
+    # upper[k] = prod_(k<j<=degree) (bj - a)
+    upper = [1] * (degree + 1)
+    for k in range(degree, 0, -1):
+        upper[k - 1] = upper[k] * (b * k - a)
+    # lower = lead prod_(i<k) (b(degree-i) + a)
+    out, lower = [], lead
+    for k in range(degree + 1):
+        out.append(math.comb(degree, k) * lower * upper[k])
+        lower *= b * (degree - k) + a
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
+    """Integer coefficients in u of 4^degree (1-u)^degree b_degree(x, m).
+
+    Here x = (1+u)/(1-u) and m = twice_m/2: `_band_products` at b = 2, its
+    running product started at 2^degree to clear the (4/2)^degree.
+    """
+    degree = require_order(degree, "degree")
+    return _band_products(degree, twice_m, 2, 1 << degree)
+
+
+@lru_cache(maxsize=None)
+def _linearization_weights(l: int, lp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(den, ((mu, num), ...)): the coefficients c_mu = num / den of P_l * P_lp in integers.
+
+    c_mu = (2 mu + 1) * (three-j with zero projections)^2 over the lcm of the
+    squares' denominators, for mu = |l - lp|, |l - lp| + 2, ..., l + lp.
+    """
+    window = range(abs(l - lp), l + lp + 1, 2)
+    squares = [_three_j_square(l, lp, mu) for mu in window]
+    den = math.lcm(*(square_den for _, _, square_den in squares))
+    return den, tuple(
+        (mu, (2 * mu + 1) * num * (den // square_den))
+        for mu, (_, num, square_den) in zip(window, squares)
+    )
+
+
 @lru_cache(maxsize=None)
 def _side_factors(la: int, lb: int, L: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     """The triple closed form's exact weights of one order pair, over one denominator.
@@ -183,13 +241,12 @@ def _side_factors(la: int, lb: int, L: int) -> tuple[int, tuple[tuple[int, int, 
         ):
             sign_a, num_a, den_a = _three_j_square(la, L - split, l)
             sign_b, num_b, den_b = _three_j_square(lb, split, l)
-            six_j = wigner_6j(la, lb, L, split, L - split, l)
-            sign = phase * sign_a * sign_b * six_j.sign
+            sign_c, num_c, den_c = _six_j_square(la, lb, L, split, L - split, l)
+            sign = phase * sign_a * sign_b * sign_c
             if sign:
                 num, den = _exact_sqrt(
-                    binom * (2 * l + 1) ** 2 * num_a * num_b * six_j.radicand.numerator
-                    * coupling_den,
-                    den_a * den_b * six_j.radicand.denominator * coupling_num,
+                    binom * (2 * l + 1) ** 2 * num_a * num_b * num_c * coupling_den,
+                    den_a * den_b * den_c * coupling_num,
                 )
                 roots.append((split, l, sign * num, den))
     common = math.lcm(*(den for *_, den in roots))
@@ -197,17 +254,15 @@ def _side_factors(la: int, lb: int, L: int) -> tuple[int, tuple[tuple[int, int, 
 
 
 def _divide_one_minus_u(coeffs: list[int]) -> list[int]:
-    """Exact quotient of a polynomial in t (dense, ascending) by 1 - t^2.
+    """Exact quotient of a polynomial in u (dense, ascending) by 1 - u.
 
-    q_p = n_p + q_(p-2): a prefix sum within each parity class. The two top
-    entries of the prefix sums are the remainder; they must vanish.
+    q_i = n_i + q_(i-1): a prefix sum. Its top entry is the remainder; it
+    must vanish.
     """
-    quotient = list(coeffs)
-    quotient[0::2] = accumulate(coeffs[0::2])
-    quotient[1::2] = accumulate(coeffs[1::2])
-    if any(quotient[-2:]):
+    quotient = list(accumulate(coeffs))
+    if quotient[-1]:
         raise ArithmeticError("Laurent kernel numerator is not divisible by 1 - t^2")
-    return quotient[:-2]
+    return quotient[:-1]
 
 
 class _Kernel(NamedTuple):
@@ -265,9 +320,9 @@ def _class_kernel(l1: int, l2: int, l3: int, l4: int) -> _Kernel:
     summed by Legendre order mu: every (l, lp) pair that reaches mu shares
     the band polynomial of order -mu-1/2 (bform_band_coeffs), so the pairs'
     weights are summed first and that polynomial is multiplied in once per
-    mu. Every squared weight is a perfect square, (1 - t^2)^(2L-1) divides
-    the assembled numerator with zero remainder, and the quotient's powers of
-    t share one parity. Any of these failing raises ArithmeticError.
+    mu. Every squared weight is a perfect square, the assembled numerator's
+    powers of t share one parity, and (1 - t^2)^(2L-1) divides it with zero
+    remainder. Any of these failing raises ArithmeticError.
     """
     L = select_bridge_order(l1, l2, l3, l4)
     left_den, left = _side_factors(l1, l2, L)
@@ -314,15 +369,20 @@ def _class_kernel(l1: int, l2: int, l3: int, l4: int) -> _Kernel:
                 for coeff in band:
                     numerator[start] += part * coeff
                     start += 2
-    for _ in range(2 * L - 1):
-        numerator = _divide_one_minus_u(numerator)
-    common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * lin_den * scale.numerator
-    # a zero numerator is the kernel P = 0 at p0 = 0
-    nonzero = [index for index, value in enumerate(numerator) if value] or [1]
-    first, last = nonzero[0], nonzero[-1]
-    if any(numerator[first + 1 : last : 2]):
+    # Dividing by 1 - t^2 keeps the two parity classes of t apart, and the
+    # numerator's powers have one parity: that class alone is divided, in u.
+    parity = next((index for index, value in enumerate(numerator) if value), 1) % 2
+    if any(numerator[1 - parity :: 2]):
         raise ArithmeticError("Laurent kernel numerator has powers of t of both parities")
-    dense = numerator[first : last + 1 : 2]
+    quotient = numerator[parity::2]
+    for _ in range(2 * L - 1):
+        quotient = _divide_one_minus_u(quotient)
+    common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * lin_den * scale.numerator
+    # quotient[j] stands at numerator index parity + 2j; a zero numerator is
+    # the kernel P = 0 at p0 = 0
+    nonzero = [parity + 2 * j for j, value in enumerate(quotient) if value] or [1]
+    first, last = nonzero[0], nonzero[-1]
+    dense = quotient[first // 2 : last // 2 + 1]
     divisor = math.gcd(common, *dense)
     dense, common = tuple(value // divisor for value in dense), common // divisor
     floats = tuple(value / common for value in dense)

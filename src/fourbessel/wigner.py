@@ -2,11 +2,11 @@
 
 Every symbol is an integer factorial quotient, returned as a
 :class:`SignedSqrtRational`, the exact carrier s*sqrt(p/q), built once per
-distinct symbol. The kernel build reads the 6j radicand's numerator and
-denominator, and each squared 3j symbol as a sign and an integer pair from
-its binomial closed form, with no symbol object, and turns them into exact
-rational weights; no value path rounds a symbol. ``to_float`` is for
-display: only the CLI prints with it.
+distinct symbol. The kernel build reads each squared 6j symbol as a sign and
+an integer pair from the Racah sum, and each squared 3j symbol as a sign and
+an integer pair from its binomial closed form, with no symbol object, and
+turns them into exact rational weights; no value path rounds a symbol.
+``to_float`` is for display: only the CLI prints with it.
 
 Only integer angular momenta are supported; the integral pipeline never needs
 half-integer ones.
@@ -104,7 +104,7 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return abs(a - b) <= c <= a + b
 
 
-# k! at index k < 192, built once at import. Only wigner_6j and gamma_half
+# k! at index k < 192, built once at import. Only _six_j_square and gamma_half
 # read it; it covers every 6j symbol of the kernels up to bridge order 30.
 # Larger arguments go to math.factorial, so the memory held does not grow with
 # the orders asked for.
@@ -168,12 +168,25 @@ def _three_j_square(j1: int, j2: int, j3: int) -> tuple[int, int, int]:
 def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqrtRational:
     """Wigner 6j symbol {j1 j2 j3; j4 j5 j6} via the Racah single sum, exactly.
 
-    The sum runs in integers over the common denominator of its terms.
+    The sign and radicand of _six_j_square, the radicand in lowest terms.
     """
-    j1, j2, j3, j4, j5, j6 = (require_order(j, "j") for j in (j1, j2, j3, j4, j5, j6))
+    sign, num, den = _six_j_square(*(require_order(j, "j") for j in (j1, j2, j3, j4, j5, j6)))
+    return SignedSqrtRational(sign, Fraction(num, den))
+
+
+@lru_cache(maxsize=None)
+def _six_j_square(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> tuple[int, int, int]:
+    """(sign, num, den) with wigner_6j(j1, ..., j6) = sign * sqrt(num / den), in integers.
+
+    The Racah single sum runs in integers over the common denominator of its
+    terms, and num / den is its square times the squared triangle
+    coefficients, not reduced: the kernel build reduces its products of
+    squares by one gcd. A vanishing symbol is (0, 0, 1). For validated
+    orders.
+    """
     triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
     if not all(_triangle_ok(*t) for t in triads):
-        return SignedSqrtRational.zero()
+        return 0, 0, 1
     a1, a2, a3, a4 = lows = [sum(t) for t in triads]
     b1, b2, b3 = j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4
     t_lo, t_hi = max(lows), min(b1, b2, b3)
@@ -190,9 +203,8 @@ def wigner_6j(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SignedSqr
         term = f(t + 1) * (common // denom)
         total += -term if t % 2 else term
     if total == 0:
-        return SignedSqrtRational.zero()
-    radicand = Fraction(total * total * pre_num, common * common * pre_den)
-    return SignedSqrtRational(1 if total > 0 else -1, radicand)
+        return 0, 0, 1
+    return (1 if total > 0 else -1), total * total * pre_num, common * common * pre_den
 
 
 @lru_cache(maxsize=None)

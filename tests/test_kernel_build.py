@@ -20,17 +20,16 @@ import pytest
 
 from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
-from fourbessel.legendre import bform_band_coeffs
 from fourbessel.quadbessel import (
     _class_kernel,
-    _divide_one_minus_u,
     _float_horner,
     _Kernel,
     _laurent_kernel,
+    bform_band_coeffs,
     evaluate,
 )
 from fourbessel import cli, quadbessel, wigner
-from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero
+from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero, wigner_6j
 
 from test_legendre import _reference_poly_coeffs
 from test_quadbessel import _bridge_valid_tuples, _forbid_exact_arithmetic
@@ -122,6 +121,18 @@ def _reference_band_series(l: int, lp: int, L: int):
     return den, tuple(out)
 
 
+def _reference_divide_one_minus_t2(coeffs: list[int]) -> list[int]:
+    """Quotient of a polynomial in t (dense, ascending) by 1 - t^2, checked by multiplying back."""
+    quotient: list[int] = []
+    for index, value in enumerate(coeffs[:-2]):
+        quotient.append(value + (quotient[index - 2] if index >= 2 else 0))
+    product = quotient + [0, 0]
+    for index, value in enumerate(quotient):
+        product[index + 2] -= value
+    assert product == list(coeffs)
+    return quotient
+
+
 def _fraction_sqrt(value: Fraction) -> Fraction:
     root_num, root_den = math.isqrt(value.numerator), math.isqrt(value.denominator)
     assert Fraction(root_num, root_den) ** 2 == value
@@ -161,7 +172,7 @@ def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, 
             if value:
                 numerator[total + index] += factor * value
     for _ in range(2 * L - 1):
-        numerator = _divide_one_minus_u(numerator)
+        numerator = _reference_divide_one_minus_t2(numerator)
     common = 8 * 4 ** max(L - 1, 0) * left_den * right_den * series_den
     # K(t) = t^p0 P(t^2): index i holds the power i - 1, and every nonzero
     # power has the parity of the lowest
@@ -265,6 +276,21 @@ def test_cold_build_builds_no_3j_symbol(cold_caches):
         _laurent_kernel(*orders)
     assert wigner_3j_zero.cache_info().misses == 0
     assert wigner._three_j_square.cache_info().misses > 15000
+
+
+def test_cold_build_builds_no_symbol_object(cold_caches, monkeypatch):
+    # the 6j squares, like the 3j squares, are read as a sign and an integer
+    # pair, so no SignedSqrtRational is made between the bridge order and the
+    # finished kernel
+    def forbidden(self):
+        raise AssertionError("SignedSqrtRational built")
+
+    monkeypatch.setattr(SignedSqrtRational, "__post_init__", forbidden)
+    L, kernel = _laurent_kernel(30, 0, 30, 60)
+    assert L == 30 and kernel.numerators
+    assert wigner_6j.cache_info().misses == 0
+    # one 6j square per split and inner degree: 31 on each side
+    assert wigner._six_j_square.cache_info().misses == 62
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ from fourbessel.legendre import (
     _poly_part_ratio,
     _scale,
     assoc_legendre_gt1,
-    _linearization_weights,
-    bform_band_coeffs,
     legendre_p,
 )
+from fourbessel.quadbessel import _linearization_weights, bform_band_coeffs
 
 from test_quadbessel import _ratio_integral, _reference_gauss_legendre
 

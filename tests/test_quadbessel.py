@@ -1217,23 +1217,32 @@ def test_kernel_build_refuses_instead_of_rounding():
         _exact_sqrt(2, 9)
     with pytest.raises(ArithmeticError):
         _exact_sqrt(4, 3)
-    # (1 - t^2)(1 + 2 t^2) divides; adding t breaks the divisibility
-    assert _divide_one_minus_u([1, 0, 1, 0, -2]) == [1, 0, 2]
+    # in u = t^2, (1 - u)(1 + 2u) = 1 + u - 2u^2 divides; changing its top breaks it
+    assert _divide_one_minus_u([1, 1, -2]) == [1, 2]
     with pytest.raises(ArithmeticError):
-        _divide_one_minus_u([1, 1, 1, 0, -2])
+        _divide_one_minus_u([1, 1, -1])
 
 
 def test_kernel_build_refuses_a_numerator_of_mixed_parity(monkeypatch):
     # the kernel of (0, 1, 2, 1) is -t^-1/12 + t/10, from one division by
-    # 1 - t^2; a t^0 term in the quotient would be dropped by the dense format
-    def with_even_power(coeffs):
-        quotient = _divide_one_minus_u(coeffs)
-        quotient[1] += 1
-        return quotient
+    # 1 - t^2 of a numerator in odd powers of t, which alone is divided. A
+    # linearization weight at mu + 1 adds powers of the other parity, which
+    # the dense format would drop; the build refuses before dividing.
+    weights = quadbessel._linearization_weights.__wrapped__
+    divided = []
 
-    monkeypatch.setattr(quadbessel, "_divide_one_minus_u", with_even_power)
-    with pytest.raises(ArithmeticError, match="parit"):
+    def with_other_parity(l, lp):
+        den, pairs = weights(l, lp)
+        mu, num = pairs[-1]
+        return den, pairs + ((mu + 1, num),)
+
+    monkeypatch.setattr(quadbessel, "_linearization_weights", with_other_parity)
+    monkeypatch.setattr(
+        quadbessel, "_divide_one_minus_u", lambda coeffs: divided.append(coeffs) or coeffs[:-1]
+    )
+    with pytest.raises(ArithmeticError, match="both parities"):
         _class_kernel.__wrapped__(0, 1, 2, 1)
+    assert divided == []
 
 
 def test_zero_kernel_needs_no_branch_of_its_own(monkeypatch):

@@ -240,6 +240,25 @@ def test_6j_equals_the_fraction_racah_sum():
         assert wigner_6j(*args) == _reference_6j(*args), args
 
 
+def test_6j_square_is_the_symbol_in_integers(monkeypatch):
+    # every symbol with all j <= 8, the vanishing and triangle-failing ones
+    # included; uncached, so the run holds no table of half a million symbols
+    square = wigner._six_j_square.__wrapped__
+    monkeypatch.setattr(wigner, "_six_j_square", square)
+    counts = {-1: 0, 0: 0, 1: 0}
+    for args in itertools.product(range(9), repeat=6):
+        sign, num, den = square(*args)
+        symbol = wigner_6j.__wrapped__(*args)
+        assert sign == symbol.sign and Fraction(num, den) == symbol.radicand, args
+        assert den > 0 and (num == 0) == (sign == 0), args
+        counts[sign] += 1
+    assert min(counts.values()) > 30000
+    # {1 2 2; 3 2 2}: its four triangles hold, but its Racah sum vanishes
+    triads = ((1, 2, 2), (1, 2, 2), (3, 2, 2), (3, 2, 2))
+    assert all(wigner._triangle_ok(*t) for t in triads) and square(1, 2, 2, 3, 2, 2) == (0, 0, 1)
+    assert square(0, 0, 1, 0, 0, 0) == (0, 0, 1)
+
+
 def test_large_orders_take_memory_that_does_not_grow_with_a_table(cold_caches):
     # a factorial table grown to these orders would hold about 0.7 GB for
     # 3j(5000, 5000, 5000) and about 3 GB for gamma_half(3 * 10**4)
