@@ -93,6 +93,8 @@ class EvaluationReport:
 
     ``terms`` may also be given as a zero-argument callable that returns the
     tuple; it runs on the first read of ``terms``, and its tuple replaces it.
+    ``evaluate`` defers its terms the same way, as a tuple of a function and
+    its arguments in place of the callable.
     """
 
     value: float
@@ -130,6 +132,10 @@ def _read_terms(report: EvaluationReport) -> tuple[TermEntry, ...]:
     terms = report._terms
     if callable(terms):
         terms = report._terms = terms()
+    elif terms and callable(terms[0]):
+        # (function, *arguments), as evaluate defers it: cheaper to build
+        # than a functools.partial
+        terms = report._terms = terms[0](*terms[1:])
     return terms
 
 

@@ -22,9 +22,10 @@ exchange l1 with l3, or l2 with l4, share one polynomial, built at the least
 bridge order among them. The polynomial is K(t) = t^p0 P(u), u = t^2,
 stored dense in u and in lowest terms. Every later call is a cached lookup
 plus one plain float Horner over P's coefficients, accepted when the
-kernel's stored a-priori rounding bound holds; past that, a truncated
-fixed-point Horner at the momenta's exact ratio, correctly rounded. At
-k1 = k2 the value is the stored K(1). ``quad_bessel_paired`` reads the same
+kernel's stored a-priori rounding bound holds, or else when the running
+bound at the call's own u does; past both, a truncated fixed-point Horner at
+the momenta's exact ratio, correctly rounded. At k1 = k2 the value is the
+stored K(1). ``quad_bessel_paired`` reads the same
 kernel; ``triple_bessel_weighted`` reads the kernel's exact weights, sums
 them in integers and rounds once.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -138,13 +139,16 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
 # coefficients at w = t * t that accepts its value when
 # (3 D + 2) 2^-53 sum|e_m| |w|^m / |P| is within this. It treats
 # t = k_lo/k_hi as an exact input: the bound leaves out the rounding of t, for
-# which 1e-12 leaves a wide margin below perfbench's failure threshold of 1e-8
+# which 5e-13 leaves a wide margin below perfbench's failure threshold of 1e-8
 # (the oracle's default rel_tol). There 0 <= w <= 1, and the bound's float sum
 # is monotone in w, so the kernel's bound at w = 1 (_Kernel.horner_bound)
-# bounds it a priori: the pass is a plain Horner, and where the stored bound
-# fails, _kernel_value returns K correctly rounded from the momenta's exact
-# ratio.
-_EXACT_HORNER_BOUND = 1e-12
+# bounds it a priori: most values need only the plain Horner. Where the
+# stored bound fails, the running bound at w itself is summed, and only where
+# that fails too does _kernel_value return K correctly rounded from the
+# momenta's exact ratio. At 1e-12, values accepted just under the bound set
+# the benchmark's worst digits; at 3e-13 or less the stored bound fails on so
+# many more specs that the slow pass starts to set its latency tail.
+_EXACT_HORNER_BOUND = 5e-13
 # evaluate's scale pi / k_hi^3 is taken as it stands when it lies in
 # [_NORMAL_MIN, _SCALE_MAX): pi / x falls as x grows, so there both k_hi^3 and
 # the scale are normal floats.
@@ -272,7 +276,7 @@ class _Kernel(NamedTuple):
     ``numerators[i]`` over ``common``, in lowest terms, a zero as 0;
     ``floats[i]`` is that numerator / common, correctly rounded, and
     ``at_one`` is K(1) = sum(numerators) / common, correctly rounded.
-    ``horner_bound`` is ``_float_horner(floats, 1.0)[1]``, the running
+    ``horner_bound`` is ``_running_bound(floats, 1.0)``, the running
     rounding bound at w = 1. Each float step of that bound, m * |w| + |e|, is
     monotone in m and |w|, so at any 0 <= w <= 1 the computed bound is at most
     this one. ``width`` is the bit length of sum |numerators|.
@@ -386,23 +390,22 @@ def _class_kernel(l1: int, l2: int, l3: int, l4: int) -> _Kernel:
     divisor = math.gcd(common, *dense)
     dense, common = tuple(value // divisor for value in dense), common // divisor
     floats = tuple(value / common for value in dense)
-    bound, width = _float_horner(floats, 1.0)[1], sum(map(abs, dense)).bit_length()
+    bound, width = _running_bound(floats, 1.0), sum(map(abs, dense)).bit_length()
     return _Kernel(first - 1, dense, common, floats, bound, sum(dense) / common, width)
 
 
-def _float_horner(coeffs: tuple[float, ...], w: float) -> tuple[float, float]:
-    """(P, bound): P = sum e_m w^m by Horner, and an a-posteriori bound on its float error.
+def _running_bound(coeffs: tuple[float, ...], w: float) -> float:
+    """An a-posteriori bound on the float error of the Horner of sum e_m w^m over coeffs.
 
-    bound is 3 D + 2 roundings of sum |e_m| |w|^m for P of degree D: two per
+    It is 3 D + 2 roundings of sum |e_m| |w|^m for P of degree D: two per
     power of w in the Horner, one for the coefficients' own rounding, one per
     power for the rounding of w, and one spare.
     """
     r = abs(w)
-    total = magnitude = 0.0
+    magnitude = 0.0
     for coeff in reversed(coeffs):
-        total = total * w + coeff
         magnitude = magnitude * r + abs(coeff)
-    return total, (3 * len(coeffs) - 1) * 2.0**-53 * magnitude
+    return (3 * len(coeffs) - 1) * 2.0**-53 * magnitude
 
 
 def _horner_exact(kernel: _Kernel, a: int, b: int) -> tuple[int, int]:
@@ -502,12 +505,14 @@ def _evaluate(
             total = kernel.at_one
         else:
             # the float pass at w = t * t <= 1, where the stored bound at
-            # w = 1 bounds the running one
+            # w = 1 bounds the running one; only where it fails is the
+            # running bound at w itself summed
             w = t * t
             total = 0.0
             for coeff in reversed(kernel.floats):
                 total = total * w + coeff
-            if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
+            limit = _EXACT_HORNER_BOUND * abs(total)
+            if kernel.horner_bound > limit and _running_bound(kernel.floats, w) > limit:
                 total = _kernel_value(kernel, *_exact_ratio(k_lo, k_hi))
             else:
                 total *= t**kernel.p0
@@ -548,14 +553,16 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     exchanged tuple (l2, l1, l4, l3), which gives the same integral. The
     report's ``bridge_L`` is the tuple's own bridge order. Later calls run a
     plain float Horner over P's coefficients at u = t^2, t = k_lo/k_hi, and
-    return it when the kernel's stored a-priori bound holds. Otherwise K(t)
-    comes from a truncated fixed-point Horner at the momenta's exact ratio,
-    correctly rounded. At k1 = k2 the value is the kernel's stored
+    return it when the kernel's stored a-priori bound holds, or else when the
+    running bound summed at this u does. Otherwise K(t) comes from a
+    truncated fixed-point Horner at the momenta's exact ratio, correctly
+    rounded. At k1 = k2 the value is the kernel's stored
     K(1) = P(1), rounded once, so it is bit-identical for a tuple and its
     exchange.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
-    monomials, indexed by their power of t, and are built on their first read.
+    monomials, indexed by their power of t, and are built on their first read
+    from the (function, *arguments) tuple the report holds until then.
     Every bridge order is covered, and the kernel is finite at k1 = k2.
     DomainError is raised when the momenta are so far apart or so extreme
     that t = k_lo/k_hi or a nonzero value leaves the normal floats; an exact
@@ -564,4 +571,4 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     value, L, method, kernel, t, scale, shift = _evaluate(
         spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4, spec.k1, spec.k2
     )
-    return EvaluationReport(value, L, partial(_report_terms, kernel, t, scale, shift), method)
+    return EvaluationReport(value, L, (_report_terms, kernel, t, scale, shift), method)

@@ -22,7 +22,6 @@ from fourbessel.core import IntegralSpec
 from fourbessel.errors import NoValidBridge
 from fourbessel.quadbessel import (
     _class_kernel,
-    _float_horner,
     _Kernel,
     _laurent_kernel,
     bform_band_coeffs,
@@ -32,7 +31,7 @@ from fourbessel import cli, quadbessel, wigner
 from fourbessel.wigner import SignedSqrtRational, select_bridge_order, wigner_3j_zero, wigner_6j
 
 from test_legendre import _reference_poly_coeffs
-from test_quadbessel import _bridge_valid_tuples, _forbid_exact_arithmetic
+from test_quadbessel import _bridge_valid_tuples, _float_horner, _forbid_exact_arithmetic
 from test_wigner import _reference_3j_product, _reference_6j
 
 # the 15 order tuples of the benchmark's eval-kgrid workload

@@ -34,10 +34,9 @@ from fourbessel.quadbessel import (
     _divide_one_minus_u,
     _exact_ratio,
     _exact_sqrt,
-    _float_horner,
     _horner_exact,
-    _kernel_value,
     _laurent_kernel,
+    _running_bound,
     evaluate,
     quad_bessel_paired,
     triple_bessel_weighted,
@@ -48,6 +47,14 @@ from fourbessel.wigner import (
     wigner_3j_zero,
     wigner_6j,
 )
+
+
+def _float_horner(coeffs, w):
+    """(P, bound): P = sum e_m w^m by evaluate's float Horner, and its running bound at w."""
+    total = 0.0
+    for coeff in reversed(coeffs):
+        total = total * w + coeff
+    return total, _running_bound(coeffs, w)
 
 
 # reference values for the four-Bessel integral, derived once by
@@ -896,7 +903,7 @@ def test_integer_horner_equals_fraction_horner():
 def _first_bound_fails(kernel, t):
     """The first float pass, over P's own coefficients at w = t * t, fails its bound."""
     total, bound = _float_horner(kernel.floats, t * t)
-    return bound > 1e-12 * abs(total)
+    return bound > _EXACT_HORNER_BOUND * abs(total)
 
 
 def _rounded_value(orders, k1, k2):
@@ -1050,8 +1057,9 @@ def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
 def test_fallback_is_correctly_rounded_wherever_the_stored_bound_fails():
     # every bridge-valid tuple of {0..4}^4, the eval-kgrid tuples and bridge
     # orders 20 to 50, both orientations, at the gap sweep and at log-uniform
-    # momenta: wherever the stored bound fails, the value is pi / k_hi^3 times
-    # K correctly rounded at the momenta's exact ratio
+    # momenta: wherever the running bound fails, and so the stored one, the
+    # value is pi / k_hi^3 times K correctly rounded at the momenta's exact
+    # ratio
     from test_kernel_build import EVAL_KGRID_TUPLES
 
     rng = random.Random("fixed-point-pass")
@@ -1068,7 +1076,7 @@ def test_fallback_is_correctly_rounded_wherever_the_stored_bound_fails():
                 fixed += 1
             checked += 1
     assert checked == (269 + 15 + 5) * 80
-    assert fixed == 709
+    assert fixed == 1236
 
 
 def test_stored_bound_dominates_the_running_bound():
@@ -1094,8 +1102,9 @@ def test_stored_bound_dominates_the_running_bound():
 def _two_pass_value(orders, k1, k2):
     """The value with the first pass gated by its running bound, then K correctly rounded.
 
-    Where the stored bound holds, so does the running one, and evaluate's
-    value is this one. At k1 = k2 it is K(1) correctly rounded.
+    evaluate's value is this one: where the stored bound holds, so does the
+    running one, and where it fails, evaluate gates on the running bound
+    itself. At k1 = k2 it is K(1) correctly rounded.
     """
     kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
     t = k_lo / k_hi
@@ -1108,9 +1117,9 @@ def _two_pass_value(orders, k1, k2):
 
 def test_a_priori_accept_returns_the_two_pass_bits():
     # every bridge-valid tuple of {0..4}^4 and the eval-kgrid tuples, at
-    # separated, exchanged, equal and near-equal momenta: where the stored
-    # bound holds, the value's bits are those of the two-pass evaluation;
-    # where it fails, and at k1 = k2, the value is K correctly rounded
+    # separated, exchanged, equal and near-equal momenta: every value's bits
+    # are those of the two-pass evaluation, whether the stored bound holds
+    # or fails, and at k1 = k2
     from test_kernel_build import EVAL_KGRID_TUPLES
 
     momenta = [(1.0, 3.0), (3.0, 1.0), (2.0, 2.0), (0.7, 0.3)]
@@ -1121,20 +1130,18 @@ def test_a_priori_accept_returns_the_two_pass_bits():
         for k1, k2 in momenta:
             value = evaluate(IntegralSpec(*orders, k1, k2)).value
             kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-            expected = _two_pass_value(orders, k1, k2)
             if k_lo != k_hi:
                 t = k_lo / k_hi
                 total = _float_horner(kernel.floats, t * t)[0]
                 if kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total):
                     stored_fails += 1
-                    expected = _rounded_value(orders, k1, k2)
                 else:
                     a_priori += 1
-            assert value.hex() == expected.hex(), (orders, k1, k2)
+            assert value.hex() == _two_pass_value(orders, k1, k2).hex(), (orders, k1, k2)
             compared += 1
     assert compared == (269 + 15) * 36
     # the 284 equal pairs run no first pass
-    assert (a_priori, stored_fails) == (9664, 276)
+    assert (a_priori, stored_fails) == (9379, 561)
 
 
 def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
@@ -1144,28 +1151,79 @@ def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
     def forbidden(*args):
         raise AssertionError("running bound on an a-priori accept")
 
-    monkeypatch.setattr(quadbessel, "_float_horner", forbidden)
+    monkeypatch.setattr(quadbessel, "_running_bound", forbidden)
     assert evaluate(spec).value == warm
+
+
+def _count_gate_calls(monkeypatch):
+    """Record evaluate's calls of _running_bound and _kernel_value, which still run."""
+    calls = {}
+    for name in ("_running_bound", "_kernel_value"):
+        function, seen = getattr(quadbessel, name), calls.setdefault(name, [])
+        monkeypatch.setattr(
+            quadbessel, name, lambda *args, f=function, s=seen: s.append(args) or f(*args)
+        )
+    return calls
 
 
 def test_cancelling_spec_reaches_the_fixed_point_pass(monkeypatch):
-    # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, and the
-    # fixed-point pass answers at the momenta's exact ratio, with no running
-    # bound and no integer Horner
+    # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, and so does the
+    # running bound at the spec's own w: one running bound, then the
+    # fixed-point pass at the momenta's exact ratio, and no integer Horner
     spec = IntegralSpec(13, 4, 11, 2, 1.1, 1.0)
     warm = evaluate(spec).value
-    calls = []
-    monkeypatch.setattr(
-        quadbessel, "_kernel_value", lambda *args: calls.append(args) or _kernel_value(*args)
-    )
+    calls = _count_gate_calls(monkeypatch)
 
     def forbidden(*args):
-        raise AssertionError("running bound or integer Horner on the fixed-point pass")
+        raise AssertionError("integer Horner on the fixed-point pass")
 
-    monkeypatch.setattr(quadbessel, "_float_horner", forbidden)
     monkeypatch.setattr(quadbessel, "_horner_exact", forbidden)
     assert evaluate(spec).value == warm
-    assert calls == [(_laurent_kernel(13, 4, 11, 2)[1], *_exact_ratio(1.0, 1.1))]
+    kernel, t = _laurent_kernel(13, 4, 11, 2)[1], 1.0 / 1.1
+    assert calls["_running_bound"] == [(kernel.floats, t * t)]
+    assert calls["_kernel_value"] == [(kernel, *_exact_ratio(1.0, 1.1))]
+
+
+def test_running_bound_gates_the_fixed_point_pass(monkeypatch):
+    # the stored bound at w = 1 fails for (8, 3, 13, 10) at t = 1/2, but the
+    # running bound at the spec's own w holds: one running bound, no
+    # fixed-point pass, and the plain Horner's value
+    spec = IntegralSpec(8, 3, 13, 10, 1.0, 0.5)
+    kernel = _laurent_kernel(8, 3, 13, 10)[1]
+    total = _float_horner(kernel.floats, 0.25)[0]
+    assert kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total)
+    warm = evaluate(spec).value
+    calls = _count_gate_calls(monkeypatch)
+    assert evaluate(spec).value == warm == math.pi * (total * 0.5**kernel.p0)
+    assert calls == {"_running_bound": [(kernel.floats, 0.25)], "_kernel_value": []}
+
+
+def test_fixed_point_pass_runs_only_where_the_running_bound_fails(monkeypatch):
+    # the eval-kgrid tuples, both orientations, at seeded log-uniform and
+    # near-equal momenta: evaluate runs the fixed-point pass exactly where
+    # the running bound at the spec's w fails, on fewer specs than the stored
+    # bound fails
+    from test_kernel_build import EVAL_KGRID_TUPLES
+
+    rng = random.Random("running-bound-gate")
+    momenta = [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(36)]
+    momenta += [(k, k * (1.0 + 10.0 ** -rng.uniform(1, 9))) for k in (1.0, 0.3, 2.5) * 3]
+    momenta += [(k2, k1) for k1, k2 in momenta]
+    for orders in EVAL_KGRID_TUPLES:
+        evaluate(IntegralSpec(*orders, 1.0, 2.0))
+    calls = _count_gate_calls(monkeypatch)
+    running_fails = stored_fails = 0
+    for orders in EVAL_KGRID_TUPLES:
+        for k1, k2 in momenta:
+            evaluate(IntegralSpec(*orders, k1, k2))
+            kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            t = k_lo / k_hi
+            total = _float_horner(kernel.floats, t * t)[0]
+            stored_fails += kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total)
+            running_fails += _first_bound_fails(kernel, t)
+    assert len(calls["_kernel_value"]) == running_fails
+    assert len(calls["_running_bound"]) == stored_fails
+    assert (running_fails, stored_fails) == (93, 170)
 
 
 def test_stored_floats_are_rounded_once_on_wide_kernels():
