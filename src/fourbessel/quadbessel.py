@@ -35,6 +35,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 from .core import (
@@ -209,15 +210,23 @@ def bform_band_coeffs(degree: int, twice_m: int) -> tuple[int, ...]:
 def _linearization_weights(l: int, lp: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(den, ((mu, num), ...)): the coefficients c_mu = num / den of P_l * P_lp in integers.
 
-    c_mu = (2 mu + 1) * (three-j with zero projections)^2 over the lcm of the
-    squares' denominators, for mu = |l - lp|, |l - lp| + 2, ..., l + lp.
+    c_mu = (2 mu + 1) 3j(l, lp, mu; 0, 0, 0)^2 for mu = |l - lp|, ..., l + lp in
+    steps of 2, over the squares' least common denominator. Adams' quotient
+    (_three_j_square) steps from mu to mu + 2 by a ratio of small integers, so
+    each square is the step numerators before it times the step denominators
+    from it on, over the denominator fixed by sum c_mu = P_l(1) P_lp(1) = 1.
     """
-    window = range(abs(l - lp), l + lp + 1, 2)
-    squares = [_three_j_square(l, lp, mu) for mu in window]
-    den = math.lcm(*(square_den for _, _, square_den in squares))
-    return den, tuple(
-        (mu, (2 * mu + 1) * num * (den // square_den))
-        for mu, (_, num, square_den) in zip(window, squares)
+    d, s = l - lp, l + lp
+    window = range(abs(d), s + 1, 2)
+    # (2a+1)(2b+1) c (g+1) / ((a+1)(b+1)(2c-1)(2g+3)) at mu's a, b, c and g
+    ups = [((mu + 1) ** 2 - d * d) * (s - mu) * (s + mu + 2) for mu in window[:-1]]
+    downs = [((mu + 2) ** 2 - d * d) * (s - mu - 1) * (s + mu + 3) for mu in window[:-1]]
+    tails = [*accumulate(reversed(downs), mul, initial=1)][::-1]
+    squares = [head * tail for head, tail in zip(accumulate(ups, mul, initial=1), tails)]
+    den = sum((2 * mu + 1) * square for mu, square in zip(window, squares))
+    common = math.gcd(den, *squares)
+    return den // common, tuple(
+        (mu, (2 * mu + 1) * (square // common)) for mu, square in zip(window, squares)
     )
 
 
@@ -473,11 +482,13 @@ def _kernel_value(kernel: _Kernel, a: int, b: int) -> float:
     return num / den
 
 
-def _report_terms(kernel: _Kernel, t: float, scale: float, shift: int) -> tuple[TermEntry, ...]:
-    """The Laurent monomials of K at t, each times pi / k_hi^3 = scale * 2^shift."""
+def _report_terms(
+    kernel: _Kernel, t: float, scale: float, shift: int, lowest: int
+) -> tuple[TermEntry, ...]:
+    """The Laurent monomials of K at t, each times pi / k_hi^3 = scale * 2^shift * t^-lowest."""
     powers = range(kernel.p0, kernel.p0 + 2 * len(kernel.floats), 2)
     return tuple(
-        TermEntry({"power": p}, math.ldexp(scale * coeff * t**p, shift))
+        TermEntry({"power": p}, math.ldexp(scale * coeff * t ** (p - lowest), shift))
         for p, coeff in zip(powers, kernel.floats)
         if coeff
     )
@@ -485,12 +496,12 @@ def _report_terms(kernel: _Kernel, t: float, scale: float, shift: int) -> tuple[
 
 def _evaluate(
     l1: int, l2: int, l3: int, l4: int, k1: float, k2: float
-) -> tuple[float, int, str, _Kernel, float, float, int]:
+) -> tuple[float, int, str, _Kernel, float, float, int, int]:
     """``evaluate`` on already-validated orders and momenta, without a report.
 
-    Returns (value, L, method, kernel, t, scale, shift): the report's value,
-    bridge order and method, then the inputs of its lazy ``_report_terms``.
-    Raises as ``evaluate`` does.
+    Returns (value, L, method, kernel, t, scale, shift, lowest): the report's
+    value, bridge order and method, then the inputs of its lazy
+    ``_report_terms``. Raises as ``evaluate`` does.
     """
     if k1 < k2:
         orders = (l2, l1, l4, l3)
@@ -522,27 +533,29 @@ def _evaluate(
         scale = math.pi / k_hi**3
     except (OverflowError, ZeroDivisionError):
         scale = 0.0
-    if _NORMAL_MIN <= scale < _SCALE_MAX:
-        shift = 0
-        value = scale * total
+    value = scale * total
+    if _NORMAL_MIN <= scale < _SCALE_MAX and _NORMAL_MIN <= abs(value) < math.inf:
+        shift = lowest = 0
     else:
-        # k_hi^3 or pi / k_hi^3 leaves the normal floats where the value need
-        # not: k_hi = m 2^e with m in [0.5, 1), and 2^(-3e) is applied exactly
-        mantissa, exponent = math.frexp(k_hi)
-        scale, shift = math.pi / mantissa**3, -3 * exponent
+        # k_hi^3, its quotient or t^p0 left the normal floats, or the value is 0:
+        # the value is pi t^p0 / k_hi^3 = scale 2^shift, split by frexp, times P(u)
+        p0 = kernel.p0
+        (lo_mantissa, lo_exponent), (hi_mantissa, hi_exponent) = math.frexp(k_lo), math.frexp(k_hi)
+        scale = math.pi * lo_mantissa**p0 / hi_mantissa ** (3 + p0)
+        shift = p0 * lo_exponent - (3 + p0) * hi_exponent
+        num, den = _horner_exact(kernel._replace(p0=0), *_exact_ratio(k_lo, k_hi))
         try:
-            value = math.ldexp(scale * total, shift)
+            value = math.ldexp(scale * (num / den), shift)
         except OverflowError:
             value = math.inf
-    if not _NORMAL_MIN <= abs(value) < math.inf and (
-        value or _horner_exact(kernel, *_exact_ratio(k_lo, k_hi))[0]
-    ):
-        raise DomainError(
-            f"momenta k1={k1!r}, k2={k2!r} are out of range for orders {(l1, l2, l3, l4)}: "
-            "the value or t = k_lo/k_hi leaves the float range"
-        )
+        if num and not _NORMAL_MIN <= abs(value) < math.inf:
+            raise DomainError(
+                f"momenta k1={k1!r}, k2={k2!r} are out of range for orders "
+                f"{(l1, l2, l3, l4)}: the value leaves the normal float range"
+            )
+        lowest = p0
     method = "paired" if l1 == l2 and l3 == l4 else "analytic"
-    return value, L, method, kernel, t, scale, shift
+    return value, L, method, kernel, t, scale, shift, lowest
 
 
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
@@ -564,11 +577,11 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     monomials, indexed by their power of t, and are built on their first read
     from the (function, *arguments) tuple the report holds until then.
     Every bridge order is covered, and the kernel is finite at k1 = k2.
-    DomainError is raised when the momenta are so far apart or so extreme
-    that t = k_lo/k_hi or a nonzero value leaves the normal floats; an exact
-    zero is returned as 0.0.
+    Where the float pass leaves the normal floats, t^p0 is folded into the
+    scale, so DomainError is raised only when the value itself, nonzero, is
+    not a normal float; an exact zero is returned as 0.0.
     """
-    value, L, method, kernel, t, scale, shift = _evaluate(
+    value, L, method, kernel, t, scale, shift, lowest = _evaluate(
         spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4, spec.k1, spec.k2
     )
-    return EvaluationReport(value, L, (_report_terms, kernel, t, scale, shift), method)
+    return EvaluationReport(value, L, (_report_terms, kernel, t, scale, shift, lowest), method)

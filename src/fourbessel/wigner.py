@@ -2,10 +2,10 @@
 
 Every symbol is an integer factorial quotient, returned as a
 :class:`SignedSqrtRational`, the exact carrier s*sqrt(p/q), built once per
-distinct symbol. The kernel build reads each squared 6j symbol as a sign and
-an integer pair from the Racah sum, and each squared 3j symbol as a sign and
-an integer pair from its binomial closed form, with no symbol object, and
-turns them into exact rational weights; no value path rounds a symbol.
+distinct symbol. The kernel build's side factors read each squared 6j symbol
+as a sign and an integer pair from the Racah sum, and each squared 3j symbol
+as a sign and an integer pair from its binomial closed form, with no symbol
+object, and turn them into exact rational weights; no value path rounds one.
 ``to_float`` is for display: only the CLI prints with it.
 
 Only integer angular momenta are supported; the integral pipeline never needs
@@ -116,20 +116,6 @@ def _factorial(n: int):
     return _FACTORIALS.__getitem__ if n < len(_FACTORIALS) else math.factorial
 
 
-# C(2k, k) at index k < 256, built once at import by C(2k, k) = C(2k-2, k-1)
-# (4k - 2) / k: the binomials of every squared 3j symbol with j1 + j2 + j3 < 512,
-# so of every linearization weight of P_l * P_lp with l + lp < 256. Larger
-# arguments go to math.comb.
-_CENTRAL_BINOMIALS = tuple(accumulate(range(1, 256), lambda c, k: c * (4 * k - 2) // k, initial=1))
-
-
-def _central_binomial(n: int):
-    """k -> C(2k, k) for 0 <= k <= n: the table's lookup where it reaches n, else math.comb."""
-    if n < len(_CENTRAL_BINOMIALS):
-        return _CENTRAL_BINOMIALS.__getitem__
-    return lambda k: math.comb(2 * k, k)
-
-
 @lru_cache(maxsize=None)
 def wigner_3j_zero(j1: int, j2: int, j3: int) -> SignedSqrtRational:
     """Wigner 3j symbol with all magnetic quantum numbers zero, exactly.
@@ -151,15 +137,15 @@ def _three_j_square(j1: int, j2: int, j3: int) -> tuple[int, int, int]:
     C(2a, a) C(2b, b) C(2c, c) / ((2g + 1) C(2g, g)), with 2g = j1 + j2 + j3,
     a = g - j1, b = g - j2 and c = g - j3, reduced to lowest terms by one gcd,
     and the sign is (-1)^g; a vanishing symbol is (0, 0, 1). For validated
-    orders: the kernel build reads it where it once built a symbol.
+    orders: the kernel build's side factors read it.
     """
     big_j = j1 + j2 + j3
     if big_j % 2 or not _triangle_ok(j1, j2, j3):
         return 0, 0, 1
     g = big_j // 2
-    central = _central_binomial(g)
-    num = central(g - j1) * central(g - j2) * central(g - j3)
-    den = (big_j + 1) * central(g)
+    a, b, c = g - j1, g - j2, g - j3
+    num = math.comb(2 * a, a) * math.comb(2 * b, b) * math.comb(2 * c, c)
+    den = (big_j + 1) * math.comb(2 * g, g)
     common = math.gcd(num, den)
     return -1 if g % 2 else 1, num // common, den // common
 

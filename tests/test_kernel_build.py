@@ -274,7 +274,17 @@ def test_cold_build_builds_no_3j_symbol(cold_caches):
     for orders in [(30, 0, 30, 60), *_bridge_valid_tuples(4)]:
         _laurent_kernel(*orders)
     assert wigner_3j_zero.cache_info().misses == 0
-    assert wigner._three_j_square.cache_info().misses > 15000
+    # the linearization rows read no 3j square: a cold (30, 0, 30, 60) build
+    # reads those of its two side factors alone, where the rows once read
+    # 15.4k more
+    cold_caches()
+    quadbessel._side_factors(30, 0, 30)
+    quadbessel._side_factors(30, 60, 30)
+    sides = wigner._three_j_square.cache_info().misses
+    cold_caches()
+    _laurent_kernel(30, 0, 30, 60)
+    assert wigner._three_j_square.cache_info().misses == sides
+    assert quadbessel._linearization_weights.cache_info().misses > 0
 
 
 def test_cold_build_builds_no_symbol_object(cold_caches, monkeypatch):

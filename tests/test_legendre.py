@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
+from fourbessel import wigner
 from fourbessel.errors import DomainError
 from fourbessel.legendre import (
     _as_fraction,
@@ -529,6 +530,32 @@ def _linearization_coeffs(l, lp):
     """((mu, c_mu), ...) with P_l * P_lp = sum_mu c_mu P_mu, from the integer weights."""
     den, weights = _linearization_weights(l, lp)
     return tuple((mu, Fraction(num, den)) for mu, num in weights)
+
+
+def _reference_linearization_weights(l, lp):
+    """The rows read symbol by symbol: each 3j square, over the lcm of their denominators."""
+    window = range(abs(l - lp), l + lp + 1, 2)
+    squares = [wigner._three_j_square.__wrapped__(l, lp, mu) for mu in window]
+    den = math.lcm(*(square_den for _, _, square_den in squares))
+    return den, tuple(
+        (mu, (2 * mu + 1) * num * (den // square_den))
+        for mu, (_, num, square_den) in zip(window, squares)
+    )
+
+
+def test_linearization_rows_equal_the_symbol_by_symbol_rows():
+    # one running product of Adams' step ratio per row, against one 3j square
+    # per mu. Both are over the squares' least common denominator, so the rows
+    # agree as integers too, and 2 mu + 1 divides each num, as the kernel
+    # build's division at bridge order 0 needs
+    for l in range(61):
+        for lp in range(61):
+            den, weights = _linearization_weights.__wrapped__(l, lp)
+            expected_den, expected = _reference_linearization_weights(l, lp)
+            assert [Fraction(num, den) for _, num in weights] == [
+                Fraction(num, expected_den) for _, num in expected
+            ], (l, lp)
+            assert (den, weights) == (expected_den, expected), (l, lp)
 
 
 def test_linearization_weights_sum_to_one():

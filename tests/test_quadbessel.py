@@ -10,8 +10,10 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -579,15 +581,54 @@ def test_quad_degenerate_closed_values():
     )
 
 
-@pytest.mark.parametrize(
-    "k1, k2", [(1e300, 1e300), (1e-300, 1e-300), (1e-104, 2e-104), (1e-300, 1e300)]
-)
+@pytest.mark.parametrize("k1, k2", [(1e300, 1e300), (1e-300, 1e-300), (1e-104, 2e-104)])
 def test_out_of_range_momenta_raise_domain_error(k1, k2):
-    # k_hi^3 overflows, underflows to 0, leaves pi / k_hi^3 infinite, or
-    # t = k_lo/k_hi underflows under a t^-1 term
+    # k_hi^3 overflows, underflows to 0, or leaves pi / k_hi^3 infinite, and
+    # the value leaves the normal floats with it
     for orders in ((0, 0, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (2, 1, 3, 0)):
         with pytest.raises(DomainError, match="float range"):
             evaluate(IntegralSpec(*orders, k1, k2))
+
+
+def test_momenta_are_limited_by_the_value_alone():
+    # Far-apart momenta used to raise wherever t = k_lo/k_hi left the normal
+    # floats: t^-1 overflowed, though pi / (k_lo k_hi^2) is a normal float.
+    # Every value of {0..4}^4 at extreme exponent pairs, both orientations,
+    # against pi K(t) / k_hi^3 from the exact ratio; DomainError exactly
+    # where that value is not a normal float. The momenta are normal floats:
+    # a subnormal momentum can leave t subnormal, and so short of digits, under
+    # a normal value, which the float pass does not detect.
+    rng = random.Random(19)
+    pairs = [(1e200, 1e-110), (1e300, 1e-300), (1e100, 1e-210), (1e-150, 1e158)]
+    while len(pairs) < 12:
+        x, y = rng.uniform(-307, 308), rng.uniform(-307, 308)
+        if abs(x - y) > 250:
+            pairs.append((10.0**x, 10.0**y))
+    normal_min, float_top = mpmath.mpf(sys.float_info.min), mpmath.mpf(2) ** 1024
+    answered = raised = 0
+    answered_p0 = []
+    with mpmath.workdps(40):
+        for (k1, k2), orders in itertools.product(
+            pairs + [(k2, k1) for k1, k2 in pairs], _bridge_valid_tuples(4)
+        ):
+            kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
+            num, den = _horner_exact(kernel, *_exact_ratio(k_lo, k_hi))
+            exact = mpmath.pi * num / den / mpmath.mpf(k_hi) ** 3
+            if normal_min <= abs(exact) < float_top:
+                report = evaluate(IntegralSpec(*orders, k1, k2))
+                assert report.value == pytest.approx(float(exact), rel=1e-15), (orders, k1, k2)
+                assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-14)
+                answered += 1
+                if (k1, k2) == (1e200, 1e-110):
+                    answered_p0.append(kernel.p0)
+            else:
+                with pytest.raises(DomainError, match="float range"):
+                    evaluate(IntegralSpec(*orders, k1, k2))
+                raised += 1
+    # the 55 tuples whose kernel has a t^-1 term, such as pi / (4 k1^2 k2) for (0,0,0,0)
+    assert answered_p0 == [-1] * 55
+    assert evaluate(IntegralSpec(0, 0, 0, 0, 1e200, 1e-110)).value == 7.853981633974483e-291
+    assert answered + raised == 269 * 24 and answered > 1000 and raised > 1000
 
 
 def test_in_range_extremes_keep_their_bits():
