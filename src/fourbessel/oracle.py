@@ -654,11 +654,12 @@ def _head_grid(factors, radius: float, omega_max: float) -> tuple[int, float]:
     """(n_panels, width) of a head over about [0, radius], sized to the fastest oscillation.
 
     The width keeps only the bits that leave room for the panel index, so
-    each centre (p + 1/2) width and the end n_panels * width are exact.
+    each centre (p + 1/2) width and the end n_panels * width are exact. A
+    head argument k * radius that is not finite needs unboundedly many panels.
     """
     for _, k in factors:
         if not math.isfinite(k * radius):
-            raise DomainError(f"head argument k*r = {k!r}*{radius!r} is not finite")
+            raise _TooManyPanels
     n_panels = max(1, math.ceil(radius * omega_max / (2.0 * math.pi))) * _PANELS_PER_PERIOD
     bits = 53 - (2 * n_panels).bit_length()
     if bits < 1:
@@ -759,8 +760,8 @@ def _integrate(slots, momenta, char_momenta, cfg: QuadratureConfig) -> tuple[flo
     estimate is certified against pi / (4 prod char_momenta) as the scale.
     The momenta are scaled by 2^-e so that the largest lies in [1, 2), and
     the result by 2^(3e), which is exact. The head's checks run first, at
-    the shortest head: an argument that is not finite, or more panels than
-    can be laid out, raises DomainError; so does any other overflow, and a
+    the shortest head: more panels than can be laid out, as for an argument
+    that is not finite, raises DomainError; so does any other overflow, and a
     value that leaves the normal floats.
     """
     import numpy as np

@@ -23,9 +23,10 @@ bridge order among them. The polynomial is K(t) = t^p0 P(u), u = t^2,
 stored dense in u and in lowest terms. Every later call is a cached lookup
 plus one plain float Horner over P's coefficients, accepted when the
 kernel's stored a-priori rounding bound holds, or else when the running
-bound at the call's own u does; past both, a truncated fixed-point Horner at
-the momenta's exact ratio, correctly rounded. At k1 = k2 the value is the
-stored K(1). ``quad_bessel_paired`` reads the same
+bound at the call's own u does, and every factor of the value is a normal
+float. At k1 = k2 the value is the stored K(1). Every other value is
+pi / k_hi^3 times K from one integer Horner at the momenta's exact ratio,
+rounded once (_exact_value). ``quad_bessel_paired`` reads the same
 kernel; ``triple_bessel_weighted`` reads the kernel's exact weights, sums
 them in integers and rounds once.
 """
@@ -145,18 +146,16 @@ def quad_bessel_paired(l1: int, l2: int, k1: float, k2: float) -> EvaluationRepo
 # is monotone in w, so the kernel's bound at w = 1 (_Kernel.horner_bound)
 # bounds it a priori: most values need only the plain Horner. Where the
 # stored bound fails, the running bound at w itself is summed, and only where
-# that fails too does _kernel_value return K correctly rounded from the
-# momenta's exact ratio. At 1e-12, values accepted just under the bound set
-# the benchmark's worst digits; at 3e-13 or less the stored bound fails on so
-# many more specs that the slow pass starts to set its latency tail.
+# that fails too does _exact_value take K from the momenta's exact ratio. At
+# 1e-12, values accepted just under the bound set the benchmark's worst
+# digits; at 3e-13 or less the stored bound fails on so many more specs that
+# the exact route starts to set the latency tail.
 _EXACT_HORNER_BOUND = 5e-13
 # evaluate's scale pi / k_hi^3 is taken as it stands when it lies in
 # [_NORMAL_MIN, _SCALE_MAX): pi / x falls as x grows, so there both k_hi^3 and
 # the scale are normal floats.
 _NORMAL_MIN = sys.float_info.min
 _SCALE_MAX = math.pi / _NORMAL_MIN
-# The fixed-point pass starts with this many bits in all, integer part and fraction.
-_FIXED_POINT_BITS = 112
 
 
 def _exact_sqrt(num: int, den: int) -> tuple[int, int]:
@@ -288,7 +287,7 @@ class _Kernel(NamedTuple):
     ``horner_bound`` is ``_running_bound(floats, 1.0)``, the running
     rounding bound at w = 1. Each float step of that bound, m * |w| + |e|, is
     monotone in m and |w|, so at any 0 <= w <= 1 the computed bound is at most
-    this one. ``width`` is the bit length of sum |numerators|.
+    this one.
     """
 
     p0: int
@@ -297,7 +296,6 @@ class _Kernel(NamedTuple):
     floats: tuple[float, ...]
     horner_bound: float
     at_one: float
-    width: int
 
 
 @lru_cache(maxsize=None)
@@ -399,8 +397,8 @@ def _class_kernel(l1: int, l2: int, l3: int, l4: int) -> _Kernel:
     divisor = math.gcd(common, *dense)
     dense, common = tuple(value // divisor for value in dense), common // divisor
     floats = tuple(value / common for value in dense)
-    bound, width = _running_bound(floats, 1.0), sum(map(abs, dense)).bit_length()
-    return _Kernel(first - 1, dense, common, floats, bound, sum(dense) / common, width)
+    bound = _running_bound(floats, 1.0)
+    return _Kernel(first - 1, dense, common, floats, bound, sum(dense) / common)
 
 
 def _running_bound(coeffs: tuple[float, ...], w: float) -> float:
@@ -448,45 +446,52 @@ def _exact_ratio(k_lo: float, k_hi: float) -> tuple[int, int]:
     return a >> shift, b >> shift
 
 
-def _kernel_value(kernel: _Kernel, a: int, b: int) -> float:
-    """K(t) at t = a/b, 0 < a < b, correctly rounded, by a truncated fixed-point Horner.
+def _exact_value(kernel: _Kernel, k_lo: float, k_hi: float) -> float | None:
+    """pi / k_hi^3 times K(k_lo / k_hi), K taken at the momenta's exact ratio and rounded once.
 
-    With F fraction bits and s = F + kernel.width + 2, W = floor(a^2 2^s / b^2)
-    and A <- floor(A W / 2^s) + n_i 2^F over the numerators n_i. As
-    0 <= W / 2^s <= 1, each step adds under 1 + 1/4 to |A - 2^F sum n_i u^i|,
-    so K(t) lies strictly between (A -+ 2 (D + 1)) t^p0 / (2^F common). Where
-    both ends give the same nonzero float (two correctly rounded int / int
-    divisions), that is K(t) correctly rounded; otherwise F doubles. Once F
-    passes the bits of b^2D, the exact Horner is no dearer, and it settles
-    exact zeros and ties.
+    K = num / den exactly (_horner_exact) is split as q 2^e, q one correctly
+    rounded int / int quotient, and k_hi as m 2^h by frexp: the value is
+    fl(fl(pi / m^3) q) 2^(e - 3h). Where k_hi^3 is a normal float, m = k_hi
+    and h = 0, as k_hi^3 is the C library's pow, which is not correctly
+    rounded: pow(m, 3) 2^3h can differ from it in the last bit. So wherever
+    pi / k_hi^3, K and the value are normal floats, the value is
+    fl(fl(pi / k_hi^3) fl(K)), bit for bit. Returns 0.0 where K is 0, and
+    None where the value, nonzero, is not a normal float.
     """
-    numerators, width = kernel.numerators, kernel.width
-    degree = len(numerators) - 1
-    slack = 2 * (degree + 1)
-    # t^p0 = top / bottom; p0 is -1 when the kernel has a t^-1 term
-    top, bottom = (b, a) if kernel.p0 < 0 else (a**kernel.p0, b**kernel.p0)
-    fraction = max(0, _FIXED_POINT_BITS - width)
-    while fraction <= 2 * degree * b.bit_length():
-        shift = fraction + width + 2
-        w = (a * a << shift) // (b * b)
-        total = 0
-        for n in reversed(numerators):
-            total = (total * w >> shift) + (n << fraction)
-        den = kernel.common * bottom << fraction
-        lo, hi = (total - slack) * top / den, (total + slack) * top / den
-        if lo == hi and lo:
-            return lo
-        fraction = 2 * fraction + 64
-    num, den = _horner_exact(kernel, a, b)
-    # int / int is correctly rounded, as float(Fraction(num, den)) is
-    return num / den
+    num, den = _horner_exact(kernel, *_exact_ratio(k_lo, k_hi))
+    if not num:
+        return 0.0
+    exponent = num.bit_length() - den.bit_length()
+    quotient = (num << -exponent) / den if exponent < 0 else num / (den << exponent)
+    mantissa, shift = math.frexp(k_hi)
+    # 2^-1020 <= k_hi^3 < 2^1023 at these exponents
+    if -340 < shift < 342:
+        mantissa, shift = k_hi, 0
+    try:
+        value = math.ldexp(math.pi / mantissa**3 * quotient, exponent - 3 * shift)
+    except OverflowError:
+        return None
+    return value if _NORMAL_MIN <= abs(value) else None
 
 
 def _report_terms(
-    kernel: _Kernel, t: float, scale: float, shift: int, lowest: int
+    kernel: _Kernel, k_lo: float, k_hi: float, plain: bool
 ) -> tuple[TermEntry, ...]:
-    """The Laurent monomials of K at t, each times pi / k_hi^3 = scale * 2^shift * t^-lowest."""
-    powers = range(kernel.p0, kernel.p0 + 2 * len(kernel.floats), 2)
+    """The Laurent monomials of K at t = k_lo / k_hi, each times pi / k_hi^3.
+
+    ``plain`` says that t, t^p0 and pi / k_hi^3 are normal floats: a monomial
+    c t^p is then scale c t^p with scale = pi / k_hi^3. Otherwise
+    pi t^p0 / k_hi^3 is split by frexp as scale 2^shift, and the monomial is
+    scale c t^(p - p0) 2^shift.
+    """
+    p0, t = kernel.p0, k_lo / k_hi
+    if plain:
+        scale, shift, lowest = math.pi / k_hi**3, 0, 0
+    else:
+        (lo_mantissa, lo_exponent), (hi_mantissa, hi_exponent) = math.frexp(k_lo), math.frexp(k_hi)
+        scale = math.pi * lo_mantissa**p0 / hi_mantissa ** (3 + p0)
+        shift, lowest = p0 * lo_exponent - (3 + p0) * hi_exponent, p0
+    powers = range(p0, p0 + 2 * len(kernel.floats), 2)
     return tuple(
         TermEntry({"power": p}, math.ldexp(scale * coeff * t ** (p - lowest), shift))
         for p, coeff in zip(powers, kernel.floats)
@@ -496,10 +501,10 @@ def _report_terms(
 
 def _evaluate(
     l1: int, l2: int, l3: int, l4: int, k1: float, k2: float
-) -> tuple[float, int, str, _Kernel, float, float, int, int]:
+) -> tuple[float, int, str, _Kernel, float, float, bool]:
     """``evaluate`` on already-validated orders and momenta, without a report.
 
-    Returns (value, L, method, kernel, t, scale, shift, lowest): the report's
+    Returns (value, L, method, kernel, k_lo, k_hi, plain): the report's
     value, bridge order and method, then the inputs of its lazy
     ``_report_terms``. Raises as ``evaluate`` does.
     """
@@ -510,52 +515,40 @@ def _evaluate(
         orders = (l1, l2, l3, l4)
         k_lo, k_hi = k2, k1
     L, kernel = _laurent_kernel(*orders)
+    method = "paired" if l1 == l2 and l3 == l4 else "analytic"
     t = k_lo / k_hi
     try:
+        scale = math.pi / k_hi**3
+        power = t**kernel.p0
         if k_lo == k_hi:
             total = kernel.at_one
         else:
             # the float pass at w = t * t <= 1, where the stored bound at
             # w = 1 bounds the running one; only where it fails is the
-            # running bound at w itself summed
+            # running bound at w itself summed, and where that fails too the
+            # value takes the exact route below
             w = t * t
             total = 0.0
             for coeff in reversed(kernel.floats):
                 total = total * w + coeff
             limit = _EXACT_HORNER_BOUND * abs(total)
             if kernel.horner_bound > limit and _running_bound(kernel.floats, w) > limit:
-                total = _kernel_value(kernel, *_exact_ratio(k_lo, k_hi))
-            else:
-                total *= t**kernel.p0
+                total = math.nan
+        value = scale * (total * power)
+        # a subnormal t or t^p0 has lost digits, as has a scale outside
+        # [_NORMAL_MIN, _SCALE_MAX)
+        plain = _NORMAL_MIN <= t and _NORMAL_MIN <= power and _NORMAL_MIN <= scale < _SCALE_MAX
     except (OverflowError, ZeroDivisionError):
-        total = math.inf
-    try:
-        scale = math.pi / k_hi**3
-    except (OverflowError, ZeroDivisionError):
-        scale = 0.0
-    value = scale * total
-    if _NORMAL_MIN <= scale < _SCALE_MAX and _NORMAL_MIN <= abs(value) < math.inf:
-        shift = lowest = 0
-    else:
-        # k_hi^3, its quotient or t^p0 left the normal floats, or the value is 0:
-        # the value is pi t^p0 / k_hi^3 = scale 2^shift, split by frexp, times P(u)
-        p0 = kernel.p0
-        (lo_mantissa, lo_exponent), (hi_mantissa, hi_exponent) = math.frexp(k_lo), math.frexp(k_hi)
-        scale = math.pi * lo_mantissa**p0 / hi_mantissa ** (3 + p0)
-        shift = p0 * lo_exponent - (3 + p0) * hi_exponent
-        num, den = _horner_exact(kernel._replace(p0=0), *_exact_ratio(k_lo, k_hi))
-        try:
-            value = math.ldexp(scale * (num / den), shift)
-        except OverflowError:
-            value = math.inf
-        if num and not _NORMAL_MIN <= abs(value) < math.inf:
-            raise DomainError(
-                f"momenta k1={k1!r}, k2={k2!r} are out of range for orders "
-                f"{(l1, l2, l3, l4)}: the value leaves the normal float range"
-            )
-        lowest = p0
-    method = "paired" if l1 == l2 and l3 == l4 else "analytic"
-    return value, L, method, kernel, t, scale, shift, lowest
+        plain = False
+    if plain and _NORMAL_MIN <= abs(value) < math.inf:
+        return value, L, method, kernel, k_lo, k_hi, plain
+    value = _exact_value(kernel, k_lo, k_hi)
+    if value is None:
+        raise DomainError(
+            f"momenta k1={k1!r}, k2={k2!r} are out of range for orders "
+            f"{(l1, l2, l3, l4)}: the value leaves the normal float range"
+        )
+    return value, L, method, kernel, k_lo, k_hi, plain
 
 
 def evaluate(spec: IntegralSpec) -> EvaluationReport:
@@ -567,21 +560,21 @@ def evaluate(spec: IntegralSpec) -> EvaluationReport:
     report's ``bridge_L`` is the tuple's own bridge order. Later calls run a
     plain float Horner over P's coefficients at u = t^2, t = k_lo/k_hi, and
     return it when the kernel's stored a-priori bound holds, or else when the
-    running bound summed at this u does. Otherwise K(t) comes from a
-    truncated fixed-point Horner at the momenta's exact ratio, correctly
-    rounded. At k1 = k2 the value is the kernel's stored
-    K(1) = P(1), rounded once, so it is bit-identical for a tuple and its
-    exchange.
+    running bound summed at this u does. At k1 = k2 the value is the
+    kernel's stored K(1) = P(1), rounded once, so it is bit-identical for a
+    tuple and its exchange. Where neither bound holds, or t, t^p0, the scale
+    pi / k_hi^3 or the value is not a normal float, the value is
+    pi / k_hi^3 times K from one integer Horner at the momenta's exact
+    ratio, rounded once.
     ``method`` is "paired" for (a, a, b, b) orders, whose kernel is the paired
     closed form, and "analytic" otherwise; ``terms`` are the Laurent
     monomials, indexed by their power of t, and are built on their first read
     from the (function, *arguments) tuple the report holds until then.
     Every bridge order is covered, and the kernel is finite at k1 = k2.
-    Where the float pass leaves the normal floats, t^p0 is folded into the
-    scale, so DomainError is raised only when the value itself, nonzero, is
-    not a normal float; an exact zero is returned as 0.0.
+    DomainError is raised only when the value itself, nonzero, is not a
+    normal float; an exact zero is returned as 0.0.
     """
-    value, L, method, kernel, t, scale, shift, lowest = _evaluate(
+    value, L, method, kernel, k_lo, k_hi, plain = _evaluate(
         spec.lambda1, spec.lambda2, spec.lambda3, spec.lambda4, spec.k1, spec.k2
     )
-    return EvaluationReport(value, L, (_report_terms, kernel, t, scale, shift, lowest), method)
+    return EvaluationReport(value, L, (_report_terms, kernel, k_lo, k_hi, plain), method)

@@ -184,8 +184,7 @@ def _reference_laurent_kernel(l1: int, l2: int, l3: int, l4: int) -> tuple[int, 
     dense = tuple(int(c * common) for c in coeffs)
     floats = tuple(float(c) for c in coeffs)
     at_one = float(sum(coeffs, Fraction(0)))
-    width = sum(abs(n) for n in dense).bit_length()
-    return L, _Kernel(p0, dense, common, floats, _float_horner(floats, 1.0)[1], at_one, width)
+    return L, _Kernel(p0, dense, common, floats, _float_horner(floats, 1.0)[1], at_one)
 
 
 def _assert_same_kernel(orders) -> bool:

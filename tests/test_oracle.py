@@ -902,8 +902,8 @@ def test_head_takes_sin_and_cos_per_panel_and_per_node_only(
 
 
 def test_head_rejects_non_finite_arguments():
-    # k1 * r overflows on a head that reaches r ~ 1e12
-    with pytest.raises(DomainError, match="not finite"):
+    # k1 * r overflows on a head that reaches r ~ 1e12: no panel count covers it
+    with pytest.raises(DomainError, match=r"momenta \(1e\+300, 1e-10\) are too far apart"):
         quad_bessel_numeric(IntegralSpec(0, 0, 0, 0, 1e300, 1e-10))
 
 
@@ -953,6 +953,10 @@ def test_oracle_unallocatable_head_raises_domain_error(k_lo):
         quad_bessel_numeric(IntegralSpec(1, 1, 1, 1, k_lo, 1.0))
     with pytest.raises(DomainError, match=message):
         triple_bessel_numeric(1, 1, 0, k_lo, 1.0, 1.0)
+    # a ratio past the float range leaves the head's argument k * r infinite
+    message = r"momenta \(1e\+200, 1e-110\) are too far apart for the oracle"
+    with pytest.raises(DomainError, match=message):
+        quad_bessel_numeric(IntegralSpec(0, 0, 0, 0, 1e200, 1e-110))
 
 
 _PRODUCT_SAMPLE = np.random.default_rng(20261018)

@@ -590,20 +590,28 @@ def test_out_of_range_momenta_raise_domain_error(k1, k2):
             evaluate(IntegralSpec(*orders, k1, k2))
 
 
-def test_momenta_are_limited_by_the_value_alone():
-    # Far-apart momenta used to raise wherever t = k_lo/k_hi left the normal
-    # floats: t^-1 overflowed, though pi / (k_lo k_hi^2) is a normal float.
-    # Every value of {0..4}^4 at extreme exponent pairs, both orientations,
-    # against pi K(t) / k_hi^3 from the exact ratio; DomainError exactly
-    # where that value is not a normal float. The momenta are normal floats:
-    # a subnormal momentum can leave t subnormal, and so short of digits, under
-    # a normal value, which the float pass does not detect.
+def _extreme_momenta():
+    """Momentum pairs whose ratio, scale or value leaves the normal floats, seeded."""
     rng = random.Random(19)
     pairs = [(1e200, 1e-110), (1e300, 1e-300), (1e100, 1e-210), (1e-150, 1e158)]
     while len(pairs) < 12:
         x, y = rng.uniform(-307, 308), rng.uniform(-307, 308)
         if abs(x - y) > 250:
             pairs.append((10.0**x, 10.0**y))
+    pairs += [(1e-5, 1e-318), (1.0, 5e-324), (1e-60, 1e-310)]
+    return pairs + [(1e-100, 1e-207), (1e-100, 1e-205)]
+
+
+def test_momenta_are_limited_by_the_value_alone():
+    # Far-apart momenta used to raise wherever t = k_lo/k_hi left the normal
+    # floats: t^-1 overflowed, though pi / (k_lo k_hi^2) is a normal float.
+    # Every value of {0..4}^4 at extreme exponent pairs, both orientations,
+    # against pi K(t) / k_hi^3 from the exact ratio; DomainError exactly
+    # where that value is not a normal float. The last five pairs leave t
+    # (a subnormal momentum) or t^p0 (t = 1e-107 and 1e-105, p0 = 3) subnormal,
+    # and so short of digits, under a normal value: (1, 4, 1, 2) at
+    # (1e-5, 1e-318) was 1.3e-8 off and (0, 0, 4, 4) at (1e-100, 1e-207) 0.25.
+    pairs = _extreme_momenta()
     normal_min, float_top = mpmath.mpf(sys.float_info.min), mpmath.mpf(2) ** 1024
     answered = raised = 0
     answered_p0 = []
@@ -616,8 +624,10 @@ def test_momenta_are_limited_by_the_value_alone():
             exact = mpmath.pi * num / den / mpmath.mpf(k_hi) ** 3
             if normal_min <= abs(exact) < float_top:
                 report = evaluate(IntegralSpec(*orders, k1, k2))
-                assert report.value == pytest.approx(float(exact), rel=1e-15), (orders, k1, k2)
-                assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-14)
+                assert report.value == pytest.approx(float(exact), rel=1e-15, abs=0), (
+                    orders, k1, k2
+                )
+                assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-14, abs=0)
                 answered += 1
                 if (k1, k2) == (1e200, 1e-110):
                     answered_p0.append(kernel.p0)
@@ -628,7 +638,7 @@ def test_momenta_are_limited_by_the_value_alone():
     # the 55 tuples whose kernel has a t^-1 term, such as pi / (4 k1^2 k2) for (0,0,0,0)
     assert answered_p0 == [-1] * 55
     assert evaluate(IntegralSpec(0, 0, 0, 0, 1e200, 1e-110)).value == 7.853981633974483e-291
-    assert answered + raised == 269 * 24 and answered > 1000 and raised > 1000
+    assert answered + raised == 269 * 34 and answered > 1000 and raised > 1000
 
 
 def test_in_range_extremes_keep_their_bits():
@@ -653,16 +663,16 @@ def test_values_whose_scale_leaves_the_float_range_are_answered(orders, k1, k2):
     value = evaluate(IntegralSpec(*orders, k1, k2)).value
     kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
     exact = _reference_horner_exact(kernel, Fraction(k_lo) / Fraction(k_hi)) / Fraction(k_hi) ** 3
-    assert value == pytest.approx(math.pi * float(exact), rel=1e-15), (orders, k1, k2)
+    assert value == pytest.approx(math.pi * float(exact), rel=1e-15, abs=0), (orders, k1, k2)
     if orders == (0, 1, 2, 1):
-        assert value == pytest.approx(-math.pi / (12 * k1**2 * k2), rel=1e-15)
+        assert value == pytest.approx(-math.pi / (12 * k1**2 * k2), rel=1e-15, abs=0)
 
 
 def test_scaled_report_terms_sum_to_the_value():
     # pi / k_hi^3 is about 3e312; the terms are scaled through the exponent too
     report = evaluate(IntegralSpec(1, 1, 4, 4, 1e-104, 1e-106))
     assert [term.indices for term in report.terms] == [{"power": 2}, {"power": 4}]
-    assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-14)
+    assert _reference_term_sum(report) == pytest.approx(report.value, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -681,7 +691,7 @@ def test_underflowing_values_raise_domain_error(orders, k1, k2):
 
 def test_exact_zero_is_returned_at_extreme_momenta(monkeypatch):
     # no kernel of {0..4}^4 vanishes at k1 = k2, so the zero kernel is put in
-    zero = _Kernel(0, (0,), 1, (0.0,), 0.0, 0.0, 0)
+    zero = _Kernel(0, (0,), 1, (0.0,), 0.0, 0.0)
     monkeypatch.setattr(quadbessel, "_laurent_kernel", lambda *orders: (1, zero))
     for k1, k2 in ((1.0, 2.0), (1e100, 1e-100), (3e300, 1e300), (1e-300, 2e-300), (2.0, 2.0)):
         assert evaluate(IntegralSpec(1, 0, 1, 2, k1, k2)).value == 0.0
@@ -898,7 +908,7 @@ def test_evaluate_terms_are_laurent_monomials():
 def test_cancelling_kernels_keep_their_digits():
     # the kernel of (13, 4, 11, 2) cancels ~1e9-fold near t = 0.9; the float
     # Horner over P's own coefficients alone is off by ~2e-8 there, and the
-    # fixed-point pass returns K correctly rounded
+    # exact route returns K correctly rounded
     k1, k2 = 1.1, 1.0
     _, kernel = _laurent_kernel(13, 4, 11, 2)
     t = k2 / k1
@@ -954,9 +964,9 @@ def _rounded_value(orders, k1, k2):
     return math.pi / k_hi**3 * float(exact)
 
 
-def test_fixed_point_pass_returns_the_fraction_value():
+def test_exact_route_returns_the_fraction_value():
     # the gap sweep of (13, 4, 11, 2) and (13, 0, 13, 0) includes cancelling
-    # specs whose first bound fails; the fixed-point pass answers every one of
+    # specs whose first bound fails; the exact route answers every one of
     # them with K correctly rounded
     fixed = 0
     for orders, k1, k2 in _integer_horner_cases():
@@ -1003,10 +1013,9 @@ def _root_adjacent_specs():
 
 
 def test_exact_horner_runs_next_to_roots_and_returns_the_fraction_value(monkeypatch):
-    # next to a real root of K the float pass keeps no digits and the
-    # fixed-point pass doubles its precision; past the bits of b^2D the
-    # integer Horner gives the correctly rounded value. It does so on the 6
-    # specs of the two roots of (2, 1, 3, 0), whose kernel has degree 2
+    # next to a real root of K the float pass keeps no digits, its bounds
+    # fail, and the integer Horner gives the correctly rounded value: once
+    # for each of the 33 specs
     specs, roots = _root_adjacent_specs()
     assert roots == {(2, 1, 3, 0): 2, (13, 4, 11, 2): 8, (8, 3, 13, 10): 1}
     calls = []
@@ -1019,45 +1028,19 @@ def test_exact_horner_runs_next_to_roots_and_returns_the_fraction_value(monkeypa
         value = evaluate(IntegralSpec(*orders, k1, k2)).value
         assert value == math.pi / k_hi**3 * float(exact), (orders, k1, k2)
     assert len(specs) == 3 * 11
-    assert len(calls) == 6 and {call[0] for call in calls} == {_laurent_kernel(2, 1, 3, 0)[1]}
-
-
-def test_fixed_point_pass_doubles_its_precision_from_a_tiny_start(monkeypatch):
-    # started at 0 fraction bits, the pass cannot answer the gap sweep's
-    # fallback specs: its two ends lie more than two ulps apart. It doubles its
-    # precision until they round alike, and never reaches the integer Horner
-    def forbidden(*args):
-        raise AssertionError("integer Horner")
-
-    monkeypatch.setattr(quadbessel, "_FIXED_POINT_BITS", 0)
-    monkeypatch.setattr(quadbessel, "_horner_exact", forbidden)
-    doubled = 0
-    for orders, k1, k2 in _integer_horner_cases():
-        if isinstance(k1, Fraction):
-            continue
-        kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-        if not _first_bound_fails(kernel, k_lo / k_hi):
-            continue
-        t = Fraction(k_lo) / Fraction(k_hi)
-        # A is common * P(u) at no fraction bits, within 2 (D + 1) either way
-        scaled = abs(_reference_horner_exact(kernel, t) / t**kernel.p0 * kernel.common)
-        assert scaled < 2 * len(kernel.numerators) * 2**52, (orders, k1, k2)
-        assert evaluate(IntegralSpec(*orders, k1, k2)).value == _rounded_value(orders, k1, k2)
-        doubled += 1
-    assert doubled == 16
+    assert len(calls) == 33
+    assert {call[0] for call in calls} == {_laurent_kernel(*orders)[1] for orders in roots}
 
 
 def test_exact_rational_root_returns_zero_without_looping(monkeypatch):
     # K(t) = 2^106 t^2 - m^2 vanishes at the float t = m / 2^53: the float
-    # pass cancels to 0.0, the fixed-point ends straddle 0 at every precision,
-    # and once the precision passes the bits of b^2 the integer Horner returns
-    # the exact zero; the range check reads it once more
+    # pass cancels to 0.0, its bounds fail, and one integer Horner returns
+    # the exact zero
     m, b = 0.6123456789.as_integer_ratio()
     numerators = (-m * m, b * b)
     floats = tuple(map(float, numerators))
     kernel = _Kernel(
-        0, numerators, 1, floats, _float_horner(floats, 1.0)[1], float(sum(numerators)),
-        sum(map(abs, numerators)).bit_length(),
+        0, numerators, 1, floats, _float_horner(floats, 1.0)[1], float(sum(numerators))
     )
     monkeypatch.setattr(quadbessel, "_laurent_kernel", lambda *orders: (1, kernel))
     calls = []
@@ -1067,14 +1050,39 @@ def test_exact_rational_root_returns_zero_without_looping(monkeypatch):
     t = m / b
     assert _float_horner(kernel.floats, t * t)[0] == 0.0
     assert evaluate(IntegralSpec(1, 0, 1, 2, 1.0, t)).value == 0.0
-    assert calls == [(kernel, m, b)] * 2
+    assert calls == [(kernel, m, b)]
 
 
-def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
+def test_each_evaluate_runs_at_most_one_exact_horner(monkeypatch):
+    # the fallback, the extreme range, subnormal t and an exact zero share one
+    # exact route: over {0..4}^4, both orientations, at the gap sweep and the
+    # extreme momenta, no evaluate takes K from the exact ratio twice
+    calls = []
+    monkeypatch.setattr(
+        quadbessel, "_horner_exact", lambda *args: calls.append(args) or _horner_exact(*args)
+    )
+    momenta = [(1.0, 1.0 + sign * 10.0**-u) for u in range(1, 16) for sign in (1, -1)]
+    momenta += _extreme_momenta()
+    exact = 0
+    for orders in _bridge_valid_tuples(4):
+        for k1, k2 in momenta + [(k2, k1) for k1, k2 in momenta]:
+            calls.clear()
+            try:
+                evaluate(IntegralSpec(*orders, k1, k2))
+            except DomainError:
+                pass
+            assert len(calls) <= 1, (orders, k1, k2)
+            exact += len(calls)
+    assert exact == 8594
+
+
+def test_exact_horner_runs_only_where_the_running_bound_fails_on_log_uniform_momenta(
+    monkeypatch,
+):
     # 1500 momentum pairs log-uniform on [0.1, 10]^2, in both orientations:
     # the first bound fails on 277 of them for (13, 4, 11, 2), on 368 for
-    # (13, 0, 13, 0) and on 594-652 at bridge orders 30-50; the fixed-point
-    # pass leaves none of them to the integer Horner
+    # (13, 0, 13, 0) and on 594-652 at bridge orders 30-50; the integer
+    # Horner runs once on each of them, and on no other pair
     rng = random.Random("exact-fallback-rate")
     pairs = [(10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-1, 1)) for _ in range(1500)]
     calls = []
@@ -1085,14 +1093,16 @@ def test_exact_fallback_is_rare_on_log_uniform_momenta(monkeypatch):
         ((13, 4, 11, 2), 150), ((13, 0, 13, 0), 150),
         ((0, 30, 60, 30), 500), ((40, 0, 40, 0), 500), ((50, 0, 50, 0), 500),
     ):
-        calls.clear()
         first_fails = 0
         for k1, k2 in pairs:
+            calls.clear()
             evaluate(IntegralSpec(*orders, k1, k2))
             kernel, k_lo, k_hi = _kernel_read(orders, k1, k2)
-            first_fails += _first_bound_fails(kernel, k_lo / k_hi)
+            fails = _first_bound_fails(kernel, k_lo / k_hi)
+            expected = [(kernel, *_exact_ratio(k_lo, k_hi))] if fails else []
+            assert calls == expected, (orders, k1, k2)
+            first_fails += fails
         assert first_fails > first_floor, orders
-        assert not calls, orders
 
 
 def test_fallback_is_correctly_rounded_wherever_the_stored_bound_fails():
@@ -1197,9 +1207,9 @@ def test_well_conditioned_first_pass_computes_no_running_bound(monkeypatch):
 
 
 def _count_gate_calls(monkeypatch):
-    """Record evaluate's calls of _running_bound and _kernel_value, which still run."""
+    """Record evaluate's calls of _running_bound and _horner_exact, which still run."""
     calls = {}
-    for name in ("_running_bound", "_kernel_value"):
+    for name in ("_running_bound", "_horner_exact"):
         function, seen = getattr(quadbessel, name), calls.setdefault(name, [])
         monkeypatch.setattr(
             quadbessel, name, lambda *args, f=function, s=seen: s.append(args) or f(*args)
@@ -1207,28 +1217,23 @@ def _count_gate_calls(monkeypatch):
     return calls
 
 
-def test_cancelling_spec_reaches_the_fixed_point_pass(monkeypatch):
+def test_cancelling_spec_reaches_the_exact_route(monkeypatch):
     # the stored bound fails for (13, 4, 11, 2) at t = 1/1.1, and so does the
-    # running bound at the spec's own w: one running bound, then the
-    # fixed-point pass at the momenta's exact ratio, and no integer Horner
+    # running bound at the spec's own w: one running bound, then one integer
+    # Horner at the momenta's exact ratio
     spec = IntegralSpec(13, 4, 11, 2, 1.1, 1.0)
     warm = evaluate(spec).value
     calls = _count_gate_calls(monkeypatch)
-
-    def forbidden(*args):
-        raise AssertionError("integer Horner on the fixed-point pass")
-
-    monkeypatch.setattr(quadbessel, "_horner_exact", forbidden)
     assert evaluate(spec).value == warm
     kernel, t = _laurent_kernel(13, 4, 11, 2)[1], 1.0 / 1.1
     assert calls["_running_bound"] == [(kernel.floats, t * t)]
-    assert calls["_kernel_value"] == [(kernel, *_exact_ratio(1.0, 1.1))]
+    assert calls["_horner_exact"] == [(kernel, *_exact_ratio(1.0, 1.1))]
 
 
-def test_running_bound_gates_the_fixed_point_pass(monkeypatch):
+def test_running_bound_gates_the_exact_route(monkeypatch):
     # the stored bound at w = 1 fails for (8, 3, 13, 10) at t = 1/2, but the
     # running bound at the spec's own w holds: one running bound, no
-    # fixed-point pass, and the plain Horner's value
+    # integer Horner, and the plain Horner's value
     spec = IntegralSpec(8, 3, 13, 10, 1.0, 0.5)
     kernel = _laurent_kernel(8, 3, 13, 10)[1]
     total = _float_horner(kernel.floats, 0.25)[0]
@@ -1236,12 +1241,12 @@ def test_running_bound_gates_the_fixed_point_pass(monkeypatch):
     warm = evaluate(spec).value
     calls = _count_gate_calls(monkeypatch)
     assert evaluate(spec).value == warm == math.pi * (total * 0.5**kernel.p0)
-    assert calls == {"_running_bound": [(kernel.floats, 0.25)], "_kernel_value": []}
+    assert calls == {"_running_bound": [(kernel.floats, 0.25)], "_horner_exact": []}
 
 
-def test_fixed_point_pass_runs_only_where_the_running_bound_fails(monkeypatch):
+def test_exact_route_runs_only_where_the_running_bound_fails(monkeypatch):
     # the eval-kgrid tuples, both orientations, at seeded log-uniform and
-    # near-equal momenta: evaluate runs the fixed-point pass exactly where
+    # near-equal momenta: evaluate runs the integer Horner exactly where
     # the running bound at the spec's w fails, on fewer specs than the stored
     # bound fails
     from test_kernel_build import EVAL_KGRID_TUPLES
@@ -1262,7 +1267,7 @@ def test_fixed_point_pass_runs_only_where_the_running_bound_fails(monkeypatch):
             total = _float_horner(kernel.floats, t * t)[0]
             stored_fails += kernel.horner_bound > _EXACT_HORNER_BOUND * abs(total)
             running_fails += _first_bound_fails(kernel, t)
-    assert len(calls["_kernel_value"]) == running_fails
+    assert len(calls["_horner_exact"]) == running_fails
     assert len(calls["_running_bound"]) == stored_fails
     assert (running_fails, stored_fails) == (93, 170)
 
@@ -1270,7 +1275,7 @@ def test_fixed_point_pass_runs_only_where_the_running_bound_fails(monkeypatch):
 def test_stored_floats_are_rounded_once_on_wide_kernels():
     # the kernel's floats and K(1) are each its exact ratio rounded once, where
     # numerators pass 53 bits and rounding them before dividing would differ;
-    # each kernel is in lowest terms and stores the bits of sum |numerators|
+    # each kernel is in lowest terms
     from test_kernel_build import EVAL_KGRID_TUPLES, HIGH_BRIDGE_TUPLES
 
     wide = 0
@@ -1283,7 +1288,6 @@ def test_stored_floats_are_rounded_once_on_wide_kernels():
                 float(Fraction(n, common)).hex() for n in numerators
             ], orders
             assert kernel.at_one == float(Fraction(sum(numerators), common)), orders
-            assert kernel.width == sum(map(abs, numerators)).bit_length(), orders
             wide += max(map(abs, numerators)).bit_length() > 53
     # six up to bridge order 30, then (0, 40, 80, 40) and (50, 0, 50, 0)
     assert wide == 8
@@ -1348,7 +1352,7 @@ def test_zero_kernel_needs_no_branch_of_its_own(monkeypatch):
     monkeypatch.setattr(quadbessel, "_divide_one_minus_u", lambda coeffs: [0] * len(coeffs))
     kernel = _class_kernel.__wrapped__(0, 1, 2, 1)
     assert kernel.p0 == 0 and kernel.numerators == (0,) and kernel.floats == (0.0,)
-    assert kernel.common == 1 and kernel.at_one == 0.0 and kernel.width == 0
+    assert kernel.common == 1 and kernel.at_one == 0.0
     assert _float_horner(kernel.floats, 0.81) == (0.0, 0.0)
     assert Fraction(*_horner_exact(kernel, 9, 10)) == 0
 
@@ -1367,8 +1371,8 @@ def test_evaluate_past_the_legendre_degree_limit(orders):
 
 
 def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
-    # one spec per pass: the float pass, the fixed-point pass, K(1) at k1 = k2,
-    # and the integer Horner
+    # one spec per route: the float pass, the exact route on a cancelling
+    # kernel, K(1) at k1 = k2, and the exact route next to a root
     root_orders, root_k1, root_k2 = _root_adjacent_specs()[0][0]
     specs = [
         IntegralSpec(2, 1, 3, 0, 1.0, 1.5),
@@ -1382,7 +1386,7 @@ def test_warm_evaluate_does_no_exact_or_legendre_work(monkeypatch):
         raise AssertionError("Legendre work on the warm path")
 
     monkeypatch.setattr(quadbessel, "bform_band_coeffs", forbidden)
-    # the fixed-point pass and the integer Horner run without Fraction
+    # the exact route runs without Fraction
     _forbid_exact_arithmetic(monkeypatch)
     assert [evaluate(spec).value for spec in specs] == warm
 
