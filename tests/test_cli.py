@@ -214,12 +214,15 @@ def test_batch_oracle_mode(tmp_path):
 
 
 def test_batch_json_footer_carries_max_discrepancy():
-    result = run_cli("batch", "--grid", "0", "--k-pairs", "1:2,2:5", "--format", "json")
+    # at (1, 3) the oracle and the closed form differ in the last bit, so a
+    # footer that ignored the rows would not pass
+    result = run_cli("batch", "--grid", "0", "--k-pairs", "1:3,2:5", "--format", "json")
     assert result.returncode == 0
     lines = result.stdout.strip().split("\n")
     assert len(lines) == 3
     footer = json.loads(lines[-1])
     assert 0.0 < footer["max_discrepancy"] < 1e-6
+    assert footer["max_discrepancy"] == max(json.loads(line)["discrepancy"] for line in lines[:-1])
 
 
 def test_batch_degenerate_row_has_a_value(tmp_path):
