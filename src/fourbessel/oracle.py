@@ -23,16 +23,16 @@ The decomposition is compiled once per order tuple, exactly, with the
 momenta as symbols, and cached; each call substitutes the exact ratios
 k_i = p_i/q_i and rounds each coefficient once.
 
-The head walks its panels in blocks of _HEAD_BLOCK_PANELS, with one Bessel
-sweep per block and distinct momentum k for all the orders k carries, both
-rules at once. A sweep runs one upward recurrence, one Taylor series pass
-below k r = 0.5 and one downward (Miller) recurrence per start, each for all
-its orders together; the start grows with the order, so high orders keep
-their digits, and a single order gets the same bits. No node takes its own
-sin or cos: r = c_p + o_j, so sin(k r) and cos(k r) come by angle addition
-from those of k c_p, once per panel, corrected by the rounding of the
-product (Dekker's TwoProduct), and of k o_j, once per head. The head is within 2^-50 of the same Gauss sums in extended
-precision, relative to their sum of |w f h|.
+The head walks its panels in blocks, with one Bessel sweep per block over
+every distinct momentum and order at once, both rules together. Each step
+of a sweep is pointwise, so every point gets the bits it gets alone: one
+upward recurrence, one Taylor series pass below k r = 0.5 and one downward
+(Miller) recurrence per start, which grows with the order so that high
+orders keep their digits. No node takes its own sin or cos: r = c_p + o_j,
+so sin(k r) and cos(k r) come by angle addition from those of k c_p, once
+per panel, corrected by the rounding of the product (Dekker's TwoProduct),
+and of k o_j, once per head. The head is within 2^-50 of the same Gauss
+sums in extended precision, relative to their sum of |w f h|.
 
 Everything returns (value, error_estimate); NoConvergence is raised when the
 estimate cannot certify the configured tolerance.
@@ -342,6 +342,17 @@ def _gauss_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=None)
+def _head_rule() -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The head's 20 nodes, 12-node rule then 8-node, the least's index and both weights."""
+    import numpy as np
+
+    (fine, fine_weights), (coarse, coarse_weights) = _gauss_rule(12), _gauss_rule(8)
+    nodes = np.concatenate((fine, coarse))
+    nodes.setflags(write=False)
+    return nodes, int(np.argmin(nodes)), fine_weights, coarse_weights
+
+
 # --------------------------------------------------------------------------
 # exact trigonometric decomposition of Bessel products
 # --------------------------------------------------------------------------
@@ -636,16 +647,17 @@ def _two_product(a, b):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _sin_cos_of_product(k: float, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sin_cos_of_product(k: float | np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin and cos of the exact products k * c, not of their rounded values.
 
     fl(k c) misses k c by e, up to half an ulp of k c (4.5e-13 at k c = 6000);
     the phase is corrected by e to second order. k is first scaled into
-    [0.5, 1) by a power of two, so that the splitting cannot overflow.
+    [0.5, 1) by a power of two, so that the splitting cannot overflow. k is a
+    float, or a column of momenta that gives each its own row of products.
     """
     import numpy as np
 
-    mantissa, exponent = math.frexp(k)
+    mantissa, exponent = np.frexp(k)
     phase, err = _two_product(mantissa, np.ldexp(c, exponent))
     sin_p, cos_p = np.sin(phase), np.cos(phase)
     half = 0.5 * err
@@ -678,9 +690,9 @@ def _head_integral(factors, n_panels: int, width: float) -> tuple[float, float]:
     """Fine Gauss value of the head over [0, n_panels * width] and its error estimate.
 
     Panel p has centre c_p = (p + 1/2) h, and the 12 + 8 nodes of both rules
-    sit at c_p + o_j, o_j = (h/2) x_j. Blocks of _HEAD_BLOCK_PANELS panels are
-    laid out node-major, one row per node, so that each angle-addition
-    product is a row times a scalar.
+    sit at c_p + o_j, o_j = (h/2) x_j. A block holds _HEAD_BLOCK_PANELS //
+    len(momenta) panels, laid out (momenta x nodes x panels), so that one
+    pass of each step serves every momentum.
 
     The estimate is |fine - coarse| plus a rounding bound in units _U of the
     fine sum of |w f h|: 4 for a node r (o_j, c_p + o_j, r r, k r; c_p is
@@ -690,51 +702,39 @@ def _head_integral(factors, n_panels: int, width: float) -> tuple[float, float]:
     """
     import numpy as np
 
-    fine_nodes, fine_weights = _gauss_rule(12)
-    coarse_nodes, coarse_weights = _gauss_rule(8)
-    nodes = np.concatenate((fine_nodes, coarse_nodes))
-    n_fine = len(fine_nodes)
+    nodes, first_node, fine_weights, coarse_weights = _head_rule()
+    n_fine = len(fine_weights)
     offsets = (0.5 * width) * nodes
-    # k * r grows with c_p and o_j, so the smallest argument of a block is
-    # its first panel's smallest node
-    first_node = int(np.argmin(nodes))
-    by_momentum: dict[float, list[int]] = {}
-    for i, (_, k) in enumerate(factors):
-        by_momentum.setdefault(k, []).append(i)
-    sweeps = []
-    for k, members in by_momentum.items():
-        orders = sorted({factors[i][0] for i in members})
-        phase = k * offsets
-        sweeps.append((k, members, orders, np.sin(phase)[:, None], np.cos(phase)[:, None]))
+    momenta = list(dict.fromkeys(k for _, k in factors))
+    orders = sorted({n for n, _ in factors})
+    column = np.array(momenta)[:, None, None]
+    phase = column * offsets[:, None]
+    sin_o, cos_o = np.sin(phase), np.cos(phase)
+    step = _HEAD_BLOCK_PANELS // len(momenta)
     try:
         rows = np.empty((3, n_panels))
     except MemoryError:
         raise _TooManyPanels from None
     fine_rows, coarse_rows, size_rows = rows
-    bessel = [None] * len(factors)
-    for lo in range(0, n_panels, _HEAD_BLOCK_PANELS):
-        hi = min(lo + _HEAD_BLOCK_PANELS, n_panels)
-        centers = (np.arange(lo, hi) + 0.5) * width
+    for lo in range(0, n_panels, step):
+        centers = (np.arange(lo, min(lo + step, n_panels)) + 0.5) * width
         r = np.add.outer(offsets, centers)
-        for k, members, orders, sin_o, cos_o in sweeps:
-            sin_c, cos_c = _sin_cos_of_product(k, centers)
-            sin_r = sin_o * cos_c
-            sin_r += cos_o * sin_c
-            cos_r = cos_o * cos_c
-            cos_r -= sin_o * sin_c
-            a = k * r
-            values = _bessel_sweep(
-                orders, a.reshape(-1), a[first_node, 0], (sin_r.reshape(-1), cos_r.reshape(-1))
-            )
-            for i in members:
-                bessel[i] = values[factors[i][0]].reshape(r.shape)
+        sin_c, cos_c = _sin_cos_of_product(column, centers)
+        sin_r = sin_o * cos_c
+        sin_r += cos_o * sin_c
+        cos_r = cos_o * cos_c
+        cos_r -= sin_o * sin_c
+        a = column * r
+        trig = (sin_r.reshape(-1), cos_r.reshape(-1))
+        # k r grows with c_p and o_j: a momentum's least is at its first panel's least node
+        values = _bessel_sweep(orders, a.reshape(-1), a[:, first_node, 0].min(), trig)
         f = r * r
         # in factor order: each product's rounding is part of the value
-        for value in bessel:
-            f *= value
-        np.matmul(fine_weights, f[:n_fine], out=fine_rows[lo:hi])
-        np.matmul(coarse_weights, f[n_fine:], out=coarse_rows[lo:hi])
-        np.matmul(fine_weights, np.abs(f[:n_fine]), out=size_rows[lo:hi])
+        for n, k in factors:
+            f *= values[n].reshape(a.shape)[momenta.index(k)]
+        np.matmul(fine_weights, f[:n_fine], out=fine_rows[lo : lo + step])
+        np.matmul(coarse_weights, f[n_fine:], out=coarse_rows[lo : lo + step])
+        np.matmul(fine_weights, np.abs(f[:n_fine]), out=size_rows[lo : lo + step])
     fine, coarse, size = (0.5 * width) * rows.sum(axis=1)
     units = 32 + len(factors) + n_panels.bit_length() + 3 * sum(n + 1 for n, _ in factors)
     return float(fine), float(abs(fine - coarse) + units * _U * size)

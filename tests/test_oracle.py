@@ -204,6 +204,28 @@ def test_bessel_sweep_across_miller_starts():
             assert np.array_equal(values[n], _reference_bessel_j(n, x)), (wanted, n)
 
 
+@pytest.mark.parametrize(
+    "stack",
+    [
+        ((1.0, (0, 7)), (0.37, (2, 8))),
+        ((1.0, (7,)), (2.9, (8, 40))),
+        ((1.0, (0, 1, 7)), (0.37, (8,)), (2.9, (2, 40))),
+        ((0.37, (40,)), (1.0, (0,)), (2.9, (1, 7, 8))),
+    ],
+)
+def test_bessel_sweep_over_stacked_momenta_is_pointwise(stack):
+    # the head sweeps the arguments of all its momenta at once, with the
+    # union of their orders: each momentum's points keep the bits of its own
+    # sweep with its own orders, across Miller starts 32, 64 and 96
+    x = np.concatenate([_SWEEP_POINTS, np.linspace(0.0, 45.0, 181)])
+    union = [n for _, orders in stack for n in orders]
+    together = _sweep(union, np.concatenate([k * x for k, _ in stack]))
+    for i, (k, orders) in enumerate(stack):
+        alone = _sweep(orders, k * x)
+        for n in orders:
+            assert np.array_equal(together[n][i * x.size : (i + 1) * x.size], alone[n]), (k, n)
+
+
 def test_bessel_sweep_runs_one_series_pass_and_one_recurrence_per_start(monkeypatch):
     calls = {"series": [], "downward": []}
 
@@ -955,24 +977,32 @@ def test_oracle_values_move_only_at_rounding_level(orders, momenta, distinct, mo
 
 
 @pytest.mark.parametrize("orders, momenta, distinct", _HEAD_SPECS)
-def test_head_sweeps_once_per_momentum_per_block(orders, momenta, distinct, monkeypatch):
+def test_head_sweeps_once_per_block_for_all_momenta(orders, momenta, distinct, monkeypatch):
     calls = []
     sweep = oracle._bessel_sweep
 
     def counting(wanted, a, lowest, trig):
-        calls.append((tuple(wanted), a.size))
+        calls.append((tuple(wanted), a.copy(), lowest))
         return sweep(wanted, a, lowest, trig)
 
     factors, n_panels, width = _head_arguments(orders, momenta)
     monkeypatch.setattr(oracle, "_bessel_sweep", counting)
     oracle._head_integral(factors, n_panels, width)
     by_momentum = _momentum_groups(orders, momenta)
-    blocks = math.ceil(n_panels / _HEAD_BLOCK_PANELS)
     assert len(by_momentum) == distinct
-    assert len(calls) == distinct * blocks
-    # every panel once, at the 12 + 8 nodes of both rules
-    assert sum(size for _, size in calls) == distinct * 20 * n_panels
-    assert {n for n, _ in calls} == {tuple(sorted(set(g))) for g in by_momentum.values()}
+    # one sweep per block, a block holding _HEAD_BLOCK_PANELS // distinct panels
+    assert len(calls) == math.ceil(n_panels / (_HEAD_BLOCK_PANELS // distinct))
+    # each with the union of the orders, and no more points than one
+    # momentum's full block: the temporaries stay at 80 kB
+    assert {wanted for wanted, _, _ in calls} == {tuple(sorted(set(orders)))}
+    assert max(a.size for _, a, _ in calls) <= 20 * _HEAD_BLOCK_PANELS
+    assert all(lowest == a.min() for _, a, lowest in calls)
+    # every panel's 12 + 8 nodes once per distinct momentum, at k (c_p + o_j)
+    nodes = np.concatenate((_gauss_rule(12)[0], _gauss_rule(8)[0]))
+    r = np.add.outer((0.5 * width) * nodes, (np.arange(n_panels) + 0.5) * width)
+    expected = np.concatenate([k * r.reshape(-1) for k in by_momentum])
+    swept = np.concatenate([a for _, a, _ in calls])
+    assert np.array_equal(np.sort(swept), np.sort(expected))
     if 0.1 in momenta and distinct > 1:
         assert n_panels > 4 * _HEAD_BLOCK_PANELS
 
@@ -1074,6 +1104,18 @@ def test_two_product_is_exact():
     for k, c, p, e in zip(_PRODUCT_MOMENTA, _PRODUCT_CENTERS, product, error):
         assert Fraction(p) + Fraction(e) == Fraction(k) * Fraction(c), (k, c)
         assert oracle._two_product(float(k), float(c)) == (p, e)
+
+
+def test_panel_phase_of_a_column_of_momenta_is_each_momentum_s_own():
+    column = _PRODUCT_MOMENTA[:, None]
+    sin_c, cos_c = oracle._sin_cos_of_product(column, _PRODUCT_CENTERS)
+    assert sin_c.shape == cos_c.shape == (len(_PRODUCT_MOMENTA), len(_PRODUCT_CENTERS))
+    for k, sin_row, cos_row in zip(_PRODUCT_MOMENTA, sin_c, cos_c):
+        sin_k, cos_k = oracle._sin_cos_of_product(float(k), _PRODUCT_CENTERS)
+        assert np.array_equal(sin_row, sin_k) and np.array_equal(cos_row, cos_k), k
+    # the head's (momenta x 1 x 1) column gives one (1 x panels) row each
+    sin_c, _ = oracle._sin_cos_of_product(column[:3, :, None], _PRODUCT_CENTERS)
+    assert np.array_equal(sin_c[:, 0], oracle._sin_cos_of_product(column[:3], _PRODUCT_CENTERS)[0])
 
 
 def test_compensated_panel_phase_matches_the_exact_product():
